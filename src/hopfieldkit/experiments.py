@@ -1,10 +1,9 @@
 """Recovery-curve and regularization-sweep experiments on stored patterns.
 
 Every repetition derives its generator from (seed, repetition index), so
-serial and parallel execution agree and a sweep cell reproduces the
-matching recovery-curve cell exactly. The first stored pattern is the
-recall target throughout. CSV output uses fixed formatting and is
-byte-identical across runs.
+a sweep cell reproduces the matching recovery-curve cell exactly. The
+first stored pattern is the recall target throughout. CSV output uses
+fixed formatting and is byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -127,15 +126,15 @@ def ingest(cfg: ExperimentConfig) -> TrainingSet:
 
 
 class _TrialContext:
-    """Per-experiment precomputation shared by every repetition."""
+    """Per-experiment precomputation shared by every repetition; wm is train(ts)."""
 
-    def __init__(self, cfg: ExperimentConfig, ts: TrainingSet, gamma: float | None = None):
+    def __init__(self, cfg: ExperimentConfig, ts: TrainingSet, wm: WeightMatrix | None = None):
         self.cfg = cfg
         self.ts = ts
-        self.wm = train(ts)
+        self.wm = train(ts) if wm is None else wm
         self.w = self.wm.w
         self.d = ts.d
-        self.gamma = cfg.gamma if gamma is None else gamma
+        self.gamma = cfg.gamma
         self.q = self.gamma * np.eye(self.d) - self.w
         self.target = ts.patterns[0]
 
@@ -246,9 +245,10 @@ def run_gamma_sweep(cfg: ExperimentConfig, gamma_grid,
         raise ValueError("gamma grid must be non-empty and positive")
     ts = ingest(cfg) if ts is None else ts
     l = cfg.l_grid[0]
+    wm = train(ts)  # W does not depend on gamma
     points = []
     for gamma in grid:
-        ctx = _TrialContext(replace(cfg, gamma=gamma), ts)
+        ctx = _TrialContext(replace(cfg, gamma=gamma), ts, wm)
         distances = np.empty(cfg.reps)
         for rep in range(cfg.reps):
             rng = np.random.default_rng([cfg.seed, rep])

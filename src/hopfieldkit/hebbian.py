@@ -10,7 +10,7 @@ ensemble: rho = W + I/d, positive semidefinite with unit trace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +19,10 @@ from .patterns import TrainingSet
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric coupling matrix with zero self-couplings and norm <= 1."""
+    """Symmetric zero-diagonal couplings; norm is their spectral norm (<= 1), found once."""
 
     w: np.ndarray
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -31,11 +32,13 @@ class WeightMatrix:
             raise ValueError("weight matrix must be symmetric within 1e-12")
         if np.any(np.diag(w) != 0.0):
             raise ValueError("weight matrix diagonal must be exactly zero")
-        if np.max(np.abs(np.linalg.eigvalsh(w))) > 1.0 + 1e-12:
+        norm = float(np.max(np.abs(np.linalg.eigvalsh(w))))
+        if norm > 1.0 + 1e-12:
             raise ValueError("weight matrix spectral norm must not exceed 1")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "norm", norm)
 
     @property
     def d(self) -> int:
@@ -92,8 +95,8 @@ def density(source: TrainingSet | WeightMatrix) -> DensityMatrix:
 def spectral_norm(wm: WeightMatrix | DensityMatrix | np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix."""
     if isinstance(wm, WeightMatrix):
-        a = wm.w
-    elif isinstance(wm, DensityMatrix):
+        return wm.norm
+    if isinstance(wm, DensityMatrix):
         a = wm.rho
     else:
         a = np.asarray(wm, dtype=float)

@@ -15,25 +15,30 @@ only eigenvalues of magnitude >= mu. The recovered state is sign(x).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .hebbian import WeightMatrix, spectral_norm
 from .patterns import ClampSet
 
-RANK_TOL_FACTOR = 1e-10  # relative eigenvalue cutoff treated as exact rank deficiency
+RANK_TOL_FACTOR = 1e-10  # relative eigenvalue or pivot cutoff treated as exact rank deficiency
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Assembled saddle-point system A v = w for one recall instance."""
+    """Assembled saddle-point system A v = w for one recall instance.
+
+    A = [[W - gamma I, P], [P, 0]] is checked block by block, which bounds
+    |A| by gamma + 2; the validated W is kept as wm.
+    """
 
     a: np.ndarray
     rhs: np.ndarray
     gamma: float
     clamp: ClampSet
     theta: np.ndarray
+    wm: WeightMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -43,14 +48,19 @@ class LinearSystem:
             raise ValueError("system blocks must have shape (2d, 2d) and (2d,)")
         if np.max(np.abs(a - a.T), initial=0.0) > 1e-12:
             raise ValueError("system matrix must be symmetric")
-        if np.max(np.abs(np.linalg.eigvalsh(a))) > self.gamma + 2.0 + 1e-9:
-            raise ValueError("system norm exceeds gamma + 2, blocks are malformed")
+        if np.any(a[d:, d:] != 0.0):
+            raise ValueError("system bottom-right block must be zero")
+        p = self.clamp.projector()
+        if not (np.array_equal(a[:d, d:], p) and np.array_equal(a[d:, :d], p)):
+            raise ValueError("system off-diagonal blocks must equal the clamp projector")
+        wm = WeightMatrix(a[:d, :d] + self.gamma * np.eye(d))
         a = a.copy()
         a.setflags(write=False)
         rhs = rhs.copy()
         rhs.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "wm", wm)
 
     @property
     def d(self) -> int:
@@ -156,8 +166,8 @@ def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True,
     method="reduced" eliminates the clamped block directly instead of
     eigendecomposing; it is only valid for mu = 0 and falls back to the
     eigendecomposition when the reduced block is singular. certify=False
-    replaces the determinant certificate with the sufficient spectral
-    condition gamma > |W|, which implies it.
+    replaces the Cholesky certificate of certify_minimum with the
+    sufficient condition gamma > |W|, which implies it.
     """
     if method not in ("eigen", "reduced"):
         raise ValueError(f"unknown solve method {method!r}")
@@ -178,19 +188,14 @@ def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True,
     residual_stationarity = float(np.max(np.abs(stat)))
 
     if certify:
-        certified = certify_minimum(_weights_of(sys), sys.clamp, sys.gamma)
+        certified = certify_minimum(sys.wm, sys.clamp, sys.gamma)
     else:
-        certified = sys.gamma > spectral_norm(sys.a[:d, :d] + sys.gamma * np.eye(d))
+        certified = sys.gamma > spectral_norm(sys.wm)
     return SolveReport(x=x, lam=lam, discretized=discretize(x), gamma=sys.gamma,
                        mu=float(mu), rank_tol=rank_tol, kept=kept, eta=eta,
                        residual_constraint=residual_constraint,
                        residual_stationarity=residual_stationarity,
                        minimum_certified=bool(certified))
-
-
-def _weights_of(sys: LinearSystem) -> WeightMatrix:
-    d = sys.d
-    return WeightMatrix(sys.a[:d, :d] + sys.gamma * np.eye(d))
 
 
 def _solve_reduced(sys: LinearSystem):
@@ -267,47 +272,25 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
 
 
 def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float) -> bool:
-    """Bordered-Hessian second-order check of the clamped minimizer.
+    """Second-order check of the clamped minimizer: (gamma I - W)_UU > 0.
 
-    Builds H = [[0, -P~], [-P~^T, gamma I - W]] with P~ the clamp rows of
-    the projector, and requires (-1)^l det(H_k) > 0 for every leading
-    principal minor of order k in {2l+1, ..., l+d}. The outcome depends
-    only on (W, clamp, gamma). Determinant signs are evaluated two ways
-    (LU and symmetric eigenvalues) and must agree. gamma = 0 is legal and
-    simply fails certification whenever a required minor degenerates.
+    Clamping fixes the known coordinates, so the minimum is strict exactly
+    when Q = gamma I - W on the unclamped set U is positive definite; one
+    Cholesky factorization of Q_UU decides it. A pivot L_kk^2 at or below
+    RANK_TOL_FACTOR * gamma (the diagonal of Q_UU) counts as singular and
+    fails. An empty U certifies; gamma = 0 never certifies a non-empty U.
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     if clamp.d != wm.d:
         raise ValueError(f"clamp dimension {clamp.d} does not match weights {wm.d}")
-    d, l = wm.d, clamp.l
-    # Order coordinates clamped-first so the constraint rows of every
-    # required minor keep full rank; the minor test needs that ordering,
-    # and the outcome is otherwise permutation-invariant.
-    clamped = np.array([i - 1 for i in clamp.indices], dtype=int)
-    perm = np.concatenate([clamped, np.setdiff1d(np.arange(d), clamped)])
-    p_tilde = np.zeros((l, d))
-    p_tilde[np.arange(l), np.arange(l)] = 1.0
-    h = np.zeros((l + d, l + d))
-    h[:l, l:] = -p_tilde
-    h[l:, :l] = -p_tilde.T
-    h[l:, l:] = gamma * np.eye(d) - wm.w[np.ix_(perm, perm)]
-    want = 1.0 if l % 2 == 0 else -1.0
-    for k in range(2 * l + 1, l + d + 1):
-        sign = _minor_sign(h[:k, :k])
-        if sign * want <= 0:
-            return False
-    return True
-
-
-def _minor_sign(hk: np.ndarray) -> float:
-    """Sign of det(hk), 0 when numerically singular; two methods must agree."""
-    eigs = np.linalg.eigvalsh(hk)
-    scale = float(np.max(np.abs(eigs), initial=0.0))
-    if scale == 0.0 or np.min(np.abs(eigs)) < 1e-10 * scale:
-        return 0.0
-    sign_eig = -1.0 if np.count_nonzero(eigs < 0) % 2 else 1.0
-    sign_lu, _ = np.linalg.slogdet(hk)
-    if sign_lu != sign_eig:
-        raise ArithmeticError("determinant sign is numerically ambiguous")
-    return sign_eig
+    free = ~clamp.mask()
+    if not free.any():
+        return True
+    quu = -wm.w[free][:, free]
+    np.fill_diagonal(quu, gamma)  # W has a zero diagonal, so this is gamma I - W_UU
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(quu)) ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.min(pivots) > RANK_TOL_FACTOR * gamma)

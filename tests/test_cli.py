@@ -1,9 +1,14 @@
 """Command-line entry points, exercised through main(argv)."""
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hopfieldkit
 from hopfieldkit.cli import _parse_float_grid, _parse_grid, main
 from hopfieldkit.experiments import ExperimentConfig, ingest
 from hopfieldkit.hebbian import load_matrix_csv, train
@@ -83,6 +88,28 @@ class TestRecall:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert set(out.read_text().split()) <= {"-1", "1"}
+
+    def test_uncertified_inversion_reports_and_exits_cleanly(self, tmp_path):
+        # Bundled fixture, |W| = 0.115: at gamma = 0.05 with three neurons
+        # known, gamma I - W on the 97 unknown neurons is indefinite.
+        ts = ingest(ExperimentConfig(l_grid=(1,)))
+        probe = np.zeros(100)
+        probe[[4, 50, 91]] = ts.patterns[0][[4, 50, 91]]
+        free = probe == 0
+        w = train(ts).w
+        assert np.min(np.linalg.eigvalsh(0.05 * np.eye(97) - w[np.ix_(free, free)])) < 0
+        path = probe_file(tmp_path, " ".join(str(int(v)) for v in probe) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(hopfieldkit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfieldkit.cli", "recall", "--pattern", path,
+             "--method", "inversion", "--gamma", "0.05"],
+            capture_output=True, text=True, env=env, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        values = proc.stdout.split()
+        assert len(values) == 100
+        assert set(values) <= {"-1", "1"}
+        assert "certified=False" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_all_zero_probe_is_an_error(self, tmp_path, capsys):
         code = main(["recall", *SYNTH,

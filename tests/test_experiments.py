@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from hopfieldkit import experiments
 from hopfieldkit.experiments import (
     CurvePoint,
     ExperimentConfig,
@@ -17,6 +18,7 @@ from hopfieldkit.experiments import (
     synthetic_patterns,
     write_points_csv,
 )
+from hopfieldkit.hebbian import train
 from hopfieldkit.patterns import TrainingSet, encode_rna, load_fasta
 
 
@@ -155,6 +157,23 @@ class TestGammaSweep:
         cfg = small_cfg(reps=5)
         points = run_gamma_sweep(cfg, [1.0, 0.05])
         assert [p.gamma for p in points] == [1.0, 0.05]
+
+    def test_trains_once_per_sweep_with_unchanged_output(self, monkeypatch):
+        cfg = small_cfg(reps=20)
+        grid = [0.05, 0.3, 1.0]
+        expected = io.StringIO()
+        write_points_csv([run_gamma_sweep(cfg, [g])[0] for g in grid], expected, "gamma")
+        calls = []
+
+        def counting_train(ts):
+            calls.append(ts)
+            return train(ts)
+
+        monkeypatch.setattr(experiments, "train", counting_train)
+        got = io.StringIO()
+        write_points_csv(run_gamma_sweep(cfg, grid), got, "gamma")
+        assert len(calls) == 1
+        assert got.getvalue() == expected.getvalue()
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="inversion method only"):

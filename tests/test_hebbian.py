@@ -145,6 +145,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="square"):
             WeightMatrix(np.zeros((2, 3)))
 
+    def test_weight_matrix_takes_only_the_couplings(self):
+        w = [[0.0, 0.5], [0.5, 0.0]]
+        with pytest.raises(TypeError):
+            WeightMatrix(w, 0.5)
+        with pytest.raises(TypeError):
+            WeightMatrix(w=w, norm=0.5)
+
     def test_weights_are_immutable(self, worked_wm):
         with pytest.raises(ValueError):
             worked_wm.w[0, 1] = 0.0
@@ -172,9 +179,11 @@ class TestSpectralNorm:
 
     def test_matches_two_norm_for_symmetric(self, make_weights):
         rng = np.random.default_rng(41)
-        wm = make_weights(rng, 9)
-        assert spectral_norm(wm) == pytest.approx(np.linalg.norm(wm.w, 2),
-                                                  rel=1e-10)
+        for d in (1, 2, 9, 30):
+            wm = make_weights(rng, d)
+            assert spectral_norm(wm) == wm.norm
+            assert spectral_norm(wm) == pytest.approx(np.linalg.norm(wm.w, 2),
+                                                      rel=1e-10)
 
 
 class TestCapacity:

@@ -88,6 +88,34 @@ class TestAssemble:
             LinearSystem(a=a, rhs=np.zeros(4), gamma=1.0, clamp=worked_clamp,
                          theta=np.zeros(2))
 
+    @pytest.mark.parametrize("entries,message", [
+        ({(2, 2): 0.5}, "bottom-right block"),
+        ({(3, 3): -0.5}, "bottom-right block"),
+        ({(0, 3): 1.0, (3, 0): 1.0}, "clamp projector"),
+        ({(0, 2): 0.5, (2, 0): 0.5}, "clamp projector"),
+        ({(1, 1): -0.9}, "diagonal"),
+        ({(0, 1): 1.5, (1, 0): 1.5}, "spectral norm"),
+    ])
+    def test_linear_system_rejects_malformed_blocks(self, worked_wm, worked_clamp,
+                                                    entries, message):
+        a = assemble(worked_wm, worked_clamp, gamma=1.0).a.copy()
+        for (i, j), value in entries.items():
+            a[i, j] = value
+        with pytest.raises(ValueError, match=message):
+            LinearSystem(a=a, rhs=np.zeros(4), gamma=1.0, clamp=worked_clamp,
+                         theta=np.zeros(2))
+
+    def test_linear_system_keeps_the_coupling_matrix(self, make_weights, make_clamp):
+        rng = np.random.default_rng(70)
+        for gamma in (0.3, 1.0, 2.5):
+            d = int(rng.integers(2, 12))
+            wm = make_weights(rng, d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                sys = assemble(wm, make_clamp(rng, d), gamma=gamma)
+            np.testing.assert_array_equal(sys.wm.w, wm.w)
+            assert spectral_norm(sys.wm) == spectral_norm(wm)
+
 
 class TestTruncatedPseudoinverse:
     def test_diagonal_truncation(self):
@@ -291,7 +319,71 @@ class TestSolvePerturbed:
             solve_perturbed(worked_wm, [1.0, 1.0, 1.0])
 
 
+def bordered_minors_certified(w, known, gamma) -> bool:
+    """Reference second-order rule, from determinants of a bordered Hessian.
+
+    With coordinates ordered clamped-first, H = [[0, -E^T], [-E, gamma I - W]]
+    where E holds the unit columns of the l clamped neurons, and the rule asks
+    (-1)^l det(H_k) > 0 for every leading principal minor of order
+    k = 2l+1, ..., l+d. A minor whose smallest eigenvalue magnitude is below
+    1e-10 of its largest counts as singular and fails.
+    """
+    d = w.shape[0]
+    l = int(known.sum())
+    order = np.concatenate([np.flatnonzero(known), np.flatnonzero(~known)])
+    h = np.zeros((l + d, l + d))
+    h[:l, l:2 * l] = -np.eye(l)
+    h[l:2 * l, :l] = -np.eye(l)
+    h[l:, l:] = gamma * np.eye(d) - w[np.ix_(order, order)]
+    for k in range(2 * l + 1, l + d + 1):
+        eigs = np.linalg.eigvalsh(h[:k, :k])
+        if np.min(np.abs(eigs)) < 1e-10 * np.max(np.abs(eigs)):
+            return False
+        if np.count_nonzero(eigs < 0) % 2 != l % 2:
+            return False
+    return True
+
+
 class TestCertifyMinimum:
+    def test_agrees_with_bordered_hessian_minors(self, make_weights, make_clamp):
+        rng = np.random.default_rng(83)
+        verdicts = {True: 0, False: 0}
+        below_norm = 0
+        for _ in range(400):
+            d = int(rng.integers(3, 14))
+            wm = make_weights(rng, d, scale=rng.uniform(0.05, 1.0))
+            clamp = make_clamp(rng, d)
+            gamma = float(rng.uniform(0.0, 0.6))
+            got = certify_minimum(wm, clamp, gamma)
+            assert got == bordered_minors_certified(wm.w, clamp.mask(), gamma)
+            verdicts[got] += 1
+            below_norm += gamma < spectral_norm(wm)
+        assert min(verdicts.values()) >= 50
+        assert below_norm >= 100
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_everything_clamped_certifies(self, make_weights, make_clamp, gamma):
+        rng = np.random.default_rng(84)
+        for d in (2, 5, 9):
+            wm = make_weights(rng, d)
+            clamp = make_clamp(rng, d, l=d)
+            assert certify_minimum(wm, clamp, gamma)
+            assert bordered_minors_certified(wm.w, clamp.mask(), gamma)
+
+    @pytest.mark.parametrize("coupling", [0.3, 0.4, 0.7])
+    def test_singular_unclamped_block_does_not_certify(self, coupling):
+        # Two identical coupling pairs among the unclamped neurons: at gamma
+        # equal to the coupling, gamma I - W on them is singular, twice over.
+        # At 0.3 and 0.7 the rounded Cholesky still succeeds with a last pivot
+        # near 1e-16, so only the pivot floor rejects the block.
+        w = np.zeros((5, 5))
+        w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = coupling
+        wm = WeightMatrix(w)
+        clamp = ClampSet((5,), np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        assert not certify_minimum(wm, clamp, gamma=coupling)
+        assert not bordered_minors_certified(w, clamp.mask(), coupling)
+        assert certify_minimum(wm, clamp, gamma=coupling * (1 + 1e-6))
+
     def test_worked_system_certifies_at_default(self, worked_wm, worked_clamp):
         assert certify_minimum(worked_wm, worked_clamp, gamma=1.0)
 
