@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 
 from .hebbian import WeightMatrix, train
-from .inversion import discretize, truncated_pseudoinverse_apply
+from .inversion import _eliminate_clamped, discretize, truncated_pseudoinverse_apply
 from .iterative import recall
 from .patterns import ClampSet, TrainingSet, encode_rna, load_fasta, load_patterns
 from .quantum.solver import qhop_solve
@@ -153,21 +153,10 @@ def _known_mask(ctx: _TrialContext, l: int, rng: np.random.Generator) -> np.ndar
 
 def _inversion_recover(ctx: _TrialContext, mask: np.ndarray) -> np.ndarray:
     """Constrained solve for one trial; direct elimination with eigen fallback."""
-    x = np.where(mask, ctx.target, 0.0)
-    unknown = ~mask
-    if ctx.cfg.mu == 0.0 and unknown.any():
-        quu = ctx.q[np.ix_(unknown, unknown)]
-        rhs = -(ctx.q[np.ix_(unknown, mask)] @ x[mask])
-        try:
-            xu = np.linalg.solve(quu, rhs)
-        except np.linalg.LinAlgError:
-            xu = None
-        if xu is not None and np.all(np.isfinite(xu)) and (
-                np.max(np.abs(quu @ xu - rhs)) <= 1e-8 * max(1.0, float(np.max(np.abs(rhs))))):
-            x[unknown] = xu
+    if ctx.cfg.mu == 0.0:
+        x = _eliminate_clamped(ctx.q, mask, np.where(mask, ctx.target, 0.0))
+        if x is not None:
             return x
-    elif ctx.cfg.mu == 0.0:
-        return x  # everything clamped, nothing to solve
     # truncated-pseudoinverse path (mu > 0, or a singular reduced block)
     d = ctx.d
     a = np.zeros((2 * d, 2 * d))

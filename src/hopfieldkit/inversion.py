@@ -9,8 +9,12 @@ Its stationarity conditions form one symmetric linear system
 
     A (x; lam) = (theta; x_inc),   A = [[W - gamma I, P], [P, 0]],
 
-solved through a truncated pseudoinverse: eigendecompose A and invert
-only eigenvalues of magnitude >= mu. The recovered state is sign(x).
+With mu = 0 the clamped block is eliminated: x_K = x_inc fixes the
+known neurons, one LU solve of Q_UU = (gamma I - W)_UU on the unclamped
+set U gives x_U, and the multipliers follow from the clamped rows. For
+mu > 0, and when Q_UU is singular, A is eigendecomposed instead and only
+eigenvalues of magnitude >= mu are inverted (the truncated pseudoinverse).
+The recovered state is sign(x).
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hebbian import WeightMatrix, spectral_norm
-from .patterns import ClampSet
+from .patterns import ClampSet, as_thresholds
 
 RANK_TOL_FACTOR = 1e-10  # relative eigenvalue or pivot cutoff treated as exact rank deficiency
 
@@ -30,7 +34,10 @@ class LinearSystem:
     """Assembled saddle-point system A v = w for one recall instance.
 
     A = [[W - gamma I, P], [P, 0]] is checked block by block, which bounds
-    |A| by gamma + 2; the validated W is kept as wm.
+    |A| by gamma + 2, and rhs = (theta; x_inc). When wm is given (assemble
+    passes the W it was built from), the top-left block must equal
+    wm.w - gamma I entry for entry; otherwise that block is validated into
+    a new WeightMatrix, which is kept as wm.
     """
 
     a: np.ndarray
@@ -38,7 +45,7 @@ class LinearSystem:
     gamma: float
     clamp: ClampSet
     theta: np.ndarray
-    wm: WeightMatrix = field(init=False, repr=False, compare=False)
+    wm: WeightMatrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -46,14 +53,21 @@ class LinearSystem:
         d = self.clamp.d
         if a.shape != (2 * d, 2 * d) or rhs.shape != (2 * d,):
             raise ValueError("system blocks must have shape (2d, 2d) and (2d,)")
-        if np.max(np.abs(a - a.T), initial=0.0) > 1e-12:
+        if not np.array_equal(np.asarray(self.theta, dtype=float), rhs[:d]):
+            raise ValueError("theta must equal the first d entries of rhs")
+        a11 = a[:d, :d]
+        if np.max(np.abs(a11 - a11.T), initial=0.0) > 1e-12:
             raise ValueError("system matrix must be symmetric")
         if np.any(a[d:, d:] != 0.0):
             raise ValueError("system bottom-right block must be zero")
         p = self.clamp.projector()
         if not (np.array_equal(a[:d, d:], p) and np.array_equal(a[d:, :d], p)):
             raise ValueError("system off-diagonal blocks must equal the clamp projector")
-        wm = WeightMatrix(a[:d, :d] + self.gamma * np.eye(d))
+        wm = self.wm
+        if wm is None:
+            wm = WeightMatrix(a11 + self.gamma * np.eye(d))
+        elif not np.array_equal(a11, wm.w - self.gamma * np.eye(d)):
+            raise ValueError("system top-left block must equal wm.w - gamma I")
         a = a.copy()
         a.setflags(write=False)
         rhs = rhs.copy()
@@ -96,15 +110,6 @@ class SolveReport:
                 f"{int(self.minimum_certified)}")
 
 
-def _thresholds(theta, d: int) -> np.ndarray:
-    if theta is None:
-        return np.zeros(d)
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (d,) or not np.all(np.isfinite(t)):
-        raise ValueError(f"thresholds must be a finite vector of shape ({d},)")
-    return t
-
-
 def assemble(wm: WeightMatrix, clamp: ClampSet, theta=None, gamma: float = 1.0) -> LinearSystem:
     """Build A = [[W - gamma I, P], [P, 0]] and rhs (theta; x_inc)."""
     if clamp.d != wm.d:
@@ -118,14 +123,14 @@ def assemble(wm: WeightMatrix, clamp: ClampSet, theta=None, gamma: float = 1.0) 
         warnings.warn("gamma below the conventional default of 1; the minimum is "
                       "still certified while gamma > |W|", RuntimeWarning, stacklevel=2)
     d = wm.d
-    t = _thresholds(theta, d)
+    t = as_thresholds(theta, d)
     p = clamp.projector()
     a = np.zeros((2 * d, 2 * d))
     a[:d, :d] = wm.w - gamma * np.eye(d)
     a[:d, d:] = p
     a[d:, :d] = p
     rhs = np.concatenate([t, clamp.values])
-    return LinearSystem(a=a, rhs=rhs, gamma=float(gamma), clamp=clamp, theta=t)
+    return LinearSystem(a=a, rhs=rhs, gamma=float(gamma), clamp=clamp, theta=t, wm=wm)
 
 
 def truncated_pseudoinverse_apply(a, w, mu: float, rank_tol: float | None = None):
@@ -158,33 +163,33 @@ def truncated_pseudoinverse_apply(a, w, mu: float, rank_tol: float | None = None
     return v, eta, kept, float(rank_tol)
 
 
-def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True,
-          method: str = "eigen") -> SolveReport:
-    """Solve the assembled system with spectral filtering.
+def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True) -> SolveReport:
+    """Solve A (x; lam) = rhs, where rhs = (theta; x_inc).
 
-    mu = 0 requests the exact pseudoinverse at the default rank tolerance.
-    method="reduced" eliminates the clamped block directly instead of
-    eigendecomposing; it is only valid for mu = 0 and falls back to the
-    eigendecomposition when the reduced block is singular. certify=False
-    replaces the Cholesky certificate of certify_minimum with the
-    sufficient condition gamma > |W|, which implies it.
+    mu = 0 eliminates the clamped block: one LU solve of (gamma I - W)_UU
+    gives the minimum-norm pseudoinverse solution (eta = 0, kept = d + l,
+    rank_tol = 0). mu > 0, or a singular (gamma I - W)_UU, takes the
+    truncated pseudoinverse of A by eigendecomposition instead.
+    certify=False replaces the Cholesky certificate of certify_minimum
+    with the sufficient condition gamma > |W|, which implies it.
     """
-    if method not in ("eigen", "reduced"):
-        raise ValueError(f"unknown solve method {method!r}")
     d = sys.d
-    v = None
-    if method == "reduced" and mu == 0.0:
-        v = _solve_reduced(sys)
-        if v is not None:
-            # full-rank elimination: rank(A) = d + l, truncation plays no part
-            eta, kept, rank_tol = 0.0, d + sys.clamp.l, 0.0
-    if v is None:
-        v, eta, kept, rank_tol = truncated_pseudoinverse_apply(sys.a, sys.rhs, mu)
-    x, lam = v[:d], v[d:]
-
+    theta, x_inc = sys.rhs[:d], sys.rhs[d:]
     p_mask = sys.clamp.mask()
-    residual_constraint = float(np.max(np.abs(np.where(p_mask, x, 0.0) - sys.clamp.values)))
-    stat = (sys.a[:d, :d] @ x) + np.where(p_mask, lam, 0.0) - sys.theta
+    x = None
+    if mu == 0.0:
+        q = -(sys.a[:d, :d])  # Q = gamma I - W
+        x = _eliminate_clamped(q, p_mask, x_inc.copy(), theta)
+    if x is not None:
+        # full-rank elimination: rank(A) = d + l, truncation plays no part
+        lam = np.where(p_mask, q @ x + theta, 0.0)
+        eta, kept, rank_tol = 0.0, d + sys.clamp.l, 0.0
+    else:
+        v, eta, kept, rank_tol = truncated_pseudoinverse_apply(sys.a, sys.rhs, mu)
+        x, lam = v[:d], v[d:]
+
+    residual_constraint = float(np.max(np.abs(np.where(p_mask, x, 0.0) - x_inc)))
+    stat = (sys.a[:d, :d] @ x) + np.where(p_mask, lam, 0.0) - theta
     residual_stationarity = float(np.max(np.abs(stat)))
 
     if certify:
@@ -198,34 +203,31 @@ def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True,
                        minimum_certified=bool(certified))
 
 
-def _solve_reduced(sys: LinearSystem):
-    """Eliminate clamped coordinates; returns None when the block is singular.
+def _eliminate_clamped(q, known, x, theta=None):
+    """Complete x on the unclamped set U in place: Q_UU x_U = -(theta_U + Q_UK x_K).
 
-    With Q = gamma I - W the stationarity rows give Q_UU x_U =
-    -(theta_U + Q_UK x_K) on the unclamped set U, and lam = (Q x + theta)
-    on the clamp set. This reproduces the minimum-norm pseudoinverse
-    solution whenever Q_UU is nonsingular.
+    q is Q = gamma I - W, known marks the clamp set K, where x holds the
+    clamped values; theta=None means zero thresholds. Returns x, or None
+    (x untouched) when Q_UU is singular.
     """
-    d = sys.d
-    q = -(sys.a[:d, :d])  # Q = gamma I - W
-    mask = sys.clamp.mask()
-    x = sys.clamp.values.copy()
-    u = ~mask
-    if np.any(u):
-        quu = q[np.ix_(u, u)]
-        rhs = -(sys.theta[u] + q[np.ix_(u, mask)] @ x[mask])
-        try:
-            xu = np.linalg.solve(quu, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(xu)):
-            return None
-        # guard against a numerically singular block that solve() accepted
-        if np.max(np.abs(quu @ xu - rhs)) > 1e-8 * max(1.0, float(np.max(np.abs(rhs), initial=0.0))):
-            return None
-        x[u] = xu
-    lam = np.where(mask, q @ x + sys.theta, 0.0)
-    return np.concatenate([x, lam])
+    u = ~known
+    if not u.any():
+        return x
+    quu = q[np.ix_(u, u)]
+    rhs = q[np.ix_(u, known)] @ x[known]
+    if theta is not None:
+        rhs = theta[u] + rhs
+    rhs = -rhs
+    try:
+        xu = np.linalg.solve(quu, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    # guard against a numerically singular block that the LU solve accepted
+    if not (np.all(np.isfinite(xu)) and
+            np.max(np.abs(quu @ xu - rhs)) <= 1e-8 * max(1.0, float(np.max(np.abs(rhs))))):
+        return None
+    x[u] = xu
+    return x
 
 
 def discretize(x) -> np.ndarray:
@@ -253,7 +255,7 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     anchor = np.asarray(x_pert, dtype=float)
     if anchor.shape != (wm.d,) or not np.all(np.isfinite(anchor)):
         raise ValueError(f"x_pert must be a finite vector of shape ({wm.d},)")
-    t = _thresholds(theta, wm.d)
+    t = as_thresholds(theta, wm.d)
     definite = gamma + beta > spectral_norm(wm)
     if not definite:
         warnings.warn("gamma + beta does not exceed |W|; system may be indefinite",

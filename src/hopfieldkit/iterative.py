@@ -12,18 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hebbian import WeightMatrix
-from .patterns import as_pattern
-
-
-def _thresholds(theta, d: int) -> np.ndarray:
-    if theta is None:
-        return np.zeros(d)
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (d,):
-        raise ValueError(f"thresholds must have shape ({d},)")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("thresholds must be finite")
-    return t
+from .patterns import as_pattern, as_thresholds
 
 
 def energy(wm: WeightMatrix, x, theta=None) -> float:
@@ -33,7 +22,7 @@ def energy(wm: WeightMatrix, x, theta=None) -> float:
     so the all-zero state has energy 0 regardless of W and theta.
     """
     s = as_pattern(x, d=wm.d)
-    t = _thresholds(theta, wm.d)
+    t = as_thresholds(theta, wm.d)
     return float(-0.5 * s @ wm.w @ s + t @ s)
 
 
@@ -42,7 +31,7 @@ def update_neuron(wm: WeightMatrix, x, i: int, theta=None) -> np.ndarray:
     s = as_pattern(x, d=wm.d, allow_unknown=False).copy()
     if not 1 <= i <= wm.d:
         raise ValueError(f"neuron index {i} outside 1..{wm.d}")
-    t = _thresholds(theta, wm.d)
+    t = as_thresholds(theta, wm.d)
     field = wm.w[i - 1] @ s
     s[i - 1] = 1.0 if field >= t[i - 1] else -1.0
     return s
@@ -103,7 +92,7 @@ def recall(
         else:
             x[unknown] = rng.choice([-1.0, 1.0], size=int(unknown.sum()))
 
-    t = _thresholds(theta, wm.d)
+    t = as_thresholds(theta, wm.d)
     w = wm.w
     d = wm.d
     energies = [float(-0.5 * x @ w @ x + t @ x)]

@@ -37,6 +37,16 @@ def as_pattern(values, d: int | None = None, allow_unknown: bool = True) -> np.n
     return x
 
 
+def as_thresholds(theta, d: int) -> np.ndarray:
+    """Validate thresholds as a finite float64 vector of length d; None means zeros."""
+    if theta is None:
+        return np.zeros(d)
+    t = np.asarray(theta, dtype=float)
+    if t.shape != (d,) or not np.all(np.isfinite(t)):
+        raise ValueError(f"thresholds must be a finite vector of shape ({d},)")
+    return t
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     """M fully specified patterns stacked row-wise into an (M, d) array."""

@@ -103,7 +103,6 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     kept_bins = int(keep.sum())
 
     s_flag = s * rot[:, None]
-    s_rest = s * np.sqrt(1.0 - rot ** 2)[:, None]
     trace_rows.append(("rotation", "flag=1", float(np.linalg.norm(s_flag)),
                        _top_amplitudes(np.sum(np.abs(s_flag) ** 2, axis=1))))
 
@@ -126,7 +125,6 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     back = qpe_backward(s_flag, powers)
     trace_rows.append(("uncompute", "phase+system", float(np.linalg.norm(back)),
                        _top_amplitudes(back[0])))
-    del s_rest  # the flag=0 branch is discarded by post-selection
 
     phase_zero = float(np.linalg.norm(back[0]) ** 2) / success_probability
     phase_residual = 1.0 - phase_zero

@@ -105,6 +105,24 @@ class TestAssemble:
             LinearSystem(a=a, rhs=np.zeros(4), gamma=1.0, clamp=worked_clamp,
                          theta=np.zeros(2))
 
+    def test_linear_system_rejects_a_mismatched_weight_matrix(self, worked_wm,
+                                                              worked_clamp):
+        sys = assemble(worked_wm, worked_clamp, gamma=1.0)
+        other = WeightMatrix(np.array([[0.0, 0.25], [0.25, 0.0]]))
+        for wm, gamma in ((other, 1.0), (worked_wm, 1.5)):
+            with pytest.raises(ValueError, match="top-left block"):
+                LinearSystem(a=sys.a, rhs=sys.rhs, gamma=gamma, clamp=worked_clamp,
+                             theta=sys.theta, wm=wm)
+        kept = LinearSystem(a=sys.a, rhs=sys.rhs, gamma=1.0, clamp=worked_clamp,
+                            theta=sys.theta, wm=worked_wm)
+        assert kept.wm is worked_wm
+
+    def test_linear_system_rejects_theta_apart_from_rhs(self, worked_wm, worked_clamp):
+        sys = assemble(worked_wm, worked_clamp, gamma=1.0)
+        with pytest.raises(ValueError, match="first d entries of rhs"):
+            LinearSystem(a=sys.a, rhs=sys.rhs, gamma=1.0, clamp=worked_clamp,
+                         theta=np.array([0.0, 0.5]))
+
     def test_linear_system_keeps_the_coupling_matrix(self, make_weights, make_clamp):
         rng = np.random.default_rng(70)
         for gamma in (0.3, 1.0, 2.5):
@@ -175,11 +193,11 @@ class TestSolve:
     def test_reduced_elimination_matches_eigendecomposition(self, worked_wm,
                                                             worked_clamp):
         sys = assemble(worked_wm, worked_clamp, gamma=1.0)
-        eig = solve(sys, method="eigen")
-        red = solve(sys, method="reduced")
-        np.testing.assert_allclose(red.x, eig.x, atol=1e-10)
-        np.testing.assert_allclose(red.lam, eig.lam, atol=1e-10)
-        assert red.kept == eig.kept == 3
+        report = solve(sys)
+        dense, _, kept, _ = truncated_pseudoinverse_apply(sys.a, sys.rhs, 0.0)
+        np.testing.assert_allclose(report.x, dense[:2], atol=1e-10)
+        np.testing.assert_allclose(report.lam, dense[2:], atol=1e-10)
+        assert report.kept == kept == 3
 
     def test_methods_agree_on_random_instances(self, make_weights, make_clamp):
         rng = np.random.default_rng(75)
@@ -187,10 +205,63 @@ class TestSolve:
             d = int(rng.integers(2, 11))
             sys = assemble(make_weights(rng, d), make_clamp(rng, d),
                            rng.normal(size=d), gamma=1.3)
-            eig = solve(sys, method="eigen", certify=False)
-            red = solve(sys, method="reduced", certify=False)
-            np.testing.assert_allclose(red.x, eig.x, atol=1e-8)
-            np.testing.assert_allclose(red.lam, eig.lam, atol=1e-8)
+            report = solve(sys, certify=False)
+            dense = truncated_pseudoinverse_apply(sys.a, sys.rhs, 0.0)[0]
+            np.testing.assert_allclose(report.x, dense[:d], atol=1e-8)
+            np.testing.assert_allclose(report.lam, dense[d:], atol=1e-8)
+
+    def test_hand_built_rhs_is_the_system_solved(self, make_weights, make_clamp):
+        # theta comes from rhs[:d] and the clamped values from rhs[d:]; the
+        # entries of rhs[d:] off the clamp set meet zero rows of A, which the
+        # least-squares pseudoinverse leaves unmatched.
+        rng = np.random.default_rng(80)
+        for _ in range(20):
+            d = int(rng.integers(2, 11))
+            clamp = make_clamp(rng, d)
+            a = assemble(make_weights(rng, d), clamp, gamma=1.3).a
+            rhs = rng.normal(size=2 * d)
+            sys = LinearSystem(a=a, rhs=rhs, gamma=1.3, clamp=clamp, theta=rhs[:d])
+            report = solve(sys, certify=False)
+            dense = truncated_pseudoinverse_apply(a, rhs, 0.0)[0]
+            np.testing.assert_allclose(report.x, dense[:d], atol=1e-8)
+            np.testing.assert_allclose(report.lam, dense[d:], atol=1e-8)
+            off = ~clamp.mask()
+            assert report.residual_constraint == pytest.approx(
+                np.max(np.abs(rhs[d:][off]), initial=0.0), abs=1e-8)
+            assert report.residual_stationarity <= 1e-8
+
+    def test_zero_mu_runs_no_eigensolver(self, make_weights, make_clamp, monkeypatch):
+        rng = np.random.default_rng(81)
+        cases = [(make_weights(rng, d), make_clamp(rng, d)) for d in (3, 8, 20)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigensolver called on the mu = 0 path")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        for wm, clamp in cases:
+            report = solve(assemble(wm, clamp, gamma=1.2))
+            assert report.minimum_certified
+            assert (report.kept, report.eta, report.rank_tol) == (wm.d + clamp.l, 0.0, 0.0)
+
+    @pytest.mark.parametrize("coupling", [0.3, 0.4, 0.7])
+    def test_singular_unclamped_block_falls_back_to_the_pseudoinverse(self, coupling):
+        # The repeated coupling pair of TestCertifyMinimum at gamma equal to
+        # the coupling: (gamma I - W)_UU is singular twice over, so A has rank
+        # d + l - 2 and the elimination must hand over to the eigen path.
+        w = np.zeros((5, 5))
+        w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = coupling
+        clamp = ClampSet((5,), np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        theta = np.random.default_rng(82).normal(size=5)
+        with pytest.warns(RuntimeWarning, match="spectral norm"):
+            sys = assemble(WeightMatrix(w), clamp, theta, gamma=coupling)
+        report = solve(sys)
+        assert report.kept == 5 + 1 - 2
+        assert report.rank_tol > 0.0
+        assert not report.minimum_certified
+        oracle = np.linalg.pinv(sys.a, rcond=1e-10) @ sys.rhs
+        np.testing.assert_allclose(np.concatenate([report.x, report.lam]), oracle,
+                                   atol=1e-8)
 
     def test_matches_independent_svd_pseudoinverse(self, make_weights, make_clamp):
         rng = np.random.default_rng(76)
@@ -240,11 +311,6 @@ class TestSolve:
                        rng.normal(size=d), gamma=1.0)
         report = solve(sys)
         np.testing.assert_array_equal(report.discretized, discretize(report.x))
-
-    def test_unknown_method_rejected(self, worked_wm, worked_clamp):
-        sys = assemble(worked_wm, worked_clamp)
-        with pytest.raises(ValueError, match="unknown solve method"):
-            solve(sys, method="qr")
 
     def test_csv_row_round_trip(self, worked_wm, worked_clamp):
         report = solve(assemble(worked_wm, worked_clamp))
