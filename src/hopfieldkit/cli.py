@@ -18,6 +18,7 @@ from .hebbian import save_matrix_csv, spectral_norm, train
 from .inversion import assemble, discretize, solve
 from .iterative import recall
 from .patterns import ClampSet, as_pattern, load_pattern_lines
+from .quantum.solver import qhop_recall
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -110,15 +111,8 @@ def _cmd_recall(args) -> int:
             print(f"eta={report.eta:.6g} kept={report.kept} "
                   f"certified={report.minimum_certified}", file=sys.stderr)
         else:
-            from .quantum.solver import qhop_solve
-            qrep = qhop_solve(ts, clamp, gamma=args.gamma,
-                              mu=args.mu if args.mu > 0 else 0.05,
-                              t_qubits=args.t_phase, trace_path=args.trace)
-            if not qrep.ok:
-                raise RuntimeError(f"quantum recall failed: {qrep.message}")
-            amps = qrep.x_register.amplitudes[: ts.d].real
-            sign = np.sign(np.sum(probe[probe != 0] * amps[probe != 0])) or 1.0
-            final = discretize(sign * amps)
+            final, qrep = qhop_recall(ts, clamp, gamma=args.gamma, mu=args.mu,
+                                      t_qubits=args.t_phase, trace_path=args.trace)
             print(f"success_p={qrep.success_probability:.6g} "
                   f"post_p={qrep.post_selection_probability:.6g} "
                   f"phase_residual={qrep.phase_residual:.3g}", file=sys.stderr)

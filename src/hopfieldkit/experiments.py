@@ -14,10 +14,10 @@ from importlib import resources
 import numpy as np
 
 from .hebbian import WeightMatrix, train
-from .inversion import _eliminate_clamped, discretize, truncated_pseudoinverse_apply
+from .inversion import _eliminate_clamped, _saddle, discretize, truncated_pseudoinverse_apply
 from .iterative import recall
 from .patterns import ClampSet, TrainingSet, encode_rna, load_fasta, load_patterns
-from .quantum.solver import qhop_solve
+from .quantum.solver import qhop_recall, qhop_solve
 
 METHODS = ("iterative", "inversion", "quantum")
 FORMATS = ("fasta", "patterns", "synthetic")
@@ -54,10 +54,10 @@ class ExperimentConfig:
             raise ValueError("d must be >= 2")
         if self.m < 1 or self.reps < 1:
             raise ValueError("m and reps must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0 <= self.mu < np.inf:
+            raise ValueError("mu must be >= 0 and finite")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.data_format not in FORMATS:
@@ -159,11 +159,7 @@ def _inversion_recover(ctx: _TrialContext, mask: np.ndarray) -> np.ndarray:
             return x
     # truncated-pseudoinverse path (mu > 0, or a singular reduced block)
     d = ctx.d
-    a = np.zeros((2 * d, 2 * d))
-    a[:d, :d] = ctx.w - ctx.gamma * np.eye(d)
-    ks = np.flatnonzero(mask)
-    a[ks, d + ks] = 1.0
-    a[d + ks, ks] = 1.0
+    a = _saddle(ctx.w - ctx.gamma * np.eye(d), mask)
     w_vec = np.concatenate([np.zeros(d), np.where(mask, ctx.target, 0.0)])
     v, _, _, _ = truncated_pseudoinverse_apply(a, w_vec, ctx.cfg.mu)
     return v[:d]
@@ -183,15 +179,8 @@ def run_trial(ctx: _TrialContext, l: int, rng: np.random.Generator) -> int:
     else:
         indices = tuple(int(i) for i in np.flatnonzero(mask) + 1)
         clamp = ClampSet.from_pattern(ctx.target, indices)
-        mu = cfg.mu if cfg.mu > 0 else 0.05  # the quantum filter needs a positive cutoff
-        report = qhop_solve(ctx.ts, clamp, gamma=ctx.gamma, mu=mu,
-                            t_qubits=cfg.t_qubits)
-        if not report.ok:
-            raise RuntimeError(f"quantum recall failed: {report.message}")
-        amps = report.x_register.amplitudes[: ctx.d]
-        # fix the global sign against the clamped entries before discretizing
-        sign = np.sign(np.sum(ctx.target[mask] * amps.real[mask])) or 1.0
-        recovered = discretize(sign * amps.real)
+        recovered, _ = qhop_recall(ctx.ts, clamp, gamma=ctx.gamma, mu=cfg.mu,
+                                   t_qubits=cfg.t_qubits)
     return int(np.sum(recovered != ctx.target))
 
 
@@ -230,8 +219,8 @@ def run_gamma_sweep(cfg: ExperimentConfig, gamma_grid,
     if len(cfg.l_grid) != 1:
         raise ValueError("gamma sweep needs exactly one l value in the grid")
     grid = [float(g) for g in gamma_grid]
-    if not grid or any(g <= 0 for g in grid):
-        raise ValueError("gamma grid must be non-empty and positive")
+    if not grid or any(not 0 < g < np.inf for g in grid):
+        raise ValueError("gamma grid must be non-empty and positive, with finite values")
     ts = ingest(cfg) if ts is None else ts
     l = cfg.l_grid[0]
     wm = train(ts)  # W does not depend on gamma
@@ -282,6 +271,8 @@ def run_quantum_crosscheck(d: int = 2, n_seeds: int = 10, gamma: float = 1.0,
 
     if d > 4:
         raise ValueError("cross-check is desk-scale only (d <= 4)")
+    if n_seeds < 1:
+        raise ValueError("n_seeds must be >= 1")
     rows = []
     for s in range(n_seeds):
         rng = np.random.default_rng([seed, s, 0xC4EC])

@@ -7,19 +7,22 @@ ridge term gives the Lagrangian
 
 Its stationarity conditions form one symmetric linear system
 
-    A (x; lam) = (theta; x_inc),   A = [[W - gamma I, P], [P, 0]],
+    A (x; lam) = (theta; x_inc),   A = [[W - gamma I, P], [P, 0]].
 
-With mu = 0 the clamped block is eliminated: x_K = x_inc fixes the
-known neurons, one LU solve of Q_UU = (gamma I - W)_UU on the unclamped
-set U gives x_U, and the multipliers follow from the clamped rows. For
-mu > 0, and when Q_UU is singular, A is eigendecomposed instead and only
-eigenvalues of magnitude >= mu are inverted (the truncated pseudoinverse).
-The recovered state is sign(x).
+A LinearSystem records the instance (W, the clamp, gamma, theta); A is
+derived from it and written out only where it is read. With mu = 0 the
+clamped block is eliminated: x_K = x_inc fixes the known neurons, one LU
+solve of Q_UU = (gamma I - W)_UU on the unclamped set U gives x_U, and
+the multipliers follow from the clamped rows. For mu > 0, and when Q_UU
+is singular, A is eigendecomposed instead and only eigenvalues of
+magnitude >= mu are inverted (the truncated pseudoinverse). The
+recovered state is sign(x).
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,54 +34,54 @@ RANK_TOL_FACTOR = 1e-10  # relative eigenvalue or pivot cutoff treated as exact 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Assembled saddle-point system A v = w for one recall instance.
+    """One recall instance: couplings wm, clamp, ridge gamma and thresholds theta.
 
-    A = [[W - gamma I, P], [P, 0]] is checked block by block, which bounds
-    |A| by gamma + 2, and rhs = (theta; x_inc). When wm is given (assemble
-    passes the W it was built from), the top-left block must equal
-    wm.w - gamma I entry for entry; otherwise that block is validated into
-    a new WeightMatrix, which is kept as wm.
+    The saddle-point system A v = rhs it defines, with
+    A = [[W - gamma I, P], [P, 0]] and rhs = (theta; x_inc), is derived on
+    first read and kept read-only; the mu = 0 elimination never reads it.
     """
 
-    a: np.ndarray
-    rhs: np.ndarray
-    gamma: float
+    wm: WeightMatrix
     clamp: ClampSet
+    gamma: float
     theta: np.ndarray
-    wm: WeightMatrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        d = self.clamp.d
-        if a.shape != (2 * d, 2 * d) or rhs.shape != (2 * d,):
-            raise ValueError("system blocks must have shape (2d, 2d) and (2d,)")
-        if not np.array_equal(np.asarray(self.theta, dtype=float), rhs[:d]):
-            raise ValueError("theta must equal the first d entries of rhs")
-        a11 = a[:d, :d]
-        if np.max(np.abs(a11 - a11.T), initial=0.0) > 1e-12:
-            raise ValueError("system matrix must be symmetric")
-        if np.any(a[d:, d:] != 0.0):
-            raise ValueError("system bottom-right block must be zero")
-        p = self.clamp.projector()
-        if not (np.array_equal(a[:d, d:], p) and np.array_equal(a[d:, :d], p)):
-            raise ValueError("system off-diagonal blocks must equal the clamp projector")
-        wm = self.wm
-        if wm is None:
-            wm = WeightMatrix(a11 + self.gamma * np.eye(d))
-        elif not np.array_equal(a11, wm.w - self.gamma * np.eye(d)):
-            raise ValueError("system top-left block must equal wm.w - gamma I")
-        a = a.copy()
-        a.setflags(write=False)
-        rhs = rhs.copy()
-        rhs.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "wm", wm)
+        if self.clamp.d != self.wm.d:
+            raise ValueError(f"clamp dimension {self.clamp.d} does not match "
+                             f"weights {self.wm.d}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
+        theta = as_thresholds(self.theta, self.d).copy()
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def d(self) -> int:
         return self.clamp.d
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        a = _saddle(self.wm.w - self.gamma * np.eye(self.d), self.clamp.mask())
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def rhs(self) -> np.ndarray:
+        rhs = np.concatenate([self.theta, self.clamp.values])
+        rhs.setflags(write=False)
+        return rhs
+
+
+def _saddle(top, known) -> np.ndarray:
+    """Dense [[top, P], [P, 0]], P the diagonal projector onto the True entries of known."""
+    n = top.shape[0]
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, :n] = top
+    ks = np.flatnonzero(known)
+    a[ks, n + ks] = 1.0
+    a[n + ks, ks] = 1.0
+    return a
 
 
 @dataclass(frozen=True)
@@ -111,26 +114,15 @@ class SolveReport:
 
 
 def assemble(wm: WeightMatrix, clamp: ClampSet, theta=None, gamma: float = 1.0) -> LinearSystem:
-    """Build A = [[W - gamma I, P], [P, 0]] and rhs (theta; x_inc)."""
-    if clamp.d != wm.d:
-        raise ValueError(f"clamp dimension {clamp.d} does not match weights {wm.d}")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    """The recall instance whose system is A = [[W - gamma I, P], [P, 0]], rhs (theta; x_inc)."""
+    sys = LinearSystem(wm, clamp, float(gamma), theta)
     if gamma <= spectral_norm(wm):
         warnings.warn("gamma does not exceed the spectral norm of W; the clamped "
                       "minimum is no longer guaranteed", RuntimeWarning, stacklevel=2)
     elif gamma < 1.0:
         warnings.warn("gamma below the conventional default of 1; the minimum is "
                       "still certified while gamma > |W|", RuntimeWarning, stacklevel=2)
-    d = wm.d
-    t = as_thresholds(theta, d)
-    p = clamp.projector()
-    a = np.zeros((2 * d, 2 * d))
-    a[:d, :d] = wm.w - gamma * np.eye(d)
-    a[:d, d:] = p
-    a[d:, :d] = p
-    rhs = np.concatenate([t, clamp.values])
-    return LinearSystem(a=a, rhs=rhs, gamma=float(gamma), clamp=clamp, theta=t, wm=wm)
+    return sys
 
 
 def truncated_pseudoinverse_apply(a, w, mu: float, rank_tol: float | None = None):
@@ -143,8 +135,8 @@ def truncated_pseudoinverse_apply(a, w, mu: float, rank_tol: float | None = None
     """
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    if not 0 <= mu < np.inf:
+        raise ValueError("mu must be >= 0 and finite")
     eigs, vecs = np.linalg.eigh(a)
     anorm = float(np.max(np.abs(eigs), initial=0.0))
     if rank_tol is None:
@@ -166,30 +158,33 @@ def truncated_pseudoinverse_apply(a, w, mu: float, rank_tol: float | None = None
 def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True) -> SolveReport:
     """Solve A (x; lam) = rhs, where rhs = (theta; x_inc).
 
-    mu = 0 eliminates the clamped block: one LU solve of (gamma I - W)_UU
-    gives the minimum-norm pseudoinverse solution (eta = 0, kept = d + l,
-    rank_tol = 0). mu > 0, or a singular (gamma I - W)_UU, takes the
-    truncated pseudoinverse of A by eigendecomposition instead.
-    certify=False replaces the Cholesky certificate of certify_minimum
-    with the sufficient condition gamma > |W|, which implies it.
+    mu = 0 eliminates the clamped block on Q = gamma I - W: one LU solve of
+    Q_UU gives the minimum-norm pseudoinverse solution (eta = 0,
+    kept = d + l, rank_tol = 0) without building A. mu > 0, or a singular
+    Q_UU, takes the truncated pseudoinverse of sys.a by eigendecomposition
+    instead. certify=False replaces the Cholesky certificate of
+    certify_minimum with the sufficient condition gamma > |W|, which
+    implies it.
     """
     d = sys.d
-    theta, x_inc = sys.rhs[:d], sys.rhs[d:]
+    theta, x_inc = sys.theta, sys.clamp.values
     p_mask = sys.clamp.mask()
     x = None
     if mu == 0.0:
-        q = -(sys.a[:d, :d])  # Q = gamma I - W
+        q = -sys.wm.w
+        np.fill_diagonal(q, sys.gamma)  # W has a zero diagonal, so this is gamma I - W
         x = _eliminate_clamped(q, p_mask, x_inc.copy(), theta)
     if x is not None:
         # full-rank elimination: rank(A) = d + l, truncation plays no part
         lam = np.where(p_mask, q @ x + theta, 0.0)
         eta, kept, rank_tol = 0.0, d + sys.clamp.l, 0.0
+        stat = -(q @ x) + np.where(p_mask, lam, 0.0) - theta
     else:
         v, eta, kept, rank_tol = truncated_pseudoinverse_apply(sys.a, sys.rhs, mu)
         x, lam = v[:d], v[d:]
+        stat = (sys.a[:d, :d] @ x) + np.where(p_mask, lam, 0.0) - theta
 
     residual_constraint = float(np.max(np.abs(np.where(p_mask, x, 0.0) - x_inc)))
-    stat = (sys.a[:d, :d] @ x) + np.where(p_mask, lam, 0.0) - theta
     residual_stationarity = float(np.max(np.abs(stat)))
 
     if certify:
@@ -248,10 +243,10 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     whenever gamma + beta exceeds the spectral norm of W; a singular
     matrix is rejected.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
+    if not 0 < beta < np.inf:
+        raise ValueError("beta must be positive and finite")
     anchor = np.asarray(x_pert, dtype=float)
     if anchor.shape != (wm.d,) or not np.all(np.isfinite(anchor)):
         raise ValueError(f"x_pert must be a finite vector of shape ({wm.d},)")
@@ -282,8 +277,8 @@ def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float) -> bool:
     RANK_TOL_FACTOR * gamma (the diagonal of Q_UU) counts as singular and
     fails. An empty U certifies; gamma = 0 never certifies a non-empty U.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not 0 <= gamma < np.inf:
+        raise ValueError("gamma must be non-negative and finite")
     if clamp.d != wm.d:
         raise ValueError(f"clamp dimension {clamp.d} does not match weights {wm.d}")
     free = ~clamp.mask()

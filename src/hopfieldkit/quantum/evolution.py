@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hebbian import DensityMatrix, WeightMatrix, density, train
+from ..inversion import _saddle
 from ..patterns import ClampSet, TrainingSet
 from .register import QuantumRegister, qubits_for
 
@@ -233,8 +234,8 @@ class BlockSplitEvolution:
                  steps: int | None = None, target_eps: float | None = None):
         if mode not in ("reference", "trotter"):
             raise ValueError(f"unknown mode {mode!r}")
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if isinstance(source, TrainingSet):
             self._ts = source
             rho = density(train(source)).rho
@@ -268,17 +269,10 @@ class BlockSplitEvolution:
         if mode == "reference":
             self._rho_evolution = _ExactEvolution(self._rho_pad)
 
-        # dense padded A, and the logical (unpadded) system for diagnostics
-        a = np.zeros((2 * dp, 2 * dp))
-        a[:dp, :dp] = self._rho_pad - self.gamma_prime * np.eye(dp)
-        for i in self._clamped0:
-            a[i, dp + i] = 1.0
-            a[dp + i, i] = 1.0
-        self.a = a
-        w = rho - np.eye(d) / d
-        p = clamp.projector()
-        self.a_logical = np.block([[w - gamma * np.eye(d), p],
-                                   [p, np.zeros((d, d))]])
+        # dense padded A, for diagnostics; on the first d coordinates of each
+        # block it equals the A of inversion.assemble up to rounding
+        self.a = _saddle(self._rho_pad - self.gamma_prime * np.eye(dp),
+                         np.pad(clamp.mask(), (0, dp - d)))
 
     def _u_b(self, t: float) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..inversion import discretize
 from ..patterns import ClampSet
 from .evolution import assemble_quantum_a
 from .phase import bin_eigenvalues, controlled_powers, qpe_backward, qpe_forward
@@ -70,8 +71,8 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     not resolution_ok. Total qubits (system + phase + 2 ancillas) must
     fit the 16-qubit desk-scale budget.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive; it doubles as the rotation constant")
+    if not 0 < mu < np.inf:
+        raise ValueError("mu must be positive and finite; it doubles as the rotation constant")
     evolve = assemble_quantum_a(source, clamp, gamma, mode=mode, steps=steps)
     n_sys = qubits_for(clamp.d) + 1
     total = n_sys + t_qubits + ANCILLA_QUBITS
@@ -166,6 +167,27 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
                       t_qubits=t_qubits, mode=mode, w_norm=w_norm,
                       x_register=x_register, v_register=v_register,
                       shots=shots, shot_success_rate=shot_success, shot_post_rate=shot_post)
+
+
+def qhop_recall(source, clamp: ClampSet, gamma: float = 1.0, mu: float = 0.0,
+                t_qubits: int = 9, trace_path=None) -> tuple[np.ndarray, QhopReport]:
+    """Recall a +/-1 pattern with qhop_solve; returns it with the report.
+
+    mu = 0 runs at the cutoff 0.05, since the filter needs a positive one.
+    The amplitudes carry an arbitrary global sign, which is fixed against
+    the clamped values before discretizing. A failed run raises
+    RuntimeError.
+    """
+    if not 0 <= mu < np.inf:
+        raise ValueError("mu must be >= 0 and finite")
+    report = qhop_solve(source, clamp, gamma=gamma, mu=mu if mu > 0 else 0.05,
+                        t_qubits=t_qubits, trace_path=trace_path)
+    if not report.ok:
+        raise RuntimeError(f"quantum recall failed: {report.message}")
+    amps = report.x_register.amplitudes[: clamp.d].real
+    known = clamp.mask()
+    sign = np.sign(np.sum(clamp.values[known] * amps[known])) or 1.0
+    return discretize(sign * amps), report
 
 
 def _write_trace(trace_path, rows) -> None:

@@ -81,6 +81,17 @@ class TestRecall:
         assert captured.out.strip() == "1 1"
         assert "success_p=" in captured.err
 
+    def test_quantum_zero_mu_prints_what_the_default_cutoff_prints(self, tmp_path, capsys):
+        args = ["recall", *SYNTH, "--pattern", probe_file(tmp_path, "1 0 0 -1 0 1 0 0\n"),
+                "--method", "quantum"]
+        outputs = []
+        for mu in ("0", "0.05"):
+            assert main([*args, "--mu", mu]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out == outputs[1].out
+        assert outputs[0].err == outputs[1].err
+        assert "success_p=" in outputs[0].err
+
     def test_result_goes_to_out_file_when_asked(self, tmp_path, capsys):
         out = tmp_path / "result.txt"
         code = main(["recall", *SYNTH, "--pattern", probe_file(tmp_path),
@@ -178,6 +189,33 @@ class TestQcheck:
     def test_coarse_phase_register_fails(self, capsys):
         assert main(["qcheck", "--t-phase", "2", "--seeds", "1"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("args,message", [
+        (["recall", "--mu", "nan"], "mu must be >= 0"),
+        (["recall", "--mu", "inf"], "mu must be >= 0"),
+        (["recall", "--method", "quantum", "--mu", "nan"], "mu must be >= 0"),
+        (["recall", "--gamma", "inf"], "gamma must be positive"),
+        (["recall", "--gamma", "nan"], "gamma must be positive"),
+        (["experiment", "recovery-curve", "--gamma", "nan"], "gamma must be positive"),
+        (["experiment", "recovery-curve", "--mu", "nan"], "mu must be >= 0"),
+        (["experiment", "gamma-sweep", "--gamma-grid", "1,nan"], "gamma grid must be non-empty"),
+        (["qcheck", "--gamma", "nan"], "gamma must be positive"),
+        (["qcheck", "--mu", "inf"], "mu must be >= 0"),
+        (["qcheck", "--seeds", "0"], "n_seeds must be >= 1"),
+    ])
+    def test_exit_with_a_clean_error_line(self, tmp_path, capsys, args, message):
+        if args[0] == "recall":
+            args = [*args, *SYNTH, "--pattern", probe_file(tmp_path)]
+        elif args[0] == "experiment":
+            args = [*args, *SYNTH, "--l-grid", "2", "--units", "neurons", "--reps", "1"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 class TestArgumentErrors:

@@ -19,7 +19,8 @@ from hopfieldkit.experiments import (
     write_points_csv,
 )
 from hopfieldkit.hebbian import train
-from hopfieldkit.patterns import TrainingSet, encode_rna, load_fasta
+from hopfieldkit.inversion import assemble, solve
+from hopfieldkit.patterns import ClampSet, TrainingSet, encode_rna, load_fasta
 
 
 def small_cfg(**kwargs):
@@ -35,7 +36,11 @@ class TestExperimentConfig:
         ("m", 0, "m and reps"),
         ("reps", 0, "m and reps"),
         ("gamma", 0.0, "gamma must be positive"),
+        ("gamma", float("nan"), "gamma must be positive"),
+        ("gamma", float("inf"), "gamma must be positive"),
         ("mu", -0.5, "mu must be >= 0"),
+        ("mu", float("nan"), "mu must be >= 0"),
+        ("mu", float("inf"), "mu must be >= 0"),
         ("method", "analog", "method must be one of"),
         ("data_format", "json", "data format must be one of"),
         ("units", "bits", "units must be one of"),
@@ -136,6 +141,17 @@ class TestRecoveryCurve:
         point = run_recovery_curve(cfg, ts=TrainingSet([[1.0, 1.0]]))[0]
         assert point.mean_hamming == 0.0
 
+    def test_positive_mu_fallback_matches_the_library_solve(self):
+        cfg = ExperimentConfig(l_grid=(1,), mu=0.1, units="neurons")
+        ctx = experiments._TrialContext(cfg, ingest(cfg))
+        rng = np.random.default_rng(5)
+        for l in (1, 7, 40, 99):
+            mask = np.zeros(ctx.d, dtype=bool)
+            mask[rng.choice(ctx.d, size=l, replace=False)] = True
+            clamp = ClampSet.from_pattern(ctx.target, tuple(np.flatnonzero(mask) + 1))
+            expected = solve(assemble(ctx.wm, clamp, gamma=cfg.gamma), mu=cfg.mu).x
+            np.testing.assert_array_equal(experiments._inversion_recover(ctx, mask), expected)
+
     def test_supplied_training_set_overrides_ingest(self):
         cfg = ExperimentConfig(l_grid=(2,), d=4, m=1, reps=3,
                                units="neurons", data_format="synthetic")
@@ -184,6 +200,8 @@ class TestGammaSweep:
             run_gamma_sweep(small_cfg(), [])
         with pytest.raises(ValueError, match="non-empty and positive"):
             run_gamma_sweep(small_cfg(), [1.0, -0.5])
+        with pytest.raises(ValueError, match="non-empty and positive"):
+            run_gamma_sweep(small_cfg(), [1.0, float("nan")])
 
 
 class TestCsvOutput:
@@ -232,3 +250,14 @@ class TestQuantumCrosscheck:
     def test_rejects_large_systems(self):
         with pytest.raises(ValueError, match="desk-scale only"):
             run_quantum_crosscheck(d=8)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(n_seeds=0), "n_seeds must be >= 1"),
+        (dict(gamma=float("nan")), "gamma must be positive"),
+        (dict(mu=float("nan")), "mu must be >= 0"),
+        (dict(mu=float("inf")), "mu must be >= 0"),
+        (dict(mu=0.0), "mu must be positive"),
+    ])
+    def test_rejects_bad_parameters(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            run_quantum_crosscheck(**kwargs)

@@ -283,11 +283,15 @@ class TestBlockSplitEvolution:
     def test_logical_system_matches_classical_assembly(self):
         from hopfieldkit.inversion import assemble
 
-        ts = TWO_PATTERNS
-        clamp = ClampSet((1, 3), np.array([1.0, 0.0, -1.0, 0.0]))
-        evo = BlockSplitEvolution(ts, clamp, 1.0)
-        sys = assemble(train(ts), clamp, gamma=1.0)
-        np.testing.assert_allclose(evo.a_logical, sys.a, atol=1e-15)
+        cases = [(TWO_PATTERNS, ClampSet((1, 3), np.array([1.0, 0.0, -1.0, 0.0]))),
+                 (TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),
+                  ClampSet((2,), np.array([0.0, -1.0, 0.0])))]
+        for ts, clamp in cases:
+            d = ts.d
+            evo = BlockSplitEvolution(ts, clamp, 1.0)
+            logical = np.r_[0:d, evo.d_pad:evo.d_pad + d]
+            sys = assemble(train(ts), clamp, gamma=1.0)
+            np.testing.assert_allclose(evo.a[np.ix_(logical, logical)], sys.a, atol=1e-15)
 
     def test_reference_mode_converges_to_dense_exponential(self):
         evo = self.make()
@@ -343,8 +347,9 @@ class TestBlockSplitEvolution:
         clamp = ClampSet((1,), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="unknown mode"):
             BlockSplitEvolution(ts, clamp, 1.0, mode="euler")
-        with pytest.raises(ValueError, match="gamma must be positive"):
-            BlockSplitEvolution(ts, clamp, 0.0)
+        for gamma in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                BlockSplitEvolution(ts, clamp, gamma)
         with pytest.raises(TypeError, match="TrainingSet or DensityMatrix"):
             BlockSplitEvolution(np.eye(2), clamp, 1.0)
         bad_clamp = ClampSet((1,), np.array([1.0, 0.0, 0.0]))

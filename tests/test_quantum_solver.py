@@ -1,11 +1,15 @@
 """The simulated end-to-end recall pipeline on the saddle-point system."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hopfieldkit.hebbian import density, train
 from hopfieldkit.inversion import discretize
 from hopfieldkit.patterns import ClampSet, TrainingSet
-from hopfieldkit.quantum.solver import qhop_solve
+from hopfieldkit.quantum import solver
+from hopfieldkit.quantum.register import QuantumRegister
+from hopfieldkit.quantum.solver import qhop_recall, qhop_solve
 
 TS = TrainingSet([[1.0, 1.0]])
 CLAMP = ClampSet((1,), np.array([1.0, 0.0]))
@@ -100,8 +104,9 @@ class TestGuards:
             qhop_solve(ts, clamp, t_qubits=12)
 
     def test_rejects_nonpositive_mu(self):
-        with pytest.raises(ValueError, match="mu must be positive"):
-            qhop_solve(TS, CLAMP, mu=0.0)
+        for mu in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu must be positive"):
+                qhop_solve(TS, CLAMP, mu=mu)
 
     def test_coarse_phase_grid_warns_and_flags(self):
         with pytest.warns(RuntimeWarning, match="coarser than the cutoff"):
@@ -115,6 +120,34 @@ class TestGuards:
         assert report.kept_bins == 0
         assert report.x_register is None
         assert report.success_probability == 0.0
+
+
+class TestRecall:
+    STORE = TrainingSet([[1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
+    PROBE = ClampSet((1, 2), np.array([1.0, -1.0, 0.0, 0.0]))
+
+    def test_global_sign_is_fixed_against_the_clamp(self, monkeypatch):
+        expected, _ = qhop_recall(self.STORE, self.PROBE, t_qubits=8)
+        np.testing.assert_array_equal(expected, self.STORE.patterns[0])
+
+        def negated(*args, **kwargs):
+            report = qhop_solve(*args, **kwargs)
+            flipped = QuantumRegister(-report.x_register.amplitudes,
+                                      report.x_register.layout)
+            return replace(report, x_register=flipped)
+
+        monkeypatch.setattr(solver, "qhop_solve", negated)
+        pattern, report = qhop_recall(self.STORE, self.PROBE, t_qubits=8)
+        assert np.all(report.x_register.amplitudes.real[:2] * expected[:2] < 0)
+        np.testing.assert_array_equal(pattern, expected)
+
+    def test_failed_run_and_non_finite_mu_raise(self):
+        with pytest.warns(RuntimeWarning, match="nothing to invert"):
+            with pytest.raises(RuntimeError, match="quantum recall failed"):
+                qhop_recall(TS, CLAMP, mu=4.0, t_qubits=8)
+        for mu in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu must be >= 0"):
+                qhop_recall(TS, CLAMP, mu=mu)
 
 
 class TestTrace:
