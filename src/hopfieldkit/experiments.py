@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ValueError("gamma must be positive and finite")
         if not 0 <= self.mu < np.inf:
             raise ValueError("mu must be >= 0 and finite")
+        if not isinstance(self.t_qubits, (int, np.integer)) or self.t_qubits < 1:
+            raise ValueError(f"t_qubits must be an integer >= 1, got {self.t_qubits!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.data_format not in FORMATS:

@@ -30,10 +30,13 @@ def as_pattern(values, d: int | None = None, allow_unknown: bool = True) -> np.n
         raise ValueError("pattern must be a non-empty 1-d vector")
     if d is not None and x.size != d:
         raise ValueError(f"pattern has length {x.size}, expected {d}")
-    allowed = {-1.0, 0.0, 1.0} if allow_unknown else {-1.0, 1.0}
-    bad = [i + 1 for i, v in enumerate(x) if float(v) not in allowed]
-    if bad:
-        raise ValueError(f"pattern entries outside {sorted(allowed)} at positions {bad[:8]}")
+    ok = np.abs(x) == 1.0
+    if allow_unknown:
+        ok |= x == 0.0
+    if not np.all(ok):
+        allowed = [-1.0, 0.0, 1.0] if allow_unknown else [-1.0, 1.0]
+        bad = (np.flatnonzero(~ok)[:8] + 1).tolist()
+        raise ValueError(f"pattern entries outside {allowed} at positions {bad}")
     return x
 
 

@@ -73,6 +73,8 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     """
     if not 0 < mu < np.inf:
         raise ValueError("mu must be positive and finite; it doubles as the rotation constant")
+    if not isinstance(t_qubits, (int, np.integer)) or t_qubits < 1:
+        raise ValueError(f"t_qubits must be an integer >= 1, got {t_qubits!r}")
     evolve = assemble_quantum_a(source, clamp, gamma, mode=mode, steps=steps)
     n_sys = qubits_for(clamp.d) + 1
     total = n_sys + t_qubits + ANCILLA_QUBITS

@@ -204,6 +204,11 @@ class TestNonFiniteParameters:
         (["qcheck", "--gamma", "nan"], "gamma must be positive"),
         (["qcheck", "--mu", "inf"], "mu must be >= 0"),
         (["qcheck", "--seeds", "0"], "n_seeds must be >= 1"),
+        (["recall", "--method", "quantum", "--t-phase", "0"], "t_qubits must be an integer >= 1"),
+        (["recall", "--method", "quantum", "--t-phase", "-1"], "t_qubits must be an integer >= 1"),
+        (["qcheck", "--t-phase", "0"], "t_qubits must be an integer >= 1"),
+        (["experiment", "recovery-curve", "--method", "quantum", "--t-phase", "0"],
+         "t_qubits must be an integer >= 1"),
     ])
     def test_exit_with_a_clean_error_line(self, tmp_path, capsys, args, message):
         if args[0] == "recall":

@@ -44,6 +44,9 @@ class TestExperimentConfig:
         ("method", "analog", "method must be one of"),
         ("data_format", "json", "data format must be one of"),
         ("units", "bits", "units must be one of"),
+        ("t_qubits", 0, "t_qubits must be an integer >= 1"),
+        ("t_qubits", -1, "t_qubits must be an integer >= 1"),
+        ("t_qubits", 2.5, "t_qubits must be an integer >= 1"),
     ])
     def test_field_validation(self, field, value, message):
         with pytest.raises(ValueError, match=message):

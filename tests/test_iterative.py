@@ -5,7 +5,73 @@ import pytest
 from hopfieldkit.experiments import ExperimentConfig, ingest
 from hopfieldkit.hebbian import WeightMatrix, train
 from hopfieldkit.iterative import RecallTrace, energy, recall, update_neuron
-from hopfieldkit.patterns import TrainingSet
+from hopfieldkit.patterns import TrainingSet, as_pattern, as_thresholds
+
+
+def reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100,
+                     order="random", fill="plus"):
+    """The plain loop: one draw and one exact row product per update.
+
+    Returns the final state, sweeps, energy trace, converged flag and the
+    number of updates whose field lay within 1e-12 of its threshold, ties
+    in exact arithmetic that rounding leaves on either side.
+    """
+    x = as_pattern(start, d=wm.d).copy()
+    rng = np.random.default_rng(rng_seed)
+    unknown = x == 0.0
+    if np.any(unknown):
+        if fill == "plus":
+            x[unknown] = 1.0
+        else:
+            x[unknown] = rng.choice([-1.0, 1.0], size=int(unknown.sum()))
+    t = as_thresholds(theta, wm.d)
+    w = wm.w
+    d = wm.d
+    energies = [float(-0.5 * x @ w @ x + t @ x)]
+    stable_run = 0
+    updates = 0
+    ties = 0
+    budget = max_sweeps * d
+    converged = False
+    while updates < budget:
+        if order == "random":
+            i = int(rng.integers(d))
+        else:
+            i = updates % d
+        field = w[i] @ x
+        ties += abs(field - t[i]) <= 1e-12
+        new = 1.0 if field >= t[i] else -1.0
+        if new != x[i]:
+            x[i] = new
+            stable_run = 0
+        else:
+            stable_run += 1
+        updates += 1
+        if updates % d == 0:
+            energies.append(float(-0.5 * x @ w @ x + t @ x))
+        if stable_run >= d:
+            if np.array_equal(np.where(w @ x >= t, 1.0, -1.0), x):
+                converged = True
+                break
+            stable_run = 0
+    if updates % d != 0:
+        energies.append(float(-0.5 * x @ w @ x + t @ x))
+    sweeps = -(-updates // d)
+    return x, sweeps, np.array(energies), converged, ties
+
+
+def assert_matches_reference(wm, start, seed, **kwargs):
+    """recall equals the plain loop bit for bit, and leaves its Generator alike."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    trace = recall(wm, start, rng_seed=ours, **kwargs)
+    final, sweeps, energies, converged, ties = reference_recall(
+        wm, start, rng_seed=theirs, **kwargs)
+    assert trace.final.tobytes() == final.tobytes()
+    assert trace.sweeps == sweeps
+    assert trace.energies.tobytes() == energies.tobytes()
+    assert trace.converged == converged
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    return converged, ties
 
 
 class TestEnergy:
@@ -168,3 +234,63 @@ class TestRecall:
             trace = recall(wm, start, rng_seed=seed)
             np.testing.assert_array_equal(trace.final, x)
             assert trace.converged
+
+
+class TestMatchesThePlainLoop:
+    """recall skips updates that cannot flip; nothing observable may change."""
+
+    def test_fixture_store_at_zero_threshold(self):
+        # Hebbian fields are multiples of 1/(M d), so exact ties are common
+        ts = ingest(ExperimentConfig(l_grid=(1,)))
+        wm = train(ts)
+        rng = np.random.default_rng(71)
+        ties = 0
+        for k in range(60):
+            target = ts.pattern(int(rng.integers(1, ts.m + 1)))
+            start = np.where(rng.random(ts.d) < rng.random(), target, 0.0)
+            theta = None if k % 2 else np.zeros(ts.d)
+            _, t = assert_matches_reference(wm, start, [71, k], theta=theta,
+                                            max_sweeps=50, fill=("plus", "random")[k % 3 == 0])
+            ties += t
+        assert ties > 0
+
+    def test_random_instances_in_every_mode(self, make_weights, make_training):
+        rng = np.random.default_rng(72)
+        outcomes = set()
+        for k in range(300):
+            d = int(rng.integers(2, 40))
+            if k % 2:
+                wm = make_weights(rng, d)
+            else:
+                wm = train(make_training(rng, int(rng.integers(1, 6)), d))
+            theta = (None, np.zeros(d), rng.normal(scale=0.3, size=d))[k % 3]
+            start = rng.choice([-1.0, 0.0, 1.0], size=d)
+            converged, _ = assert_matches_reference(
+                wm, start, [72, k], theta=theta, max_sweeps=int(rng.integers(1, 12)),
+                order=("random", "sweep")[k % 5 == 0], fill=("plus", "random")[k % 4 == 0])
+            outcomes.add(converged)
+        assert outcomes == {True, False}
+
+    def test_budgets_that_end_inside_a_block(self, make_weights):
+        # a short budget stops the run mid-block, whether or not it converged;
+        # a fractional budget stops it mid-sweep; an infinite one never does
+        rng = np.random.default_rng(73)
+        unconverged = 0
+        for k in range(60):
+            d = int(rng.integers(5, 30))
+            wm = make_weights(rng, d)
+            start = rng.choice([-1.0, 1.0], size=d)
+            for max_sweeps in (1, 1.5, 2, 3, np.inf):
+                converged, _ = assert_matches_reference(wm, start, [73, k],
+                                                        max_sweeps=max_sweeps)
+                unconverged += not converged
+        assert unconverged > 0
+
+    def test_two_neurons(self, worked_wm):
+        for seed in range(20):
+            for start in ([1.0, -1.0], [-1.0, 1.0], [0.0, 0.0], [0.0, -1.0]):
+                for order in ("random", "sweep"):
+                    for theta in (None, [0.5, -0.5], [1.0, 0.0]):
+                        assert_matches_reference(worked_wm, start, seed, theta=theta,
+                                                 max_sweeps=1 + seed % 4, order=order,
+                                                 fill=("plus", "random")[seed % 2])

@@ -35,6 +35,20 @@ class TestAsPattern:
         with pytest.raises(ValueError, match="positions"):
             as_pattern(bad)
 
+    def test_message_lists_the_first_eight_bad_positions(self):
+        mixed = [1, 2, np.nan, -0.0, 0.5, -1, np.inf, -np.inf, 3, 0, 0.25, 7, -2, 1]
+        with pytest.raises(ValueError) as exc:
+            as_pattern(mixed)
+        assert str(exc.value) == ("pattern entries outside [-1.0, 0.0, 1.0] "
+                                  "at positions [2, 3, 5, 7, 8, 9, 11, 12]")
+        with pytest.raises(ValueError) as exc:
+            as_pattern(mixed, allow_unknown=False)
+        assert str(exc.value) == ("pattern entries outside [-1.0, 1.0] "
+                                  "at positions [2, 3, 4, 5, 7, 8, 9, 10]")
+
+    def test_negative_zero_is_an_unknown_entry(self):
+        np.testing.assert_array_equal(as_pattern([-0.0, 1.0, -1.0]), [0.0, 1.0, -1.0])
+
     def test_rejects_empty_and_matrix_inputs(self):
         with pytest.raises(ValueError, match="non-empty 1-d"):
             as_pattern([])

@@ -108,6 +108,11 @@ class TestGuards:
             with pytest.raises(ValueError, match="mu must be positive"):
                 qhop_solve(TS, CLAMP, mu=mu)
 
+    def test_rejects_a_phase_register_without_qubits(self):
+        for t_qubits in (0, -1, 2.0, None):
+            with pytest.raises(ValueError, match="t_qubits must be an integer >= 1"):
+                qhop_solve(TS, CLAMP, t_qubits=t_qubits)
+
     def test_coarse_phase_grid_warns_and_flags(self):
         with pytest.warns(RuntimeWarning, match="coarser than the cutoff"):
             report = qhop_solve(TS, CLAMP, t_qubits=2)
