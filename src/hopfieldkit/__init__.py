@@ -6,25 +6,20 @@ from .patterns import (
     ClampSet,
     TrainingSet,
     as_pattern,
-    base_indices_to_neurons,
     encode_rna,
-    erase,
-    hamming,
     load_fasta,
     load_patterns,
-    perturb,
 )
 from .hebbian import (
     DensityMatrix,
     WeightMatrix,
-    capacity,
     density,
     load_matrix_csv,
     save_matrix_csv,
     spectral_norm,
     train,
 )
-from .iterative import RecallTrace, energy, recall, update_neuron
+from .iterative import RecallTrace, energy, recall
 from .inversion import (
     LinearSystem,
     SolveReport,
@@ -51,12 +46,11 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASE_TO_BITS", "ClampSet", "TrainingSet", "as_pattern",
-    "base_indices_to_neurons", "encode_rna", "erase", "hamming",
-    "load_fasta", "load_patterns", "perturb",
-    "DensityMatrix", "WeightMatrix", "capacity", "density",
+    "BASE_TO_BITS", "ClampSet", "TrainingSet", "as_pattern", "encode_rna",
+    "load_fasta", "load_patterns",
+    "DensityMatrix", "WeightMatrix", "density",
     "load_matrix_csv", "save_matrix_csv", "spectral_norm", "train",
-    "RecallTrace", "energy", "recall", "update_neuron",
+    "RecallTrace", "energy", "recall",
     "LinearSystem", "SolveReport", "assemble", "certify_minimum",
     "discretize", "solve", "solve_perturbed", "truncated_pseudoinverse_apply",
     "CurvePoint", "ExperimentConfig", "GammaPoint", "fixture_path", "ingest",

@@ -14,7 +14,8 @@ from importlib import resources
 import numpy as np
 
 from .hebbian import WeightMatrix, train
-from .inversion import _eliminate_clamped, _saddle, discretize, truncated_pseudoinverse_apply
+from .inversion import (_eliminate_clamped, _saddle, assemble, discretize, solve,
+                        truncated_pseudoinverse_apply)
 from .iterative import recall
 from .patterns import ClampSet, TrainingSet, encode_rna, load_fasta, load_patterns
 from .quantum.solver import qhop_recall, qhop_solve
@@ -168,7 +169,7 @@ def _inversion_recover(ctx: _TrialContext, mask: np.ndarray) -> np.ndarray:
 
 
 def run_trial(ctx: _TrialContext, l: int, rng: np.random.Generator) -> int:
-    """One repetition: erase, recall with the configured method, count errors."""
+    """One repetition: clamp l units of the target, recall the rest, count errors."""
     mask = _known_mask(ctx, l, rng)
     cfg = ctx.cfg
     if cfg.method == "inversion":
@@ -269,10 +270,8 @@ def run_quantum_crosscheck(d: int = 2, n_seeds: int = 10, gamma: float = 1.0,
     block post-selection probability lands within 0.02 of
     |x|^2 / (|x|^2 + |lambda|^2), and the phase grid resolves mu.
     """
-    from .inversion import assemble, solve  # deferred to keep import cycles out
-
-    if d > 4:
-        raise ValueError("cross-check is desk-scale only (d <= 4)")
+    if not 1 <= d <= 4:
+        raise ValueError(f"cross-check is desk-scale only (1 <= d <= 4), got d={d}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     rows = []

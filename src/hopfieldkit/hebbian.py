@@ -1,4 +1,4 @@
-"""Hebbian training: weight matrix, pattern density matrix, capacity rule.
+"""Hebbian training: weight matrix, pattern density matrix, matrix CSV files.
 
 Training averages outer products of the stored patterns,
 
@@ -101,13 +101,6 @@ def spectral_norm(wm: WeightMatrix | DensityMatrix | np.ndarray) -> float:
     else:
         a = np.asarray(wm, dtype=float)
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))
-
-
-def capacity(d: int) -> float:
-    """Retrieval-capacity guideline d / (2 ln d) for d >= 2."""
-    if d < 2:
-        raise ValueError("capacity is defined for d >= 2")
-    return d / (2.0 * np.log(d))
 
 
 def save_matrix_csv(path, matrix) -> None:

@@ -34,17 +34,6 @@ def energy(wm: WeightMatrix, x, theta=None) -> float:
     return _energy(wm.w, as_thresholds(theta, wm.d), s)
 
 
-def update_neuron(wm: WeightMatrix, x, i: int, theta=None) -> np.ndarray:
-    """Asynchronous update of neuron i (1-based); returns the new state."""
-    s = as_pattern(x, d=wm.d, allow_unknown=False).copy()
-    if not 1 <= i <= wm.d:
-        raise ValueError(f"neuron index {i} outside 1..{wm.d}")
-    t = as_thresholds(theta, wm.d)
-    field = wm.w[i - 1] @ s
-    s[i - 1] = 1.0 if field >= t[i - 1] else -1.0
-    return s
-
-
 def _energy(w: np.ndarray, t: np.ndarray, x: np.ndarray) -> float:
     return float(-0.5 * x @ w @ x + t @ x)
 

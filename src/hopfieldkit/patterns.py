@@ -1,4 +1,4 @@
-"""Bipolar activation patterns, RNA encoding, and partial-information helpers.
+"""Bipolar activation patterns, clamp sets, RNA encoding, and pattern loaders.
 
 Patterns are plain numpy vectors with entries in {+1, -1, 0}; 0 marks an
 unknown neuron. Fully specified patterns contain no zeros. All indices in
@@ -159,64 +159,6 @@ def encode_rna(sequence: str) -> np.ndarray:
             raise ValueError(f"unknown base {ch!r} at position {pos + 1}")
         out[2 * pos], out[2 * pos + 1] = BASE_TO_BITS[base]
     return out
-
-
-def base_indices_to_neurons(bases) -> tuple[int, ...]:
-    """Map 1-based RNA-base indices to their neuron index pairs (2b-1, 2b)."""
-    neurons = []
-    for b in bases:
-        b = int(b)
-        if b < 1:
-            raise ValueError(f"base index {b} must be >= 1")
-        neurons.extend((2 * b - 1, 2 * b))
-    return tuple(sorted(neurons))
-
-
-def erase(pattern, keep, rng_seed=None) -> tuple[np.ndarray, ClampSet]:
-    """Zero out every neuron not in keep.
-
-    keep is either an iterable of 1-based indices or an integer count, in
-    which case that many indices are drawn uniformly without replacement
-    using rng_seed. Keeping nothing or everything is rejected: there would
-    be nothing to clamp, or nothing to recover.
-    """
-    x = as_pattern(pattern, allow_unknown=False)
-    d = x.size
-    if isinstance(keep, (int, np.integer)):
-        l = int(keep)
-        if not 1 <= l < d:
-            raise ValueError(f"keep count {l} must lie in 1..{d - 1}")
-        rng = np.random.default_rng(rng_seed)
-        idx = sorted(rng.choice(d, size=l, replace=False) + 1)
-    else:
-        idx = sorted(int(i) for i in keep)
-        if len(idx) == 0:
-            raise ValueError("keep set is empty, nothing to clamp")
-        if len(set(idx)) != len(idx):
-            raise ValueError("keep set contains duplicates")
-        if len(idx) >= d:
-            raise ValueError("keep set covers every neuron, nothing to recover")
-    clamp = ClampSet.from_pattern(x, idx)
-    incomplete = np.where(clamp.mask(), x, 0.0)
-    return incomplete, clamp
-
-
-def perturb(pattern, flip_count: int, rng_seed=None) -> np.ndarray:
-    """Flip flip_count distinct neurons of a fully specified pattern."""
-    x = as_pattern(pattern, allow_unknown=False).copy()
-    if not 0 <= flip_count <= x.size:
-        raise ValueError(f"flip count {flip_count} outside 0..{x.size}")
-    rng = np.random.default_rng(rng_seed)
-    pos = rng.choice(x.size, size=flip_count, replace=False)
-    x[pos] = -x[pos]
-    return x
-
-
-def hamming(a, b) -> int:
-    """Number of disagreeing neurons between two fully specified patterns."""
-    xa = as_pattern(a, allow_unknown=False)
-    xb = as_pattern(b, d=xa.size, allow_unknown=False)
-    return int(np.sum(xa != xb))
 
 
 def load_pattern_lines(lines, source: str = "<patterns>") -> np.ndarray:

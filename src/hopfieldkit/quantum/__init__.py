@@ -7,16 +7,13 @@ from .evolution import (
     pattern_product_unitary,
     qheb_evolve,
     qheb_step,
-    hermitian_evolution,
     assemble_quantum_a,
 )
-from .phase import EigenReadout, phase_estimate
 from .solver import QhopReport, qhop_recall, qhop_solve
 
 __all__ = [
     "QuantumRegister", "SwapTestReport", "embed", "embed_w", "swap_test",
     "TrotterPlan", "conditional_pattern_step", "conditional_pattern_step_swap",
-    "pattern_product_unitary", "qheb_evolve", "qheb_step", "hermitian_evolution",
-    "assemble_quantum_a", "EigenReadout", "phase_estimate", "QhopReport", "qhop_recall",
-    "qhop_solve",
+    "pattern_product_unitary", "qheb_evolve", "qheb_step", "assemble_quantum_a",
+    "QhopReport", "qhop_recall", "qhop_solve",
 ]

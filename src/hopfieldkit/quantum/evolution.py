@@ -18,12 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hebbian import DensityMatrix, WeightMatrix, density, train
+from ..hebbian import DensityMatrix, density, train
 from ..inversion import _saddle
 from ..patterns import ClampSet, TrainingSet
 from .register import QuantumRegister, qubits_for
 
 DELTA_T_WARN = 0.1
+# Split error each mode's default step count aims for.
+REFERENCE_EPS = 1e-8
+TROTTER_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -198,23 +201,12 @@ def qheb_evolve(register: QuantumRegister, ts: TrainingSet, plan: TrotterPlan) -
 class _ExactEvolution:
     """e^{i H t} for a fixed symmetric H, via one eigendecomposition."""
 
-    def __init__(self, h: np.ndarray, bound: float | None = None):
-        h = np.asarray(h, dtype=float)
+    def __init__(self, h: np.ndarray):
         self._eigs, self._vecs = np.linalg.eigh(h)
-        self.spectral_bound = float(bound) if bound is not None else float(
-            np.max(np.abs(self._eigs)))
-        self.dim = h.shape[0]
 
     def __call__(self, t: float) -> np.ndarray:
         phase = np.exp(1j * self._eigs * t)
         return (self._vecs * phase) @ self._vecs.conj().T
-
-
-def hermitian_evolution(h, bound: float | None = None) -> _ExactEvolution:
-    """Exact evolution callback for a symmetric matrix (e.g. a density matrix)."""
-    if isinstance(h, DensityMatrix):
-        return _ExactEvolution(h.rho, bound if bound is not None else 1.0)
-    return _ExactEvolution(np.asarray(h, dtype=float), bound)
 
 
 class BlockSplitEvolution:
@@ -231,7 +223,7 @@ class BlockSplitEvolution:
     """
 
     def __init__(self, source, clamp: ClampSet, gamma: float, mode: str = "reference",
-                 steps: int | None = None, target_eps: float | None = None):
+                 steps: int | None = None):
         if mode not in ("reference", "trotter"):
             raise ValueError(f"unknown mode {mode!r}")
         if not 0 < gamma < np.inf:
@@ -257,9 +249,6 @@ class BlockSplitEvolution:
         self.dim = 2 * self.d_pad
         self.spectral_bound = float(gamma) + 2.0
         self.steps = steps
-        if target_eps is None:
-            target_eps = 1e-8 if mode == "reference" else 1e-6
-        self.target_eps = float(target_eps)
         self.clamp = clamp
 
         dp = self.d_pad
@@ -303,8 +292,8 @@ class BlockSplitEvolution:
         at = abs(t)
         if self.mode == "reference":
             # second-order split: total error ~ t^3 / n^2
-            return max(1, math.ceil(math.sqrt(at ** 3 / self.target_eps)))
-        return max(1, math.ceil(at * at / self.target_eps))
+            return max(1, math.ceil(math.sqrt(at ** 3 / REFERENCE_EPS)))
+        return max(1, math.ceil(at * at / TROTTER_EPS))
 
     def __call__(self, t: float) -> np.ndarray:
         if t == 0.0:
@@ -321,8 +310,6 @@ class BlockSplitEvolution:
 
 
 def assemble_quantum_a(source, clamp: ClampSet, gamma: float, mode: str = "reference",
-                       steps: int | None = None,
-                       target_eps: float | None = None) -> BlockSplitEvolution:
+                       steps: int | None = None) -> BlockSplitEvolution:
     """Build the B + C + D evolution callback for the saddle-point matrix."""
-    return BlockSplitEvolution(source, clamp, gamma, mode=mode, steps=steps,
-                               target_eps=target_eps)
+    return BlockSplitEvolution(source, clamp, gamma, mode=mode, steps=steps)

@@ -1,4 +1,4 @@
-"""Phase estimation on an evolution callback, with signed eigenvalue bins.
+"""Phase estimation on the controlled powers of U(t0), with signed eigenvalue bins.
 
 The phase register holds T qubits (most significant first). Controlled
 powers U^(2^k) come from repeated squaring of U(t0), and the inverse
@@ -8,12 +8,7 @@ complement), so eigenvalues are read in the window (-pi/t0, +pi/t0].
 """
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
-
-from .register import QuantumRegister
 
 
 def controlled_powers(u1: np.ndarray, t_qubits: int) -> list[np.ndarray]:
@@ -71,62 +66,3 @@ def bin_eigenvalues(t_qubits: int, t0: float) -> np.ndarray:
     phi = b / n_bins
     phi = np.where(b > n_bins // 2, phi - 1.0, phi)
     return 2.0 * np.pi * phi / t0
-
-
-@dataclass(frozen=True)
-class EigenReadout:
-    """Phase-register measurement distribution mapped to eigenvalues.
-
-    resolution is the eigenvalue width of one bin, 2 pi / (t0 2^T);
-    aliasing marks a declared spectral bound outside the readable window.
-    """
-
-    eigenvalues: np.ndarray
-    probabilities: np.ndarray
-    t_qubits: int
-    t0: float
-    resolution: float
-    aliasing: bool
-
-    def peak(self) -> tuple[float, float]:
-        """(eigenvalue estimate, probability) of the most likely bin."""
-        i = int(np.argmax(self.probabilities))
-        return float(self.eigenvalues[i]), float(self.probabilities[i])
-
-
-def phase_estimate(evolve, state, t_qubits: int, t0: float | None = None,
-                   bound: float | None = None) -> EigenReadout:
-    """Run phase estimation and return the eigenvalue readout.
-
-    evolve is a callback t -> e^{iHt}; its spectral_bound attribute (or
-    the bound argument) sets the default scale t0 = pi / bound so the
-    spectrum maps into the signed window. A bound that does not fit the
-    window flags aliasing and warns rather than failing.
-    """
-    if not 1 <= t_qubits <= 12:
-        raise ValueError("phase register must hold 1..12 qubits at desk scale")
-    if bound is None:
-        bound = getattr(evolve, "spectral_bound", None)
-    if t0 is None:
-        if bound is None:
-            raise ValueError("provide t0 or a spectral bound to derive it")
-        t0 = np.pi / bound
-    aliasing = bool(bound is not None and bound * t0 > np.pi + 1e-12)
-    if aliasing:
-        warnings.warn(f"spectral bound {bound:.4g} exceeds the +/- {np.pi / t0:.4g} "
-                      "window at this t0; eigenvalues may alias", RuntimeWarning,
-                      stacklevel=2)
-    psi = state.amplitudes if isinstance(state, QuantumRegister) else np.asarray(state, dtype=complex)
-    u1 = evolve(t0)
-    if u1.shape != (psi.size, psi.size):
-        raise ValueError(f"evolution dimension {u1.shape} does not match state {psi.size}")
-    s = qpe_forward(controlled_powers(u1, t_qubits), psi)
-    probs = np.sum(np.abs(s) ** 2, axis=1)
-    return EigenReadout(
-        eigenvalues=bin_eigenvalues(t_qubits, t0),
-        probabilities=probs,
-        t_qubits=t_qubits,
-        t0=float(t0),
-        resolution=2.0 * np.pi / (t0 * 2 ** t_qubits),
-        aliasing=aliasing,
-    )

@@ -42,7 +42,6 @@ class QhopReport:
     post_selection_probability: float
     phase_residual: float
     resolution_ok: bool
-    aliasing: bool
     kept_bins: int
     mu: float
     t0: float
@@ -63,7 +62,7 @@ def _top_amplitudes(vec: np.ndarray, count: int = 8) -> str:
 
 def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: float = 0.05,
                t_qubits: int = 9, shots: int | None = None, mode: str = "reference",
-               steps: int | None = None, rng_seed=None, trace_path=None) -> QhopReport:
+               rng_seed=None, trace_path=None) -> QhopReport:
     """Simulate the full recall pipeline on the saddle-point system.
 
     mu is both the eigenvalue cutoff and the rotation constant C. The
@@ -75,7 +74,9 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
         raise ValueError("mu must be positive and finite; it doubles as the rotation constant")
     if not isinstance(t_qubits, (int, np.integer)) or t_qubits < 1:
         raise ValueError(f"t_qubits must be an integer >= 1, got {t_qubits!r}")
-    evolve = assemble_quantum_a(source, clamp, gamma, mode=mode, steps=steps)
+    if shots is not None and (not isinstance(shots, (int, np.integer)) or shots < 1):
+        raise ValueError(f"shots must be >= 1 and an integer when given, got {shots!r}")
+    evolve = assemble_quantum_a(source, clamp, gamma, mode=mode)
     n_sys = qubits_for(clamp.d) + 1
     total = n_sys + t_qubits + ANCILLA_QUBITS
     if total > QUBIT_BUDGET:
@@ -110,16 +111,15 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
                        _top_amplitudes(np.sum(np.abs(s_flag) ** 2, axis=1))))
 
     success_probability = float(np.linalg.norm(s_flag) ** 2)
-    aliasing = False  # bound fits the window by construction of t0
 
     def _fail(message: str) -> QhopReport:
         warnings.warn(message, RuntimeWarning, stacklevel=3)
         return QhopReport(ok=False, message=message,
                           success_probability=success_probability,
                           post_selection_probability=0.0, phase_residual=1.0,
-                          resolution_ok=resolution_ok, aliasing=aliasing,
-                          kept_bins=kept_bins, mu=mu, t0=float(t0), t_qubits=t_qubits,
-                          mode=mode, w_norm=w_norm, x_register=None, v_register=None)
+                          resolution_ok=resolution_ok, kept_bins=kept_bins, mu=mu,
+                          t0=float(t0), t_qubits=t_qubits, mode=mode, w_norm=w_norm,
+                          x_register=None, v_register=None)
 
     if success_probability < 1e-14:
         _write_trace(trace_path, trace_rows)
@@ -153,8 +153,6 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
 
     shot_success = shot_post = None
     if shots is not None:
-        if shots < 1:
-            raise ValueError("shots must be >= 1 when given")
         rng = np.random.default_rng(rng_seed)
         flag_ones = int(rng.binomial(shots, success_probability))
         shot_success = flag_ones / shots
@@ -165,7 +163,7 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
                       success_probability=success_probability,
                       post_selection_probability=post_selection_probability,
                       phase_residual=phase_residual, resolution_ok=resolution_ok,
-                      aliasing=aliasing, kept_bins=kept_bins, mu=mu, t0=float(t0),
+                      kept_bins=kept_bins, mu=mu, t0=float(t0),
                       t_qubits=t_qubits, mode=mode, w_norm=w_norm,
                       x_register=x_register, v_register=v_register,
                       shots=shots, shot_success_rate=shot_success, shot_post_rate=shot_post)

@@ -209,6 +209,8 @@ class TestNonFiniteParameters:
         (["qcheck", "--t-phase", "0"], "t_qubits must be an integer >= 1"),
         (["experiment", "recovery-curve", "--method", "quantum", "--t-phase", "0"],
          "t_qubits must be an integer >= 1"),
+        (["qcheck", "--d", "0"], "cross-check is desk-scale only"),
+        (["qcheck", "--d", "-1"], "cross-check is desk-scale only"),
     ])
     def test_exit_with_a_clean_error_line(self, tmp_path, capsys, args, message):
         if args[0] == "recall":

@@ -1,11 +1,10 @@
-"""Training rule, density matrix, spectral quantities, capacity, matrix CSV."""
+"""Training rule, density matrix, spectral quantities, matrix CSV."""
 import numpy as np
 import pytest
 
 from hopfieldkit.hebbian import (
     DensityMatrix,
     WeightMatrix,
-    capacity,
     density,
     load_matrix_csv,
     save_matrix_csv,
@@ -184,21 +183,6 @@ class TestSpectralNorm:
             assert spectral_norm(wm) == wm.norm
             assert spectral_norm(wm) == pytest.approx(np.linalg.norm(wm.w, 2),
                                                       rel=1e-10)
-
-
-class TestCapacity:
-    @pytest.mark.parametrize("d,expected", [(2, 1.44), (7, 1.80), (100, 10.86)])
-    def test_guideline_values(self, d, expected):
-        assert capacity(d) == pytest.approx(expected, abs=0.005)
-
-    def test_natural_log_formula(self):
-        for d in (3, 10, 1000):
-            assert capacity(d) == pytest.approx(d / (2.0 * np.log(d)), rel=1e-14)
-
-    @pytest.mark.parametrize("d", [1, 0, -5])
-    def test_rejects_small_d(self, d):
-        with pytest.raises(ValueError, match="d >= 2"):
-            capacity(d)
 
 
 class TestMatrixCsv:

@@ -4,7 +4,7 @@ import pytest
 
 from hopfieldkit.experiments import ExperimentConfig, ingest
 from hopfieldkit.hebbian import WeightMatrix, train
-from hopfieldkit.iterative import RecallTrace, energy, recall, update_neuron
+from hopfieldkit.iterative import RecallTrace, energy, recall
 from hopfieldkit.patterns import TrainingSet, as_pattern, as_thresholds
 
 
@@ -94,34 +94,38 @@ class TestEnergy:
 
 
 class TestUpdateNeuron:
+    """The single-neuron update rule, seen through one sweep of recall in sweep order."""
+
+    @staticmethod
+    def sweep_once(wm, start, theta=None):
+        return recall(wm, start, theta=theta, max_sweeps=1, order="sweep").final
+
     def test_negative_field_flips_down(self, worked_wm):
-        out = update_neuron(worked_wm, [1.0, -1.0], 1)
-        np.testing.assert_array_equal(out, [-1.0, -1.0])
+        # neuron 1 sees -0.5 and flips; neuron 2 then sees -0.5 and stays down
+        np.testing.assert_array_equal(self.sweep_once(worked_wm, [1.0, -1.0]), [-1.0, -1.0])
 
     def test_positive_field_keeps_up(self, worked_wm):
-        out = update_neuron(worked_wm, [1.0, 1.0], 2)
-        np.testing.assert_array_equal(out, [1.0, 1.0])
+        np.testing.assert_array_equal(self.sweep_once(worked_wm, [1.0, 1.0]), [1.0, 1.0])
 
     def test_tie_resolves_to_plus_one(self):
-        wm = WeightMatrix(np.zeros((2, 2)))  # field is exactly 0 = theta
-        out = update_neuron(wm, [-1.0, -1.0], 1)
-        np.testing.assert_array_equal(out, [1.0, -1.0])
+        wm = WeightMatrix(np.zeros((2, 2)))  # every field is exactly 0 = theta
+        np.testing.assert_array_equal(self.sweep_once(wm, [-1.0, -1.0]), [1.0, 1.0])
 
     def test_tie_against_nonzero_threshold(self, worked_wm):
-        out = update_neuron(worked_wm, [1.0, -1.0], 1, theta=[-0.5, 0.0])
-        np.testing.assert_array_equal(out, [1.0, -1.0])
+        # neuron 1's field -0.5 ties its threshold and stays +1, so neuron 2
+        # sees +0.5 and flips up; a tie resolved to -1 would end at (-1, -1)
+        final = self.sweep_once(worked_wm, [1.0, -1.0], theta=[-0.5, 0.0])
+        np.testing.assert_array_equal(final, [1.0, 1.0])
 
     def test_input_not_mutated(self, worked_wm):
         x = np.array([1.0, -1.0])
-        update_neuron(worked_wm, x, 1)
+        self.sweep_once(worked_wm, x)
         np.testing.assert_array_equal(x, [1.0, -1.0])
 
-    @pytest.mark.parametrize("i", [0, 3])
-    def test_index_out_of_range(self, worked_wm, i):
-        with pytest.raises(ValueError, match="outside 1..2"):
-            update_neuron(worked_wm, [1.0, 1.0], i)
-
     def test_single_update_never_raises_energy(self, make_weights):
+        # Updating neuron i alone is recall on a one-neuron network whose
+        # threshold absorbs the field of the others: theta_i - (W x)_i.
+        lone = WeightMatrix(np.zeros((1, 1)))
         rng = np.random.default_rng(61)
         for _ in range(40):
             d = int(rng.integers(2, 15))
@@ -129,8 +133,11 @@ class TestUpdateNeuron:
             for _ in range(50):
                 x = rng.choice([-1.0, 1.0], size=d)
                 theta = rng.normal(scale=0.5, size=d)
-                i = int(rng.integers(1, d + 1))
-                new = update_neuron(wm, x, i, theta)
+                i = int(rng.integers(d))
+                new = x.copy()
+                new[i] = self.sweep_once(lone, x[i:i + 1],
+                                         theta=[theta[i] - wm.w[i] @ x])[0]
+                assert new[i] == (1.0 if wm.w[i] @ x >= theta[i] else -1.0)
                 assert energy(wm, new, theta) <= energy(wm, x, theta) + 1e-12
 
 
@@ -184,9 +191,9 @@ class TestRecall:
             trace = recall(wm, start, rng_seed=seed)
             if not trace.converged:
                 continue
-            for i in range(1, d + 1):
-                np.testing.assert_array_equal(
-                    update_neuron(wm, trace.final, i), trace.final)
+            # every neuron's update, field >= 0 -> +1 else -1, leaves it as it is
+            np.testing.assert_array_equal(
+                np.where(wm.w @ trace.final >= 0.0, 1.0, -1.0), trace.final)
 
     def test_zero_entries_fill_with_plus_one(self, worked_wm):
         trace = recall(worked_wm, [0.0, 0.0], rng_seed=0)

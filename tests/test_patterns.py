@@ -1,4 +1,4 @@
-"""Pattern model: RNA encoding, clamps, erasure, distances, file loaders."""
+"""Pattern model: validation, RNA encoding, clamps, file loaders."""
 import itertools
 
 import numpy as np
@@ -9,14 +9,10 @@ from hopfieldkit.patterns import (
     ClampSet,
     TrainingSet,
     as_pattern,
-    base_indices_to_neurons,
     encode_rna,
-    erase,
-    hamming,
     load_fasta,
     load_pattern_lines,
     load_patterns,
-    perturb,
 )
 
 
@@ -175,120 +171,6 @@ class TestClampSet:
     def test_rejects_nonzero_value_off_clamp(self):
         with pytest.raises(ValueError, match="0 off the clamp"):
             ClampSet((1,), np.array([1.0, -1.0]))
-
-
-class TestBaseIndicesToNeurons:
-    def test_single_base(self):
-        assert base_indices_to_neurons([1]) == (1, 2)
-
-    def test_sorted_pairs(self):
-        assert base_indices_to_neurons([3, 1]) == (1, 2, 5, 6)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            base_indices_to_neurons([0])
-
-
-class TestErase:
-    def test_explicit_keep_set(self):
-        incomplete, clamp = erase([1.0, -1.0, 1.0], [1, 3])
-        np.testing.assert_array_equal(incomplete, [1.0, 0.0, 1.0])
-        assert clamp.indices == (1, 3)
-
-    def test_keep_second_of_two(self):
-        incomplete, clamp = erase([1.0, 1.0], [2])
-        np.testing.assert_array_equal(incomplete, [0.0, 1.0])
-        assert clamp.indices == (2,)
-
-    def test_squared_norm_equals_kept_count(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            d = int(rng.integers(2, 30))
-            l = int(rng.integers(1, d))
-            x = rng.choice([-1.0, 1.0], size=d)
-            incomplete, clamp = erase(x, int(l), rng_seed=rng)
-            assert float(incomplete @ incomplete) == float(l)
-            assert clamp.l == l
-
-    def test_overwriting_unknowns_restores_pattern(self):
-        rng = np.random.default_rng(11)
-        x = rng.choice([-1.0, 1.0], size=17)
-        incomplete, clamp = erase(x, 5, rng_seed=3)
-        restored = np.where(clamp.mask(), incomplete, x)
-        np.testing.assert_array_equal(restored, x)
-
-    def test_count_mode_is_seed_reproducible(self):
-        x = np.ones(10)
-        a, ca = erase(x, 4, rng_seed=42)
-        b, cb = erase(x, 4, rng_seed=42)
-        np.testing.assert_array_equal(a, b)
-        assert ca.indices == cb.indices
-
-    def test_rejects_empty_and_full_keeps(self):
-        with pytest.raises(ValueError, match="empty"):
-            erase([1.0, -1.0], [])
-        with pytest.raises(ValueError, match="every neuron"):
-            erase([1.0, -1.0], [1, 2])
-        with pytest.raises(ValueError, match="1..1"):
-            erase([1.0, -1.0], 2)
-        with pytest.raises(ValueError, match="1..1"):
-            erase([1.0, -1.0], 0)
-
-    def test_rejects_duplicate_keeps(self):
-        with pytest.raises(ValueError, match="duplicates"):
-            erase([1.0, -1.0, 1.0], [1, 1])
-
-
-class TestPerturb:
-    def test_zero_flips_is_identity(self):
-        x = np.array([1.0, -1.0, 1.0])
-        np.testing.assert_array_equal(perturb(x, 0), x)
-
-    def test_full_flip_negates(self):
-        x = np.array([1.0, -1.0, 1.0])
-        np.testing.assert_array_equal(perturb(x, 3), -x)
-
-    def test_flip_count_equals_hamming_distance(self):
-        rng = np.random.default_rng(5)
-        x = rng.choice([-1.0, 1.0], size=100)
-        y = perturb(x, 10, rng_seed=1)
-        assert hamming(x, y) == 10
-
-    def test_seed_reproducible(self):
-        x = np.ones(50)
-        np.testing.assert_array_equal(perturb(x, 7, rng_seed=9),
-                                      perturb(x, 7, rng_seed=9))
-
-    def test_rejects_out_of_range_counts(self):
-        with pytest.raises(ValueError, match="outside 0..2"):
-            perturb([1.0, 1.0], 3)
-        with pytest.raises(ValueError, match="outside 0..2"):
-            perturb([1.0, 1.0], -1)
-
-
-class TestHamming:
-    def test_identical_is_zero(self):
-        assert hamming([1.0, 1.0], [1.0, 1.0]) == 0
-
-    def test_opposite_pair(self):
-        assert hamming([1.0, 1.0], [-1.0, -1.0]) == 2
-
-    def test_mixed(self):
-        assert hamming([1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]) == 2
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="expected 2"):
-            hamming([1.0, 1.0], [1.0, 1.0, 1.0])
-
-    def test_metric_properties_on_random_triples(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            d = int(rng.integers(1, 20))
-            a, b, c = (rng.choice([-1.0, 1.0], size=d) for _ in range(3))
-            assert hamming(a, b) == hamming(b, a)
-            assert hamming(a, a) == 0
-            assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
-            assert (hamming(a, b) == 0) == bool(np.all(a == b))
 
 
 class TestLoaders:

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hopfieldkit.hebbian import DensityMatrix, density, train
+from hopfieldkit.hebbian import density, train
 from hopfieldkit.patterns import ClampSet, TrainingSet
 from hopfieldkit.quantum.evolution import (
     BlockSplitEvolution,
     TrotterPlan,
+    _ExactEvolution,
     assemble_quantum_a,
     conditional_pattern_step,
     conditional_pattern_step_swap,
-    hermitian_evolution,
     pattern_product_unitary,
     qheb_evolve,
     qheb_step,
@@ -232,24 +232,9 @@ class TestHermitianEvolution:
         rng = np.random.default_rng(41)
         h = rng.normal(size=(4, 4))
         h = (h + h.T) / 2.0
-        evolve = hermitian_evolution(h)
+        evolve = _ExactEvolution(h)
         for t in (0.3, 1.7, -0.9):
             np.testing.assert_allclose(evolve(t), expm(1j * h * t), atol=1e-12)
-
-    def test_density_matrix_input_uses_unit_bound(self):
-        dm = density(train(TrainingSet([[1.0, 1.0]])))
-        evolve = hermitian_evolution(dm)
-        assert evolve.spectral_bound == 1.0
-        assert evolve.dim == 2
-        np.testing.assert_allclose(evolve(0.5), expm(1j * dm.rho * 0.5),
-                                   atol=1e-12)
-
-    def test_default_bound_is_the_spectral_norm(self):
-        evolve = hermitian_evolution(np.diag([2.0, -3.0]))
-        assert evolve.spectral_bound == 3.0
-
-    def test_explicit_bound_overrides(self):
-        assert hermitian_evolution(np.eye(2), bound=4.0).spectral_bound == 4.0
 
 
 class TestBlockSplitEvolution:

@@ -1,19 +1,17 @@
 """Phase estimation: transforms, signed bins, and eigenvalue readouts."""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hopfieldkit.hebbian import density, train
 from hopfieldkit.patterns import TrainingSet
-from hopfieldkit.quantum.evolution import hermitian_evolution
 from hopfieldkit.quantum.phase import (
     bin_eigenvalues,
     controlled_powers,
     fwht_axis0,
-    phase_estimate,
     qpe_backward,
     qpe_forward,
 )
-from hopfieldkit.quantum.register import embed
 
 PLUS_DENSITY = density(train(TrainingSet([[1.0, 1.0]])))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -82,70 +80,48 @@ class TestBinEigenvalues:
                                    2.0 * bin_eigenvalues(3, np.pi), atol=1e-14)
 
 
+def readout(h, psi, t_qubits, t0):
+    """Bin eigenvalues and probabilities of phase estimation on U = e^{i h t0}."""
+    powers = controlled_powers(expm(1j * h * t0), t_qubits)
+    s = qpe_forward(powers, psi)
+    return bin_eigenvalues(t_qubits, t0), np.sum(np.abs(s) ** 2, axis=1)
+
+
+def peak(eigenvalues, probabilities):
+    """(eigenvalue estimate, probability) of the most likely bin."""
+    i = int(np.argmax(probabilities))
+    return float(eigenvalues[i]), float(probabilities[i])
+
+
+def resolution(t_qubits, t0):
+    """Eigenvalue width of one bin."""
+    return float(np.diff(bin_eigenvalues(t_qubits, t0)[:2])[0])
+
+
 class TestPhaseEstimate:
     def test_rank_one_density_peaks_at_unit_eigenvalue(self):
-        readout = phase_estimate(hermitian_evolution(PLUS_DENSITY), PLUS, 6)
-        value, weight = readout.peak()
+        value, weight = peak(*readout(PLUS_DENSITY.rho, PLUS, 6, np.pi))
         assert value == pytest.approx(1.0, abs=1e-12)
         assert weight >= 0.99
-        assert readout.t0 == pytest.approx(np.pi)
-        assert not readout.aliasing
 
     def test_kernel_state_peaks_at_zero(self):
-        readout = phase_estimate(hermitian_evolution(PLUS_DENSITY), MINUS, 6)
-        value, weight = readout.peak()
+        value, weight = peak(*readout(PLUS_DENSITY.rho, MINUS, 6, np.pi))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert weight >= 0.99
 
-    def test_register_input_is_accepted(self):
-        reg, _ = embed([1.0, 1.0])
-        readout = phase_estimate(hermitian_evolution(PLUS_DENSITY), reg, 5)
-        assert readout.peak()[0] == pytest.approx(1.0, abs=1e-12)
-
     def test_probabilities_sum_to_one(self):
         for t_qubits in (1, 4, 7):
-            readout = phase_estimate(hermitian_evolution(PLUS_DENSITY), PLUS,
-                                     t_qubits)
-            assert np.sum(readout.probabilities) == pytest.approx(1.0, abs=1e-9)
+            _, probabilities = readout(PLUS_DENSITY.rho, PLUS, t_qubits, np.pi)
+            assert np.sum(probabilities) == pytest.approx(1.0, abs=1e-9)
 
     def test_extra_qubit_halves_resolution(self):
-        fine = phase_estimate(hermitian_evolution(PLUS_DENSITY), PLUS, 7)
-        coarse = phase_estimate(hermitian_evolution(PLUS_DENSITY), PLUS, 6)
-        assert coarse.resolution == pytest.approx(2.0 * fine.resolution)
+        assert resolution(6, np.pi) == pytest.approx(2.0 * resolution(7, np.pi))
+        assert resolution(7, np.pi) == pytest.approx(2.0 * np.pi / (np.pi * 2 ** 7))
 
     def test_off_grid_eigenvalue_lands_within_resolution(self):
-        evolve = hermitian_evolution(np.diag([0.37, 0.37]))
+        h = np.diag([0.37, 0.37])
         state = np.array([1.0, 0.0], dtype=complex)
         for t_qubits in (5, 6, 8):
-            readout = phase_estimate(evolve, state, t_qubits, t0=np.pi)
-            value, weight = readout.peak()
-            assert abs(value - 0.37) <= readout.resolution
+            value, weight = peak(*readout(h, state, t_qubits, np.pi))
+            assert abs(value - 0.37) <= resolution(t_qubits, np.pi)
             assert weight >= 4.0 / np.pi ** 2
-
-    def test_aliasing_flagged_and_warned(self):
-        with pytest.warns(RuntimeWarning, match="alias"):
-            readout = phase_estimate(hermitian_evolution(PLUS_DENSITY), PLUS, 4,
-                                     t0=2.0 * np.pi)
-        assert readout.aliasing
-
-    def test_explicit_bound_overrides_callback(self):
-        readout = phase_estimate(hermitian_evolution(PLUS_DENSITY), PLUS, 4,
-                                 bound=2.0)
-        assert readout.t0 == pytest.approx(np.pi / 2.0)
-
-    def test_requires_some_scale(self):
-        u = np.eye(2, dtype=complex)
-        with pytest.raises(ValueError, match="provide t0 or a spectral bound"):
-            phase_estimate(lambda t: u, np.array([1.0, 0.0]), 3)
-
-    def test_register_size_limits(self):
-        evolve = hermitian_evolution(PLUS_DENSITY)
-        with pytest.raises(ValueError, match="1..12 qubits"):
-            phase_estimate(evolve, PLUS, 0)
-        with pytest.raises(ValueError, match="1..12 qubits"):
-            phase_estimate(evolve, PLUS, 13)
-
-    def test_dimension_mismatch_rejected(self):
-        evolve = hermitian_evolution(PLUS_DENSITY)
-        with pytest.raises(ValueError, match="does not match"):
-            phase_estimate(evolve, np.array([1.0, 0.0, 0.0, 0.0]), 3)

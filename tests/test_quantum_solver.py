@@ -31,7 +31,6 @@ class TestWorkedSystem:
         assert abs(report.post_selection_probability - EXPECTED_POST) <= 0.02
         assert report.mode == "reference"
         assert report.w_norm == pytest.approx(1.0)
-        assert not report.aliasing
 
     def test_scale_and_filter_bookkeeping(self):
         report = qhop_solve(TS, CLAMP, t_qubits=9)
@@ -94,6 +93,13 @@ class TestShots:
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError, match="shots must be >= 1"):
             qhop_solve(TS, CLAMP, t_qubits=8, shots=0)
+
+    def test_rejects_bad_shots_before_simulating(self):
+        # mu = 4 filters every eigencomponent, so that run fails before it samples
+        for mu in (0.05, 4.0):
+            for shots in (0, -5, 2.5):
+                with pytest.raises(ValueError, match="shots must be >= 1"):
+                    qhop_solve(TS, CLAMP, t_qubits=8, mu=mu, shots=shots)
 
 
 class TestGuards:
