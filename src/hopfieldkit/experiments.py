@@ -14,8 +14,8 @@ from importlib import resources
 import numpy as np
 
 from .hebbian import WeightMatrix, train
-from .inversion import (_eliminate_clamped, _saddle, assemble, discretize, solve,
-                        truncated_pseudoinverse_apply)
+from .inversion import (_eliminate_clamped, _saddle, _unclamped_block, assemble, discretize,
+                        solve, truncated_pseudoinverse_apply)
 from .iterative import recall
 from .patterns import ClampSet, TrainingSet, encode_rna, load_fasta, load_patterns
 from .quantum.solver import qhop_recall, qhop_solve
@@ -138,7 +138,6 @@ class _TrialContext:
         self.w = self.wm.w
         self.d = ts.d
         self.gamma = cfg.gamma
-        self.q = self.gamma * np.eye(self.d) - self.w
         self.target = ts.patterns[0]
 
 
@@ -157,7 +156,8 @@ def _known_mask(ctx: _TrialContext, l: int, rng: np.random.Generator) -> np.ndar
 def _inversion_recover(ctx: _TrialContext, mask: np.ndarray) -> np.ndarray:
     """Constrained solve for one trial; direct elimination with eigen fallback."""
     if ctx.cfg.mu == 0.0:
-        x = _eliminate_clamped(ctx.q, mask, np.where(mask, ctx.target, 0.0))
+        x = _eliminate_clamped(_unclamped_block(ctx.wm, mask, ctx.gamma),
+                               np.where(mask, ctx.target, 0.0))
         if x is not None:
             return x
     # truncated-pseudoinverse path (mu > 0, or a singular reduced block)

@@ -7,6 +7,13 @@ Training averages outer products of the stored patterns,
 which is symmetric with an exactly zero diagonal and spectral norm <= 1.
 Adding I/d back yields the density matrix of the normalized pattern
 ensemble: rho = W + I/d, positive semidefinite with unit trace.
+
+W is rank M plus a shift, W = s X^T X - I/d with s = 1/(M d) and X the
+(M, d) matrix of stored patterns. A WeightMatrix from train keeps X as its
+factor: |W| comes from the eigenvalues of the smaller of the Gram
+matrices X X^T and X^T X, with no d x d eigensolve, and the inversion
+recall works on an M x M core built from X. A hand-built WeightMatrix(w)
+has no factor; it is checked densely and recalled by the dense path.
 """
 from __future__ import annotations
 
@@ -19,10 +26,15 @@ from .patterns import TrainingSet
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Symmetric zero-diagonal couplings; norm is their spectral norm (<= 1), found once."""
+    """Symmetric zero-diagonal couplings; norm is their spectral norm (<= 1), found once.
+
+    factor is the (M, d) array of +/-1 patterns X with W = X^T X/(M d) - I/d
+    when train built the matrix, and None for a hand-built one.
+    """
 
     w: np.ndarray
     norm: float = field(init=False, repr=False, compare=False)
+    factor: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
@@ -71,13 +83,28 @@ class DensityMatrix:
 
 
 def train(ts: TrainingSet) -> WeightMatrix:
-    """Hebbian rule: average of pattern outer products, self-couplings removed."""
+    """Hebbian rule: average of pattern outer products, self-couplings removed.
+
+    The patterns become W's factor. W's eigenvalues are g/(M d) - 1/d for
+    the eigenvalues g of X^T X, which are those of X X^T plus d - M zeros
+    when M < d; so |W| comes from the smaller Gram matrix, and W, symmetric
+    with a zero diagonal by construction, is not checked again.
+    """
     p = ts.patterns
     m, d = p.shape
-    w = (p.T @ p) / (m * d)
+    w = p.T @ p  # integer entries, summed exactly, so exactly symmetric
+    w /= m * d
     np.fill_diagonal(w, 0.0)  # outer-product diagonal is exactly 1/d for bipolar patterns
-    w = (w + w.T) / 2.0
-    return WeightMatrix(w)
+    w.setflags(write=False)
+    gram = p @ p.T if m < d else p.T @ p
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(gram) / (m * d) - 1.0 / d)))
+    if m < d:
+        norm = max(norm, 1.0 / d)
+    wm = object.__new__(WeightMatrix)  # valid by construction: skip the dense checks
+    object.__setattr__(wm, "w", w)
+    object.__setattr__(wm, "norm", norm)
+    object.__setattr__(wm, "factor", p)
+    return wm
 
 
 def density(source: TrainingSet | WeightMatrix) -> DensityMatrix:

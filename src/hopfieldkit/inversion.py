@@ -11,12 +11,31 @@ Its stationarity conditions form one symmetric linear system
 
 A LinearSystem records the instance (W, the clamp, gamma, theta); A is
 derived from it and written out only where it is read. With mu = 0 the
-clamped block is eliminated: x_K = x_inc fixes the known neurons, one LU
-solve of Q_UU = (gamma I - W)_UU on the unclamped set U gives x_U, and
-the multipliers follow from the clamped rows. For mu > 0, and when Q_UU
-is singular, A is eigendecomposed instead and only eigenvalues of
-magnitude >= mu are inverted (the truncated pseudoinverse). The
-recovered state is sign(x).
+clamped block is eliminated: x_K = x_inc fixes the known neurons,
+Q_UU x_U = -(theta_U + Q_UK x_K) with Q = gamma I - W gives the unclamped
+set U, and the multipliers follow from the clamped rows. Q_UU is taken
+apart once per recall, and the solve, the singularity rule and the
+certificate share it:
+
+- A trained W keeps its patterns X as a factor, W = s X^T X - I/d with
+  s = 1/(M d). Then Q_UU = c I - s X_U^T X_U with c = gamma + 1/d, whose
+  spectrum is that of the M x M core C = c I - s X_U X_U^T up to copies of
+  c > 0. One eigendecomposition of the Gram matrix X_U X_U^T gives C's
+  spectrum and eigenvectors. Woodbury, (Q_UU)^-1 r = (r + s X_U^T C^-1 X_U r) / c,
+  turns the solve into one with C. Q_UU counts as singular when an
+  eigenvalue of C lies within RANK_TOL_FACTOR * c of zero, and as
+  positive definite when C's smallest eigenvalue exceeds that floor. A
+  recall costs O(M^2 |U| + M^3), and Q x costs O(M d); no d x d matrix is
+  read.
+- A hand-built W has no factor. Q_UU is extracted once, LU-solved (the
+  block counts as singular when the LU fails or leaves a residual), and
+  Cholesky-factored only for the certificate. The tests use this dense
+  path as the oracle of the factored one.
+
+For mu > 0, and when Q_UU is singular, A is eigendecomposed instead and
+only eigenvalues of magnitude >= mu are inverted (the truncated
+pseudoinverse). The recovered state is sign(x); a component within
+TIE_TOL_FACTOR * max(1, |x|_inf) of zero is a tie and resolves to +1.
 """
 from __future__ import annotations
 
@@ -30,6 +49,7 @@ from .hebbian import WeightMatrix, spectral_norm
 from .patterns import ClampSet, as_thresholds
 
 RANK_TOL_FACTOR = 1e-10  # relative eigenvalue or pivot cutoff treated as exact rank deficiency
+TIE_TOL_FACTOR = 1e-10  # components this close to zero, relative to max(1, |x|_inf), are ties
 
 
 @dataclass(frozen=True)
@@ -158,37 +178,38 @@ def truncated_pseudoinverse_apply(a, w, mu: float, rank_tol: float | None = None
 def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True) -> SolveReport:
     """Solve A (x; lam) = rhs, where rhs = (theta; x_inc).
 
-    mu = 0 eliminates the clamped block on Q = gamma I - W: one LU solve of
+    mu = 0 eliminates the clamped block on Q = gamma I - W: one solve on
     Q_UU gives the minimum-norm pseudoinverse solution (eta = 0,
     kept = d + l, rank_tol = 0) without building A. mu > 0, or a singular
     Q_UU, takes the truncated pseudoinverse of sys.a by eigendecomposition
-    instead. certify=False replaces the Cholesky certificate of
-    certify_minimum with the sufficient condition gamma > |W|, which
-    implies it.
+    instead. certify=False replaces the certificate of certify_minimum
+    with the sufficient condition gamma > |W|, which implies it.
     """
     d = sys.d
     theta, x_inc = sys.theta, sys.clamp.values
     p_mask = sys.clamp.mask()
-    x = None
+    x = block = None
     if mu == 0.0:
-        q = -sys.wm.w
-        np.fill_diagonal(q, sys.gamma)  # W has a zero diagonal, so this is gamma I - W
-        x = _eliminate_clamped(q, p_mask, x_inc.copy(), theta)
+        block = _unclamped_block(sys.wm, p_mask, sys.gamma)
+        # zero thresholds skip the theta terms of the elimination
+        x = _eliminate_clamped(block, x_inc.copy(), theta if theta.any() else None)
     if x is not None:
-        # full-rank elimination: rank(A) = d + l, truncation plays no part
-        lam = np.where(p_mask, q @ x + theta, 0.0)
+        # full-rank elimination: rank(A) = d + l, truncation plays no part,
+        # and x_K = x_inc by construction
+        qx = _apply_q(sys.wm, sys.gamma, x)
+        lam = np.where(p_mask, qx + theta, 0.0)
         eta, kept, rank_tol = 0.0, d + sys.clamp.l, 0.0
-        stat = -(q @ x) + np.where(p_mask, lam, 0.0) - theta
+        residual_constraint = 0.0
+        stat = lam - qx - theta
     else:
         v, eta, kept, rank_tol = truncated_pseudoinverse_apply(sys.a, sys.rhs, mu)
         x, lam = v[:d], v[d:]
+        residual_constraint = float(np.max(np.abs(np.where(p_mask, x, 0.0) - x_inc)))
         stat = (sys.a[:d, :d] @ x) + np.where(p_mask, lam, 0.0) - theta
-
-    residual_constraint = float(np.max(np.abs(np.where(p_mask, x, 0.0) - x_inc)))
-    residual_stationarity = float(np.max(np.abs(stat)))
+    residual_stationarity = float(np.abs(stat).max())
 
     if certify:
-        certified = certify_minimum(sys.wm, sys.clamp, sys.gamma)
+        certified = certify_minimum(sys.wm, sys.clamp, sys.gamma, _block=block)
     else:
         certified = sys.gamma > spectral_norm(sys.wm)
     return SolveReport(x=x, lam=lam, discretized=discretize(x), gamma=sys.gamma,
@@ -198,39 +219,123 @@ def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True) -> SolveRepo
                        minimum_certified=bool(certified))
 
 
-def _eliminate_clamped(q, known, x, theta=None):
+def _apply_q(wm: WeightMatrix, gamma: float, x) -> np.ndarray:
+    """Q x for Q = gamma I - W; O(M d) from the factor of a trained W."""
+    if wm.factor is None:
+        return gamma * x - wm.w @ x
+    f = wm.factor
+    return (gamma + 1.0 / wm.d) * x - (f.T @ (f @ x)) / f.size
+
+
+class _CoreBlock:
+    """Q_UU of a trained W, through the spectrum of its M x M core (see the module notes).
+
+    The core is kept scaled by M d, as M d C = (gamma M d + M) I - X_U X_U^T,
+    so its spectrum follows from the Gram matrix by one subtraction.
+    """
+
+    def __init__(self, wm: WeightMatrix, known, gamma: float):
+        f = wm.factor
+        m, d = f.shape
+        self.free = ~known
+        self.f = f
+        self.c = gamma + 1.0 / d
+        self.xu = f[:, self.free]
+        shift = gamma * m * d + m  # c M d
+        g, self.vecs = np.linalg.eigh(self.xu @ self.xu.T)
+        self.eigs = shift - g  # M d times C's spectrum, descending since g ascends
+        floor = RANK_TOL_FACTOR * shift
+        self.singular = bool(np.abs(self.eigs).min() <= floor)
+        self.definite = bool(self.eigs[-1] > floor)
+
+    def solve(self, x, theta=None):
+        """x_U with Q_UU x_U = -(theta_U + Q_UK x_K), or None when Q_UU is singular.
+
+        Woodbury, with I + s C^-1 X_U X_U^T = c C^-1, gives
+        x_U = s X_U^T C^-1 (X_K x_K - X_U theta_U / c) - theta_U / c. The
+        spectral rule is the only gate: past it the eigen fallback would
+        invert the same small eigenvalues, so no residual guard follows.
+        """
+        if self.singular:
+            return None
+        b = self.f @ x  # X_K x_K, for x zero on U
+        if theta is not None:
+            t = theta[self.free] / self.c
+            b = b - self.xu @ t
+        sol = self.xu.T @ (self.vecs @ (b @ self.vecs / self.eigs))
+        return sol if theta is None else sol - t
+
+
+class _DenseBlock:
+    """Q_UU of a hand-built W, extracted once: an LU solve, and a Cholesky on demand."""
+
+    def __init__(self, wm: WeightMatrix, known, gamma: float):
+        self.free = ~known
+        self.gamma = gamma
+        self.w = wm.w
+        self.quu = -wm.w[np.ix_(self.free, self.free)]
+        np.fill_diagonal(self.quu, gamma)  # W has a zero diagonal, so this is gamma I - W_UU
+
+    def solve(self, x, theta=None):
+        """x_U with Q_UU x_U = -(theta_U + Q_UK x_K) by LU, or None when Q_UU is singular."""
+        known = ~self.free
+        rhs = self.w[np.ix_(self.free, known)] @ x[known]  # -Q_UK x_K
+        if theta is not None:
+            rhs = rhs - theta[self.free]
+        try:
+            sol = np.linalg.solve(self.quu, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        # guard against a numerically singular block that the LU solve accepted
+        if not (np.isfinite(sol).all() and np.abs(self.quu @ sol - rhs).max()
+                <= 1e-8 * max(1.0, float(np.abs(rhs).max()))):
+            return None
+        return sol
+
+    @cached_property
+    def definite(self) -> bool:
+        """Every Cholesky pivot L_kk^2 of Q_UU exceeds RANK_TOL_FACTOR * gamma."""
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(self.quu)) ** 2
+        except np.linalg.LinAlgError:
+            return False
+        return bool(np.min(pivots) > RANK_TOL_FACTOR * self.gamma)
+
+
+def _unclamped_block(wm: WeightMatrix, known, gamma: float):
+    """Q_UU = (gamma I - W)_UU on the unclamped set U = ~known, taken apart once."""
+    return (_DenseBlock if wm.factor is None else _CoreBlock)(wm, known, gamma)
+
+
+def _eliminate_clamped(block, x, theta=None):
     """Complete x on the unclamped set U in place: Q_UU x_U = -(theta_U + Q_UK x_K).
 
-    q is Q = gamma I - W, known marks the clamp set K, where x holds the
-    clamped values; theta=None means zero thresholds. Returns x, or None
-    (x untouched) when Q_UU is singular.
+    block is Q_UU from _unclamped_block, and x holds the clamped values on
+    the clamp set K and zeros on U; theta=None means zero thresholds.
+    Returns x, or None (x untouched) when Q_UU is singular.
     """
-    u = ~known
+    u = block.free
     if not u.any():
         return x
-    quu = q[np.ix_(u, u)]
-    rhs = q[np.ix_(u, known)] @ x[known]
-    if theta is not None:
-        rhs = theta[u] + rhs
-    rhs = -rhs
-    try:
-        xu = np.linalg.solve(quu, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    # guard against a numerically singular block that the LU solve accepted
-    if not (np.all(np.isfinite(xu)) and
-            np.max(np.abs(quu @ xu - rhs)) <= 1e-8 * max(1.0, float(np.max(np.abs(rhs))))):
+    xu = block.solve(x, theta)
+    if xu is None:
         return None
     x[u] = xu
     return x
 
 
 def discretize(x) -> np.ndarray:
-    """Map solver output to +/-1 by sign; exact zeros resolve to +1."""
+    """Map solver output to +/-1 by sign; ties resolve to +1.
+
+    A component within TIE_TOL_FACTOR * max(1, |x|_inf) of zero is a tie:
+    it vanishes in exact arithmetic, and its rounding residue, whose sign
+    depends on the solver, does not decide the neuron.
+    """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    top = float(np.abs(x).max(initial=0.0))
+    if not np.isfinite(top):
         raise ValueError("cannot discretize non-finite values")
-    return np.where(x >= 0.0, 1.0, -1.0)
+    return np.where(x >= -TIE_TOL_FACTOR * max(1.0, top), 1.0, -1.0)
 
 
 def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
@@ -268,26 +373,28 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
                        minimum_certified=bool(definite))
 
 
-def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float) -> bool:
+def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=None) -> bool:
     """Second-order check of the clamped minimizer: (gamma I - W)_UU > 0.
 
     Clamping fixes the known coordinates, so the minimum is strict exactly
-    when Q = gamma I - W on the unclamped set U is positive definite; one
-    Cholesky factorization of Q_UU decides it. A pivot L_kk^2 at or below
-    RANK_TOL_FACTOR * gamma (the diagonal of Q_UU) counts as singular and
-    fails. An empty U certifies; gamma = 0 never certifies a non-empty U.
+    when Q = gamma I - W on the unclamped set U is positive definite. A
+    hand-built W decides it by one Cholesky factorization of Q_UU: a pivot
+    L_kk^2 at or below RANK_TOL_FACTOR * gamma (the diagonal of Q_UU)
+    counts as singular and fails. A trained W decides it on the spectrum
+    of its core C: the smallest eigenvalue must exceed RANK_TOL_FACTOR * c,
+    c = gamma + 1/d the largest possible eigenvalue of Q_UU. Cholesky
+    pivots are never below the smallest eigenvalue, so this floor implies
+    the dense one; the two can differ only on a block within
+    RANK_TOL_FACTOR * c of singular. An empty U certifies; gamma = 0 never
+    certifies a non-empty U, since Q_UU = -W_UU then has zero trace (the
+    core's floor stays positive, so a zero eigenvalue that rounding pushed
+    above 0 still fails). solve hands over, as _block, the Q_UU it already
+    took apart.
     """
     if not 0 <= gamma < np.inf:
         raise ValueError("gamma must be non-negative and finite")
     if clamp.d != wm.d:
         raise ValueError(f"clamp dimension {clamp.d} does not match weights {wm.d}")
-    free = ~clamp.mask()
-    if not free.any():
-        return True
-    quu = -wm.w[free][:, free]
-    np.fill_diagonal(quu, gamma)  # W has a zero diagonal, so this is gamma I - W_UU
-    try:
-        pivots = np.diagonal(np.linalg.cholesky(quu)) ** 2
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.min(pivots) > RANK_TOL_FACTOR * gamma)
+    if _block is None:
+        _block = _unclamped_block(wm, clamp.mask(), gamma)
+    return not _block.free.any() or _block.definite

@@ -122,10 +122,8 @@ class ClampSet:
         return self.values.size
 
     def mask(self) -> np.ndarray:
-        """Boolean vector, True on clamped neurons."""
-        m = np.zeros(self.d, dtype=bool)
-        m[[i - 1 for i in self.indices]] = True
-        return m
+        """Boolean vector, True on clamped neurons (values is +/-1 there and 0 elsewhere)."""
+        return self.values != 0.0
 
     def projector(self) -> np.ndarray:
         """Diagonal projector P onto the clamped neurons, as a (d, d) matrix."""

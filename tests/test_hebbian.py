@@ -55,6 +55,50 @@ class TestTrain:
             assert np.all(np.diag(wm.w) == 0.0)
             assert spectral_norm(wm) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("m,d", [(1, 2), (1, 30), (3, 17), (8, 100), (9, 9),
+                                     (20, 6), (40, 12)])
+    def test_norm_from_the_gram_matrix_equals_the_dense_spectrum(self, make_training, m, d):
+        rng = np.random.default_rng([26, m, d])
+        for _ in range(5):
+            ts = make_training(rng, m, d)
+            wm = train(ts)
+            assert abs(wm.norm - np.max(np.abs(np.linalg.eigvalsh(wm.w)))) <= 1e-12
+
+    def test_norm_with_repeated_or_orthogonal_patterns(self):
+        # rank X < min(M, d): the Gram matrix has zero eigenvalues of its own;
+        # three orthogonal patterns over 4 neurons: W's eigenvalue -1/d on the
+        # complement of the patterns' span sets the norm, 1/4 against 1/12
+        p = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+        orthogonal = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1]]
+        for rows in ([p, p, p], [p, -p, p, p, -p, p, p], orthogonal):
+            wm = train(TrainingSet(rows))
+            assert abs(wm.norm - np.max(np.abs(np.linalg.eigvalsh(wm.w)))) <= 1e-12
+        assert wm.norm == pytest.approx(0.25, abs=1e-15)
+
+    def test_keeps_the_patterns_as_its_factor(self, make_training):
+        ts = make_training(np.random.default_rng(27), 4, 9)
+        wm = train(ts)
+        np.testing.assert_array_equal(wm.factor, ts.patterns)
+        assert not wm.factor.flags.writeable and not wm.w.flags.writeable
+        shifted = wm.factor.T @ wm.factor / (4 * 9) - np.eye(9) / 9
+        np.testing.assert_allclose(wm.w, shifted, rtol=0.0, atol=1e-15)
+        assert WeightMatrix(wm.w).factor is None
+
+    def test_runs_no_eigensolve_larger_than_the_smaller_gram(self, make_training,
+                                                              monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        rng = np.random.default_rng(28)
+        for m, d in ((5, 60), (60, 7)):
+            train(make_training(rng, m, d))
+        assert sizes == [5, 7]
+
     def test_large_synthetic_set_stays_contractive(self, make_training):
         ts = make_training(np.random.default_rng(23), 8, 100)
         assert spectral_norm(train(ts)) <= 1.0

@@ -4,8 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hopfieldkit.hebbian import WeightMatrix, spectral_norm
+from hopfieldkit import experiments
+from hopfieldkit.experiments import ExperimentConfig, ingest, synthetic_patterns
+from hopfieldkit.hebbian import WeightMatrix, spectral_norm, train
 from hopfieldkit.inversion import (
+    RANK_TOL_FACTOR,
     LinearSystem,
     SolveReport,
     assemble,
@@ -15,7 +18,7 @@ from hopfieldkit.inversion import (
     solve_perturbed,
     truncated_pseudoinverse_apply,
 )
-from hopfieldkit.patterns import ClampSet
+from hopfieldkit.patterns import ClampSet, TrainingSet
 
 
 class TestAssemble:
@@ -277,6 +280,12 @@ class TestDiscretize:
     def test_zero_ties_to_plus_one(self):
         np.testing.assert_array_equal(discretize([0.0, 0.0]), [1.0, 1.0])
 
+    def test_rounding_residue_is_a_tie(self):
+        # the band is 1e-10 max(1, |x|_inf): absolute below 1, relative above
+        np.testing.assert_array_equal(discretize([-1e-17, -1e-10, -1.01e-10, 0.5]),
+                                      [1.0, 1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(discretize([-5e-10, -2e-9, 10.0]), [1.0, -1.0, 1.0])
+
     def test_positive_fractions(self):
         np.testing.assert_array_equal(discretize([1.0, 0.5]), [1.0, 1.0])
 
@@ -431,3 +440,154 @@ class TestCertifyMinimum:
         with pytest.raises(ValueError, match="does not match"):
             certify_minimum(worked_wm, ClampSet((1,), np.array([1.0, 0.0, 0.0])),
                             gamma=1.0)
+
+
+def dense_copy(wm: WeightMatrix) -> WeightMatrix:
+    """The same couplings as a hand-built matrix, recalled by the dense LU path."""
+    return WeightMatrix(wm.w)
+
+
+def quiet_assemble(wm, clamp, theta=None, gamma=1.0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return assemble(wm, clamp, theta, gamma=gamma)
+
+
+class TestTrainedStore:
+    """The factored path of a trained W against the dense path of the same couplings."""
+
+    @pytest.mark.parametrize("m,d,l,gamma,thresholds", [
+        (3, 20, 5, 1.0, False),   # M < d
+        (12, 8, 3, 1.0, True),    # M >= d, theta != 0
+        (8, 8, 4, 0.6, True),     # M = d
+        (10, 30, 24, 1.0, True),  # |U| = 6 < M
+        (5, 16, 16, 1.0, True),   # l = d: nothing to solve
+        (6, 40, 10, 0.3, False),  # gamma inside the spectrum of W
+        (1, 12, 4, 0.2, True),    # one pattern
+    ])
+    def test_matches_the_dense_oracle_on_random_stores(self, make_training, make_clamp,
+                                                       m, d, l, gamma, thresholds):
+        rng = np.random.default_rng([91, m, d, l])
+        for _ in range(15):
+            wm = train(make_training(rng, m, d))
+            clamp = make_clamp(rng, d, l=l)
+            theta = rng.normal(scale=0.3, size=d) if thresholds else None
+            got = solve(quiet_assemble(wm, clamp, theta, gamma))
+            want = solve(quiet_assemble(dense_copy(wm), clamp, theta, gamma))
+            if want.rank_tol > 0.0:  # a singular block: the spectral rule decides, below
+                continue
+            assert got.rank_tol == 0.0 and got.kept == want.kept == d + l
+            np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=1e-10)
+            np.testing.assert_allclose(got.lam, want.lam, rtol=0.0, atol=1e-9)
+            np.testing.assert_array_equal(got.discretized, want.discretized)
+            assert got.minimum_certified == want.minimum_certified
+            assert got.residual_constraint <= 1e-10 and got.residual_stationarity <= 1e-9
+
+    def test_certificate_matches_the_dense_cholesky(self, make_training, make_clamp):
+        rng = np.random.default_rng(92)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            m, d = int(rng.integers(1, 10)), int(rng.integers(2, 16))
+            wm = train(make_training(rng, m, d))
+            clamp = make_clamp(rng, d)
+            gamma = float(rng.uniform(0.0, 0.6))
+            got = certify_minimum(wm, clamp, gamma)
+            assert got == certify_minimum(dense_copy(wm), clamp, gamma)
+            verdicts[got] += 1
+        assert min(verdicts.values()) >= 50
+
+    def test_duplicated_pattern_at_its_eigenvalue_takes_the_fallback(self):
+        # X = [p; p] gives W = (p p^T - I)/d, and W_UU has the eigenvalue
+        # (|U| - 1)/d along p_U: at d = 8, |U| = 5 that is gamma = 0.5, where
+        # Q_UU and the core C are exactly singular.
+        p = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+        wm = train(TrainingSet([p, p]))
+        clamp = ClampSet((2, 5, 7), np.where(np.isin(np.arange(8), [1, 4, 6]), p, 0.0))
+        theta = np.random.default_rng(93).normal(size=8)
+        for store in (wm, dense_copy(wm)):
+            assert not certify_minimum(store, clamp, 0.5)
+            assert certify_minimum(store, clamp, 0.5 * (1 + 1e-6))
+            assert not certify_minimum(store, clamp, 0.5 * (1 - 1e-6))
+        sys = quiet_assemble(wm, clamp, theta, gamma=0.5)
+        report = solve(sys)
+        assert report.rank_tol > 0.0 and report.kept == 8 + 3 - 1
+        assert not report.minimum_certified
+        oracle = np.linalg.pinv(sys.a, rcond=1e-10) @ sys.rhs
+        np.testing.assert_allclose(np.concatenate([report.x, report.lam]), oracle, atol=1e-8)
+        # just off the eigenvalue the block is regular again: no fallback
+        for gamma in (0.5 * (1 + 1e-6), 0.5 * (1 - 1e-6)):
+            assert solve(quiet_assemble(wm, clamp, theta, gamma)).rank_tol == 0.0
+
+    def test_zero_gamma_never_certifies_an_unclamped_neuron(self, make_training, make_clamp):
+        # Q_UU = -W_UU has zero trace. With one free neuron, or orthogonal
+        # free columns, the core's eigenvalue 1/d - g/(M d) is zero in exact
+        # arithmetic, so only the positive floor keeps rounding from certifying.
+        rng = np.random.default_rng(94)
+        for _ in range(200):
+            m, d = int(rng.integers(1, 8)), int(rng.integers(2, 12))
+            wm = train(make_training(rng, m, d))
+            l = int(rng.integers(max(1, d - 2), d))
+            assert not certify_minimum(wm, make_clamp(rng, d, l=l), 0.0)
+        wm = train(TrainingSet([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]))
+        assert not certify_minimum(wm, ClampSet((1, 3), np.array([1.0, 0, 1.0, 0])), 0.0)
+
+    @pytest.mark.parametrize("units,l_grid,gamma", [
+        ("neurons", (50,), 0.05),
+        ("neurons", (50,), 0.1),
+        ("bases", (1, 2, 3, 4), 1.0),
+    ])
+    def test_fixture_singular_blocks_fall_back_and_the_rest_match_the_dense_path(
+            self, units, l_grid, gamma):
+        # Q_UU counts as singular when an eigenvalue lies within
+        # RANK_TOL_FACTOR (gamma + 1/d) of zero. Those trials take the eigen
+        # fallback in the library solve and in the curve harness alike; every
+        # other trial discretizes as the dense LU path does, ties included.
+        cfg = ExperimentConfig(l_grid=l_grid, units=units, gamma=gamma)
+        ctx = experiments._TrialContext(cfg, ingest(cfg))
+        dense = dense_copy(ctx.wm)
+        d = ctx.d
+        singular = 0
+        for l in l_grid:
+            for rep in range(1000 if gamma < 1.0 else 250):
+                mask = experiments._known_mask(ctx, l, np.random.default_rng([cfg.seed, rep]))
+                clamp = ClampSet.from_pattern(ctx.target, tuple(np.flatnonzero(mask) + 1))
+                free = ~mask
+                quu = gamma * np.eye(int(free.sum())) - ctx.wm.w[np.ix_(free, free)]
+                is_singular = (np.min(np.abs(np.linalg.eigvalsh(quu)))
+                               <= RANK_TOL_FACTOR * (gamma + 1.0 / d))
+                got = solve(quiet_assemble(ctx.wm, clamp, gamma=gamma), certify=False)
+                assert (got.rank_tol > 0.0) == is_singular
+                np.testing.assert_array_equal(experiments._inversion_recover(ctx, mask), got.x)
+                singular += is_singular
+                if not is_singular:
+                    want = solve(quiet_assemble(dense, clamp, gamma=gamma), certify=False)
+                    np.testing.assert_array_equal(got.discretized, want.discretized)
+        if gamma == 0.05:
+            assert singular > 0
+
+
+def test_recall_at_d2000_reads_no_matrix_larger_than_the_core(monkeypatch):
+    """train plus a certified solve at d = 2000, M = 40: every numpy.linalg
+    call sees at most M x M, so neither a d x d eigensolve nor an LU of Q_UU runs."""
+    ts = synthetic_patterns(2000, 40, 0)
+    known = np.sort(np.random.default_rng(0).choice(2000, size=200, replace=False))
+    clamp = ClampSet.from_pattern(ts.patterns[0], tuple(int(i) + 1 for i in known))
+    mask = clamp.mask()
+    q = np.eye(2000) - train(ts).w
+    x_ref = clamp.values.copy()
+    x_ref[~mask] = np.linalg.solve(q[np.ix_(~mask, ~mask)], -q[np.ix_(~mask, mask)] @ x_ref[mask])
+    largest = []
+
+    def recorder(fn):
+        def wrapper(*args, **kwargs):
+            largest.append(max((max(np.shape(a)) for a in args if np.ndim(a) == 2), default=0))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "solve", "lstsq", "inv",
+                 "pinv", "cholesky", "qr", "det", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, recorder(getattr(np.linalg, name)))
+    report = solve(assemble(train(ts), clamp))
+    assert report.minimum_certified and report.rank_tol == 0.0
+    np.testing.assert_allclose(report.x, x_ref, rtol=0.0, atol=1e-10)
+    assert largest and max(largest) <= 40
