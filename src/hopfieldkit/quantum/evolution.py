@@ -12,6 +12,7 @@ the conditional pattern-product formula (trotter mode).
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -258,10 +259,16 @@ class BlockSplitEvolution:
         if mode == "reference":
             self._rho_evolution = _ExactEvolution(self._rho_pad)
 
-        # dense padded A, for diagnostics; on the first d coordinates of each
-        # block it equals the A of inversion.assemble up to rounding
-        self.a = _saddle(self._rho_pad - self.gamma_prime * np.eye(dp),
-                         np.pad(clamp.mask(), (0, dp - d)))
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """Dense padded A, for diagnostics, built on first read.
+
+        On the first d coordinates of each block it equals the A of
+        inversion.assemble up to rounding.
+        """
+        dp = self.d_pad
+        return _saddle(self._rho_pad - self.gamma_prime * np.eye(dp),
+                       np.pad(self.clamp.mask(), (0, dp - self.d)))
 
     def _u_b(self, t: float) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)

@@ -60,6 +60,34 @@ def _top_amplitudes(vec: np.ndarray, count: int = 8) -> str:
     return " ".join(f"{int(i)}:{vec[i]:.4g}" for i in order)
 
 
+class _Trace:
+    """CSV trace of the pipeline's intermediate states; inert without a path.
+
+    A (bins, dim) state is summarized by its per-bin probabilities. Rows
+    are formatted only when a path was given.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.rows = []
+
+    def add(self, step: str, subregister: str, state: np.ndarray, norm: float | None = None):
+        if self.path is None:
+            return
+        if norm is None:
+            norm = float(np.linalg.norm(state))
+        amps = np.sum(np.abs(state) ** 2, axis=1) if state.ndim == 2 else state
+        self.rows.append((step, subregister, norm, _top_amplitudes(amps)))
+
+    def write(self) -> None:
+        if self.path is None:
+            return
+        with open(self.path, "w") as fh:
+            fh.write("step,subregister,norm,top_amplitudes\n")
+            for step, reg, norm, amps in self.rows:
+                fh.write(f'{step},{reg},{norm:.10g},"{amps}"\n')
+
+
 def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: float = 0.05,
                t_qubits: int = 9, shots: int | None = None, mode: str = "reference",
                rng_seed=None, trace_path=None) -> QhopReport:
@@ -76,12 +104,12 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
         raise ValueError(f"t_qubits must be an integer >= 1, got {t_qubits!r}")
     if shots is not None and (not isinstance(shots, (int, np.integer)) or shots < 1):
         raise ValueError(f"shots must be >= 1 and an integer when given, got {shots!r}")
-    evolve = assemble_quantum_a(source, clamp, gamma, mode=mode)
     n_sys = qubits_for(clamp.d) + 1
     total = n_sys + t_qubits + ANCILLA_QUBITS
     if total > QUBIT_BUDGET:
         raise ValueError(f"needs {total} qubits (system {n_sys}, phase {t_qubits}, "
                          f"ancillas {ANCILLA_QUBITS}), budget is {QUBIT_BUDGET}")
+    evolve = assemble_quantum_a(source, clamp, gamma, mode=mode)
 
     t0 = np.pi / evolve.spectral_bound
     resolution = 2.0 * np.pi / (t0 * 2 ** t_qubits)
@@ -93,12 +121,12 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
 
     reg_w, w_norm = embed_w(theta, clamp)
     psi = reg_w.amplitudes
-    trace_rows = [("embed_w", "system", float(np.linalg.norm(psi)), _top_amplitudes(psi))]
+    trace = _Trace(trace_path)
+    trace.add("embed_w", "system", psi)
 
     powers = controlled_powers(evolve(t0), t_qubits)
     s = qpe_forward(powers, psi)
-    trace_rows.append(("phase_estimate", "phase+system", float(np.linalg.norm(s)),
-                       _top_amplitudes(np.sum(np.abs(s) ** 2, axis=1))))
+    trace.add("phase_estimate", "phase+system", s)
 
     mu_tilde = bin_eigenvalues(t_qubits, t0)
     keep = np.abs(mu_tilde) >= mu
@@ -107,12 +135,12 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     kept_bins = int(keep.sum())
 
     s_flag = s * rot[:, None]
-    trace_rows.append(("rotation", "flag=1", float(np.linalg.norm(s_flag)),
-                       _top_amplitudes(np.sum(np.abs(s_flag) ** 2, axis=1))))
+    trace.add("rotation", "flag=1", s_flag)
 
     success_probability = float(np.linalg.norm(s_flag) ** 2)
 
     def _fail(message: str) -> QhopReport:
+        trace.write()
         warnings.warn(message, RuntimeWarning, stacklevel=3)
         return QhopReport(ok=False, message=message,
                           success_probability=success_probability,
@@ -122,31 +150,27 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
                           x_register=None, v_register=None)
 
     if success_probability < 1e-14:
-        _write_trace(trace_path, trace_rows)
         return _fail("every eigencomponent fell below the cutoff; nothing to invert")
 
-    back = qpe_backward(s_flag, powers)
-    trace_rows.append(("uncompute", "phase+system", float(np.linalg.norm(back)),
-                       _top_amplitudes(back[0])))
+    back0 = qpe_backward(s_flag, powers)
+    trace.add("uncompute", "phase=0", back0)
 
-    phase_zero = float(np.linalg.norm(back[0]) ** 2) / success_probability
+    phase_zero = float(np.linalg.norm(back0) ** 2) / success_probability
     phase_residual = 1.0 - phase_zero
     if phase_zero < 1e-14:
-        _write_trace(trace_path, trace_rows)
         return _fail("phase register failed to uncompute; no usable solution branch")
 
-    v_sys = back[0] / np.linalg.norm(back[0])
+    v_sys = back0 / np.linalg.norm(back0)
     d_pad = evolve.d_pad
     post_selection_probability = float(np.linalg.norm(v_sys[:d_pad]) ** 2)
-    trace_rows.append(("postselect_flag", "system", 1.0, _top_amplitudes(v_sys)))
+    trace.add("postselect_flag", "system", v_sys, norm=1.0)
 
     if post_selection_probability < 1e-14:
-        _write_trace(trace_path, trace_rows)
         return _fail("solution has no weight on the x block")
 
     x_amps = v_sys[:d_pad] / np.sqrt(post_selection_probability)
-    trace_rows.append(("postselect_block", "x", 1.0, _top_amplitudes(x_amps)))
-    _write_trace(trace_path, trace_rows)
+    trace.add("postselect_block", "x", x_amps, norm=1.0)
+    trace.write()
 
     x_register = QuantumRegister(x_amps, (("system", qubits_for(clamp.d)),))
     v_register = QuantumRegister(v_sys, (("system", n_sys),))
@@ -189,11 +213,3 @@ def qhop_recall(source, clamp: ClampSet, gamma: float = 1.0, mu: float = 0.0,
     sign = np.sign(np.sum(clamp.values[known] * amps[known])) or 1.0
     return discretize(sign * amps), report
 
-
-def _write_trace(trace_path, rows) -> None:
-    if trace_path is None:
-        return
-    with open(trace_path, "w") as fh:
-        fh.write("step,subregister,norm,top_amplitudes\n")
-        for step, reg, norm, amps in rows:
-            fh.write(f'{step},{reg},{norm:.10g},"{amps}"\n')

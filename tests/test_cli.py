@@ -191,6 +191,69 @@ class TestQcheck:
         assert "FAIL" in capsys.readouterr().out
 
 
+# Outputs of the quantum pipeline, pinned byte for byte: the recovery curve
+# is discretized and qcheck prints six digits, so rounding-level changes to
+# the simulation must leave both unchanged.
+QUANTUM_CURVE_CSV = """\
+l,mean_hamming,stderr,reps
+1,3.75,0.5185655758,40
+2,2.5,0.2347939631,40
+3,1.875,0.2031404087,40
+4,1.375,0.1814736684,40
+5,0.875,0.1484427715,40
+6,0.75,0.1327712511,40
+7,0.525,0.1239701163,40
+8,0.65,0.126845353,40
+9,0.425,0.1067437622,40
+10,0.25,0.0780368092,40
+11,0.1,0.04803844614,40
+12,0.05,0.05,40
+13,0,0,40
+14,0,0,40
+"""
+
+QCHECK_D4_STDOUT = """\
+seed  fidelity  post_p    expected  residual  status
+   0  0.999999  0.516617  0.515880  1.44e-02  pass
+   1  0.999996  0.527827  0.527436  1.99e-02  pass
+   2  1.000000  0.683845  0.683127  5.05e-03  pass
+   3  0.999997  0.649760  0.649857  1.77e-02  pass
+   4  1.000000  0.400171  0.400677  2.80e-02  pass
+   5  1.000000  0.440675  0.440326  4.27e-03  pass
+   6  0.999996  0.587673  0.587514  1.85e-02  pass
+   7  1.000000  0.604183  0.603674  3.54e-02  pass
+   8  0.999998  0.659995  0.659677  2.06e-02  pass
+   9  1.000000  0.511949  0.511541  3.53e-02  pass
+PASS: all 10 instances within tolerance
+"""
+
+
+class TestQuantumGoldens:
+    def test_quantum_recovery_curve(self, capsys):
+        assert main(["experiment", "recovery-curve", "--method", "quantum",
+                     "--format", "synthetic", "--d", "16", "--m", "4",
+                     "--units", "neurons", "--l-grid", "1:14", "--reps", "40"]) == 0
+        assert capsys.readouterr().out == QUANTUM_CURVE_CSV
+
+    def test_qcheck_d4(self, capsys):
+        assert main(["qcheck", "--d", "4"]) == 0
+        assert capsys.readouterr().out == QCHECK_D4_STDOUT
+
+    def test_over_budget_quantum_recall_is_a_clean_error(self, tmp_path):
+        # d = 1000 needs 22 qubits; the budget check comes before any d x d work
+        path = probe_file(tmp_path, " ".join(["1"] * 3 + ["0"] * 997) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(hopfieldkit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfieldkit.cli", "recall", "--method", "quantum",
+             "--format", "synthetic", "--d", "1000", "--m", "20", "--pattern", path],
+            capture_output=True, text=True, env=env, timeout=120, check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: needs 22 qubits")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("args,message", [
         (["recall", "--mu", "nan"], "mu must be >= 0"),

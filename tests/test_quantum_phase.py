@@ -1,14 +1,13 @@
 """Phase estimation: transforms, signed bins, and eigenvalue readouts."""
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, hadamard
 
 from hopfieldkit.hebbian import density, train
 from hopfieldkit.patterns import TrainingSet
 from hopfieldkit.quantum.phase import (
     bin_eigenvalues,
     controlled_powers,
-    fwht_axis0,
     qpe_backward,
     qpe_forward,
 )
@@ -34,19 +33,57 @@ class TestControlledPowers:
                                        atol=1e-10)
 
 
-class TestWalshHadamard:
-    def test_involution_and_isometry(self):
-        rng = np.random.default_rng(2)
-        s = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
-        out = fwht_axis0(s)
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(s), rel=1e-12)
-        np.testing.assert_allclose(fwht_axis0(out), s, atol=1e-12)
+def masked_forward(powers, psi):
+    """Oracle: tile psi over every bin, then U^(2^k) on the rows with bit k set."""
+    n_bins = 2 ** len(powers)
+    s = np.tile(psi.astype(complex) / np.sqrt(n_bins), (n_bins, 1))
+    bins = np.arange(n_bins)
+    for k, u in enumerate(powers):
+        rows = (bins >> k) & 1 == 1
+        s[rows] = s[rows] @ u.T
+    return np.fft.fft(s, axis=0) / np.sqrt(n_bins)
 
-    def test_maps_basis_to_uniform(self):
-        e0 = np.zeros((4, 1))
-        e0[0, 0] = 1.0
-        np.testing.assert_allclose(fwht_axis0(e0), np.full((4, 1), 0.5),
-                                   atol=1e-15)
+
+def full_inverse_phase_zero(s, powers):
+    """Oracle: QFT, inverted powers on the masked rows, Hadamards; row |0...0>."""
+    n_bins = 2 ** len(powers)
+    out = np.fft.ifft(s, axis=0) * np.sqrt(n_bins)
+    bins = np.arange(n_bins)
+    for k, u in enumerate(powers):
+        rows = (bins >> k) & 1 == 1
+        out[rows] = out[rows] @ u.conj()
+    return (hadamard(n_bins) @ out / np.sqrt(n_bins))[0]
+
+
+def oracle_instances():
+    """(powers, psi): random unitaries, a scaled unitary and a contraction."""
+    rng = np.random.default_rng(5)
+    for t_qubits in range(1, 10):
+        for dim in (2, 3, 8, 32):
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            u = random_unitary(rng, dim)
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            for m in (u, 0.99 * u, z / np.linalg.norm(z, 2)):
+                yield controlled_powers(m, t_qubits), psi
+
+
+class TestQpeOracles:
+    def test_forward_matches_the_masked_loop(self):
+        for powers, psi in oracle_instances():
+            np.testing.assert_allclose(qpe_forward(powers, psi),
+                                       masked_forward(powers, psi), rtol=0, atol=1e-12)
+
+    def test_backward_matches_row_zero_of_the_full_inverse(self):
+        rng = np.random.default_rng(6)
+        for powers, psi in oracle_instances():
+            n_bins, dim = 2 ** len(powers), psi.size
+            s = rng.normal(size=(n_bins, dim)) + 1j * rng.normal(size=(n_bins, dim))
+            s /= np.linalg.norm(s)
+            back = qpe_backward(s, powers)
+            assert back.shape == (dim,)
+            np.testing.assert_allclose(back, full_inverse_phase_zero(s, powers),
+                                       rtol=0, atol=1e-12)
 
 
 class TestQpeRoundTrip:
@@ -56,10 +93,9 @@ class TestQpeRoundTrip:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi /= np.linalg.norm(psi)
         powers = controlled_powers(u, 4)
-        s = qpe_forward(powers, psi)
-        back = qpe_backward(s, powers)
-        np.testing.assert_allclose(back[0], psi, atol=1e-10)
-        assert np.linalg.norm(back[1:]) <= 1e-10
+        back = qpe_backward(qpe_forward(powers, psi), powers)
+        assert back.shape == (4,)
+        np.testing.assert_allclose(back, psi, atol=1e-10)
 
     def test_forward_preserves_norm(self):
         rng = np.random.default_rng(4)

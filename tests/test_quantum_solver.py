@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hopfieldkit.experiments import synthetic_patterns
 from hopfieldkit.hebbian import density, train
 from hopfieldkit.inversion import discretize
 from hopfieldkit.patterns import ClampSet, TrainingSet
@@ -109,6 +110,16 @@ class TestGuards:
         with pytest.raises(ValueError, match="needs 17 qubits"):
             qhop_solve(ts, clamp, t_qubits=12)
 
+    def test_budget_is_checked_before_the_evolution_is_built(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an over-budget request built its evolution")
+
+        monkeypatch.setattr(solver, "assemble_quantum_a", unreachable)
+        ts = synthetic_patterns(1000, 20, 0)
+        clamp = ClampSet.from_pattern(ts.patterns[0], (1, 2, 3))
+        with pytest.raises(ValueError, match="needs 22 qubits"):
+            qhop_solve(ts, clamp)
+
     def test_rejects_nonpositive_mu(self):
         for mu in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="mu must be positive"):
@@ -170,6 +181,22 @@ class TestTrace:
         steps = [line.split(",")[0] for line in lines[1:]]
         assert steps == ["embed_w", "phase_estimate", "rotation", "uncompute",
                          "postselect_flag", "postselect_block"]
+
+    def test_uncompute_row_reports_the_phase_zero_branch(self, tmp_path):
+        path = tmp_path / "pipeline.csv"
+        report = qhop_solve(TS, CLAMP, t_qubits=8, trace_path=path)
+        row = path.read_text().splitlines()[4].split(",")
+        assert row[:2] == ["uncompute", "phase=0"]
+        # |phase-zero branch|^2 is the flag weight that returned to |0...0>
+        assert float(row[2]) ** 2 == pytest.approx(
+            report.success_probability * (1.0 - report.phase_residual), rel=1e-9)
+
+    def test_no_trace_rows_are_formatted_without_a_path(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("trace rows formatted with no trace path")
+
+        monkeypatch.setattr(solver, "_top_amplitudes", unreachable)
+        assert qhop_solve(TS, CLAMP, t_qubits=8).ok
 
     def test_failed_run_still_traces(self, tmp_path):
         path = tmp_path / "failed.csv"
