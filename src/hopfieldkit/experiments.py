@@ -135,14 +135,11 @@ class _TrialContext:
         self.cfg = cfg
         self.ts = ts
         self.wm = train(ts) if wm is None else wm
-        self.w = self.wm.w
-        self.d = ts.d
-        self.gamma = cfg.gamma
         self.target = ts.patterns[0]
 
 
 def _known_mask(ctx: _TrialContext, l: int, rng: np.random.Generator) -> np.ndarray:
-    d = ctx.d
+    d = ctx.ts.d
     mask = np.zeros(d, dtype=bool)
     if ctx.cfg.units == "bases":
         bases = rng.choice(d // 2, size=l, replace=False)
@@ -155,16 +152,17 @@ def _known_mask(ctx: _TrialContext, l: int, rng: np.random.Generator) -> np.ndar
 
 def _inversion_recover(ctx: _TrialContext, mask: np.ndarray) -> np.ndarray:
     """Constrained solve for one trial; direct elimination with eigen fallback."""
-    if ctx.cfg.mu == 0.0:
-        x = _eliminate_clamped(_unclamped_block(ctx.wm, mask, ctx.gamma),
+    cfg = ctx.cfg
+    if cfg.mu == 0.0:
+        x = _eliminate_clamped(_unclamped_block(ctx.wm, mask, cfg.gamma),
                                np.where(mask, ctx.target, 0.0))
         if x is not None:
             return x
     # truncated-pseudoinverse path (mu > 0, or a singular reduced block)
-    d = ctx.d
-    a = _saddle(ctx.w - ctx.gamma * np.eye(d), mask)
+    d = ctx.ts.d
+    a = _saddle(ctx.wm.w - cfg.gamma * np.eye(d), mask)
     w_vec = np.concatenate([np.zeros(d), np.where(mask, ctx.target, 0.0)])
-    v, _, _, _ = truncated_pseudoinverse_apply(a, w_vec, ctx.cfg.mu)
+    v, _, _, _ = truncated_pseudoinverse_apply(a, w_vec, cfg.mu)
     return v[:d]
 
 
@@ -182,7 +180,7 @@ def run_trial(ctx: _TrialContext, l: int, rng: np.random.Generator) -> int:
     else:
         indices = tuple(int(i) for i in np.flatnonzero(mask) + 1)
         clamp = ClampSet.from_pattern(ctx.target, indices)
-        recovered, _ = qhop_recall(ctx.ts, clamp, gamma=ctx.gamma, mu=cfg.mu,
+        recovered, _ = qhop_recall(ctx.ts, clamp, gamma=cfg.gamma, mu=cfg.mu,
                                    t_qubits=cfg.t_qubits)
     return int(np.sum(recovered != ctx.target))
 

@@ -108,10 +108,23 @@ def train(ts: TrainingSet) -> WeightMatrix:
 
 
 def density(source: TrainingSet | WeightMatrix) -> DensityMatrix:
-    """Density matrix rho = W + I/d of the normalized stored patterns."""
+    """Density matrix rho = W + I/d of the normalized stored patterns.
+
+    From a TrainingSet, rho = X^T X/(M d) is built from the patterns alone,
+    bit for bit the W + I/d of train (the diagonal M/(M d) rounds as 1/d
+    does). It is a valid density matrix by construction, so, as in train,
+    the dense checks are skipped.
+    """
     if isinstance(source, TrainingSet):
-        w = train(source).w
-    elif isinstance(source, WeightMatrix):
+        p = source.patterns
+        m, d = p.shape
+        rho = p.T @ p  # integer entries, summed exactly, so exactly symmetric
+        rho /= m * d
+        rho.setflags(write=False)
+        dm = object.__new__(DensityMatrix)
+        object.__setattr__(dm, "rho", rho)
+        return dm
+    if isinstance(source, WeightMatrix):
         w = source.w
     else:
         raise TypeError("density expects a TrainingSet or WeightMatrix")

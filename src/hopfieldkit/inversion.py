@@ -14,23 +14,24 @@ derived from it and written out only where it is read. With mu = 0 the
 clamped block is eliminated: x_K = x_inc fixes the known neurons,
 Q_UU x_U = -(theta_U + Q_UK x_K) with Q = gamma I - W gives the unclamped
 set U, and the multipliers follow from the clamped rows. Q_UU is taken
-apart once per recall, and the solve, the singularity rule and the
-certificate share it:
+apart by one symmetric eigendecomposition per recall, and the solve, the
+singularity rule and the certificate share it. The rule is the same for
+every block: with floor = RANK_TOL_FACTOR times the largest eigenvalue
+magnitude of the decomposed matrix, Q_UU counts as singular when an
+eigenvalue lies within floor of zero, and as positive definite when its
+smallest eigenvalue exceeds floor.
 
 - A trained W keeps its patterns X as a factor, W = s X^T X - I/d with
   s = 1/(M d). Then Q_UU = c I - s X_U^T X_U with c = gamma + 1/d, whose
   spectrum is that of the M x M core C = c I - s X_U X_U^T up to copies of
   c > 0. One eigendecomposition of the Gram matrix X_U X_U^T gives C's
-  spectrum and eigenvectors. Woodbury, (Q_UU)^-1 r = (r + s X_U^T C^-1 X_U r) / c,
-  turns the solve into one with C. Q_UU counts as singular when an
-  eigenvalue of C lies within RANK_TOL_FACTOR * c of zero, and as
-  positive definite when C's smallest eigenvalue exceeds that floor. A
-  recall costs O(M^2 |U| + M^3), and Q x costs O(M d); no d x d matrix is
-  read.
-- A hand-built W has no factor. Q_UU is extracted once, LU-solved (the
-  block counts as singular when the LU fails or leaves a residual), and
-  Cholesky-factored only for the certificate. The tests use this dense
-  path as the oracle of the factored one.
+  spectrum and eigenvectors, and the rule is applied to C. Woodbury,
+  (Q_UU)^-1 r = (r + s X_U^T C^-1 X_U r) / c, turns the solve into one
+  with C. A recall costs O(M^2 |U| + M^3), and Q x costs O(M d); no d x d
+  matrix is read.
+- A hand-built W has no factor. Q_UU is extracted and eigendecomposed
+  itself, O(|U|^3), and solved in its eigenbasis. The tests use this
+  dense path as an oracle of the factored one.
 
 For mu > 0, and when Q_UU is singular, A is eigendecomposed instead and
 only eigenvalues of magnitude >= mu are inverted (the truncated
@@ -48,7 +49,7 @@ import numpy as np
 from .hebbian import WeightMatrix, spectral_norm
 from .patterns import ClampSet, as_thresholds
 
-RANK_TOL_FACTOR = 1e-10  # relative eigenvalue or pivot cutoff treated as exact rank deficiency
+RANK_TOL_FACTOR = 1e-10  # relative eigenvalue cutoff treated as exact rank deficiency
 TIE_TOL_FACTOR = 1e-10  # components this close to zero, relative to max(1, |x|_inf), are ties
 
 
@@ -145,22 +146,20 @@ def assemble(wm: WeightMatrix, clamp: ClampSet, theta=None, gamma: float = 1.0) 
     return sys
 
 
-def truncated_pseudoinverse_apply(a, w, mu: float, rank_tol: float | None = None):
+def truncated_pseudoinverse_apply(a, w, mu: float):
     """Apply the mu-truncated pseudoinverse of symmetric a to w.
 
-    Eigenvalues of magnitude below max(mu, rank_tol) are not inverted.
-    Returns (v, eta, kept, rank_tol) where eta = |v - v0|_2 against the
-    plain rank-tolerance pseudoinverse solution v0, and kept counts the
-    inverted eigenvalues.
+    Eigenvalues of magnitude below max(mu, rank_tol) are not inverted,
+    where rank_tol = RANK_TOL_FACTOR * |a|. Returns (v, eta, kept, rank_tol)
+    where eta = |v - v0|_2 against the plain rank-tolerance pseudoinverse
+    solution v0, and kept counts the inverted eigenvalues.
     """
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
     if not 0 <= mu < np.inf:
         raise ValueError("mu must be >= 0 and finite")
     eigs, vecs = np.linalg.eigh(a)
-    anorm = float(np.max(np.abs(eigs), initial=0.0))
-    if rank_tol is None:
-        rank_tol = RANK_TOL_FACTOR * anorm
+    rank_tol = RANK_TOL_FACTOR * float(np.max(np.abs(eigs), initial=0.0))
     beta = vecs.T @ w
 
     def apply_cut(cut):
@@ -172,18 +171,17 @@ def truncated_pseudoinverse_apply(a, w, mu: float, rank_tol: float | None = None
     v0, _ = apply_cut(rank_tol)
     v, kept = apply_cut(max(mu, rank_tol))
     eta = float(np.linalg.norm(v - v0))
-    return v, eta, kept, float(rank_tol)
+    return v, eta, kept, rank_tol
 
 
-def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True) -> SolveReport:
+def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
     """Solve A (x; lam) = rhs, where rhs = (theta; x_inc).
 
     mu = 0 eliminates the clamped block on Q = gamma I - W: one solve on
     Q_UU gives the minimum-norm pseudoinverse solution (eta = 0,
     kept = d + l, rank_tol = 0) without building A. mu > 0, or a singular
     Q_UU, takes the truncated pseudoinverse of sys.a by eigendecomposition
-    instead. certify=False replaces the certificate of certify_minimum
-    with the sufficient condition gamma > |W|, which implies it.
+    instead. minimum_certified is the verdict of certify_minimum.
     """
     d = sys.d
     theta, x_inc = sys.theta, sys.clamp.values
@@ -207,11 +205,7 @@ def solve(sys: LinearSystem, mu: float = 0.0, certify: bool = True) -> SolveRepo
         residual_constraint = float(np.max(np.abs(np.where(p_mask, x, 0.0) - x_inc)))
         stat = (sys.a[:d, :d] @ x) + np.where(p_mask, lam, 0.0) - theta
     residual_stationarity = float(np.abs(stat).max())
-
-    if certify:
-        certified = certify_minimum(sys.wm, sys.clamp, sys.gamma, _block=block)
-    else:
-        certified = sys.gamma > spectral_norm(sys.wm)
+    certified = certify_minimum(sys.wm, sys.clamp, sys.gamma, _block=block)
     return SolveReport(x=x, lam=lam, discretized=discretize(x), gamma=sys.gamma,
                        mu=float(mu), rank_tol=rank_tol, kept=kept, eta=eta,
                        residual_constraint=residual_constraint,
@@ -227,7 +221,28 @@ def _apply_q(wm: WeightMatrix, gamma: float, x) -> np.ndarray:
     return (gamma + 1.0 / wm.d) * x - (f.T @ (f @ x)) / f.size
 
 
-class _CoreBlock:
+class _SpectralBlock:
+    """Q_UU taken apart by one eigendecomposition; eigs is the decomposed spectrum.
+
+    The rule of the module notes: with floor = RANK_TOL_FACTOR * max|eigs|,
+    the block is singular when some |eig| <= floor and positive definite
+    when min(eigs) > floor. An empty spectrum (nothing unclamped) counts
+    as definite and not singular.
+    """
+
+    def _decide(self, eigs: np.ndarray) -> None:
+        """Apply the rule to eigs, sorted either way, so that its ends are its extremes."""
+        self.eigs = eigs
+        if not eigs.size:
+            self.singular, self.definite = False, True
+            return
+        lo, hi = sorted((float(eigs[0]), float(eigs[-1])))
+        floor = RANK_TOL_FACTOR * max(-lo, hi)
+        self.singular = bool(np.abs(eigs).min() <= floor)
+        self.definite = lo > floor
+
+
+class _CoreBlock(_SpectralBlock):
     """Q_UU of a trained W, through the spectrum of its M x M core (see the module notes).
 
     The core is kept scaled by M d, as M d C = (gamma M d + M) I - X_U X_U^T,
@@ -241,12 +256,8 @@ class _CoreBlock:
         self.f = f
         self.c = gamma + 1.0 / d
         self.xu = f[:, self.free]
-        shift = gamma * m * d + m  # c M d
         g, self.vecs = np.linalg.eigh(self.xu @ self.xu.T)
-        self.eigs = shift - g  # M d times C's spectrum, descending since g ascends
-        floor = RANK_TOL_FACTOR * shift
-        self.singular = bool(np.abs(self.eigs).min() <= floor)
-        self.definite = bool(self.eigs[-1] > floor)
+        self._decide(gamma * m * d + m - g)  # c M d minus the ascending Gram spectrum
 
     def solve(self, x, theta=None):
         """x_U with Q_UU x_U = -(theta_U + Q_UK x_K), or None when Q_UU is singular.
@@ -266,40 +277,26 @@ class _CoreBlock:
         return sol if theta is None else sol - t
 
 
-class _DenseBlock:
-    """Q_UU of a hand-built W, extracted once: an LU solve, and a Cholesky on demand."""
+class _DenseBlock(_SpectralBlock):
+    """Q_UU of a hand-built W, extracted and eigendecomposed once."""
 
     def __init__(self, wm: WeightMatrix, known, gamma: float):
         self.free = ~known
-        self.gamma = gamma
         self.w = wm.w
-        self.quu = -wm.w[np.ix_(self.free, self.free)]
-        np.fill_diagonal(self.quu, gamma)  # W has a zero diagonal, so this is gamma I - W_UU
+        quu = -wm.w[np.ix_(self.free, self.free)]
+        np.fill_diagonal(quu, gamma)  # W has a zero diagonal, so this is gamma I - W_UU
+        eigs, self.vecs = np.linalg.eigh(quu)
+        self._decide(eigs)
 
     def solve(self, x, theta=None):
-        """x_U with Q_UU x_U = -(theta_U + Q_UK x_K) by LU, or None when Q_UU is singular."""
+        """x_U solving Q_UU x_U = -(theta_U + Q_UK x_K) in Q_UU's eigenbasis; None if singular."""
+        if self.singular:
+            return None
         known = ~self.free
         rhs = self.w[np.ix_(self.free, known)] @ x[known]  # -Q_UK x_K
         if theta is not None:
             rhs = rhs - theta[self.free]
-        try:
-            sol = np.linalg.solve(self.quu, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        # guard against a numerically singular block that the LU solve accepted
-        if not (np.isfinite(sol).all() and np.abs(self.quu @ sol - rhs).max()
-                <= 1e-8 * max(1.0, float(np.abs(rhs).max()))):
-            return None
-        return sol
-
-    @cached_property
-    def definite(self) -> bool:
-        """Every Cholesky pivot L_kk^2 of Q_UU exceeds RANK_TOL_FACTOR * gamma."""
-        try:
-            pivots = np.diagonal(np.linalg.cholesky(self.quu)) ** 2
-        except np.linalg.LinAlgError:
-            return False
-        return bool(np.min(pivots) > RANK_TOL_FACTOR * self.gamma)
+        return self.vecs @ ((rhs @ self.vecs) / self.eigs)
 
 
 def _unclamped_block(wm: WeightMatrix, known, gamma: float):
@@ -377,19 +374,14 @@ def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=N
     """Second-order check of the clamped minimizer: (gamma I - W)_UU > 0.
 
     Clamping fixes the known coordinates, so the minimum is strict exactly
-    when Q = gamma I - W on the unclamped set U is positive definite. A
-    hand-built W decides it by one Cholesky factorization of Q_UU: a pivot
-    L_kk^2 at or below RANK_TOL_FACTOR * gamma (the diagonal of Q_UU)
-    counts as singular and fails. A trained W decides it on the spectrum
-    of its core C: the smallest eigenvalue must exceed RANK_TOL_FACTOR * c,
-    c = gamma + 1/d the largest possible eigenvalue of Q_UU. Cholesky
-    pivots are never below the smallest eigenvalue, so this floor implies
-    the dense one; the two can differ only on a block within
-    RANK_TOL_FACTOR * c of singular. An empty U certifies; gamma = 0 never
-    certifies a non-empty U, since Q_UU = -W_UU then has zero trace (the
-    core's floor stays positive, so a zero eigenvalue that rounding pushed
-    above 0 still fails). solve hands over, as _block, the Q_UU it already
-    took apart.
+    when Q = gamma I - W on the unclamped set U is positive definite. It is
+    decided on the one spectrum the solve also uses (see the module notes):
+    Q_UU's own for a hand-built W, its core C's for a trained one. The
+    smallest eigenvalue must exceed RANK_TOL_FACTOR times the largest
+    eigenvalue magnitude, so a block within that floor of singular fails.
+    An empty U certifies; gamma = 0 never certifies a non-empty U, since
+    Q_UU = -W_UU then has zero trace. solve hands over, as _block, the
+    Q_UU it already took apart.
     """
     if not 0 <= gamma < np.inf:
         raise ValueError("gamma must be non-negative and finite")

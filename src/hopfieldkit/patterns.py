@@ -125,10 +125,6 @@ class ClampSet:
         """Boolean vector, True on clamped neurons (values is +/-1 there and 0 elsewhere)."""
         return self.values != 0.0
 
-    def projector(self) -> np.ndarray:
-        """Diagonal projector P onto the clamped neurons, as a (d, d) matrix."""
-        return np.diag(self.mask().astype(float))
-
     @classmethod
     def from_pattern(cls, pattern, indices) -> "ClampSet":
         """Clamp the given 1-based indices to their values in pattern."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hebbian import DensityMatrix, density, train
+from ..hebbian import DensityMatrix, density
 from ..inversion import _saddle
 from ..patterns import ClampSet, TrainingSet
 from .register import QuantumRegister, qubits_for
@@ -231,7 +231,7 @@ class BlockSplitEvolution:
             raise ValueError("gamma must be positive and finite")
         if isinstance(source, TrainingSet):
             self._ts = source
-            rho = density(train(source)).rho
+            rho = density(source).rho
         elif isinstance(source, DensityMatrix):
             if mode == "trotter":
                 raise ValueError("trotter mode needs the training patterns, not just rho")

@@ -50,9 +50,6 @@ class QhopReport:
     w_norm: float
     x_register: QuantumRegister | None
     v_register: QuantumRegister | None
-    shots: int | None = None
-    shot_success_rate: float | None = None
-    shot_post_rate: float | None = None
 
 
 def _top_amplitudes(vec: np.ndarray, count: int = 8) -> str:
@@ -89,8 +86,7 @@ class _Trace:
 
 
 def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: float = 0.05,
-               t_qubits: int = 9, shots: int | None = None, mode: str = "reference",
-               rng_seed=None, trace_path=None) -> QhopReport:
+               t_qubits: int = 9, mode: str = "reference", trace_path=None) -> QhopReport:
     """Simulate the full recall pipeline on the saddle-point system.
 
     mu is both the eigenvalue cutoff and the rotation constant C. The
@@ -102,8 +98,6 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
         raise ValueError("mu must be positive and finite; it doubles as the rotation constant")
     if not isinstance(t_qubits, (int, np.integer)) or t_qubits < 1:
         raise ValueError(f"t_qubits must be an integer >= 1, got {t_qubits!r}")
-    if shots is not None and (not isinstance(shots, (int, np.integer)) or shots < 1):
-        raise ValueError(f"shots must be >= 1 and an integer when given, got {shots!r}")
     n_sys = qubits_for(clamp.d) + 1
     total = n_sys + t_qubits + ANCILLA_QUBITS
     if total > QUBIT_BUDGET:
@@ -174,23 +168,13 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
 
     x_register = QuantumRegister(x_amps, (("system", qubits_for(clamp.d)),))
     v_register = QuantumRegister(v_sys, (("system", n_sys),))
-
-    shot_success = shot_post = None
-    if shots is not None:
-        rng = np.random.default_rng(rng_seed)
-        flag_ones = int(rng.binomial(shots, success_probability))
-        shot_success = flag_ones / shots
-        post_ones = int(rng.binomial(flag_ones, post_selection_probability)) if flag_ones else 0
-        shot_post = post_ones / flag_ones if flag_ones else 0.0
-
     return QhopReport(ok=True, message="",
                       success_probability=success_probability,
                       post_selection_probability=post_selection_probability,
                       phase_residual=phase_residual, resolution_ok=resolution_ok,
                       kept_bins=kept_bins, mu=mu, t0=float(t0),
                       t_qubits=t_qubits, mode=mode, w_norm=w_norm,
-                      x_register=x_register, v_register=v_register,
-                      shots=shots, shot_success_rate=shot_success, shot_post_rate=shot_post)
+                      x_register=x_register, v_register=v_register)
 
 
 def qhop_recall(source, clamp: ClampSet, gamma: float = 1.0, mu: float = 0.0,

@@ -134,8 +134,8 @@ def test_solver_satisfies_constraints_and_matches_pseudoinverse_oracle(
 def test_certificate_holds_whenever_gamma_clears_the_coupling_norm(
         make_weights, make_clamp):
     """200 random instances with gamma above the coupling norm all certify
-    as constrained minima: gamma I - W on the unclamped neurons admits a
-    Cholesky factorization with every pivot above the singularity floor."""
+    as constrained minima: gamma I - W on the unclamped neurons has every
+    eigenvalue above the singularity floor."""
     rng = np.random.default_rng(31)
     margins = (0.01, 0.1, 1.0)
     for k in range(200):

@@ -254,6 +254,61 @@ class TestQuantumGoldens:
         assert "Traceback" not in proc.stderr
 
 
+# Outputs of the classical engines on the bundled fixture, pinned byte for
+# byte. The gamma sweep crosses gamma = 0.05, where some reduced blocks are
+# singular and take the eigen fallback; the curves' left ends are decided by
+# the tie rule.
+GAMMA_SWEEP_CSV = """\
+gamma,mean_hamming,stderr,reps
+0.01,45.704,0.1471667151,1000
+0.05,26.263,0.2780020074,1000
+0.1,0.007,0.007,1000
+"""
+
+INVERSION_CURVE_CSV = """\
+l,mean_hamming,stderr,reps
+1,32.5,0.4224242075,200
+2,22.06,0.5399906941,200
+3,15.505,0.5757231633,200
+4,11.875,0.5454672747,200
+5,9.265,0.5138522117,200
+6,6.535,0.4729293667,200
+7,4.905,0.3859073691,200
+8,3.95,0.3474060373,200
+9,2.465,0.2773599062,200
+10,1.88,0.2569202993,200
+"""
+
+ITERATIVE_CURVE_CSV = """\
+l,mean_hamming,stderr,reps
+1,59,1.968136992,30
+2,57.66666667,2.154030349,30
+3,55.16666667,1.345134556,30
+4,53,1.005730706,30
+5,52.33333333,1.412858302,30
+6,49.83333333,1.030660243,30
+7,47,1.564696732,30
+8,47.83333333,1.510182552,30
+9,49.33333333,1.805695544,30
+10,44,1.446358885,30
+"""
+
+
+class TestClassicalGoldens:
+    def test_gamma_sweep(self, capsys):
+        assert main(["experiment", "gamma-sweep", "--l-grid", "50", "--units", "neurons",
+                     "--gamma-grid", "0.01,0.05,0.1", "--reps", "1000"]) == 0
+        assert capsys.readouterr().out == GAMMA_SWEEP_CSV
+
+    @pytest.mark.parametrize("method,reps,expected", [
+        ("inversion", "200", INVERSION_CURVE_CSV),
+        ("iterative", "30", ITERATIVE_CURVE_CSV),
+    ])
+    def test_recovery_curve(self, capsys, method, reps, expected):
+        assert main(["experiment", "recovery-curve", "--method", method,
+                     "--l-grid", "1:10", "--reps", reps]) == 0
+        assert capsys.readouterr().out == expected
+
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("args,message", [
         (["recall", "--mu", "nan"], "mu must be >= 0"),

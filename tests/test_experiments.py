@@ -149,8 +149,8 @@ class TestRecoveryCurve:
         ctx = experiments._TrialContext(cfg, ingest(cfg))
         rng = np.random.default_rng(5)
         for l in (1, 7, 40, 99):
-            mask = np.zeros(ctx.d, dtype=bool)
-            mask[rng.choice(ctx.d, size=l, replace=False)] = True
+            mask = np.zeros(ctx.ts.d, dtype=bool)
+            mask[rng.choice(ctx.ts.d, size=l, replace=False)] = True
             clamp = ClampSet.from_pattern(ctx.target, tuple(np.flatnonzero(mask) + 1))
             expected = solve(assemble(ctx.wm, clamp, gamma=cfg.gamma), mu=cfg.mu).x
             np.testing.assert_array_equal(experiments._inversion_recover(ctx, mask), expected)

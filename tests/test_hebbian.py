@@ -161,6 +161,14 @@ class TestDensity:
             assert abs(np.trace(dm.rho) - 1.0) <= 1e-12
             assert np.min(np.linalg.eigvalsh(dm.rho)) >= -1e-12
 
+    def test_patterns_give_the_bits_of_the_weights(self, make_training):
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            ts = make_training(rng, int(rng.integers(1, 12)), int(rng.integers(2, 65)))
+            rho = density(ts).rho
+            np.testing.assert_array_equal(rho, density(train(ts)).rho)
+            assert not rho.flags.writeable
+
     def test_accepts_weight_matrix_input(self):
         ts = TrainingSet([[1.0, 1.0]])
         np.testing.assert_allclose(density(train(ts)).rho, density(ts).rho,

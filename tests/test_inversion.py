@@ -185,22 +185,37 @@ class TestSolve:
             d = int(rng.integers(2, 11))
             sys = assemble(make_weights(rng, d), make_clamp(rng, d),
                            rng.normal(size=d), gamma=1.3)
-            report = solve(sys, certify=False)
+            report = solve(sys)
             dense = truncated_pseudoinverse_apply(sys.a, sys.rhs, 0.0)[0]
             np.testing.assert_allclose(report.x, dense[:d], atol=1e-8)
             np.testing.assert_allclose(report.lam, dense[d:], atol=1e-8)
 
-    def test_zero_mu_runs_no_eigensolver(self, make_weights, make_clamp, monkeypatch):
+    def test_zero_mu_eigendecomposes_only_the_unclamped_block(self, make_weights, make_clamp,
+                                                              monkeypatch):
+        # A hand-built W: one eigh of Q_UU serves the solve and the certificate;
+        # neither the 2d x 2d A nor an LU or Cholesky factorization is touched.
         rng = np.random.default_rng(81)
         cases = [(make_weights(rng, d), make_clamp(rng, d)) for d in (3, 8, 20)]
+        shapes = []
+
+        def recorded(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapper
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("eigensolver called on the mu = 0 path")
+            raise AssertionError("factorization called on the mu = 0 path")
 
-        monkeypatch.setattr(np.linalg, "eigh", forbidden)
-        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+        for name in ("solve", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
         for wm, clamp in cases:
+            shapes.clear()
             report = solve(assemble(wm, clamp, gamma=1.2))
+            u = wm.d - clamp.l
+            assert shapes == [(u, u)]
             assert report.minimum_certified
             assert (report.kept, report.eta, report.rank_tol) == (wm.d + clamp.l, 0.0, 0.0)
 
@@ -250,10 +265,6 @@ class TestSolve:
             assert np.max(np.abs(stat)) <= 1e-8
             # multipliers live on the clamp set only
             assert np.max(np.abs(report.lam[~mask]), initial=0.0) <= 1e-8
-
-    def test_certify_false_uses_spectral_shortcut(self, worked_wm, worked_clamp):
-        sys = assemble(worked_wm, worked_clamp, gamma=1.0)
-        assert solve(sys, certify=False).minimum_certified
 
     def test_discretized_field_matches_sign_rule(self, make_weights, make_clamp):
         rng = np.random.default_rng(78)
@@ -397,8 +408,8 @@ class TestCertifyMinimum:
     def test_singular_unclamped_block_does_not_certify(self, coupling):
         # Two identical coupling pairs among the unclamped neurons: at gamma
         # equal to the coupling, gamma I - W on them is singular, twice over.
-        # At 0.3 and 0.7 the rounded Cholesky still succeeds with a last pivot
-        # near 1e-16, so only the pivot floor rejects the block.
+        # Its two zero eigenvalues do not exceed the floor, so the block fails;
+        # a gamma just above the coupling lifts them over it.
         w = np.zeros((5, 5))
         w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = coupling
         wm = WeightMatrix(w)
@@ -443,7 +454,7 @@ class TestCertifyMinimum:
 
 
 def dense_copy(wm: WeightMatrix) -> WeightMatrix:
-    """The same couplings as a hand-built matrix, recalled by the dense LU path."""
+    """The same couplings as a hand-built matrix, recalled through the spectrum of Q_UU."""
     return WeightMatrix(wm.w)
 
 
@@ -484,6 +495,8 @@ class TestTrainedStore:
             assert got.residual_constraint <= 1e-10 and got.residual_stationarity <= 1e-9
 
     def test_certificate_matches_the_dense_cholesky(self, make_training, make_clamp):
+        # The core's spectrum, Q_UU's own, and an independent Cholesky of Q_UU
+        # (it succeeds exactly on a positive definite block) agree.
         rng = np.random.default_rng(92)
         verdicts = {True: 0, False: 0}
         for _ in range(300):
@@ -493,6 +506,13 @@ class TestTrainedStore:
             gamma = float(rng.uniform(0.0, 0.6))
             got = certify_minimum(wm, clamp, gamma)
             assert got == certify_minimum(dense_copy(wm), clamp, gamma)
+            free = ~clamp.mask()
+            try:
+                np.linalg.cholesky(gamma * np.eye(int(free.sum())) - wm.w[np.ix_(free, free)])
+                cholesky_ok = True
+            except np.linalg.LinAlgError:
+                cholesky_ok = False
+            assert got == cholesky_ok
             verdicts[got] += 1
         assert min(verdicts.values()) >= 50
 
@@ -535,17 +555,18 @@ class TestTrainedStore:
         ("neurons", (50,), 0.05),
         ("neurons", (50,), 0.1),
         ("bases", (1, 2, 3, 4), 1.0),
+        ("bases", (25,), 0.05),
     ])
     def test_fixture_singular_blocks_fall_back_and_the_rest_match_the_dense_path(
             self, units, l_grid, gamma):
-        # Q_UU counts as singular when an eigenvalue lies within
-        # RANK_TOL_FACTOR (gamma + 1/d) of zero. Those trials take the eigen
-        # fallback in the library solve and in the curve harness alike; every
-        # other trial discretizes as the dense LU path does, ties included.
+        # Q_UU counts as singular when an eigenvalue lies within RANK_TOL_FACTOR
+        # times the largest eigenvalue magnitude of zero. Those trials take the
+        # eigen fallback in the library solve, in the curve harness and on a
+        # dense copy of W alike; every trial discretizes as on the dense copy,
+        # ties included.
         cfg = ExperimentConfig(l_grid=l_grid, units=units, gamma=gamma)
         ctx = experiments._TrialContext(cfg, ingest(cfg))
         dense = dense_copy(ctx.wm)
-        d = ctx.d
         singular = 0
         for l in l_grid:
             for rep in range(1000 if gamma < 1.0 else 250):
@@ -553,15 +574,14 @@ class TestTrainedStore:
                 clamp = ClampSet.from_pattern(ctx.target, tuple(np.flatnonzero(mask) + 1))
                 free = ~mask
                 quu = gamma * np.eye(int(free.sum())) - ctx.wm.w[np.ix_(free, free)]
-                is_singular = (np.min(np.abs(np.linalg.eigvalsh(quu)))
-                               <= RANK_TOL_FACTOR * (gamma + 1.0 / d))
-                got = solve(quiet_assemble(ctx.wm, clamp, gamma=gamma), certify=False)
-                assert (got.rank_tol > 0.0) == is_singular
+                eigs = np.abs(np.linalg.eigvalsh(quu))
+                is_singular = eigs.min() <= RANK_TOL_FACTOR * eigs.max()
+                got = solve(quiet_assemble(ctx.wm, clamp, gamma=gamma))
+                want = solve(quiet_assemble(dense, clamp, gamma=gamma))
+                assert (got.rank_tol > 0.0) == (want.rank_tol > 0.0) == is_singular
                 np.testing.assert_array_equal(experiments._inversion_recover(ctx, mask), got.x)
+                np.testing.assert_array_equal(got.discretized, want.discretized)
                 singular += is_singular
-                if not is_singular:
-                    want = solve(quiet_assemble(dense, clamp, gamma=gamma), certify=False)
-                    np.testing.assert_array_equal(got.discretized, want.discretized)
         if gamma == 0.05:
             assert singular > 0
 

@@ -73,36 +73,6 @@ class TestWorkedSystem:
         assert np.linalg.norm(report.v_register.amplitudes) == pytest.approx(1.0)
 
 
-class TestShots:
-    def test_seeded_shot_rates_reproduce(self):
-        r1 = qhop_solve(TS, CLAMP, t_qubits=8, shots=1000, rng_seed=5)
-        r2 = qhop_solve(TS, CLAMP, t_qubits=8, shots=1000, rng_seed=5)
-        assert r1.shot_success_rate == r2.shot_success_rate
-        assert r1.shot_post_rate == r2.shot_post_rate
-        assert r1.shots == 1000
-
-    def test_shot_rates_track_exact_probabilities(self):
-        report = qhop_solve(TS, CLAMP, t_qubits=8, shots=200_000, rng_seed=9)
-        assert report.shot_success_rate == pytest.approx(
-            report.success_probability, abs=5e-4)
-
-    def test_no_shots_by_default(self):
-        report = qhop_solve(TS, CLAMP, t_qubits=8)
-        assert report.shots is None
-        assert report.shot_success_rate is None
-
-    def test_rejects_nonpositive_shots(self):
-        with pytest.raises(ValueError, match="shots must be >= 1"):
-            qhop_solve(TS, CLAMP, t_qubits=8, shots=0)
-
-    def test_rejects_bad_shots_before_simulating(self):
-        # mu = 4 filters every eigencomponent, so that run fails before it samples
-        for mu in (0.05, 4.0):
-            for shots in (0, -5, 2.5):
-                with pytest.raises(ValueError, match="shots must be >= 1"):
-                    qhop_solve(TS, CLAMP, t_qubits=8, mu=mu, shots=shots)
-
-
 class TestGuards:
     def test_qubit_budget_enforced(self):
         ts = TrainingSet([[1.0, 1.0, 1.0, -1.0]])
