@@ -15,7 +15,7 @@ from .experiments import (
     write_points_csv,
 )
 from .hebbian import save_matrix_csv, spectral_norm, train
-from .inversion import assemble, discretize, solve
+from .inversion import assemble, solve
 from .iterative import recall
 from .patterns import ClampSet, as_pattern, load_pattern_lines
 from .quantum.solver import qhop_recall
@@ -107,7 +107,7 @@ def _cmd_recall(args) -> int:
         clamp = ClampSet(known, probe)
         if args.method == "inversion":
             report = solve(assemble(wm, clamp, gamma=args.gamma), mu=args.mu)
-            final = discretize(report.x)
+            final = report.discretized
             print(f"eta={report.eta:.6g} kept={report.kept} "
                   f"certified={report.minimum_certified}", file=sys.stderr)
         else:

@@ -2,13 +2,14 @@
 
 Pattern projectors are exponentiated exactly, e^{-i P dt} =
 I + (e^{-i dt} - 1) P for a rank-1 projector P, so the only approximation
-in the product formula is the splitting itself. The saddle-point matrix is
-simulated through the split A = B + C + D: B holds the off-diagonal
+in the product formula is the splitting itself. The padded saddle-point
+matrix A is evolved in one of two modes. Reference mode is exact: one
+eigendecomposition of A gives e^{i A t} for every t. Trotter mode follows
+the hardware-oriented split A = B + C + D: B holds the off-diagonal
 projector blocks (1-sparse), C = -gamma' I on the top block with
 gamma' = gamma + 1/d, and D places the pattern density matrix rho on the
 top block, conditioned on the leading qubit. B and C exponentiate in
-closed form; D uses either the exact rho exponential (reference mode) or
-the conditional pattern-product formula (trotter mode).
+closed form; D uses the conditional pattern-product formula.
 """
 from __future__ import annotations
 
@@ -19,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hebbian import DensityMatrix, density
+from ..hebbian import density
 from ..inversion import _saddle
 from ..patterns import ClampSet, TrainingSet
 from .register import QuantumRegister, qubits_for
 
 DELTA_T_WARN = 0.1
-# Split error each mode's default step count aims for.
-REFERENCE_EPS = 1e-8
+# Split error trotter mode's default step count aims for.
 TROTTER_EPS = 1e-6
 
 
@@ -200,27 +200,27 @@ def qheb_evolve(register: QuantumRegister, ts: TrainingSet, plan: TrotterPlan) -
 
 
 class _ExactEvolution:
-    """e^{i H t} for a fixed symmetric H, via one eigendecomposition."""
+    """e^{i H t} for a fixed real symmetric H, via one eigendecomposition."""
 
     def __init__(self, h: np.ndarray):
         self._eigs, self._vecs = np.linalg.eigh(h)
 
     def __call__(self, t: float) -> np.ndarray:
         phase = np.exp(1j * self._eigs * t)
-        return (self._vecs * phase) @ self._vecs.conj().T
+        return (self._vecs * phase) @ self._vecs.T
 
 
 class BlockSplitEvolution:
     """Evolution callback e^{i A t} for the padded saddle-point matrix.
 
-    mode="reference" composes exact factors with the symmetric
-    (Strang) arrangement U_B(h/2) U_C(h/2) U_D(h) U_C(h/2) U_B(h/2),
-    per-step error O(h^3). mode="trotter" uses the plain first-order
-    product U_B(h) U_C(h) U_D(h) with U_D realized by one pass of the
-    conditional pattern-product formula, per-step error O(h^2), matching
-    the hardware-oriented pipeline. Classical simulation cost is
+    mode="reference" is exact: one eigendecomposition of A at build time,
+    then V e^{i Lambda t} V^T per call. mode="trotter" uses the plain
+    first-order product U_B(h) U_C(h) U_D(h) of the B + C + D split, with
+    U_D realized by one pass of the conditional pattern-product formula,
+    per-step error O(h^2), matching the hardware-oriented pipeline; steps
+    sets its step count. Classical simulation cost of trotter mode is
     O(n (2 d_pad)^2) amortized by binary powering; the hardware-oriented
-    construction this models is polylogarithmic in d.
+    construction it models is polylogarithmic in d.
     """
 
     def __init__(self, source, clamp: ClampSet, gamma: float, mode: str = "reference",
@@ -229,19 +229,14 @@ class BlockSplitEvolution:
             raise ValueError(f"unknown mode {mode!r}")
         if not 0 < gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
-        if isinstance(source, TrainingSet):
-            self._ts = source
-            rho = density(source).rho
-        elif isinstance(source, DensityMatrix):
-            if mode == "trotter":
-                raise ValueError("trotter mode needs the training patterns, not just rho")
-            self._ts = None
-            rho = source.rho
-        else:
-            raise TypeError("source must be a TrainingSet or DensityMatrix")
-        d = rho.shape[0]
+        if not isinstance(source, TrainingSet):
+            raise TypeError("source must be a TrainingSet")
+        if mode == "reference" and steps is not None:
+            raise ValueError("steps sets the trotter product formula; reference mode is exact")
+        d = source.d
         if clamp.d != d:
             raise ValueError(f"clamp dimension {clamp.d} does not match patterns {d}")
+        self._ts = source
         self.mode = mode
         self.gamma = float(gamma)
         self.d = d
@@ -251,24 +246,21 @@ class BlockSplitEvolution:
         self.spectral_bound = float(gamma) + 2.0
         self.steps = steps
         self.clamp = clamp
-
-        dp = self.d_pad
-        self._rho_pad = np.zeros((dp, dp))
-        self._rho_pad[:d, :d] = rho
         self._clamped0 = np.array([i - 1 for i in clamp.indices], dtype=int)
         if mode == "reference":
-            self._rho_evolution = _ExactEvolution(self._rho_pad)
+            self._exact = _ExactEvolution(self.a)
 
     @functools.cached_property
     def a(self) -> np.ndarray:
-        """Dense padded A, for diagnostics, built on first read.
+        """Dense padded A, built on first read; reference mode evolves under it.
 
         On the first d coordinates of each block it equals the A of
         inversion.assemble up to rounding.
         """
-        dp = self.d_pad
-        return _saddle(self._rho_pad - self.gamma_prime * np.eye(dp),
-                       np.pad(self.clamp.mask(), (0, dp - self.d)))
+        dp, d = self.d_pad, self.d
+        top = -self.gamma_prime * np.eye(dp)
+        top[:d, :d] += density(self._ts).rho
+        return _saddle(top, np.pad(self.clamp.mask(), (0, dp - d)))
 
     def _u_b(self, t: float) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)
@@ -284,39 +276,21 @@ class BlockSplitEvolution:
         diag[: self.d_pad] = np.exp(-1j * self.gamma_prime * t)
         return diag
 
-    def _u_d(self, t: float) -> np.ndarray:
-        u = np.eye(self.dim, dtype=complex)
-        if self.mode == "reference":
-            u[: self.d_pad, : self.d_pad] = self._rho_evolution(t)
-        else:
-            # conditional on the leading qubit reading 0: top block only
-            u[: self.d_pad, : self.d_pad] = pattern_product_unitary(self._ts, -t, 1)
-        return u
-
-    def _step_count(self, t: float) -> int:
-        if self.steps is not None:
-            return self.steps
-        at = abs(t)
-        if self.mode == "reference":
-            # second-order split: total error ~ t^3 / n^2
-            return max(1, math.ceil(math.sqrt(at ** 3 / REFERENCE_EPS)))
-        return max(1, math.ceil(at * at / TROTTER_EPS))
-
     def __call__(self, t: float) -> np.ndarray:
         if t == 0.0:
             return np.eye(self.dim, dtype=complex)
-        n = self._step_count(t)
-        h = t / n
         if self.mode == "reference":
-            ub = self._u_b(h / 2.0)
-            uc = self._u_c_diag(h / 2.0)
-            step = ub @ (uc[:, None] * self._u_d(h) * uc[None, :]) @ ub
-        else:
-            step = self._u_b(h) @ (self._u_c_diag(h)[:, None] * self._u_d(h))
+            return self._exact(t)
+        n = self.steps if self.steps is not None else max(1, math.ceil(t * t / TROTTER_EPS))
+        h = t / n
+        # U_D: conditional on the leading qubit reading 0, top block only
+        u_d = np.eye(self.dim, dtype=complex)
+        u_d[: self.d_pad, : self.d_pad] = pattern_product_unitary(self._ts, -h, 1)
+        step = self._u_b(h) @ (self._u_c_diag(h)[:, None] * u_d)
         return np.linalg.matrix_power(step, n)
 
 
 def assemble_quantum_a(source, clamp: ClampSet, gamma: float, mode: str = "reference",
                        steps: int | None = None) -> BlockSplitEvolution:
-    """Build the B + C + D evolution callback for the saddle-point matrix."""
+    """Build the evolution callback e^{i A t} for the saddle-point matrix."""
     return BlockSplitEvolution(source, clamp, gamma, mode=mode, steps=steps)

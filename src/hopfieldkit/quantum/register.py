@@ -78,32 +78,23 @@ def embed(x, name: str = "system") -> tuple[QuantumRegister, float]:
     return QuantumRegister(padded, ((name, qubits_for(v.size)),)), norm
 
 
-def embed_w(theta, clamp: ClampSet | None) -> tuple[QuantumRegister, float]:
+def embed_w(theta, clamp: ClampSet) -> tuple[QuantumRegister, float]:
     """Encode the stacked right-hand side (theta; x_inc) on one extra qubit.
 
     The leading qubit distinguishes the threshold block (0) from the
     clamped-pattern block (1); each block is padded to the same power of
-    two before stacking. clamp=None encodes a zero clamped block, with
-    the dimension taken from theta.
+    two before stacking. The clamp holds at least one +/-1 value, so the
+    encoded vector is never zero.
     """
-    if clamp is None:
-        if theta is None:
-            raise ValueError("theta and clamped values are all zero, nothing to encode")
-        d = np.asarray(theta, dtype=float).size
-        values = np.zeros(d)
-    else:
-        d = clamp.d
-        values = clamp.values
+    d = clamp.d
     t = np.zeros(d) if theta is None else np.asarray(theta, dtype=float)
     if t.shape != (d,) or not np.all(np.isfinite(t)):
         raise ValueError(f"theta must be a finite vector of shape ({d},)")
     d_pad = 2 ** qubits_for(d)
     w = np.zeros(2 * d_pad)
     w[:d] = t
-    w[d_pad:d_pad + d] = values
+    w[d_pad:d_pad + d] = clamp.values
     norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise ValueError("theta and clamped values are all zero, nothing to encode")
     reg = QuantumRegister((w / norm).astype(complex), (("system", qubits_for(d) + 1),))
     return reg, norm
 

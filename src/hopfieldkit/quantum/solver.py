@@ -23,7 +23,6 @@ from .register import QuantumRegister, embed_w, qubits_for
 
 QUBIT_BUDGET = 16
 ANCILLA_QUBITS = 2  # rotation flag plus the conditioning ancilla of the D block
-PHASE_RESIDUAL_NOTE = 1e-2  # advisory threshold at T = 9 for well-separated spectra
 
 
 @dataclass(frozen=True)
@@ -53,8 +52,14 @@ class QhopReport:
 
 
 def _top_amplitudes(vec: np.ndarray, count: int = 8) -> str:
+    """The count largest entries by modulus, printed by their real parts.
+
+    The real part is what qhop_recall reads. In reference mode the
+    imaginary parts are rounding noise, whose digits would tie the trace
+    bytes to the order of the arithmetic.
+    """
     order = np.argsort(-np.abs(vec))[:count]
-    return " ".join(f"{int(i)}:{vec[i]:.4g}" for i in order)
+    return " ".join(f"{int(i)}:{vec[i].real:.4g}" for i in order)
 
 
 class _Trace:

@@ -185,6 +185,11 @@ class TestQcheck:
         assert "PASS: all 2 instances within tolerance" in stdout
         assert stdout.startswith("seed  fidelity")
 
+    def test_trotter_mode_passes(self, capsys):
+        # the one end-to-end run of the B + C + D product formula
+        assert main(["qcheck", "--d", "4", "--mode", "trotter"]) == 0
+        assert "PASS: all 10 instances within tolerance" in capsys.readouterr().out
+
     @pytest.mark.filterwarnings("ignore:phase resolution")
     def test_coarse_phase_register_fails(self, capsys):
         assert main(["qcheck", "--t-phase", "2", "--seeds", "1"]) == 1

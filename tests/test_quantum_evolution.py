@@ -279,13 +279,14 @@ class TestBlockSplitEvolution:
             np.testing.assert_allclose(evo.a[np.ix_(logical, logical)], sys.a, atol=1e-15)
 
     def test_reference_mode_converges_to_dense_exponential(self):
-        evo = self.make()
-        u = evo(1.0)
-        assert np.linalg.norm(u - expm(1j * evo.a * 1.0), 2) <= 1e-8
+        padded = BlockSplitEvolution(TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),
+                                     ClampSet((2,), np.array([0.0, -1.0, 0.0])), 0.5)
+        for evo in (self.make(), padded):
+            for t in (1.0, -0.7, np.pi / 3.0):
+                assert np.linalg.norm(evo(t) - expm(1j * evo.a * t), 2) <= 1e-12
 
     def test_call_is_unitary(self):
-        for mode in ("reference", "trotter"):
-            evo = self.make(mode=mode, steps=50)
+        for evo in (self.make(), self.make(mode="trotter", steps=50)):
             u = evo(0.7)
             np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-9)
 
@@ -303,29 +304,24 @@ class TestBlockSplitEvolution:
         assert errs[0] / errs[1] >= 1.8
         assert errs[1] / errs[2] >= 1.8
 
-    def test_density_source_works_in_reference_mode_only(self):
-        dm = density(train(TrainingSet([[1.0, 1.0]])))
-        clamp = ClampSet((1,), np.array([1.0, 0.0]))
-        evo = BlockSplitEvolution(dm, clamp, 1.0)
-        assert evo.mode == "reference"
-        with pytest.raises(ValueError, match="trotter mode needs the training"):
-            BlockSplitEvolution(dm, clamp, 1.0, mode="trotter")
-
     def test_split_blocks_do_not_commute_yet_reference_converges(self):
         # Even with zero couplings and every neuron clamped, the projector
         # block fails to commute with the diagonal blocks (their commutator
-        # has unit norm), so no step count makes a naive product exact; the
-        # composed reference evolution still meets its 1e-8 budget.
+        # has unit norm), so no step count makes the product formula of
+        # trotter mode exact; reference mode, one eigendecomposition of A, is.
         ts = TrainingSet([[1.0, 1.0], [1.0, -1.0]])  # makes W = 0
         clamp = ClampSet((1, 2), np.array([1.0, 1.0]))
-        evo = BlockSplitEvolution(ts, clamp, 1.0)
+        evo = BlockSplitEvolution(ts, clamp, 1.0, mode="trotter", steps=40)
         np.testing.assert_array_equal(train(ts).w, np.zeros((2, 2)))
         b = evo.a.copy()
         b[:2, :2] = 0.0
         cd = evo.a - b
         commutator = b @ cd - cd @ b
         assert np.linalg.norm(commutator, 2) > 0.1
-        assert np.linalg.norm(evo(1.0) - expm(1j * evo.a * 1.0), 2) <= 1e-8
+        exact = expm(1j * evo.a * 1.0)
+        assert np.linalg.norm(evo(1.0) - exact, 2) > 1e-4
+        reference = BlockSplitEvolution(ts, clamp, 1.0)
+        assert np.linalg.norm(reference(1.0) - exact, 2) <= 1e-12
 
     def test_validation(self):
         ts = TrainingSet([[1.0, 1.0]])
@@ -335,8 +331,11 @@ class TestBlockSplitEvolution:
         for gamma in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="gamma must be positive"):
                 BlockSplitEvolution(ts, clamp, gamma)
-        with pytest.raises(TypeError, match="TrainingSet or DensityMatrix"):
-            BlockSplitEvolution(np.eye(2), clamp, 1.0)
+        for source in (np.eye(2), density(ts)):
+            with pytest.raises(TypeError, match="source must be a TrainingSet$"):
+                BlockSplitEvolution(source, clamp, 1.0)
+        with pytest.raises(ValueError, match="reference mode is exact"):
+            BlockSplitEvolution(ts, clamp, 1.0, steps=50)
         bad_clamp = ClampSet((1,), np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="does not match"):
             BlockSplitEvolution(ts, bad_clamp, 1.0)

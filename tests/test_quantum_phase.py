@@ -3,14 +3,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, hadamard
 
+from hopfieldkit.experiments import synthetic_patterns
 from hopfieldkit.hebbian import density, train
-from hopfieldkit.patterns import TrainingSet
+from hopfieldkit.patterns import ClampSet, TrainingSet
+from hopfieldkit.quantum.evolution import BlockSplitEvolution
 from hopfieldkit.quantum.phase import (
     bin_eigenvalues,
     controlled_powers,
     qpe_backward,
     qpe_forward,
 )
+from hopfieldkit.quantum.register import embed_w
 
 PLUS_DENSITY = density(train(TrainingSet([[1.0, 1.0]])))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -161,3 +164,36 @@ class TestPhaseEstimate:
             value, weight = peak(*readout(h, state, t_qubits, np.pi))
             assert abs(value - 0.37) <= resolution(t_qubits, np.pi)
             assert weight >= 4.0 / np.pi ** 2
+
+
+class TestClosedFormFilter:
+    def test_estimate_rotate_uncompute_is_a_spectral_filter(self):
+        # With eigh(A) = (lam, V) and U = e^{i A t0}, estimating the phase,
+        # scaling bin c by r_c and uncomputing leaves V f(lam) V^T psi on the
+        # phase-zero branch, f(lam) = sum_c r_c |alpha_c(lam t0)|^2 with the
+        # phase-estimation amplitude alpha_c(th) = sum_b e^{ib(th - 2 pi c/N)}/N.
+        t_qubits, mu = 9, 0.05
+        n_bins = 2 ** t_qubits
+        b = np.arange(n_bins)
+        to_bins = np.exp(-2j * np.pi * np.outer(b, b) / n_bins) / n_bins
+        ts = synthetic_patterns(16, 4, 0)
+        for l in range(2, 15):
+            known = np.sort(np.random.default_rng(l).permutation(16)[:l]) + 1
+            clamp = ClampSet.from_pattern(ts.patterns[0], tuple(int(i) for i in known))
+            evo = BlockSplitEvolution(ts, clamp, 1.0)
+            t0 = np.pi / evo.spectral_bound
+            psi = embed_w(None, clamp)[0].amplitudes
+            mu_tilde = bin_eigenvalues(t_qubits, t0)
+            keep = np.abs(mu_tilde) >= mu
+            r = np.zeros(n_bins)
+            r[keep] = mu / mu_tilde[keep]
+
+            powers = controlled_powers(evo(t0), t_qubits)
+            simulated = qpe_backward(qpe_forward(powers, psi) * r[:, None], powers)
+
+            lam, vecs = np.linalg.eigh(evo.a)
+            alpha = np.exp(1j * np.outer(lam * t0, b)) @ to_bins
+            f = np.abs(alpha) ** 2 @ r
+            oracle = vecs @ (f * (vecs.T @ psi))
+            gap = np.linalg.norm(simulated - oracle) / np.linalg.norm(oracle)
+            assert gap <= 1e-10, (l, gap)

@@ -105,11 +105,6 @@ class TestEmbedW:
         assert norm == 1.0
         assert reg.layout == (("system", 2),)
 
-    def test_threshold_block_only(self):
-        reg, norm = embed_w([1.0, 0.0], None)
-        np.testing.assert_array_equal(reg.amplitudes, [1.0, 0.0, 0.0, 0.0])
-        assert norm == 1.0
-
     def test_both_blocks_superpose(self):
         reg, norm = embed_w([1.0, 0.0], ClampSet((2,), np.array([0.0, 1.0])))
         s = 1.0 / np.sqrt(2.0)
@@ -124,12 +119,6 @@ class TestEmbedW:
         np.testing.assert_allclose(reg.amplitudes, expected / np.sqrt(2.0),
                                    atol=1e-15)
         assert norm == pytest.approx(np.sqrt(2.0), rel=1e-15)
-
-    def test_rejects_encoding_nothing(self):
-        with pytest.raises(ValueError, match="nothing to encode"):
-            embed_w(None, None)
-        with pytest.raises(ValueError, match="nothing to encode"):
-            embed_w([0.0, 0.0], None)
 
     def test_rejects_mismatched_theta(self):
         with pytest.raises(ValueError, match="shape \\(2,\\)"):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hopfieldkit.experiments import synthetic_patterns
-from hopfieldkit.hebbian import density, train
 from hopfieldkit.inversion import discretize
 from hopfieldkit.patterns import ClampSet, TrainingSet
 from hopfieldkit.quantum import solver
@@ -59,11 +58,6 @@ class TestWorkedSystem:
         assert report.mode == "trotter"
         assert fidelity(report.x_register, TARGET) >= 0.99
         assert abs(report.post_selection_probability - EXPECTED_POST) <= 0.02
-
-    def test_density_matrix_source(self):
-        report = qhop_solve(density(train(TS)), CLAMP, t_qubits=8)
-        assert report.ok
-        assert fidelity(report.x_register, TARGET) >= 0.99
 
     def test_registers_are_normalized_with_expected_widths(self):
         report = qhop_solve(TS, CLAMP, t_qubits=8)
@@ -160,6 +154,14 @@ class TestTrace:
         # |phase-zero branch|^2 is the flag weight that returned to |0...0>
         assert float(row[2]) ** 2 == pytest.approx(
             report.success_probability * (1.0 - report.phase_residual), rel=1e-9)
+
+    def test_trace_prints_real_parts_only(self, tmp_path):
+        # the imaginary parts of reference-mode amplitudes are rounding
+        # noise; printing them would tie the trace bytes to the arithmetic
+        path = tmp_path / "pipeline.csv"
+        ts = synthetic_patterns(16, 4, 0)
+        qhop_solve(ts, ClampSet.from_pattern(ts.patterns[0], (1, 2, 3, 4)), trace_path=path)
+        assert "j" not in path.read_text()
 
     def test_no_trace_rows_are_formatted_without_a_path(self, monkeypatch):
         def unreachable(*args, **kwargs):
