@@ -12,12 +12,16 @@ W is rank M plus a shift, W = s X^T X - I/d with s = 1/(M d) and X the
 (M, d) matrix of stored patterns. A WeightMatrix from train keeps X as its
 factor: |W| comes from the eigenvalues of the smaller of the Gram
 matrices X X^T and X^T X, with no d x d eigensolve, and the inversion
-recall works on an M x M core built from X. A hand-built WeightMatrix(w)
-has no factor; it is checked densely and recalled by the dense path.
+recall works on an M x M core built from X. M d W is then the integer
+matrix C = X^T X with a zero diagonal: the iterative recall keeps exact
+integer fields C x, with C derived on its first read and cached on the
+store. A hand-built WeightMatrix(w) has no factor; it is checked densely
+and recalled by the dense path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +59,19 @@ class WeightMatrix:
     @property
     def d(self) -> int:
         return self.w.shape[0]
+
+    @cached_property
+    def counts(self) -> np.ndarray | None:
+        """M d W as exact integers, X^T X with a zero diagonal; None for a hand-built W.
+
+        Derived on first read and kept with this store, so it is freed with it.
+        """
+        if self.factor is None:
+            return None
+        c = self.factor.T @ self.factor  # integer entries, summed exactly
+        np.fill_diagonal(c, 0.0)
+        c.setflags(write=False)
+        return c
 
 
 @dataclass(frozen=True)

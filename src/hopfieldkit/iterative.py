@@ -5,13 +5,22 @@ x_i = +1 when its local field (W x)_i meets or exceeds theta_i and -1
 otherwise; ties resolve to +1. Each update never increases the energy
 because self-couplings are zero.
 
+A trained store's fields are exact. Its W is C/(M d) with C = X^T X, zero
+diagonal, for the (M, d) patterns X, so M d (W x)_i = (C x)_i is an integer,
+and the rule compares it with M d theta_i: ties resolve to +1 exactly. C is
+the store's cached WeightMatrix.counts. A hand-built W's fields are floats,
+and rounding can put a tie on either side.
+
 recall is event-driven but reproduces the plain one-neuron-at-a-time loop
 exactly. It draws neuron indices in blocks that end where the loop could
 first stop, so the caller's Generator ends in the same state. It keeps the
-local fields h = W x current with one column update per flip, and jumps
-over the updates that h shows cannot flip a neuron. An update that h shows
-could flip, or whose field lies within a rounding band of its threshold,
-is decided by the exact row product (W x)_i, as the plain loop decides it.
+fields h current with one row add per flip, and with them a mask of the
+neurons that an update would flip, and jumps over the updates the mask
+rules out. For a trained store h = C x is exact and decides every update.
+For a hand-built W, h = W x drifts by rounding, so the mask also holds the
+neurons whose field lies within a rounding band of their threshold; each of
+those is decided by the exact row product (W x)_i, as the plain loop
+decides it, and h is recomputed at every full stability check.
 """
 from __future__ import annotations
 
@@ -27,15 +36,26 @@ from .patterns import as_pattern, as_thresholds
 def energy(wm: WeightMatrix, x, theta=None) -> float:
     """E = -1/2 x^T W x + theta^T x.
 
-    Zero (unknown) entries are permitted; they simply contribute nothing,
-    so the all-zero state has energy 0 regardless of W and theta.
+    For a trained store x^T W x is read exactly, as x^T C x/(M d), so a
+    recall's last sampled energy equals energy(final) bit for bit. Zero
+    (unknown) entries are permitted; they simply contribute nothing, so the
+    all-zero state has energy 0 regardless of W and theta.
     """
     s = as_pattern(x, d=wm.d)
-    return _energy(wm.w, as_thresholds(theta, wm.d), s)
+    t = as_thresholds(theta, wm.d)
+    c = wm.counts
+    if c is None:
+        return _energy(wm.w, t, s)
+    return _exact_energy(c @ s, t, s, wm.factor.shape[0] * wm.d)
 
 
 def _energy(w: np.ndarray, t: np.ndarray, x: np.ndarray) -> float:
     return float(-0.5 * x @ w @ x + t @ x)
+
+
+def _exact_energy(h: np.ndarray, t: np.ndarray, x: np.ndarray, md: int) -> float:
+    """Energy from the exact integer fields h = C x of a trained store."""
+    return float(-(x @ h) / (2 * md) + t @ x)
 
 
 @dataclass(frozen=True)
@@ -79,11 +99,15 @@ def recall(
 
     The result, including the energy trace and the state a passed-in
     Generator is left in, is that of drawing one index per update and
-    deciding it by (W x)_i >= theta_i. Indices are drawn in blocks of
-    min(d - quiet run, updates left), since no run stops inside one. The
-    maintained fields h = W x pick out the updates that can flip a neuron
-    or that lie within 1e-9 sqrt(d) of a tie; only those are decided, by
-    the exact row product. h is reset to W x at every full stability check.
+    deciding it by the threshold rule. Indices are drawn in blocks of
+    min(d - quiet run, updates left), since no run stops inside one. A
+    flip adds one row to the maintained fields h and refreshes the mask of
+    neurons an update would flip; the next update the mask holds in the
+    rest of the block is found by one gather and an argmax. A trained
+    store decides each update from its exact integer field. For a
+    hand-built W only: the mask holds every field within 1e-9 sqrt(d) of a
+    tie, each such update is decided by the row product w[i] @ x, and h is
+    reset to W x at every full stability check.
     """
     if order not in ("random", "sweep"):
         raise ValueError(f"unknown update order {order!r}")
@@ -102,13 +126,29 @@ def recall(
             x[unknown] = rng.choice([-1.0, 1.0], size=int(unknown.sum()))
 
     t = as_thresholds(theta, wm.d)
-    w = wm.w
     d = wm.d
-    # |(W x)_i| <= sqrt(d) because |W| <= 1; rounding in h stays far inside
-    # this band, so a neuron whose margin clears it cannot flip.
-    band = 1e-9 * np.sqrt(d)
-    h = w @ x
-    energies = [_energy(w, t, x)]
+    c = wm.counts
+    exact = c is not None
+    if exact:
+        md = wm.factor.shape[0] * d
+        # an integer field h meets M d theta_i exactly when it exceeds
+        # ceil(M d theta_i) - 1/2, a threshold no field equals, so the margin
+        # (h - thr) x below is never 0 and is negative just where x flips
+        g, rows, thr, band = c, c, np.ceil(md * t) - 0.5, 0.0
+    else:
+        # |(W x)_i| <= sqrt(d) because |W| <= 1; rounding in h stays far
+        # inside this band, so a neuron whose margin clears it cannot flip.
+        # W is symmetric only to 1e-12, so a flip of x_i adds column i.
+        g, rows, thr, band = wm.w, wm.w.T, t, 1e-9 * np.sqrt(d)
+    h = g @ x
+    flips = (h - thr) * x <= band  # the neurons an update would flip, or might
+    energies = []
+
+    def sample():
+        # exact fields give x^T C x in O(d); a hand-built W's h has drifted
+        energies.append(_exact_energy(h, t, x, md) if exact else _energy(g, t, x))
+
+    sample()
     stable_run = 0
     updates = 0
     budget = max_sweeps * d
@@ -126,43 +166,46 @@ def recall(
         first, end = updates, updates + n
         while updates < end:
             rest = block[updates - first:]
-            margin = (h[rest] - t[rest]) * x[rest]
-            candidates = ((margin <= band).nonzero()[0] + updates).tolist()
-            for at in (*candidates, end):
-                # updates before `at` leave x unchanged; such a stretch is at
-                # most d long, so it crosses at most one multiple of d
-                stable_run += at - updates
-                if at // d > updates // d:
-                    energies.append(_energy(w, t, x))
-                updates = at
-                if at == end:
-                    break
-                i = int(block[at - first])
-                new = 1.0 if w[i] @ x >= t[i] else -1.0
-                flipped = new != x[i]
-                if flipped:
-                    h += (new - x[i]) * w[:, i]
-                    x[i] = new
-                    stable_run = 0
-                else:
-                    stable_run += 1
-                updates += 1
-                if updates % d == 0:
-                    energies.append(_energy(w, t, x))
-                if flipped:
-                    break  # the fields moved: scan the rest of the block again
+            hits = flips[rest]
+            k = int(hits.argmax())
+            if not hits[k]:
+                k = end - updates
+            # the k updates before the hit leave x unchanged; such a stretch
+            # is at most d long, so it crosses at most one multiple of d
+            stable_run += k
+            if (updates + k) // d > updates // d:
+                sample()
+            updates += k
+            if updates == end:
+                break
+            i = int(rest[k])
+            field = h[i] if exact else g[i] @ x
+            new = 1.0 if field >= thr[i] else -1.0
+            if new != x[i]:
+                h += (new - x[i]) * rows[i]
+                x[i] = new
+                flips = (h - thr) * x <= band
+                stable_run = 0
+            else:
+                stable_run += 1
+            updates += 1
+            if updates % d == 0:
+                sample()
         if stable_run >= d:
             # Under random selection a quiet window of d updates can still
             # have missed some neuron, so confirm every neuron is stable
-            # before reporting convergence; if not, keep iterating. The
-            # check's exact product also clears the drift of h.
-            h = w @ x
-            if np.array_equal(np.where(h >= t, 1.0, -1.0), x):
+            # before reporting convergence; if not, keep iterating. A
+            # hand-built W's check takes the exact product, which also
+            # clears the drift of h.
+            if not exact:
+                h = g @ x
+                flips = (h - thr) * x <= band
+            if np.array_equal(np.where(h >= thr, 1.0, -1.0), x):
                 converged = True
                 break
             stable_run = 0
     if updates % d != 0:
-        energies.append(_energy(w, t, x))
+        sample()
     sweeps = -(-updates // d)
     return RecallTrace(final=x, sweeps=sweeps, energies=np.array(energies),
                        converged=converged)

@@ -262,7 +262,8 @@ class TestQuantumGoldens:
 # Outputs of the classical engines on the bundled fixture, pinned byte for
 # byte. The gamma sweep crosses gamma = 0.05, where some reduced blocks are
 # singular and take the eigen fallback; the curves' left ends are decided by
-# the tie rule.
+# the tie rule. The iterative curve was generated with the exact-integer
+# plain loop of test_iterative.exact_reference_recall in place of the engine.
 GAMMA_SWEEP_CSV = """\
 gamma,mean_hamming,stderr,reps
 0.01,45.704,0.1471667151,1000
@@ -286,16 +287,16 @@ l,mean_hamming,stderr,reps
 
 ITERATIVE_CURVE_CSV = """\
 l,mean_hamming,stderr,reps
-1,59,1.968136992,30
-2,57.66666667,2.154030349,30
-3,55.16666667,1.345134556,30
-4,53,1.005730706,30
-5,52.33333333,1.412858302,30
-6,49.83333333,1.030660243,30
-7,47,1.564696732,30
-8,47.83333333,1.510182552,30
-9,49.33333333,1.805695544,30
-10,44,1.446358885,30
+1,58.66666667,1.808875521,30
+2,56.33333333,1.808875521,30
+3,54,1.254875549,30
+4,52.66666667,1.262485537,30
+5,51.33333333,1.375761719,30
+6,50.33333333,0.7555668243,30
+7,48,1.236420492,30
+8,47.33333333,1.262485537,30
+9,48.5,1.461183586,30
+10,44.5,1.38443731,30
 """
 
 

@@ -1,7 +1,12 @@
 """Asynchronous single-neuron recall: energy, updates, convergence."""
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from hopfieldkit import experiments
 from hopfieldkit.experiments import ExperimentConfig, ingest
 from hopfieldkit.hebbian import WeightMatrix, train
 from hopfieldkit.iterative import RecallTrace, energy, recall
@@ -10,7 +15,7 @@ from hopfieldkit.patterns import TrainingSet, as_pattern, as_thresholds
 
 def reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100,
                      order="random", fill="plus"):
-    """The plain loop: one draw and one exact row product per update.
+    """The plain float loop: one draw and one row product w[i] @ x per update.
 
     Returns the final state, sweeps, energy trace, converged flag and the
     number of updates whose field lay within 1e-12 of its threshold, ties
@@ -60,12 +65,77 @@ def reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100,
     return x, sweeps, np.array(energies), converged, ties
 
 
+def exact_reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100,
+                           order="random", fill="plus"):
+    """The plain loop in exact integers, for a trained store.
+
+    One draw and one int64 row product per update: M d (W x)_i is the
+    integer (C x)_i, with C = X^T X and a zero diagonal, compared with
+    M d theta_i. Returns what reference_recall returns; ties counts the
+    updates whose field equals its threshold exactly.
+    """
+    x = as_pattern(start, d=wm.d).copy()
+    rng = np.random.default_rng(rng_seed)
+    unknown = x == 0.0
+    if np.any(unknown):
+        if fill == "plus":
+            x[unknown] = 1.0
+        else:
+            x[unknown] = rng.choice([-1.0, 1.0], size=int(unknown.sum()))
+    x = x.astype(np.int64)
+    p = wm.factor.astype(np.int64)
+    m, d = p.shape
+    c = p.T @ p
+    np.fill_diagonal(c, 0)
+    t = as_thresholds(theta, d)
+    thr = m * d * t
+
+    def energy_of(x):
+        return float(-int(x @ c @ x) / (2 * m * d) + t @ x.astype(float))
+
+    energies = [energy_of(x)]
+    stable_run = 0
+    updates = 0
+    ties = 0
+    budget = max_sweeps * d
+    converged = False
+    while updates < budget:
+        if order == "random":
+            i = int(rng.integers(d))
+        else:
+            i = updates % d
+        field = int(c[i] @ x)
+        ties += field == thr[i]
+        new = 1 if field >= thr[i] else -1
+        if new != x[i]:
+            x[i] = new
+            stable_run = 0
+        else:
+            stable_run += 1
+        updates += 1
+        if updates % d == 0:
+            energies.append(energy_of(x))
+        if stable_run >= d:
+            if np.array_equal(np.where(c @ x >= thr, 1, -1), x):
+                converged = True
+                break
+            stable_run = 0
+    if updates % d != 0:
+        energies.append(energy_of(x))
+    sweeps = -(-updates // d)
+    return x.astype(float), sweeps, np.array(energies), converged, ties
+
+
 def assert_matches_reference(wm, start, seed, **kwargs):
-    """recall equals the plain loop bit for bit, and leaves its Generator alike."""
+    """recall equals the plain loop bit for bit, and leaves its Generator alike.
+
+    The oracle is the exact-integer loop for a trained store and the float
+    loop for a hand-built W.
+    """
+    oracle = reference_recall if wm.factor is None else exact_reference_recall
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     trace = recall(wm, start, rng_seed=ours, **kwargs)
-    final, sweeps, energies, converged, ties = reference_recall(
-        wm, start, rng_seed=theirs, **kwargs)
+    final, sweeps, energies, converged, ties = oracle(wm, start, rng_seed=theirs, **kwargs)
     assert trace.final.tobytes() == final.tobytes()
     assert trace.sweeps == sweeps
     assert trace.energies.tobytes() == energies.tobytes()
@@ -85,6 +155,32 @@ class TestEnergy:
     def test_threshold_contribution(self, worked_wm):
         assert energy(worked_wm, [1.0, -1.0],
                       theta=[1.0, 0.0]) == pytest.approx(1.5, abs=1e-15)
+
+    def test_trained_store_reads_exact_counts(self, make_training):
+        rng = np.random.default_rng(60)
+        ts = make_training(rng, 3, 9)
+        wm = train(ts)
+        theta = rng.normal(scale=0.3, size=9)
+        for _ in range(20):
+            x = rng.choice([-1.0, 0.0, 1.0], size=9)
+            p = ts.patterns.astype(np.int64)
+            c = p.T @ p
+            np.fill_diagonal(c, 0)
+            xs = x.astype(np.int64)
+            exact = -int(xs @ c @ xs) / (2 * 3 * 9) + theta @ x
+            assert energy(wm, x, theta) == exact
+            assert energy(wm, x, theta) == pytest.approx(
+                -0.5 * x @ wm.w @ x + theta @ x, abs=1e-12)
+        assert energy(wm, np.zeros(9), theta) == 0.0
+
+    def test_last_sample_of_a_trained_recall_is_energy_of_final(self, make_training):
+        rng = np.random.default_rng(59)
+        for k in range(20):
+            wm = train(make_training(rng, int(rng.integers(1, 6)), 30))
+            theta = (None, rng.normal(scale=0.3, size=30))[k % 2]
+            trace = recall(wm, rng.choice([-1.0, 0.0, 1.0], size=30), theta=theta,
+                           rng_seed=k, max_sweeps=1 + k % 3)
+            assert energy(wm, trace.final, theta) == trace.energies[-1]
 
     def test_dimension_mismatch_rejected(self, worked_wm):
         with pytest.raises(ValueError, match="length 3, expected 2"):
@@ -274,24 +370,44 @@ class TestMatchesThePlainLoop:
             start = rng.choice([-1.0, 0.0, 1.0], size=d)
             converged, _ = assert_matches_reference(
                 wm, start, [72, k], theta=theta, max_sweeps=int(rng.integers(1, 12)),
-                order=("random", "sweep")[k % 5 == 0], fill=("plus", "random")[k % 4 == 0])
+                order=("random", "sweep")[k % 5 == 0], fill=("plus", "random")[k // 2 % 2])
             outcomes.add(converged)
         assert outcomes == {True, False}
 
-    def test_budgets_that_end_inside_a_block(self, make_weights):
+    def test_budgets_that_end_inside_a_block(self, make_weights, make_training):
         # a short budget stops the run mid-block, whether or not it converged;
         # a fractional budget stops it mid-sweep; an infinite one never does
         rng = np.random.default_rng(73)
-        unconverged = 0
-        for k in range(60):
+        unconverged = {True: 0, False: 0}
+        for k in range(120):
             d = int(rng.integers(5, 30))
-            wm = make_weights(rng, d)
+            trained = k % 2 == 0
+            if trained:
+                wm = train(make_training(rng, int(rng.integers(2, 8)), d))
+            else:
+                wm = make_weights(rng, d)
+            theta = (None, rng.normal(scale=0.3, size=d))[k % 4 // 2]
             start = rng.choice([-1.0, 1.0], size=d)
             for max_sweeps in (1, 1.5, 2, 3, np.inf):
-                converged, _ = assert_matches_reference(wm, start, [73, k],
+                converged, _ = assert_matches_reference(wm, start, [73, k], theta=theta,
                                                         max_sweeps=max_sweeps)
-                unconverged += not converged
-        assert unconverged > 0
+                unconverged[trained] += not converged
+        assert unconverged[True] > 0 and unconverged[False] > 0
+
+    def test_hand_built_copy_of_the_fixture_store(self):
+        # the same couplings without the patterns: float fields, whose exact
+        # ties rounding puts on either side, decided as the float loop decides
+        ts = ingest(ExperimentConfig(l_grid=(1,)))
+        wm = WeightMatrix(train(ts).w)
+        assert wm.factor is None
+        rng = np.random.default_rng(74)
+        ties = 0
+        for k in range(30):
+            target = ts.pattern(int(rng.integers(1, ts.m + 1)))
+            start = np.where(rng.random(ts.d) < rng.random(), target, 0.0)
+            _, t = assert_matches_reference(wm, start, [74, k], max_sweeps=50)
+            ties += t
+        assert ties > 0
 
     def test_two_neurons(self, worked_wm):
         for seed in range(20):
@@ -301,3 +417,65 @@ class TestMatchesThePlainLoop:
                         assert_matches_reference(worked_wm, start, seed, theta=theta,
                                                  max_sweeps=1 + seed % 4, order=order,
                                                  fill=("plus", "random")[seed % 2])
+
+
+class TestExactFields:
+    """A trained store's fields are exact integers, decided without W."""
+
+    def test_exact_tie_resolves_to_plus_one(self):
+        """Repetition 2 at l = 1 of the default iterative recovery curve.
+
+        Its 16th update draws neuron 7 (index 6) at +1 with a field of
+        exactly 0. The float row product puts that tie at -2.6e-18 and the
+        float loop flips the neuron to -1; the exact field keeps it at +1,
+        and the trial ends 70 neurons from the target instead of 50.
+        """
+        cfg = ExperimentConfig(l_grid=(1,), method="iterative")
+        ts = ingest(cfg)
+        wm = train(ts)
+        rng = np.random.default_rng([cfg.seed, 2])
+        mask = experiments._known_mask(experiments._TrialContext(cfg, ts), 1, rng)
+        start = np.where(mask, ts.pattern(1), 0.0)
+
+        probe, x = copy.deepcopy(rng), np.where(start == 0.0, 1.0, start)
+        for _ in range(15):
+            i = int(probe.integers(wm.d))
+            x[i] = 1.0 if wm.counts[i] @ x >= 0.0 else -1.0
+        i = int(probe.integers(wm.d))
+        assert (i, x[i], wm.counts[i] @ x) == (6, 1.0, 0.0)
+        assert wm.w[i] @ x < 0.0
+
+        floating = reference_recall(wm, start, rng_seed=copy.deepcopy(rng),
+                                    max_sweeps=cfg.max_sweeps)[0]
+        trace = recall(wm, start, rng_seed=copy.deepcopy(rng), max_sweeps=cfg.max_sweeps)
+        assert np.sum(floating != ts.pattern(1)) == 50
+        assert np.sum(trace.final != ts.pattern(1)) == 70
+        exact = exact_reference_recall(wm, start, rng_seed=copy.deepcopy(rng),
+                                       max_sweeps=cfg.max_sweeps)[0]
+        assert trace.final.tobytes() == exact.tobytes()
+
+    def test_trained_recall_does_not_read_w(self, make_training):
+        rng = np.random.default_rng(75)
+        for k in range(10):
+            wm = train(make_training(rng, 4, 25))
+            start = rng.choice([-1.0, 0.0, 1.0], size=25)
+            theta = rng.normal(scale=0.3, size=25)
+            before = recall(wm, start, theta=theta, rng_seed=k)
+            object.__setattr__(wm, "w", np.full_like(wm.w, np.nan))
+            after = recall(wm, start, theta=theta, rng_seed=k)
+            assert after.final.tobytes() == before.final.tobytes()
+            assert after.energies.tobytes() == before.energies.tobytes()
+            assert (after.sweeps, after.converged) == (before.sweeps, before.converged)
+            assert energy(wm, after.final, theta) == after.energies[-1]
+
+    def test_counts_are_freed_with_the_store(self, make_training):
+        wm = train(make_training(np.random.default_rng(76), 3, 40))
+        recall(wm, np.zeros(40), rng_seed=0)
+        assert wm.counts is not None
+        ref = weakref.ref(wm)
+        del wm
+        gc.collect()
+        assert ref() is None
+
+    def test_hand_built_store_has_no_counts(self, worked_wm):
+        assert worked_wm.counts is None
