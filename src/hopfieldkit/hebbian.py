@@ -9,14 +9,17 @@ Adding I/d back yields the density matrix of the normalized pattern
 ensemble: rho = W + I/d, positive semidefinite with unit trace.
 
 W is rank M plus a shift, W = s X^T X - I/d with s = 1/(M d) and X the
-(M, d) matrix of stored patterns. A WeightMatrix from train keeps X as its
-factor: |W| comes from the eigenvalues of the smaller of the Gram
+(M, d) matrix of stored patterns. A WeightMatrix from train holds only X,
+its factor: |W| comes from the eigenvalues of the smaller of the Gram
 matrices X X^T and X^T X, with no d x d eigensolve, and the inversion
-recall works on an M x M core built from X. M d W is then the integer
-matrix C = X^T X with a zero diagonal: the iterative recall keeps exact
-integer fields C x, with C derived on its first read and cached on the
-store. A hand-built WeightMatrix(w) has no factor; it is checked densely
-and recalled by the dense path.
+recall works on an M x M core built from X. The dense W is derived from X
+on its first read and cached on the store, so a store of d neurons costs
+M d floats until something reads W; the mu > 0 and singular fallbacks,
+the perturbed solve and the matrix CSV do. M d W is the integer matrix
+C = X^T X with a zero diagonal: the iterative recall keeps exact integer
+fields C x, with C derived and cached the same way. A hand-built
+WeightMatrix(w) has no factor; it is checked densely and recalled by the
+dense path.
 """
 from __future__ import annotations
 
@@ -33,7 +36,8 @@ class WeightMatrix:
     """Symmetric zero-diagonal couplings; norm is their spectral norm (<= 1), found once.
 
     factor is the (M, d) array of +/-1 patterns X with W = X^T X/(M d) - I/d
-    when train built the matrix, and None for a hand-built one.
+    when train built the matrix, and None for a hand-built one. A trained
+    store holds only X and derives w from it on first read.
     """
 
     w: np.ndarray
@@ -74,6 +78,30 @@ class WeightMatrix:
         return c
 
 
+class _TrainedWeightMatrix(WeightMatrix):
+    """A WeightMatrix built by train: it holds the factor X, and W is derived from it.
+
+    w is X^T X/(M d) with a zero diagonal, computed on first read, cached on
+    this store and read-only; d is read from the factor, so the recall
+    paths that need only d and X never derive W.
+    """
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        w = _pattern_gram(self.factor)
+        np.fill_diagonal(w, 0.0)  # outer-product diagonal is exactly 1/d for bipolar patterns
+        w.setflags(write=False)
+        return w
+
+    @property
+    def d(self) -> int:
+        return self.factor.shape[1]
+
+    def __repr__(self) -> str:  # the dataclass repr would derive W
+        m, d = self.factor.shape
+        return f"WeightMatrix(trained from m={m} patterns, d={d}, norm={self.norm!r})"
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Unit-trace positive semidefinite mixture of normalized patterns."""
@@ -99,26 +127,31 @@ class DensityMatrix:
         return self.rho.shape[0]
 
 
+def _pattern_gram(p: np.ndarray) -> np.ndarray:
+    """X^T X/(M d) for the (M, d) patterns p, as a new writable array."""
+    m, d = p.shape
+    g = p.T @ p  # integer entries, summed exactly, so exactly symmetric
+    g /= m * d
+    return g
+
+
 def train(ts: TrainingSet) -> WeightMatrix:
     """Hebbian rule: average of pattern outer products, self-couplings removed.
 
-    The patterns become W's factor. W's eigenvalues are g/(M d) - 1/d for
-    the eigenvalues g of X^T X, which are those of X X^T plus d - M zeros
-    when M < d; so |W| comes from the smaller Gram matrix, and W, symmetric
-    with a zero diagonal by construction, is not checked again.
+    The store keeps the patterns as W's factor and builds no d x d array:
+    W itself is derived from the factor on its first read. W's eigenvalues
+    are g/(M d) - 1/d for the eigenvalues g of X^T X, which are those of
+    X X^T plus d - M zeros when M < d; so |W| comes from the smaller Gram
+    matrix, and W, symmetric with a zero diagonal by construction, is not
+    checked again.
     """
     p = ts.patterns
     m, d = p.shape
-    w = p.T @ p  # integer entries, summed exactly, so exactly symmetric
-    w /= m * d
-    np.fill_diagonal(w, 0.0)  # outer-product diagonal is exactly 1/d for bipolar patterns
-    w.setflags(write=False)
     gram = p @ p.T if m < d else p.T @ p
     norm = float(np.max(np.abs(np.linalg.eigvalsh(gram) / (m * d) - 1.0 / d)))
     if m < d:
         norm = max(norm, 1.0 / d)
-    wm = object.__new__(WeightMatrix)  # valid by construction: skip the dense checks
-    object.__setattr__(wm, "w", w)
+    wm = object.__new__(_TrainedWeightMatrix)  # valid by construction: skip the dense checks
     object.__setattr__(wm, "norm", norm)
     object.__setattr__(wm, "factor", p)
     return wm
@@ -127,26 +160,26 @@ def train(ts: TrainingSet) -> WeightMatrix:
 def density(source: TrainingSet | WeightMatrix) -> DensityMatrix:
     """Density matrix rho = W + I/d of the normalized stored patterns.
 
-    From a TrainingSet, rho = X^T X/(M d) is built from the patterns alone,
-    bit for bit the W + I/d of train (the diagonal M/(M d) rounds as 1/d
-    does). It is a valid density matrix by construction, so, as in train,
-    the dense checks are skipped.
+    From a TrainingSet, or a WeightMatrix that train built, rho = X^T X/(M d)
+    is built from the patterns alone, bit for bit the W + I/d of train (the
+    diagonal M/(M d) rounds as 1/d does). It is a valid density matrix by
+    construction, so, as in train, the dense checks are skipped and W is
+    not derived. A hand-built W gives W + I/d, checked.
     """
     if isinstance(source, TrainingSet):
         p = source.patterns
-        m, d = p.shape
-        rho = p.T @ p  # integer entries, summed exactly, so exactly symmetric
-        rho /= m * d
-        rho.setflags(write=False)
-        dm = object.__new__(DensityMatrix)
-        object.__setattr__(dm, "rho", rho)
-        return dm
-    if isinstance(source, WeightMatrix):
-        w = source.w
+    elif isinstance(source, WeightMatrix):
+        p = source.factor
+        if p is None:
+            d = source.d
+            return DensityMatrix(source.w + np.eye(d) / d)
     else:
         raise TypeError("density expects a TrainingSet or WeightMatrix")
-    d = w.shape[0]
-    return DensityMatrix(w + np.eye(d) / d)
+    rho = _pattern_gram(p)
+    rho.setflags(write=False)
+    dm = object.__new__(DensityMatrix)
+    object.__setattr__(dm, "rho", rho)
+    return dm
 
 
 def spectral_norm(wm: WeightMatrix | DensityMatrix | np.ndarray) -> float:

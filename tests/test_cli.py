@@ -10,8 +10,13 @@ import pytest
 
 import hopfieldkit
 from hopfieldkit.cli import _parse_float_grid, _parse_grid, main
-from hopfieldkit.experiments import ExperimentConfig, ingest
+from hopfieldkit.experiments import ExperimentConfig, ingest, synthetic_patterns
 from hopfieldkit.hebbian import load_matrix_csv, train
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 SYNTH = ["--format", "synthetic", "--d", "8", "--m", "2"]
 
@@ -347,6 +352,50 @@ class TestNonFiniteParameters:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+class TestMemoryErrors:
+    @pytest.mark.parametrize("message,line", [
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 5.43 GiB", "error: Unable to allocate 5.43 GiB\n"),
+    ])
+    def test_exit_with_a_clean_error_line(self, tmp_path, capsys, monkeypatch,
+                                           message, line):
+        def exhausted(ts):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("hopfieldkit.cli.train", exhausted)
+        for args in (["recall", *SYNTH, "--pattern", probe_file(tmp_path)],
+                     ["train", *SYNTH, "--out", str(tmp_path / "w.csv")]):
+            assert main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == line
+
+    @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS")
+    def test_recall_at_d27000_runs_under_a_1_gib_address_space(self, tmp_path):
+        # a dense W at this size would be 5.4 GiB; the store holds only X
+        d = 27000
+        pattern = synthetic_patterns(d, 8, 0).patterns[0].astype(int)
+        known = np.random.default_rng(0).choice(d, d // 10, replace=False)
+        probe = np.zeros(d, dtype=int)
+        probe[known] = pattern[known]
+        path = probe_file(tmp_path, " ".join(map(str, probe)) + "\n")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        # one BLAS thread, so the cap does not depend on the host's core count
+        env = dict(os.environ, PYTHONPATH=str(Path(hopfieldkit.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfieldkit.cli", "recall", "--format", "synthetic",
+             "--d", str(d), "--m", "8", "--pattern", path],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+            preexec_fn=cap)
+        assert proc.returncode == 0, proc.stderr
+        assert "certified=True" in proc.stderr
+        assert proc.stdout == " ".join(map(str, pattern)) + "\n"
 
 
 class TestArgumentErrors:

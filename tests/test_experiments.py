@@ -155,6 +155,20 @@ class TestRecoveryCurve:
             expected = solve(assemble(ctx.wm, clamp, gamma=cfg.gamma), mu=cfg.mu).x
             np.testing.assert_array_equal(experiments._inversion_recover(ctx, mask), expected)
 
+    @pytest.mark.parametrize("method", ["inversion", "iterative", "quantum"])
+    def test_curves_never_derive_the_dense_weights(self, monkeypatch, method):
+        # the mu = 0 elimination reads the factor, the iterative engine the
+        # integer counts, and qhop_recall only the patterns
+        stores = []
+
+        def recording_train(ts):
+            stores.append(train(ts))
+            return stores[-1]
+
+        monkeypatch.setattr(experiments, "train", recording_train)
+        run_recovery_curve(small_cfg(method=method, l_grid=(1, 6, 11), reps=3))
+        assert len(stores) == 1 and "w" not in vars(stores[0])
+
     def test_supplied_training_set_overrides_ingest(self):
         cfg = ExperimentConfig(l_grid=(2,), d=4, m=1, reps=3,
                                units="neurons", data_format="synthetic")

@@ -1,4 +1,6 @@
 """Training rule, density matrix, spectral quantities, matrix CSV."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,33 @@ class TestTrain:
         np.testing.assert_allclose(wm.w, shifted, rtol=0.0, atol=1e-15)
         assert WeightMatrix(wm.w).factor is None
 
+    def test_derives_w_from_the_factor_on_first_read(self, make_training):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            m, d = int(rng.integers(1, 12)), int(rng.integers(2, 65))
+            ts = make_training(rng, m, d)
+            wm = train(ts)
+            assert repr(wm).startswith(f"WeightMatrix(trained from m={m} patterns, d={d},")
+            assert "w" not in vars(wm) and wm.d == d
+            w = wm.w
+            # integer sums are exact in any order, so this is bit for bit
+            oracle = np.einsum("ki,kj->ij", ts.patterns, ts.patterns) / (m * d)
+            np.fill_diagonal(oracle, 0.0)
+            np.testing.assert_array_equal(w, oracle)
+            assert not w.flags.writeable
+            assert wm.w is w
+
+    def test_allocates_no_d_by_d_array(self, make_training):
+        ts = make_training(np.random.default_rng(30), 8, 3000)
+        tracemalloc.start()
+        try:
+            wm = train(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 3000 * 8 / 100  # a dense W would be 72 MB
+        assert "w" not in vars(wm) and "counts" not in vars(wm)
+
     def test_runs_no_eigensolve_larger_than_the_smaller_gram(self, make_training,
                                                               monkeypatch):
         sizes = []
@@ -168,6 +197,16 @@ class TestDensity:
             rho = density(ts).rho
             np.testing.assert_array_equal(rho, density(train(ts)).rho)
             assert not rho.flags.writeable
+
+    def test_trained_store_gives_the_checked_bits_without_deriving_w(self, make_training):
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            wm = train(make_training(rng, int(rng.integers(1, 12)), int(rng.integers(2, 65))))
+            rho = density(wm).rho
+            assert "w" not in vars(wm)
+            assert not rho.flags.writeable
+            # the hand-built path: W + I/d, checked as a DensityMatrix
+            np.testing.assert_array_equal(rho, density(WeightMatrix(wm.w)).rho)
 
     def test_accepts_weight_matrix_input(self):
         ts = TrainingSet([[1.0, 1.0]])

@@ -494,6 +494,22 @@ class TestTrainedStore:
             assert got.minimum_certified == want.minimum_certified
             assert got.residual_constraint <= 1e-10 and got.residual_stationarity <= 1e-9
 
+    def test_mu_zero_recall_never_derives_w(self, make_training, make_clamp):
+        # the factored solve, its residuals and the certificate read only d
+        # and the factor; the mu > 0 path reads the saddle matrix, so W
+        rng = np.random.default_rng(95)
+        for _ in range(10):
+            m, d = int(rng.integers(1, 10)), int(rng.integers(4, 40))
+            wm = train(make_training(rng, m, d))
+            clamp = make_clamp(rng, d)
+            theta = rng.normal(scale=0.3, size=d)
+            report = solve(assemble(wm, clamp, theta))
+            certify_minimum(wm, clamp, 1.0)
+            assert report.rank_tol == 0.0
+            assert "w" not in vars(wm)
+            solve(assemble(wm, clamp, theta), mu=1e-3)
+            assert "w" in vars(wm)
+
     def test_certificate_matches_the_dense_cholesky(self, make_training, make_clamp):
         # The core's spectrum, Q_UU's own, and an independent Cholesky of Q_UU
         # (it succeeds exactly on a positive definite block) agree.
