@@ -3,8 +3,10 @@
 Pattern projectors are exponentiated exactly, e^{-i P dt} =
 I + (e^{-i dt} - 1) P for a rank-1 projector P, so the only approximation
 in the product formula is the splitting itself. The padded saddle-point
-matrix A is evolved in one of two modes. Reference mode is exact: one
-eigendecomposition of A gives e^{i A t} for every t. Trotter mode follows
+matrix A is evolved in one of two modes. Reference mode is exact: A is
+zero outside its active block (the top block and the clamped multipliers),
+so one eigendecomposition of that (d_pad + l)-square block gives e^{i A t}
+for every t, the identity off the block. Trotter mode follows
 the hardware-oriented split A = B + C + D: B holds the off-diagonal
 projector blocks (1-sparse), C = -gamma' I on the top block with
 gamma' = gamma + 1/d, and D places the pattern density matrix rho on the
@@ -200,27 +202,46 @@ def qheb_evolve(register: QuantumRegister, ts: TrainingSet, plan: TrotterPlan) -
 
 
 class _ExactEvolution:
-    """e^{i H t} for a fixed real symmetric H, via one eigendecomposition."""
+    """e^{i H t} for a real symmetric H that is zero off the rows and columns active.
 
-    def __init__(self, h: np.ndarray):
-        self._eigs, self._vecs = np.linalg.eigh(h)
+    One eigendecomposition of the active block, H[active, active] =
+    vecs diag(eigs) vecs^T, gives every t; off the block e^{i H t} is the
+    identity.
+    """
+
+    def __init__(self, h: np.ndarray, active: np.ndarray):
+        self.dim = h.shape[0]
+        self.active = active
+        self.eigs, self.vecs = np.linalg.eigh(h[np.ix_(active, active)])
+
+    def phases(self, t: float) -> np.ndarray:
+        """e^{i eigs t}: e^{i H t} on the active block, written in its eigenbasis."""
+        return np.exp(1j * self.eigs * t)
 
     def __call__(self, t: float) -> np.ndarray:
-        phase = np.exp(1j * self._eigs * t)
-        return (self._vecs * phase) @ self._vecs.T
+        u = np.eye(self.dim, dtype=complex)
+        u[np.ix_(self.active, self.active)] = (self.vecs * self.phases(t)) @ self.vecs.T
+        return u
 
 
 class BlockSplitEvolution:
     """Evolution callback e^{i A t} for the padded saddle-point matrix.
 
-    mode="reference" is exact: one eigendecomposition of A at build time,
-    then V e^{i Lambda t} V^T per call. mode="trotter" uses the plain
-    first-order product U_B(h) U_C(h) U_D(h) of the B + C + D split, with
-    U_D realized by one pass of the conditional pattern-product formula,
-    per-step error O(h^2), matching the hardware-oriented pipeline; steps
-    sets its step count. Classical simulation cost of trotter mode is
-    O(n (2 d_pad)^2) amortized by binary powering; the hardware-oriented
-    construction it models is polylogarithmic in d.
+    mode="reference" is exact: one eigendecomposition of A's active block
+    at build time, then V e^{i Lambda t} V^T on the block per call.
+    mode="trotter" uses the plain first-order product U_B(h) U_C(h) U_D(h)
+    of the B + C + D split, with U_D realized by one pass of the
+    conditional pattern-product formula, per-step error O(h^2), matching
+    the hardware-oriented pipeline; steps sets its step count. Classical
+    simulation cost of trotter mode is O(n (2 d_pad)^2) amortized by binary
+    powering; the hardware-oriented construction it models is
+    polylogarithmic in d.
+
+    eigenbasis is None in trotter mode. In reference mode it is the
+    _ExactEvolution of the active block: active indexes the top d_pad
+    coordinates and then the clamped multipliers (every other row and
+    column of A is zero), eigs and vecs are the block's eigenpairs, and
+    phases(t) is e^{i A t} on the block in that eigenbasis.
     """
 
     def __init__(self, source, clamp: ClampSet, gamma: float, mode: str = "reference",
@@ -247,8 +268,10 @@ class BlockSplitEvolution:
         self.steps = steps
         self.clamp = clamp
         self._clamped0 = np.array([i - 1 for i in clamp.indices], dtype=int)
+        self.eigenbasis = None
         if mode == "reference":
-            self._exact = _ExactEvolution(self.a)
+            active = np.concatenate([np.arange(self.d_pad), self.d_pad + self._clamped0])
+            self.eigenbasis = _ExactEvolution(self.a, active)
 
     @functools.cached_property
     def a(self) -> np.ndarray:
@@ -279,8 +302,8 @@ class BlockSplitEvolution:
     def __call__(self, t: float) -> np.ndarray:
         if t == 0.0:
             return np.eye(self.dim, dtype=complex)
-        if self.mode == "reference":
-            return self._exact(t)
+        if self.eigenbasis is not None:
+            return self.eigenbasis(t)
         n = self.steps if self.steps is not None else max(1, math.ceil(t * t / TROTTER_EPS))
         h = t / n
         # U_D: conditional on the leading qubit reading 0, top block only

@@ -10,8 +10,10 @@ Neither Hadamard layer is simulated as a transform. The forward pass
 builds the 2^T controlled-power rows U^b psi by doubling (row h + j is
 U^(2^k) times row j, h = 2^k), and the backward pass folds them back the
 same way and returns only the branch where the phase register is back at
-|0...0>, the one the solver keeps. Each pass costs 2^T - 1 row products,
-O(2^T dim^2), on contiguous slices.
+|0...0>, the one the solver keeps. Each pass costs 2^T - 1 row products
+on contiguous slices. U is either a dense (dim, dim) matrix, O(2^T dim^2)
+a pass, or a 1-D vector: the diagonal of U written in its own eigenbasis,
+whose powers stay diagonal and apply elementwise, O(2^T dim) a pass.
 """
 from __future__ import annotations
 
@@ -19,10 +21,14 @@ import numpy as np
 
 
 def controlled_powers(u1: np.ndarray, t_qubits: int) -> list[np.ndarray]:
-    """[U, U^2, U^4, ...] by repeated squaring, one entry per phase qubit."""
+    """[U, U^2, U^4, ...] by repeated squaring, one entry per phase qubit.
+
+    A 1-D u1 is a diagonal U; its powers are squared elementwise.
+    """
     powers = [np.asarray(u1, dtype=complex)]
+    square = np.multiply if powers[0].ndim == 1 else np.matmul
     for _ in range(t_qubits - 1):
-        powers.append(powers[-1] @ powers[-1])
+        powers.append(square(powers[-1], powers[-1]))
     return powers
 
 
@@ -31,13 +37,17 @@ def qpe_forward(powers: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
 
     Row b before the transform is U^b psi / sqrt(2^T), built by doubling:
     the rows whose top set bit is k are U^(2^k) times the 2^k rows below.
+    A 1-D power is a diagonal and scales each row elementwise.
     """
     n_bins = 2 ** len(powers)
     s = np.empty((n_bins, psi.size), dtype=complex)
     s[0] = psi / np.sqrt(n_bins)
     h = 1
     for u in powers:
-        s[h:2 * h] = s[:h] @ u.T
+        if u.ndim == 1:
+            np.multiply(s[:h], u, out=s[h:2 * h])
+        else:
+            s[h:2 * h] = s[:h] @ u.T
         h *= 2
     # inverse QFT along the phase axis: QFT^dag = fft / sqrt(N)
     return np.fft.fft(s, axis=0, norm="ortho")
@@ -49,7 +59,8 @@ def qpe_backward(s: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
     After the QFT, the inverted powers and the Hadamards, the |0...0>
     phase row is sum_b U^(-b) y_b / sqrt(2^T) over the QFT rows y_b. It is
     folded from the top qubit down: the upper half of the rows, times
-    U^(-2^k), is added onto the lower half.
+    U^(-2^k), is added onto the lower half. 1-D powers are diagonals, as
+    in qpe_forward.
     """
     n_bins = 2 ** len(powers)
     # QFT = sqrt(N) ifft; the unscaled ifft and one exact division by N
@@ -58,7 +69,8 @@ def qpe_backward(s: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
     h = n_bins
     for u in reversed(powers):
         h //= 2
-        y[:h] += y[h:2 * h] @ u.conj()  # (U^dag)^T = conj(U)
+        # row-vector form of U^dag: (U^dag)^T = conj(U), or conj(u) on a diagonal
+        y[:h] += y[h:2 * h] * u.conj() if u.ndim == 1 else y[h:2 * h] @ u.conj()
     return y[0] / n_bins
 
 

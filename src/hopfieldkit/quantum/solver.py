@@ -7,6 +7,14 @@ flag ancilla for every bin with |mu~| >= mu, the phase register is
 uncomputed, and post-selecting the flag leaves a state proportional to
 the truncated-pseudoinverse solution (x; lambda). A second post-selection
 on the leading system qubit isolates |x>.
+
+In reference mode the same circuit is simulated with the system register
+written in the eigenbasis of A's active block (the evolution's
+eigenbasis): A and |w> vanish off that block, so those coordinates stay
+exactly zero, and every controlled power is a diagonal. |w> is rotated
+into the eigenbasis once before phase estimation and the phase-zero
+branch rotated back once after it. Trotter mode runs the dense powers of
+U(t0) on the full register.
 """
 from __future__ import annotations
 
@@ -123,8 +131,13 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     trace = _Trace(trace_path)
     trace.add("embed_w", "system", psi)
 
-    powers = controlled_powers(evolve(t0), t_qubits)
-    s = qpe_forward(powers, psi)
+    basis = evolve.eigenbasis
+    if basis is None:
+        powers = controlled_powers(evolve(t0), t_qubits)
+        s = qpe_forward(powers, psi)
+    else:
+        powers = controlled_powers(basis.phases(t0), t_qubits)
+        s = qpe_forward(powers, basis.vecs.T @ psi[basis.active])
     trace.add("phase_estimate", "phase+system", s)
 
     mu_tilde = bin_eigenvalues(t_qubits, t0)
@@ -151,7 +164,12 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     if success_probability < 1e-14:
         return _fail("every eigencomponent fell below the cutoff; nothing to invert")
 
-    back0 = qpe_backward(s_flag, powers)
+    back = qpe_backward(s_flag, powers)
+    if basis is None:
+        back0 = back
+    else:
+        back0 = np.zeros(psi.size, dtype=complex)
+        back0[basis.active] = basis.vecs @ back
     trace.add("uncompute", "phase=0", back0)
 
     phase_zero = float(np.linalg.norm(back0) ** 2) / success_probability

@@ -237,6 +237,33 @@ seed  fidelity  post_p    expected  residual  status
 PASS: all 10 instances within tolerance
 """
 
+# d = 3 pads to 4: the top padding coordinate is part of the evolved block,
+# the bottom padding is not
+QCHECK_D3_STDOUT = """\
+seed  fidelity  post_p    expected  residual  status
+   0  1.000000  0.656344  0.657079  3.94e-02  pass
+   1  1.000000  0.403676  0.403100  3.47e-02  pass
+   2  1.000000  0.596186  0.596864  3.91e-02  pass
+   3  0.999998  0.571245  0.571192  3.13e-02  pass
+   4  1.000000  0.689475  0.690016  3.93e-02  pass
+   5  0.999998  0.616475  0.616236  3.09e-02  pass
+   6  1.000000  0.579449  0.579906  3.89e-02  pass
+   7  0.999997  0.543883  0.543305  3.05e-02  pass
+   8  1.000000  0.627582  0.628121  3.91e-02  pass
+   9  0.999998  0.579330  0.579240  3.17e-02  pass
+  10  1.000000  0.775289  0.774952  4.55e-02  pass
+  11  0.999997  0.559643  0.559301  3.19e-02  pass
+  12  1.000000  0.456838  0.457254  3.87e-02  pass
+  13  1.000000  0.415027  0.414492  2.42e-02  pass
+  14  1.000000  0.361487  0.361039  3.43e-02  pass
+  15  1.000000  0.465866  0.465199  2.30e-02  pass
+  16  0.999998  0.636011  0.635684  3.13e-02  pass
+  17  0.999998  0.530242  0.530266  3.21e-02  pass
+  18  1.000000  0.538591  0.538881  3.88e-02  pass
+  19  1.000000  0.481391  0.481904  3.88e-02  pass
+PASS: all 20 instances within tolerance
+"""
+
 
 class TestQuantumGoldens:
     def test_quantum_recovery_curve(self, capsys):
@@ -248,6 +275,10 @@ class TestQuantumGoldens:
     def test_qcheck_d4(self, capsys):
         assert main(["qcheck", "--d", "4"]) == 0
         assert capsys.readouterr().out == QCHECK_D4_STDOUT
+
+    def test_qcheck_d3_padded(self, capsys):
+        assert main(["qcheck", "--d", "3", "--seeds", "20"]) == 0
+        assert capsys.readouterr().out == QCHECK_D3_STDOUT
 
     def test_over_budget_quantum_recall_is_a_clean_error(self, tmp_path):
         # d = 1000 needs 22 qubits; the budget check comes before any d x d work

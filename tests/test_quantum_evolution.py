@@ -229,10 +229,13 @@ class TestQhebEvolve:
 
 class TestHermitianEvolution:
     def test_matches_dense_exponential(self):
+        # row and column 2 of h are zero, so e^{iht} is the identity there
         rng = np.random.default_rng(41)
-        h = rng.normal(size=(4, 4))
+        h = rng.normal(size=(5, 5))
         h = (h + h.T) / 2.0
-        evolve = _ExactEvolution(h)
+        h[2, :] = h[:, 2] = 0.0
+        evolve = _ExactEvolution(h, np.array([0, 1, 3, 4]))
+        assert evolve.vecs.shape == (4, 4)
         for t in (0.3, 1.7, -0.9):
             np.testing.assert_allclose(evolve(t), expm(1j * h * t), atol=1e-12)
 
@@ -284,6 +287,21 @@ class TestBlockSplitEvolution:
         for evo in (self.make(), padded):
             for t in (1.0, -0.7, np.pi / 3.0):
                 assert np.linalg.norm(evo(t) - expm(1j * evo.a * t), 2) <= 1e-12
+
+    def test_eigenbasis_spans_the_active_block(self):
+        # padded d = 3: the top padding row is active (A has -gamma' there),
+        # the bottom padding and the unclamped multipliers are not
+        evo = BlockSplitEvolution(TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),
+                                  ClampSet((2,), np.array([0.0, -1.0, 0.0])), 0.5)
+        basis = evo.eigenbasis
+        np.testing.assert_array_equal(basis.active, [0, 1, 2, 3, 5])
+        inactive = np.setdiff1d(np.arange(evo.dim), basis.active)
+        np.testing.assert_array_equal(evo.a[inactive], 0.0)
+        np.testing.assert_array_equal(evo.a[:, inactive], 0.0)
+        block = evo.a[np.ix_(basis.active, basis.active)]
+        np.testing.assert_allclose((basis.vecs * basis.eigs) @ basis.vecs.T, block, atol=1e-14)
+        np.testing.assert_allclose(basis.phases(0.7), np.exp(0.7j * basis.eigs))
+        assert self.make(mode="trotter", steps=5).eigenbasis is None
 
     def test_call_is_unitary(self):
         for evo in (self.make(), self.make(mode="trotter", steps=50)):

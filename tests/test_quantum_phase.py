@@ -26,6 +26,16 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_phases(rng, dim):
+    """A diagonal unitary, given as its 1-D vector of phases."""
+    return np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
+
+
+def as_matrices(powers):
+    """The powers as dense matrices: a 1-D power is a diagonal."""
+    return [np.diag(p) if p.ndim == 1 else p for p in powers]
+
+
 class TestControlledPowers:
     def test_repeated_squaring_matches_matrix_power(self):
         u = random_unitary(np.random.default_rng(1), 4)
@@ -34,6 +44,15 @@ class TestControlledPowers:
         for k, p in enumerate(powers):
             np.testing.assert_allclose(p, np.linalg.matrix_power(u, 2 ** k),
                                        atol=1e-10)
+
+    def test_diagonal_powers_stay_diagonal(self):
+        u = random_phases(np.random.default_rng(2), 6)
+        powers = controlled_powers(u, 5)
+        assert len(powers) == 5
+        for k, p in enumerate(powers):
+            assert p.shape == (6,)
+            np.testing.assert_allclose(np.diag(p),
+                                       np.linalg.matrix_power(np.diag(u), 2 ** k), atol=1e-10)
 
 
 def masked_forward(powers, psi):
@@ -59,7 +78,11 @@ def full_inverse_phase_zero(s, powers):
 
 
 def oracle_instances():
-    """(powers, psi): random unitaries, a scaled unitary and a contraction."""
+    """(powers, psi): random unitaries, a scaled unitary, a contraction and a diagonal unitary.
+
+    The diagonal unitary is passed as its 1-D vector of phases; the oracles
+    run on as_matrices(powers).
+    """
     rng = np.random.default_rng(5)
     for t_qubits in range(1, 10):
         for dim in (2, 3, 8, 32):
@@ -67,7 +90,7 @@ def oracle_instances():
             psi /= np.linalg.norm(psi)
             u = random_unitary(rng, dim)
             z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            for m in (u, 0.99 * u, z / np.linalg.norm(z, 2)):
+            for m in (u, 0.99 * u, z / np.linalg.norm(z, 2), random_phases(rng, dim)):
                 yield controlled_powers(m, t_qubits), psi
 
 
@@ -75,7 +98,8 @@ class TestQpeOracles:
     def test_forward_matches_the_masked_loop(self):
         for powers, psi in oracle_instances():
             np.testing.assert_allclose(qpe_forward(powers, psi),
-                                       masked_forward(powers, psi), rtol=0, atol=1e-12)
+                                       masked_forward(as_matrices(powers), psi),
+                                       rtol=0, atol=1e-12)
 
     def test_backward_matches_row_zero_of_the_full_inverse(self):
         rng = np.random.default_rng(6)
@@ -85,7 +109,7 @@ class TestQpeOracles:
             s /= np.linalg.norm(s)
             back = qpe_backward(s, powers)
             assert back.shape == (dim,)
-            np.testing.assert_allclose(back, full_inverse_phase_zero(s, powers),
+            np.testing.assert_allclose(back, full_inverse_phase_zero(s, as_matrices(powers)),
                                        rtol=0, atol=1e-12)
 
 

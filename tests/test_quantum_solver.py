@@ -8,6 +8,7 @@ from hopfieldkit.experiments import synthetic_patterns
 from hopfieldkit.inversion import discretize
 from hopfieldkit.patterns import ClampSet, TrainingSet
 from hopfieldkit.quantum import solver
+from hopfieldkit.quantum.evolution import BlockSplitEvolution
 from hopfieldkit.quantum.register import QuantumRegister
 from hopfieldkit.quantum.solver import qhop_recall, qhop_solve
 
@@ -65,6 +66,69 @@ class TestWorkedSystem:
         assert report.v_register.total_qubits == 2
         assert np.linalg.norm(report.x_register.amplitudes) == pytest.approx(1.0)
         assert np.linalg.norm(report.v_register.amplitudes) == pytest.approx(1.0)
+
+
+class _DensePowers:
+    """A reference evolution with its eigenbasis hidden.
+
+    qhop_solve then runs the dense controlled powers of U(t0) = evo(t0) on
+    the full register, as it does in trotter mode.
+    """
+
+    eigenbasis = None
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __call__(self, t):
+        return self._inner(t)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def eigenbasis_instances():
+    """(store, clamp, theta): the 13 d = 16 clamps, then padded d = 3 and 5 with theta != 0."""
+    ts = synthetic_patterns(16, 4, 0)
+    for l in range(2, 15):
+        known = np.sort(np.random.default_rng(l).permutation(16)[:l]) + 1
+        yield ts, ClampSet.from_pattern(ts.patterns[0], tuple(int(i) for i in known)), None
+    for d in (3, 5):
+        ts = synthetic_patterns(d, 2, 0)
+        rng = np.random.default_rng(d)
+        for l in range(1, d + 1):
+            known = np.sort(rng.permutation(d)[:l]) + 1
+            clamp = ClampSet.from_pattern(ts.patterns[0], tuple(int(i) for i in known))
+            yield ts, clamp, 0.1 * rng.normal(size=d)
+
+
+class TestEigenbasisCircuit:
+    def test_matches_the_dense_power_circuit(self, monkeypatch):
+        build = solver.assemble_quantum_a
+        for ts, clamp, theta in eigenbasis_instances():
+            fast = qhop_solve(ts, clamp, theta=theta)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "assemble_quantum_a",
+                              lambda *args, **kwargs: _DensePowers(build(*args, **kwargs)))
+                dense = qhop_solve(ts, clamp, theta=theta)
+            assert fast.ok and dense.ok
+            x_fast, x_dense = fast.x_register.amplitudes, dense.x_register.amplitudes
+            gaps = {"x_register": np.linalg.norm(x_fast - x_dense) / np.linalg.norm(x_dense)}
+            for name in ("success_probability", "post_selection_probability"):
+                gaps[name] = abs(getattr(fast, name) / getattr(dense, name) - 1.0)
+            # phase_residual is 1 minus the phase-zero weight; its rounding is
+            # relative to that weight, not to the small residual left over
+            gaps["phase_residual"] = (abs(fast.phase_residual - dense.phase_residual)
+                                      / (1.0 - dense.phase_residual))
+            assert max(gaps.values()) <= 1e-12, (clamp.d, clamp.indices, gaps)
+
+    def test_inactive_coordinates_stay_exactly_zero(self):
+        for ts, clamp, theta in eigenbasis_instances():
+            report = qhop_solve(ts, clamp, theta=theta)
+            evo = BlockSplitEvolution(ts, clamp, 1.0)
+            inactive = np.setdiff1d(np.arange(evo.dim), evo.eigenbasis.active)
+            assert inactive.size == evo.dim - evo.d_pad - len(clamp.indices)
+            np.testing.assert_array_equal(report.v_register.amplitudes[inactive], 0.0)
 
 
 class TestGuards:
