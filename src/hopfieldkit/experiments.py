@@ -185,7 +185,12 @@ def run_trial(ctx: _TrialContext, l: int, rng: np.random.Generator) -> int:
     return int(np.sum(recovered != ctx.target))
 
 
-def _summary(distances: np.ndarray) -> tuple[float, float]:
+def _cell(ctx: _TrialContext, l: int) -> tuple[float, float]:
+    """Mean and standard error of the distances of one cell's repetitions."""
+    cfg = ctx.cfg
+    distances = np.empty(cfg.reps)
+    for rep in range(cfg.reps):
+        distances[rep] = run_trial(ctx, l, np.random.default_rng([cfg.seed, rep]))
     mean = float(distances.mean())
     if distances.size < 2:
         return mean, 0.0
@@ -196,15 +201,7 @@ def run_recovery_curve(cfg: ExperimentConfig, ts: TrainingSet | None = None) -> 
     """Mean recall error against the amount of clamped information."""
     ts = ingest(cfg) if ts is None else ts
     ctx = _TrialContext(cfg, ts)
-    points = []
-    for l in cfg.l_grid:
-        distances = np.empty(cfg.reps)
-        for rep in range(cfg.reps):
-            rng = np.random.default_rng([cfg.seed, rep])
-            distances[rep] = run_trial(ctx, l, rng)
-        mean, stderr = _summary(distances)
-        points.append(CurvePoint(l=l, mean_hamming=mean, stderr=stderr, reps=cfg.reps))
-    return points
+    return [CurvePoint(l, *_cell(ctx, l), cfg.reps) for l in cfg.l_grid]
 
 
 def run_gamma_sweep(cfg: ExperimentConfig, gamma_grid,
@@ -228,13 +225,7 @@ def run_gamma_sweep(cfg: ExperimentConfig, gamma_grid,
     points = []
     for gamma in grid:
         ctx = _TrialContext(replace(cfg, gamma=gamma), ts, wm)
-        distances = np.empty(cfg.reps)
-        for rep in range(cfg.reps):
-            rng = np.random.default_rng([cfg.seed, rep])
-            distances[rep] = run_trial(ctx, l, rng)
-        mean, stderr = _summary(distances)
-        points.append(GammaPoint(gamma=gamma, mean_hamming=mean, stderr=stderr,
-                                 reps=cfg.reps))
+        points.append(GammaPoint(gamma, *_cell(ctx, l), cfg.reps))
     return points
 
 

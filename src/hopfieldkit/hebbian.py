@@ -11,15 +11,13 @@ ensemble: rho = W + I/d, positive semidefinite with unit trace.
 W is rank M plus a shift, W = s X^T X - I/d with s = 1/(M d) and X the
 (M, d) matrix of stored patterns. A WeightMatrix from train holds only X,
 its factor: |W| comes from the eigenvalues of the smaller of the Gram
-matrices X X^T and X^T X, with no d x d eigensolve, and the inversion
-recall works on an M x M core built from X. The dense W is derived from X
-on its first read and cached on the store, so a store of d neurons costs
-M d floats until something reads W; the mu > 0 and singular fallbacks,
-the perturbed solve and the matrix CSV do. M d W is the integer matrix
-C = X^T X with a zero diagonal: the iterative recall keeps exact integer
-fields C x, with C derived and cached the same way. A hand-built
-WeightMatrix(w) has no factor; it is checked densely and recalled by the
-dense path.
+matrices X X^T and X^T X, with no d x d eigensolve. The mu = 0 inversion
+recall works on an M x M core built from X, and the iterative recall on
+the M exact integers X x. The dense W is derived from X on its first read
+and cached on the store, so a store of d neurons costs M d floats until
+something reads W; the mu > 0 and singular fallbacks, the perturbed solve
+and the matrix CSV do. A hand-built WeightMatrix(w) has no factor; it is
+checked densely and recalled by the dense path.
 """
 from __future__ import annotations
 
@@ -63,19 +61,6 @@ class WeightMatrix:
     @property
     def d(self) -> int:
         return self.w.shape[0]
-
-    @cached_property
-    def counts(self) -> np.ndarray | None:
-        """M d W as exact integers, X^T X with a zero diagonal; None for a hand-built W.
-
-        Derived on first read and kept with this store, so it is freed with it.
-        """
-        if self.factor is None:
-            return None
-        c = self.factor.T @ self.factor  # integer entries, summed exactly
-        np.fill_diagonal(c, 0.0)
-        c.setflags(write=False)
-        return c
 
 
 class _TrainedWeightMatrix(WeightMatrix):

@@ -5,22 +5,24 @@ x_i = +1 when its local field (W x)_i meets or exceeds theta_i and -1
 otherwise; ties resolve to +1. Each update never increases the energy
 because self-couplings are zero.
 
-A trained store's fields are exact. Its W is C/(M d) with C = X^T X, zero
-diagonal, for the (M, d) patterns X, so M d (W x)_i = (C x)_i is an integer,
-and the rule compares it with M d theta_i: ties resolve to +1 exactly. C is
-the store's cached WeightMatrix.counts. A hand-built W's fields are floats,
-and rounding can put a tie on either side.
+A trained store's fields are exact and are read from its factor alone.
+Its W is C/(M d) with C = X^T X - M I for the (M, d) patterns X, so
+M d (W x)_i = (X^T y)_i - M x_i with y = X x, M integers, and the rule
+compares that integer with M d theta_i: ties resolve to +1 exactly, and
+no d x d array is formed. A hand-built W's fields are floats, and
+rounding can put a tie on either side.
 
 recall is event-driven but reproduces the plain one-neuron-at-a-time loop
 exactly. It draws neuron indices in blocks that end where the loop could
-first stop, so the caller's Generator ends in the same state. It keeps the
-fields h current with one row add per flip, and with them a mask of the
-neurons that an update would flip, and jumps over the updates the mask
-rules out. For a trained store h = C x is exact and decides every update.
-For a hand-built W, h = W x drifts by rounding, so the mask also holds the
-neurons whose field lies within a rounding band of their threshold; each of
-those is decided by the exact row product (W x)_i, as the plain loop
-decides it, and h is recomputed at every full stability check.
+first stop, so the caller's Generator ends in the same state. It keeps
+s = y (trained) or s = h = W x (hand-built) current with one row add per
+flip, and with it a mask of the neurons that an update would flip, and
+jumps over the updates the mask rules out. For a trained store the mask
+is exact: every neuron it holds flips. For a hand-built W, h drifts by
+rounding, so the mask also holds the neurons whose field lies within a
+rounding band of their threshold; each of those is decided by the exact
+row product (W x)_i, as the plain loop decides it, and h is recomputed at
+every full stability check.
 """
 from __future__ import annotations
 
@@ -36,26 +38,24 @@ from .patterns import as_pattern, as_thresholds
 def energy(wm: WeightMatrix, x, theta=None) -> float:
     """E = -1/2 x^T W x + theta^T x.
 
-    For a trained store x^T W x is read exactly, as x^T C x/(M d), so a
-    recall's last sampled energy equals energy(final) bit for bit. Zero
-    (unknown) entries are permitted; they simply contribute nothing, so the
-    all-zero state has energy 0 regardless of W and theta.
+    For a trained store x^T W x is read exactly from the factor, as the
+    integer x^T C x = |X x|^2 - M sum x_i^2 over M d, so a recall's last
+    sampled energy equals energy(final) bit for bit. Zero (unknown) entries
+    are permitted; they simply contribute nothing, so the all-zero state
+    has energy 0 regardless of W and theta.
     """
     s = as_pattern(x, d=wm.d)
     t = as_thresholds(theta, wm.d)
-    c = wm.counts
-    if c is None:
+    p = wm.factor
+    if p is None:
         return _energy(wm.w, t, s)
-    return _exact_energy(c @ s, t, s, wm.factor.shape[0] * wm.d)
+    m, d = p.shape
+    y = p @ s
+    return float(-(y @ y - m * (s @ s)) / (2 * m * d) + t @ s)
 
 
 def _energy(w: np.ndarray, t: np.ndarray, x: np.ndarray) -> float:
     return float(-0.5 * x @ w @ x + t @ x)
-
-
-def _exact_energy(h: np.ndarray, t: np.ndarray, x: np.ndarray, md: int) -> float:
-    """Energy from the exact integer fields h = C x of a trained store."""
-    return float(-(x @ h) / (2 * md) + t @ x)
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,14 @@ def recall(
     Generator is left in, is that of drawing one index per update and
     deciding it by the threshold rule. Indices are drawn in blocks of
     min(d - quiet run, updates left), since no run stops inside one. A
-    flip adds one row to the maintained fields h and refreshes the mask of
-    neurons an update would flip; the next update the mask holds in the
-    rest of the block is found by one gather and an argmax. A trained
-    store decides each update from its exact integer field. For a
-    hand-built W only: the mask holds every field within 1e-9 sqrt(d) of a
-    tie, each such update is decided by the row product w[i] @ x, and h is
-    reset to W x at every full stability check.
+    flip adds one row to the maintained y = X x (trained) or h = W x
+    (hand-built) and refreshes the mask of neurons an update would flip;
+    the next update the mask holds in the rest of the block is found by one
+    gather and an argmax. A trained store's mask is exact, so each update
+    it holds flips and an empty mask is convergence. For a hand-built W
+    only: the mask holds every field within 1e-9 sqrt(d) of a tie, each
+    such update is decided by the row product w[i] @ x, and h is reset to
+    W x at every full stability check.
     """
     if order not in ("random", "sweep"):
         raise ValueError(f"unknown update order {order!r}")
@@ -127,26 +128,29 @@ def recall(
 
     t = as_thresholds(theta, wm.d)
     d = wm.d
-    c = wm.counts
-    exact = c is not None
+    g = wm.factor
+    exact = g is not None
     if exact:
-        md = wm.factor.shape[0] * d
-        # an integer field h meets M d theta_i exactly when it exceeds
-        # ceil(M d theta_i) - 1/2, a threshold no field equals, so the margin
-        # (h - thr) x below is never 0 and is negative just where x flips
-        g, rows, thr, band = c, c, np.ceil(md * t) - 0.5, 0.0
+        md = g.shape[0] * d
+        # the integer field (X^T y)_i - M x_i meets M d theta_i exactly when
+        # it exceeds ceil(M d theta_i) - 1/2, a threshold no field equals;
+        # as x_i^2 = 1, x_i flips just where the integer (X^T y)_i x_i lies
+        # below the half-integer M + thr_i x_i, so the mask below is exact
+        thr, base = np.ceil(md * t) - 0.5, g.shape[0]
     else:
         # |(W x)_i| <= sqrt(d) because |W| <= 1; rounding in h stays far
         # inside this band, so a neuron whose margin clears it cannot flip.
         # W is symmetric only to 1e-12, so a flip of x_i adds column i.
-        g, rows, thr, band = wm.w, wm.w.T, t, 1e-9 * np.sqrt(d)
-    h = g @ x
-    flips = (h - thr) * x <= band  # the neurons an update would flip, or might
+        g, thr, base = wm.w, t, 1e-9 * np.sqrt(d)
+    s = g @ x  # y = X x, or h = W x
+    rows = 2 * g.T  # what a flip of x_i up adds to s
+    rhs = base + thr * x
+    flips = (np.dot(s, g) if exact else s) * x <= rhs  # the neurons an update would flip, or might
     energies = []
 
     def sample():
-        # exact fields give x^T C x in O(d); a hand-built W's h has drifted
-        energies.append(_exact_energy(h, t, x, md) if exact else _energy(g, t, x))
+        # y gives x^T C x = |y|^2 - M d exactly; a hand-built W's h has drifted
+        energies.append(float(-(s @ s - md) / (2 * md) + t @ x) if exact else _energy(g, t, x))
 
     sample()
     stable_run = 0
@@ -179,12 +183,16 @@ def recall(
             if updates == end:
                 break
             i = int(rest[k])
-            field = h[i] if exact else g[i] @ x
-            new = 1.0 if field >= thr[i] else -1.0
-            if new != x[i]:
-                h += (new - x[i]) * rows[i]
-                x[i] = new
-                flips = (h - thr) * x <= band
+            up = x[i] < 0.0
+            if exact or (g[i] @ x >= thr[i]) == up:
+                if up:
+                    s += rows[i]
+                    x[i] = 1.0
+                else:
+                    s -= rows[i]
+                    x[i] = -1.0
+                rhs[i] = base + thr[i] * x[i]
+                flips = (np.dot(s, g) if exact else s) * x <= rhs
                 stable_run = 0
             else:
                 stable_run += 1
@@ -194,13 +202,17 @@ def recall(
         if stable_run >= d:
             # Under random selection a quiet window of d updates can still
             # have missed some neuron, so confirm every neuron is stable
-            # before reporting convergence; if not, keep iterating. A
-            # hand-built W's check takes the exact product, which also
+            # before reporting convergence; if not, keep iterating. A trained
+            # store's mask is exact, so it is stable when the mask is empty.
+            # A hand-built W's check takes the exact product, which also
             # clears the drift of h.
-            if not exact:
-                h = g @ x
-                flips = (h - thr) * x <= band
-            if np.array_equal(np.where(h >= thr, 1.0, -1.0), x):
+            if exact:
+                stable = not flips.any()
+            else:
+                s = g @ x
+                flips = s * x <= rhs
+                stable = np.array_equal(np.where(s >= thr, 1.0, -1.0), x)
+            if stable:
                 converged = True
                 break
             stable_run = 0

@@ -304,7 +304,9 @@ class BlockSplitEvolution:
             return np.eye(self.dim, dtype=complex)
         if self.eigenbasis is not None:
             return self.eigenbasis(t)
-        n = self.steps if self.steps is not None else max(1, math.ceil(t * t / TROTTER_EPS))
+        n = self.steps
+        if n is None:
+            n = TrotterPlan.for_error(t, self._ts.m, TROTTER_EPS).n
         h = t / n
         # U_D: conditional on the leading qubit reading 0, top block only
         u_d = np.eye(self.dim, dtype=complex)

@@ -64,10 +64,16 @@ def _top_amplitudes(vec: np.ndarray, count: int = 8) -> str:
 
     The real part is what qhop_recall reads. In reference mode the
     imaginary parts are rounding noise, whose digits would tie the trace
-    bytes to the order of the arithmetic.
+    bytes to the order of the arithmetic. So would the order of moduli
+    that agree to rounding, and the digits of rounding-level entries:
+    moduli are compared in steps of 1e-12 times the largest, equal steps
+    list by index, and an entry below one step prints as 0.
     """
-    order = np.argsort(-np.abs(vec))[:count]
-    return " ".join(f"{int(i)}:{vec[i].real:.4g}" for i in order)
+    mod = np.abs(vec)
+    step = 1e-12 * (mod.max(initial=0.0) or 1.0)
+    order = np.argsort(-np.rint(mod / step), kind="stable")[:count]
+    return " ".join(f"{int(i)}:{vec[i].real:.4g}" if mod[i] >= step else f"{int(i)}:0"
+                    for i in order)
 
 
 class _Trace:

@@ -405,7 +405,8 @@ class TestMemoryErrors:
 
     @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS")
     def test_recall_at_d27000_runs_under_a_1_gib_address_space(self, tmp_path):
-        # a dense W at this size would be 5.4 GiB; the store holds only X
+        # a dense W, or C = X^T X, at this size would be 5.4 GiB; the store
+        # holds only X, and both classical engines recall from it
         d = 27000
         pattern = synthetic_patterns(d, 8, 0).patterns[0].astype(int)
         known = np.random.default_rng(0).choice(d, d // 10, replace=False)
@@ -419,14 +420,15 @@ class TestMemoryErrors:
         # one BLAS thread, so the cap does not depend on the host's core count
         env = dict(os.environ, PYTHONPATH=str(Path(hopfieldkit.__file__).parents[1]),
                    OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "hopfieldkit.cli", "recall", "--format", "synthetic",
-             "--d", str(d), "--m", "8", "--pattern", path],
-            capture_output=True, text=True, env=env, timeout=120, check=False,
-            preexec_fn=cap)
-        assert proc.returncode == 0, proc.stderr
-        assert "certified=True" in proc.stderr
-        assert proc.stdout == " ".join(map(str, pattern)) + "\n"
+        for method, outcome in (("inversion", "certified=True"), ("iterative", "converged=True")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hopfieldkit.cli", "recall", "--method", method,
+                 "--format", "synthetic", "--d", str(d), "--m", "8", "--pattern", path],
+                capture_output=True, text=True, env=env, timeout=120, check=False,
+                preexec_fn=cap)
+            assert proc.returncode == 0, proc.stderr
+            assert outcome in proc.stderr
+            assert proc.stdout == " ".join(map(str, pattern)) + "\n"
 
 
 class TestArgumentErrors:

@@ -157,8 +157,8 @@ class TestRecoveryCurve:
 
     @pytest.mark.parametrize("method", ["inversion", "iterative", "quantum"])
     def test_curves_never_derive_the_dense_weights(self, monkeypatch, method):
-        # the mu = 0 elimination reads the factor, the iterative engine the
-        # integer counts, and qhop_recall only the patterns
+        # the mu = 0 elimination and the iterative engine read the factor,
+        # and qhop_recall only the patterns
         stores = []
 
         def recording_train(ts):

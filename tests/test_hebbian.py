@@ -111,7 +111,7 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 3000 * 3000 * 8 / 100  # a dense W would be 72 MB
-        assert "w" not in vars(wm) and "counts" not in vars(wm)
+        assert "w" not in vars(wm)
 
     def test_runs_no_eigensolve_larger_than_the_smaller_gram(self, make_training,
                                                               monkeypatch):

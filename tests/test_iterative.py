@@ -1,7 +1,5 @@
 """Asynchronous single-neuron recall: energy, updates, convergence."""
 import copy
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -156,7 +154,7 @@ class TestEnergy:
         assert energy(worked_wm, [1.0, -1.0],
                       theta=[1.0, 0.0]) == pytest.approx(1.5, abs=1e-15)
 
-    def test_trained_store_reads_exact_counts(self, make_training):
+    def test_trained_store_energy_is_exact(self, make_training):
         rng = np.random.default_rng(60)
         ts = make_training(rng, 3, 9)
         wm = train(ts)
@@ -437,12 +435,15 @@ class TestExactFields:
         mask = experiments._known_mask(experiments._TrialContext(cfg, ts), 1, rng)
         start = np.where(mask, ts.pattern(1), 0.0)
 
-        probe, x = copy.deepcopy(rng), np.where(start == 0.0, 1.0, start)
+        p = ts.patterns.astype(np.int64)
+        c = p.T @ p
+        np.fill_diagonal(c, 0)
+        probe, x = copy.deepcopy(rng), np.where(start == 0.0, 1, start).astype(np.int64)
         for _ in range(15):
             i = int(probe.integers(wm.d))
-            x[i] = 1.0 if wm.counts[i] @ x >= 0.0 else -1.0
+            x[i] = 1 if c[i] @ x >= 0 else -1
         i = int(probe.integers(wm.d))
-        assert (i, x[i], wm.counts[i] @ x) == (6, 1.0, 0.0)
+        assert (i, x[i], c[i] @ x) == (6, 1, 0)
         assert wm.w[i] @ x < 0.0
 
         floating = reference_recall(wm, start, rng_seed=copy.deepcopy(rng),
@@ -467,15 +468,3 @@ class TestExactFields:
             assert after.energies.tobytes() == before.energies.tobytes()
             assert (after.sweeps, after.converged) == (before.sweeps, before.converged)
             assert energy(wm, after.final, theta) == after.energies[-1]
-
-    def test_counts_are_freed_with_the_store(self, make_training):
-        wm = train(make_training(np.random.default_rng(76), 3, 40))
-        recall(wm, np.zeros(40), rng_seed=0)
-        assert wm.counts is not None
-        ref = weakref.ref(wm)
-        del wm
-        gc.collect()
-        assert ref() is None
-
-    def test_hand_built_store_has_no_counts(self, worked_wm):
-        assert worked_wm.counts is None

@@ -227,6 +227,12 @@ class TestTrace:
         qhop_solve(ts, ClampSet.from_pattern(ts.patterns[0], (1, 2, 3, 4)), trace_path=path)
         assert "j" not in path.read_text()
 
+    def test_amplitudes_that_agree_to_rounding_list_by_index(self):
+        # moduli 1 ulp apart list in index order, and a rounding-level entry
+        # prints as 0, so reordered arithmetic leaves the trace bytes alone
+        vec = np.array([0.3, 0.5, np.nextafter(0.5, 1.0), 1e-17, -0.2])
+        assert solver._top_amplitudes(vec) == "1:0.5 2:0.5 0:0.3 4:-0.2 3:0"
+
     def test_no_trace_rows_are_formatted_without_a_path(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("trace rows formatted with no trace path")
