@@ -14,8 +14,8 @@ from importlib import resources
 import numpy as np
 
 from .hebbian import WeightMatrix, train
-from .inversion import (_eliminate_clamped, _saddle, _unclamped_block, assemble, discretize,
-                        solve, truncated_pseudoinverse_apply)
+from .inversion import (LinearSystem, _reduced_solve, assemble, discretize, solve,
+                        truncated_pseudoinverse_apply)
 from .iterative import recall
 from .patterns import ClampSet, TrainingSet, encode_rna, load_fasta, load_patterns
 from .quantum.solver import qhop_recall, qhop_solve
@@ -151,19 +151,17 @@ def _known_mask(ctx: _TrialContext, l: int, rng: np.random.Generator) -> np.ndar
 
 
 def _inversion_recover(ctx: _TrialContext, mask: np.ndarray) -> np.ndarray:
-    """Constrained solve for one trial; direct elimination with eigen fallback."""
+    """Constrained solve for one trial: the mu = 0 kernel, with the eigen fallback of solve."""
     cfg = ctx.cfg
     if cfg.mu == 0.0:
-        x = _eliminate_clamped(_unclamped_block(ctx.wm, mask, cfg.gamma),
-                               np.where(mask, ctx.target, 0.0))
+        x, _ = _reduced_solve(ctx.wm, mask, ctx.target, cfg.gamma)
         if x is not None:
             return x
     # truncated-pseudoinverse path (mu > 0, or a singular reduced block)
-    d = ctx.ts.d
-    a = _saddle(ctx.wm.w - cfg.gamma * np.eye(d), mask)
-    w_vec = np.concatenate([np.zeros(d), np.where(mask, ctx.target, 0.0)])
-    v, _, _, _ = truncated_pseudoinverse_apply(a, w_vec, cfg.mu)
-    return v[:d]
+    clamp = ClampSet.from_pattern(ctx.target, np.flatnonzero(mask) + 1)
+    sys = LinearSystem(ctx.wm, clamp, cfg.gamma, None)
+    v, _, _, _ = truncated_pseudoinverse_apply(sys.a, sys.rhs, cfg.mu)
+    return v[:ctx.ts.d]
 
 
 def run_trial(ctx: _TrialContext, l: int, rng: np.random.Generator) -> int:

@@ -12,12 +12,12 @@ W is rank M plus a shift, W = s X^T X - I/d with s = 1/(M d) and X the
 (M, d) matrix of stored patterns. A WeightMatrix from train holds only X,
 its factor: |W| comes from the eigenvalues of the smaller of the Gram
 matrices X X^T and X^T X, with no d x d eigensolve. The mu = 0 inversion
-recall works on an M x M core built from X, and the iterative recall on
-the M exact integers X x. The dense W is derived from X on its first read
-and cached on the store, so a store of d neurons costs M d floats until
-something reads W; the mu > 0 and singular fallbacks, the perturbed solve
-and the matrix CSV do. A hand-built WeightMatrix(w) has no factor; it is
-checked densely and recalled by the dense path.
+recall and the perturbed solve work on an M x M core built from X, and
+the iterative recall on the M exact integers X x. The dense W is derived
+from X on its first read and cached on the store, so a store of d neurons
+costs M d floats until something reads W; the mu > 0 and singular
+fallbacks and the matrix CSV do. A hand-built WeightMatrix(w) has no
+factor; it is checked densely and recalled by the dense path.
 """
 from __future__ import annotations
 

@@ -13,13 +13,16 @@ A LinearSystem records the instance (W, the clamp, gamma, theta); A is
 derived from it and written out only where it is read. With mu = 0 the
 clamped block is eliminated: x_K = x_inc fixes the known neurons,
 Q_UU x_U = -(theta_U + Q_UK x_K) with Q = gamma I - W gives the unclamped
-set U, and the multipliers follow from the clamped rows. Q_UU is taken
-apart by one symmetric eigendecomposition per recall, and the solve, the
+set U, and the multipliers follow from the clamped rows. One kernel,
+_reduced_solve, does this for the library solve, the curve harness and
+the perturbed solve (nothing clamped, gamma + beta for gamma). It takes
+Q_UU apart by one symmetric eigendecomposition, and the solve, the
 singularity rule and the certificate share it. The rule is the same for
 every block: with floor = RANK_TOL_FACTOR times the largest eigenvalue
 magnitude of the decomposed matrix, Q_UU counts as singular when an
 eigenvalue lies within floor of zero, and as positive definite when its
-smallest eigenvalue exceeds floor.
+smallest eigenvalue exceeds floor. eigh is the only factorization the
+module runs.
 
 - A trained W keeps its patterns X as a factor, W = s X^T X - I/d with
   s = 1/(M d). Then Q_UU = c I - s X_U^T X_U with c = gamma + 1/d, whose
@@ -126,13 +129,6 @@ class SolveReport:
     residual_stationarity: float
     minimum_certified: bool
 
-    CSV_HEADER = "gamma,mu,kept,eta,residual_constraint,residual_stationarity,minimum_certified"
-
-    def to_csv_row(self) -> str:
-        return (f"{self.gamma:.10g},{self.mu:.10g},{self.kept},{self.eta:.10g},"
-                f"{self.residual_constraint:.10g},{self.residual_stationarity:.10g},"
-                f"{int(self.minimum_certified)}")
-
 
 def assemble(wm: WeightMatrix, clamp: ClampSet, theta=None, gamma: float = 1.0) -> LinearSystem:
     """The recall instance whose system is A = [[W - gamma I, P], [P, 0]], rhs (theta; x_inc)."""
@@ -177,8 +173,8 @@ def truncated_pseudoinverse_apply(a, w, mu: float):
 def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
     """Solve A (x; lam) = rhs, where rhs = (theta; x_inc).
 
-    mu = 0 eliminates the clamped block on Q = gamma I - W: one solve on
-    Q_UU gives the minimum-norm pseudoinverse solution (eta = 0,
+    mu = 0 eliminates the clamped block on Q = gamma I - W: _reduced_solve
+    on Q_UU gives the minimum-norm pseudoinverse solution (eta = 0,
     kept = d + l, rank_tol = 0) without building A. mu > 0, or a singular
     Q_UU, takes the truncated pseudoinverse of sys.a by eigendecomposition
     instead. minimum_certified is the verdict of certify_minimum.
@@ -188,9 +184,9 @@ def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
     p_mask = sys.clamp.mask()
     x = block = None
     if mu == 0.0:
-        block = _unclamped_block(sys.wm, p_mask, sys.gamma)
         # zero thresholds skip the theta terms of the elimination
-        x = _eliminate_clamped(block, x_inc.copy(), theta if theta.any() else None)
+        x, block = _reduced_solve(sys.wm, p_mask, x_inc, sys.gamma,
+                                  theta if theta.any() else None)
     if x is not None:
         # full-rank elimination: rank(A) = d + l, truncation plays no part,
         # and x_K = x_inc by construction
@@ -203,7 +199,7 @@ def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
         v, eta, kept, rank_tol = truncated_pseudoinverse_apply(sys.a, sys.rhs, mu)
         x, lam = v[:d], v[d:]
         residual_constraint = float(np.max(np.abs(np.where(p_mask, x, 0.0) - x_inc)))
-        stat = (sys.a[:d, :d] @ x) + np.where(p_mask, lam, 0.0) - theta
+        stat = np.where(p_mask, lam, 0.0) - _apply_q(sys.wm, sys.gamma, x) - theta
     residual_stationarity = float(np.abs(stat).max())
     certified = certify_minimum(sys.wm, sys.clamp, sys.gamma, _block=block)
     return SolveReport(x=x, lam=lam, discretized=discretize(x), gamma=sys.gamma,
@@ -260,15 +256,13 @@ class _CoreBlock(_SpectralBlock):
         self._decide(gamma * m * d + m - g)  # c M d minus the ascending Gram spectrum
 
     def solve(self, x, theta=None):
-        """x_U with Q_UU x_U = -(theta_U + Q_UK x_K), or None when Q_UU is singular.
+        """x_U with Q_UU x_U = -(theta_U + Q_UK x_K), for a block the rule calls regular.
 
         Woodbury, with I + s C^-1 X_U X_U^T = c C^-1, gives
         x_U = s X_U^T C^-1 (X_K x_K - X_U theta_U / c) - theta_U / c. The
         spectral rule is the only gate: past it the eigen fallback would
         invert the same small eigenvalues, so no residual guard follows.
         """
-        if self.singular:
-            return None
         b = self.f @ x  # X_K x_K, for x zero on U
         if theta is not None:
             t = theta[self.free] / self.c
@@ -289,9 +283,7 @@ class _DenseBlock(_SpectralBlock):
         self._decide(eigs)
 
     def solve(self, x, theta=None):
-        """x_U solving Q_UU x_U = -(theta_U + Q_UK x_K) in Q_UU's eigenbasis; None if singular."""
-        if self.singular:
-            return None
+        """x_U solving Q_UU x_U = -(theta_U + Q_UK x_K) in Q_UU's eigenbasis."""
         known = ~self.free
         rhs = self.w[np.ix_(self.free, known)] @ x[known]  # -Q_UK x_K
         if theta is not None:
@@ -304,21 +296,19 @@ def _unclamped_block(wm: WeightMatrix, known, gamma: float):
     return (_DenseBlock if wm.factor is None else _CoreBlock)(wm, known, gamma)
 
 
-def _eliminate_clamped(block, x, theta=None):
-    """Complete x on the unclamped set U in place: Q_UU x_U = -(theta_U + Q_UK x_K).
+def _reduced_solve(wm: WeightMatrix, known, x_inc, gamma: float, theta=None):
+    """The mu = 0 kernel: x with x_K = x_inc_K and Q_UU x_U = -(theta_U + Q_UK x_K).
 
-    block is Q_UU from _unclamped_block, and x holds the clamped values on
-    the clamp set K and zeros on U; theta=None means zero thresholds.
-    Returns x, or None (x untouched) when Q_UU is singular.
+    Q = gamma I - W and U = ~known; theta=None means zero thresholds, and
+    x_inc is read only on known. Returns (x, block), block being Q_UU from
+    _unclamped_block, with x = None when the spectral rule calls it singular.
     """
-    u = block.free
-    if not u.any():
-        return x
-    xu = block.solve(x, theta)
-    if xu is None:
-        return None
-    x[u] = xu
-    return x
+    block = _unclamped_block(wm, known, gamma)
+    if block.singular:
+        return None, block
+    x = np.where(known, x_inc, 0.0)
+    x[block.free] = block.solve(x, theta)
+    return x, block
 
 
 def discretize(x) -> np.ndarray:
@@ -341,9 +331,13 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
 
     The soft variant: instead of clamping, a quadratic penalty of weight
     beta pulls the state toward the perturbed anchor x_pert, so there are
-    no multipliers (lam comes back empty). The matrix is positive definite
-    whenever gamma + beta exceeds the spectral norm of W; a singular
-    matrix is rejected.
+    no multipliers (lam comes back empty). It is the mu = 0 kernel with
+    nothing clamped, ridge gamma + beta and thresholds theta - beta x_pert,
+    so a trained store is solved from its factor. The matrix is positive
+    definite whenever gamma + beta exceeds the spectral norm of W. It is
+    rejected as singular when an eigenvalue lies within RANK_TOL_FACTOR
+    times the largest eigenvalue magnitude of zero, the rule of every
+    reduced block, not only at an exact zero pivot.
     """
     if not 0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite")
@@ -357,12 +351,11 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     if not definite:
         warnings.warn("gamma + beta does not exceed |W|; system may be indefinite",
                       RuntimeWarning, stacklevel=2)
-    m = (gamma + beta) * np.eye(wm.d) - wm.w
-    try:
-        x = np.linalg.solve(m, beta * anchor - t)
-    except np.linalg.LinAlgError:
-        raise ValueError("perturbed system matrix is singular") from None
-    residual = float(np.max(np.abs(m @ x - (beta * anchor - t))))
+    x, _ = _reduced_solve(wm, np.zeros(wm.d, dtype=bool), 0.0, gamma + beta,
+                          t - beta * anchor)
+    if x is None:
+        raise ValueError("perturbed system matrix is singular")
+    residual = float(np.max(np.abs(_apply_q(wm, gamma + beta, x) - (beta * anchor - t))))
     return SolveReport(x=x, lam=np.zeros(0), discretized=discretize(x),
                        gamma=float(gamma), mu=0.0, rank_tol=0.0, kept=wm.d,
                        eta=0.0, residual_constraint=0.0,

@@ -25,7 +25,7 @@ import numpy as np
 from ..hebbian import density
 from ..inversion import _saddle
 from ..patterns import ClampSet, TrainingSet
-from .register import QuantumRegister, qubits_for
+from .register import QuantumRegister, _pad, qubits_for
 
 DELTA_T_WARN = 0.1
 # Split error trotter mode's default step count aims for.
@@ -43,7 +43,6 @@ class TrotterPlan:
     t: float
     n: int
     m: int
-    target_eps: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -63,7 +62,7 @@ class TrotterPlan:
         if target_eps <= 0:
             raise ValueError("target_eps must be positive")
         n = max(1, math.ceil(t * t / target_eps))
-        return cls(t=t, n=n, m=m, target_eps=target_eps)
+        return cls(t=t, n=n, m=m)
 
 
 def _normalized_padded(pattern) -> np.ndarray:
@@ -71,10 +70,7 @@ def _normalized_padded(pattern) -> np.ndarray:
     norm = np.linalg.norm(x)
     if norm == 0.0:
         raise ValueError("cannot project onto a zero pattern")
-    d_pad = 2 ** qubits_for(x.size)
-    out = np.zeros(d_pad, dtype=complex)
-    out[: x.size] = x / norm
-    return out
+    return _pad(x / norm)
 
 
 def conditional_pattern_step(state, pattern, delta_t: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..patterns import ClampSet
+from ..patterns import ClampSet, as_thresholds
 
 NORM_ATOL = 1e-10
 
@@ -87,9 +87,7 @@ def embed_w(theta, clamp: ClampSet) -> tuple[QuantumRegister, float]:
     encoded vector is never zero.
     """
     d = clamp.d
-    t = np.zeros(d) if theta is None else np.asarray(theta, dtype=float)
-    if t.shape != (d,) or not np.all(np.isfinite(t)):
-        raise ValueError(f"theta must be a finite vector of shape ({d},)")
+    t = as_thresholds(theta, d)
     d_pad = 2 ** qubits_for(d)
     w = np.zeros(2 * d_pad)
     w[:d] = t

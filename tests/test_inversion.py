@@ -1,16 +1,20 @@
 """Constrained recall through the saddle-point system and its certificates."""
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hopfieldkit
 from hopfieldkit import experiments
 from hopfieldkit.experiments import ExperimentConfig, ingest, synthetic_patterns
 from hopfieldkit.hebbian import WeightMatrix, spectral_norm, train
 from hopfieldkit.inversion import (
     RANK_TOL_FACTOR,
     LinearSystem,
-    SolveReport,
     assemble,
     certify_minimum,
     discretize,
@@ -18,7 +22,12 @@ from hopfieldkit.inversion import (
     solve_perturbed,
     truncated_pseudoinverse_apply,
 )
-from hopfieldkit.patterns import ClampSet, TrainingSet
+from hopfieldkit.patterns import ClampSet, TrainingSet, as_thresholds
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 
 class TestAssemble:
@@ -194,6 +203,8 @@ class TestSolve:
                                                               monkeypatch):
         # A hand-built W: one eigh of Q_UU serves the solve and the certificate;
         # neither the 2d x 2d A nor an LU or Cholesky factorization is touched.
+        # The perturbed solve is the same kernel with nothing clamped: one eigh
+        # of the whole d x d matrix (gamma + beta) I - W.
         rng = np.random.default_rng(81)
         cases = [(make_weights(rng, d), make_clamp(rng, d)) for d in (3, 8, 20)]
         shapes = []
@@ -218,6 +229,10 @@ class TestSolve:
             assert shapes == [(u, u)]
             assert report.minimum_certified
             assert (report.kept, report.eta, report.rank_tol) == (wm.d + clamp.l, 0.0, 0.0)
+            shapes.clear()
+            report = solve_perturbed(wm, rng.choice([-1.0, 0.0, 1.0], size=wm.d), beta=0.5)
+            assert shapes == [(wm.d, wm.d)]
+            assert report.minimum_certified
 
     @pytest.mark.parametrize("coupling", [0.3, 0.4, 0.7])
     def test_singular_unclamped_block_falls_back_to_the_pseudoinverse(self, coupling):
@@ -273,15 +288,6 @@ class TestSolve:
                        rng.normal(size=d), gamma=1.0)
         report = solve(sys)
         np.testing.assert_array_equal(report.discretized, discretize(report.x))
-
-    def test_csv_row_round_trip(self, worked_wm, worked_clamp):
-        report = solve(assemble(worked_wm, worked_clamp))
-        header = SolveReport.CSV_HEADER.split(",")
-        row = report.to_csv_row().split(",")
-        assert len(row) == len(header) == 7
-        assert float(row[header.index("gamma")]) == 1.0
-        assert int(row[header.index("kept")]) == 3
-        assert row[header.index("minimum_certified")] == "1"
 
 
 class TestDiscretize:
@@ -567,6 +573,70 @@ class TestTrainedStore:
         wm = train(TrainingSet([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]))
         assert not certify_minimum(wm, ClampSet((1, 3), np.array([1.0, 0, 1.0, 0])), 0.0)
 
+    def test_perturbed_solve_matches_the_dense_path_and_an_lu(self, make_training):
+        # Nothing clamped: the M x M core of the whole store against the
+        # eigh of a dense copy's (gamma + beta) I - W, and against an
+        # independent LU of that matrix. W's eigenvalues are rationals with
+        # small denominators, so some of these sums of gamma and beta land
+        # on one: both paths must then reject the system.
+        rng = np.random.default_rng(96)
+        singular = 0
+        for _ in range(300):
+            m, d = int(rng.integers(1, 9)), int(rng.integers(3, 81))
+            wm = train(make_training(rng, m, d))
+            gamma = float(rng.choice([0.05, 0.3, 1.0]))
+            beta = float(rng.choice([0.1, 0.5, 1.0]))
+            anchor = rng.choice([-1.0, 0.0, 1.0], size=d)
+            theta = rng.normal(scale=0.3, size=d) if rng.random() < 0.5 else None
+            outcomes = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for store in (wm, dense_copy(wm)):
+                    try:
+                        outcomes.append(solve_perturbed(store, anchor, theta, gamma, beta))
+                    except ValueError as err:
+                        assert str(err) == "perturbed system matrix is singular"
+                        outcomes.append(None)
+            got, want = outcomes
+            assert (got is None) == (want is None)
+            if got is None:
+                singular += 1
+                continue
+            lu = np.linalg.solve((gamma + beta) * np.eye(d) - wm.w,
+                                 beta * anchor - as_thresholds(theta, d))
+            tol = 1e-12 * np.abs(lu).max()
+            np.testing.assert_allclose(got.x, want.x, rtol=0.0, atol=tol)
+            np.testing.assert_allclose(got.x, lu, rtol=0.0, atol=tol)
+            np.testing.assert_array_equal(got.discretized, want.discretized)
+            assert got.minimum_certified == want.minimum_certified
+            assert got.residual_stationarity <= tol
+        assert 0 < singular < 30
+
+    def test_perturbed_solve_at_an_eigenvalue_of_w_is_singular_on_both_paths(self):
+        # M orthogonal patterns (Hadamard rows, columns permuted and signed)
+        # give W the M-fold eigenvalue 1/M - 1/d, exact in binary: at
+        # gamma + beta equal to it, both paths reject the system; just off
+        # it, both solve it.
+        rng = np.random.default_rng(97)
+        hadamard = np.ones((1, 1))
+        for _ in range(5):
+            hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+        for _ in range(30):
+            d = int(rng.choice([8, 16, 32]))
+            m = int(rng.choice([1, 2, 4]))
+            rows = rng.choice(d, size=m, replace=False)
+            x = hadamard[np.ix_(rows, rng.permutation(d))] * rng.choice([-1.0, 1.0], size=d)
+            wm = train(TrainingSet(x))
+            half = (1.0 / m - 1.0 / d) / 2
+            anchor = rng.choice([-1.0, 0.0, 1.0], size=d)
+            for store in (wm, dense_copy(wm)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    with pytest.raises(ValueError, match="perturbed system matrix is singular"):
+                        solve_perturbed(store, anchor, gamma=half, beta=half)
+                    for gamma in (half * (1 + 1e-6), half * (1 - 1e-6)):
+                        solve_perturbed(store, anchor, gamma=gamma, beta=half)
+
     @pytest.mark.parametrize("units,l_grid,gamma", [
         ("neurons", (50,), 0.05),
         ("neurons", (50,), 0.1),
@@ -627,3 +697,29 @@ def test_recall_at_d2000_reads_no_matrix_larger_than_the_core(monkeypatch):
     assert report.minimum_certified and report.rank_tol == 0.0
     np.testing.assert_allclose(report.x, x_ref, rtol=0.0, atol=1e-10)
     assert largest and max(largest) <= 40
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS")
+def test_perturbed_solve_at_d27000_runs_under_a_1_gib_address_space():
+    """A dense (gamma + beta) I - W at d = 27 000 would be 5.4 GiB; the
+    trained store's perturbed solve reads only its M x d factor."""
+    script = (
+        "import numpy as np\n"
+        "from hopfieldkit import solve_perturbed, train\n"
+        "from hopfieldkit.experiments import synthetic_patterns\n"
+        "ts = synthetic_patterns(27000, 8, 0)\n"
+        "p = ts.patterns[0]\n"
+        "r = solve_perturbed(train(ts), p * (np.arange(27000) % 3 != 0), gamma=1.0, beta=1.0)\n"
+        "print(bool(np.array_equal(r.discretized, p)), r.minimum_certified)\n"
+    )
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    # one BLAS thread, so the cap does not depend on the host's core count
+    env = dict(os.environ, PYTHONPATH=str(Path(hopfieldkit.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=False, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True\n"
