@@ -2,22 +2,18 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
 
-from .experiments import (
-    ExperimentConfig,
-    ingest,
-    run_gamma_sweep,
-    run_quantum_crosscheck,
-    run_recovery_curve,
-    write_points_csv,
-)
+from .experiments import (FORMATS, METHODS, UNITS, ExperimentConfig, ingest, run_gamma_sweep,
+                          run_quantum_crosscheck, run_recovery_curve, write_points_csv)
 from .hebbian import save_matrix_csv, spectral_norm, train
 from .inversion import assemble, solve
-from .iterative import recall
+from .iterative import FILLS, recall
 from .patterns import ClampSet, as_pattern, load_pattern_lines
+from .quantum.evolution import MODES
 from .quantum.solver import qhop_recall
 
 
@@ -43,34 +39,50 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
 
 
-def _add_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", default=None,
-                   help="training data file (default: bundled fixture)")
-    p.add_argument("--format", default="fasta", dest="data_format",
-                   choices=["fasta", "patterns", "synthetic"],
-                   help="how to read --data")
-    p.add_argument("--d", type=int, default=100, help="neurons per pattern")
-    p.add_argument("--m", type=int, default=8, help="stored patterns")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
+# Every flag that feeds ExperimentConfig or run_quantum_crosscheck, declared
+# once. An absent flag stays out of the namespace, so the library's default
+# applies; dests are the library's parameter names.
+_FLAGS = {
+    "--data": dict(help="training data file (default: bundled fixture)"),
+    "--format": dict(dest="data_format", choices=FORMATS, help="how to read --data"),
+    "--d": dict(type=int, help="neurons per pattern"),
+    "--m": dict(type=int, help="stored patterns"),
+    "--seed": dict(type=int, help="base random seed"),
+    "--method": dict(choices=METHODS),
+    "--gamma": dict(type=float),
+    "--mu": dict(type=float),
+    "--max-sweeps": dict(type=int),
+    "--fill": dict(choices=FILLS),
+    "--t-phase": dict(type=int, dest="t_qubits", metavar="T_PHASE",
+                      help="phase-register qubits (quantum method)"),
+    "--units": dict(choices=UNITS),
+    "--reps": dict(type=int),
+    "--seeds": dict(type=int, dest="n_seeds", metavar="SEEDS",
+                    help="number of seeded instances"),
+    "--mode": dict(choices=MODES),
+}
+_DATA_FLAGS = ("--data", "--format", "--d", "--m", "--seed")
+_ENGINE_FLAGS = ("--method", "--gamma", "--mu", "--max-sweeps", "--fill", "--t-phase")
 
 
-def _config_from(args, l_grid=(1,)) -> ExperimentConfig:
-    return ExperimentConfig(
-        l_grid=l_grid, d=args.d, m=args.m,
-        reps=getattr(args, "reps", 1),
-        gamma=getattr(args, "gamma", 1.0),
-        mu=getattr(args, "mu", 0.0),
-        method=getattr(args, "method", "inversion"),
-        seed=args.seed, data=args.data, data_format=args.data_format,
-        units=getattr(args, "units", "bases"),
-        fill=getattr(args, "fill", "plus"),
-        max_sweeps=getattr(args, "max_sweeps", 50),
-        t_qubits=getattr(args, "t_phase", 9),
-    )
+def _add_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, default=argparse.SUPPRESS, **_FLAGS[flag])
+
+
+def _given(args, target) -> dict:
+    """The flags given on the command line that name a parameter of target."""
+    params = inspect.signature(target).parameters
+    return {k: v for k, v in vars(args).items() if k in params}
+
+
+def _config_from(args, **fixed) -> ExperimentConfig:
+    return ExperimentConfig(**_given(args, ExperimentConfig), **fixed)
 
 
 def _cmd_train(args) -> int:
-    cfg = _config_from(args)
+    # train and recall read a store and clamp neurons, not bases; l plays no part
+    cfg = _config_from(args, l_grid=(1,), units="neurons")
     ts = ingest(cfg)
     wm = train(ts)
     save_matrix_csv(args.out, wm)
@@ -88,15 +100,15 @@ def _load_probe(path: str) -> np.ndarray:
 
 
 def _cmd_recall(args) -> int:
-    cfg = _config_from(args)
+    cfg = _config_from(args, l_grid=(1,), units="neurons")
     ts = ingest(cfg)
     wm = train(ts)
     probe = _load_probe(args.pattern)
     if probe.size != ts.d:
         raise ValueError(f"probe has {probe.size} entries, trained d={ts.d}")
-    if args.method == "iterative":
-        trace = recall(wm, probe, rng_seed=args.seed,
-                       max_sweeps=args.max_sweeps, fill=args.fill)
+    if cfg.method == "iterative":
+        trace = recall(wm, probe, rng_seed=cfg.seed,
+                       max_sweeps=cfg.max_sweeps, fill=cfg.fill)
         final = trace.final
         print(f"converged={trace.converged} sweeps={trace.sweeps} "
               f"energy={trace.energies[-1]:.10g}", file=sys.stderr)
@@ -105,14 +117,14 @@ def _cmd_recall(args) -> int:
         if not known:
             raise ValueError("probe clamps nothing: every entry is zero")
         clamp = ClampSet(known, probe)
-        if args.method == "inversion":
-            report = solve(assemble(wm, clamp, gamma=args.gamma), mu=args.mu)
+        if cfg.method == "inversion":
+            report = solve(assemble(wm, clamp, gamma=cfg.gamma), mu=cfg.mu)
             final = report.discretized
             print(f"eta={report.eta:.6g} kept={report.kept} "
                   f"certified={report.minimum_certified}", file=sys.stderr)
         else:
-            final, qrep = qhop_recall(ts, clamp, gamma=args.gamma, mu=args.mu,
-                                      t_qubits=args.t_phase, trace_path=args.trace)
+            final, qrep = qhop_recall(ts, clamp, gamma=cfg.gamma, mu=cfg.mu,
+                                      t_qubits=cfg.t_qubits, trace_path=args.trace)
             print(f"success_p={qrep.success_probability:.6g} "
                   f"post_p={qrep.post_selection_probability:.6g} "
                   f"phase_residual={qrep.phase_residual:.3g}", file=sys.stderr)
@@ -125,32 +137,19 @@ def _cmd_recall(args) -> int:
     return 0
 
 
-def _cmd_curve(args) -> int:
-    cfg = _config_from(args, l_grid=args.l_grid)
-    points = run_recovery_curve(cfg)
+def _cmd_points(args) -> int:
+    """A recovery curve (label "l") or a gamma sweep (label "gamma") as CSV."""
+    cfg = _config_from(args)
+    points = (run_recovery_curve(cfg) if args.label == "l"
+              else run_gamma_sweep(cfg, args.gamma_grid))
+    write_points_csv(points, args.out or sys.stdout, args.label)
     if args.out:
-        write_points_csv(points, args.out, "l")
         print(f"wrote {len(points)} points to {args.out}")
-    else:
-        write_points_csv(points, sys.stdout, "l")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _config_from(args, l_grid=args.l_grid)
-    points = run_gamma_sweep(cfg, args.gamma_grid)
-    if args.out:
-        write_points_csv(points, args.out, "gamma")
-        print(f"wrote {len(points)} points to {args.out}")
-    else:
-        write_points_csv(points, sys.stdout, "gamma")
     return 0
 
 
 def _cmd_qcheck(args) -> int:
-    rows = run_quantum_crosscheck(d=args.d, n_seeds=args.seeds, gamma=args.gamma,
-                                  mu=args.mu, t_qubits=args.t_phase,
-                                  seed=args.seed, mode=args.mode)
+    rows = run_quantum_crosscheck(**_given(args, run_quantum_crosscheck))
     print("seed  fidelity  post_p    expected  residual  status")
     for r in rows:
         status = "pass" if r["passed"] else f"FAIL ({r['message']})" if r["message"] else "FAIL"
@@ -172,22 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train weights and write them as CSV")
-    _add_data_args(p_train)
+    _add_flags(p_train, *_DATA_FLAGS)
     p_train.add_argument("--out", required=True, help="output matrix CSV")
     p_train.set_defaults(func=_cmd_train)
 
     p_recall = sub.add_parser("recall", help="recover a pattern from a partial probe")
-    _add_data_args(p_recall)
+    _add_flags(p_recall, *_DATA_FLAGS, *_ENGINE_FLAGS)
     p_recall.add_argument("--pattern", required=True,
                           help="probe file: one line of -1/0/1 (0 = unknown)")
-    p_recall.add_argument("--method", default="inversion",
-                          choices=["iterative", "inversion", "quantum"])
-    p_recall.add_argument("--gamma", type=float, default=1.0)
-    p_recall.add_argument("--mu", type=float, default=0.0)
-    p_recall.add_argument("--max-sweeps", type=int, default=50)
-    p_recall.add_argument("--fill", default="plus", choices=["plus", "random"])
-    p_recall.add_argument("--t-phase", type=int, default=9,
-                          help="phase-register qubits (quantum method)")
     p_recall.add_argument("--trace", default=None,
                           help="CSV trace of quantum intermediate states")
     p_recall.add_argument("--out", default=None, help="write result here instead of stdout")
@@ -196,47 +187,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run the measurement harness")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
 
-    p_curve = exp_sub.add_parser("recovery-curve",
-                                 help="mean recall error vs clamped information")
-    _add_data_args(p_curve)
-    p_curve.add_argument("--l-grid", type=_parse_grid, default=tuple(range(1, 51)),
-                         help='known-unit grid, "a:b" or comma list (default 1:50)')
-    p_curve.add_argument("--units", default="bases", choices=["bases", "neurons"])
-    p_curve.add_argument("--reps", type=int, default=1000)
-    p_curve.add_argument("--gamma", type=float, default=1.0)
-    p_curve.add_argument("--mu", type=float, default=0.0)
-    p_curve.add_argument("--method", default="inversion",
-                         choices=["iterative", "inversion", "quantum"])
-    p_curve.add_argument("--fill", default="plus", choices=["plus", "random"])
-    p_curve.add_argument("--max-sweeps", type=int, default=50)
-    p_curve.add_argument("--t-phase", type=int, default=9)
-    p_curve.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p_curve.set_defaults(func=_cmd_curve)
+    def points_parser(name, summary, label, l_grid, l_help):
+        p = exp_sub.add_parser(name, help=summary)
+        _add_flags(p, *_DATA_FLAGS, "--units", "--reps")
+        p.add_argument("--l-grid", type=_parse_grid, default=l_grid, help=l_help)
+        p.add_argument("--out", default=None, help="output CSV (default stdout)")
+        p.set_defaults(func=_cmd_points, label=label)
+        return p
 
-    p_sweep = exp_sub.add_parser("gamma-sweep",
-                                 help="recall error vs regularization at fixed l")
-    _add_data_args(p_sweep)
-    p_sweep.add_argument("--l-grid", type=_parse_grid, default=(25,),
-                         help="single known-unit count (default 25 bases)")
-    p_sweep.add_argument("--units", default="bases", choices=["bases", "neurons"])
-    p_sweep.add_argument("--reps", type=int, default=1000)
+    p_curve = points_parser("recovery-curve", "mean recall error vs clamped information",
+                            "l", tuple(range(1, 51)),
+                            'known-unit grid, "a:b" or comma list (default 1:50)')
+    _add_flags(p_curve, *_ENGINE_FLAGS)
+
+    p_sweep = points_parser("gamma-sweep", "recall error vs regularization at fixed l",
+                            "gamma", (25,), "single known-unit count (default 25 bases)")
     p_sweep.add_argument("--gamma-grid", type=_parse_float_grid,
                          default=(0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0),
                          help="comma-separated gamma values")
-    p_sweep.add_argument("--mu", type=float, default=0.0)
-    p_sweep.add_argument("--out", default=None, help="output CSV (default stdout)")
-    p_sweep.set_defaults(func=_cmd_sweep, method="inversion")
+    _add_flags(p_sweep, "--mu")
 
     p_q = sub.add_parser("qcheck",
                          help="cross-check the quantum pipeline against the "
                               "classical truncated solve")
-    p_q.add_argument("--d", type=int, default=2, help="neurons (desk scale, <= 4)")
-    p_q.add_argument("--seeds", type=int, default=10, help="number of seeded instances")
-    p_q.add_argument("--gamma", type=float, default=1.0)
-    p_q.add_argument("--mu", type=float, default=0.05)
-    p_q.add_argument("--t-phase", type=int, default=9)
-    p_q.add_argument("--mode", default="reference", choices=["reference", "trotter"])
-    p_q.add_argument("--seed", type=int, default=0)
+    _add_flags(p_q, "--d", "--seeds", "--gamma", "--mu", "--t-phase", "--mode", "--seed")
     p_q.set_defaults(func=_cmd_qcheck)
 
     return parser

@@ -32,7 +32,9 @@ class ExperimentConfig:
     l_grid counts known RNA bases when units="bases" (each base clamps a
     neuron pair) and known neurons when units="neurons". The full-
     information endpoint (all bases or all neurons known) is allowed so
-    recovery curves can close at distance zero.
+    recovery curves can close at distance zero. FASTA data holds two
+    neurons per base, so it needs an even d; other stores take any d >= 2.
+    The command line takes its defaults from these fields.
     """
 
     l_grid: tuple[int, ...]
@@ -67,8 +69,8 @@ class ExperimentConfig:
             raise ValueError(f"data format must be one of {FORMATS}")
         if self.units not in UNITS:
             raise ValueError(f"units must be one of {UNITS}")
-        if self.units == "bases" and self.d % 2:
-            raise ValueError("base units need an even d (two neurons per base)")
+        if self.data_format == "fasta" and self.d % 2:
+            raise ValueError("fasta data needs an even d (two neurons per base)")
         grid = tuple(int(l) for l in self.l_grid)
         top = self.d // 2 if self.units == "bases" else self.d
         if not grid or any(not 1 <= l <= top for l in grid):

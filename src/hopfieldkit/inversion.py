@@ -155,7 +155,7 @@ def truncated_pseudoinverse_apply(a, w, mu: float):
     if not 0 <= mu < np.inf:
         raise ValueError("mu must be >= 0 and finite")
     eigs, vecs = np.linalg.eigh(a)
-    rank_tol = RANK_TOL_FACTOR * float(np.max(np.abs(eigs), initial=0.0))
+    rank_tol = _rank_floor(eigs)
     beta = vecs.T @ w
 
     def apply_cut(cut):
@@ -168,6 +168,13 @@ def truncated_pseudoinverse_apply(a, w, mu: float):
     v, kept = apply_cut(max(mu, rank_tol))
     eta = float(np.linalg.norm(v - v0))
     return v, eta, kept, rank_tol
+
+
+def _rank_floor(eigs: np.ndarray) -> float:
+    """RANK_TOL_FACTOR * max|eigs|, read from the ends of a sorted spectrum; 0 if empty."""
+    if not eigs.size:
+        return 0.0
+    return RANK_TOL_FACTOR * max(abs(float(eigs[0])), abs(float(eigs[-1])))
 
 
 def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
@@ -232,10 +239,9 @@ class _SpectralBlock:
         if not eigs.size:
             self.singular, self.definite = False, True
             return
-        lo, hi = sorted((float(eigs[0]), float(eigs[-1])))
-        floor = RANK_TOL_FACTOR * max(-lo, hi)
+        floor = _rank_floor(eigs)
         self.singular = bool(np.abs(eigs).min() <= floor)
-        self.definite = lo > floor
+        self.definite = min(float(eigs[0]), float(eigs[-1])) > floor
 
 
 class _CoreBlock(_SpectralBlock):
@@ -333,11 +339,13 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     beta pulls the state toward the perturbed anchor x_pert, so there are
     no multipliers (lam comes back empty). It is the mu = 0 kernel with
     nothing clamped, ridge gamma + beta and thresholds theta - beta x_pert,
-    so a trained store is solved from its factor. The matrix is positive
-    definite whenever gamma + beta exceeds the spectral norm of W. It is
-    rejected as singular when an eigenvalue lies within RANK_TOL_FACTOR
-    times the largest eigenvalue magnitude of zero, the rule of every
-    reduced block, not only at an exact zero pivot.
+    so a trained store is solved from its factor. The matrix is rejected
+    as singular when an eigenvalue lies within RANK_TOL_FACTOR times the
+    largest eigenvalue magnitude of zero, the rule of every reduced block,
+    and minimum_certified is that block's positive-definiteness verdict,
+    decided on the spectrum the solve took apart. gamma + beta > |W| is
+    sufficient for it but not necessary; below that bound a warning is
+    raised before solving.
     """
     if not 0 < gamma < np.inf:
         raise ValueError("gamma must be positive and finite")
@@ -347,12 +355,11 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     if anchor.shape != (wm.d,) or not np.all(np.isfinite(anchor)):
         raise ValueError(f"x_pert must be a finite vector of shape ({wm.d},)")
     t = as_thresholds(theta, wm.d)
-    definite = gamma + beta > spectral_norm(wm)
-    if not definite:
+    if gamma + beta <= spectral_norm(wm):
         warnings.warn("gamma + beta does not exceed |W|; system may be indefinite",
                       RuntimeWarning, stacklevel=2)
-    x, _ = _reduced_solve(wm, np.zeros(wm.d, dtype=bool), 0.0, gamma + beta,
-                          t - beta * anchor)
+    x, block = _reduced_solve(wm, np.zeros(wm.d, dtype=bool), 0.0, gamma + beta,
+                              t - beta * anchor)
     if x is None:
         raise ValueError("perturbed system matrix is singular")
     residual = float(np.max(np.abs(_apply_q(wm, gamma + beta, x) - (beta * anchor - t))))
@@ -360,7 +367,7 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
                        gamma=float(gamma), mu=0.0, rank_tol=0.0, kept=wm.d,
                        eta=0.0, residual_constraint=0.0,
                        residual_stationarity=residual,
-                       minimum_certified=bool(definite))
+                       minimum_certified=block.definite)
 
 
 def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=None) -> bool:

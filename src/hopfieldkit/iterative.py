@@ -34,6 +34,8 @@ import numpy as np
 from .hebbian import WeightMatrix
 from .patterns import as_pattern, as_thresholds
 
+FILLS = ("plus", "random")
+
 
 def energy(wm: WeightMatrix, x, theta=None) -> float:
     """E = -1/2 x^T W x + theta^T x.
@@ -49,13 +51,16 @@ def energy(wm: WeightMatrix, x, theta=None) -> float:
     p = wm.factor
     if p is None:
         return _energy(wm.w, t, s)
-    m, d = p.shape
-    y = p @ s
-    return float(-(y @ y - m * (s @ s)) / (2 * m * d) + t @ s)
+    return _factor_energy(p.shape[0], wm.d, p @ s, t, s, s @ s)
 
 
 def _energy(w: np.ndarray, t: np.ndarray, x: np.ndarray) -> float:
     return float(-0.5 * x @ w @ x + t @ x)
+
+
+def _factor_energy(m: int, d: int, y: np.ndarray, t: np.ndarray, x: np.ndarray, xx) -> float:
+    """E from y = X x for the (M, d) patterns X: x^T C x = |y|^2 - M xx, xx = sum x_i^2."""
+    return float(-(y @ y - m * xx) / (2 * m * d) + t @ x)
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ def recall(
     """
     if order not in ("random", "sweep"):
         raise ValueError(f"unknown update order {order!r}")
-    if fill not in ("plus", "random"):
+    if fill not in FILLS:
         raise ValueError(f"unknown fill mode {fill!r}")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
@@ -131,12 +136,12 @@ def recall(
     g = wm.factor
     exact = g is not None
     if exact:
-        md = g.shape[0] * d
+        m = g.shape[0]
         # the integer field (X^T y)_i - M x_i meets M d theta_i exactly when
         # it exceeds ceil(M d theta_i) - 1/2, a threshold no field equals;
         # as x_i^2 = 1, x_i flips just where the integer (X^T y)_i x_i lies
         # below the half-integer M + thr_i x_i, so the mask below is exact
-        thr, base = np.ceil(md * t) - 0.5, g.shape[0]
+        thr, base = np.ceil(m * d * t) - 0.5, m
     else:
         # |(W x)_i| <= sqrt(d) because |W| <= 1; rounding in h stays far
         # inside this band, so a neuron whose margin clears it cannot flip.
@@ -149,8 +154,8 @@ def recall(
     energies = []
 
     def sample():
-        # y gives x^T C x = |y|^2 - M d exactly; a hand-built W's h has drifted
-        energies.append(float(-(s @ s - md) / (2 * md) + t @ x) if exact else _energy(g, t, x))
+        # y gives x^T C x exactly (x is +/-1, so xx = d); a hand-built W's h has drifted
+        energies.append(_factor_energy(m, d, s, t, x, d) if exact else _energy(g, t, x))
 
     sample()
     stable_run = 0

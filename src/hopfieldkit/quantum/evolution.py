@@ -27,6 +27,7 @@ from ..inversion import _saddle
 from ..patterns import ClampSet, TrainingSet
 from .register import QuantumRegister, _pad, qubits_for
 
+MODES = ("reference", "trotter")
 DELTA_T_WARN = 0.1
 # Split error trotter mode's default step count aims for.
 TROTTER_EPS = 1e-6
@@ -242,7 +243,7 @@ class BlockSplitEvolution:
 
     def __init__(self, source, clamp: ClampSet, gamma: float, mode: str = "reference",
                  steps: int | None = None):
-        if mode not in ("reference", "trotter"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         if not 0 < gamma < np.inf:
             raise ValueError("gamma must be positive and finite")

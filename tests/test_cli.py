@@ -57,6 +57,12 @@ class TestTrain:
         expected = train(ingest(cfg)).w
         np.testing.assert_array_equal(load_matrix_csv(out), expected)
 
+    def test_synthetic_store_at_odd_d(self, tmp_path, capsys):
+        out = tmp_path / "weights.csv"
+        assert main(["train", "--format", "synthetic", "--d", "5", "--out", str(out)]) == 0
+        assert "d=5" in capsys.readouterr().out
+        assert load_matrix_csv(out).shape == (5, 5)
+
 
 class TestRecall:
     @pytest.mark.parametrize("method,diagnostic", [
@@ -96,6 +102,18 @@ class TestRecall:
         assert outputs[0].out == outputs[1].out
         assert outputs[0].err == outputs[1].err
         assert "success_p=" in outputs[0].err
+
+    @pytest.mark.parametrize("method", ["inversion", "iterative", "quantum"])
+    def test_pattern_file_store_at_odd_d(self, tmp_path, capsys, method):
+        data = tmp_path / "store.txt"
+        data.write_text("1 -1 1 -1 1\n1 1 -1 -1 1\n")
+        code = main(["recall", "--data", str(data), "--format", "patterns",
+                     "--d", "5", "--m", "2",
+                     "--pattern", probe_file(tmp_path, "1 -1 0 0 0\n"),
+                     "--method", method])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out == "1 -1 1 -1 1\n"
 
     def test_result_goes_to_out_file_when_asked(self, tmp_path, capsys):
         out = tmp_path / "result.txt"
@@ -383,6 +401,22 @@ class TestNonFiniteParameters:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+class TestFastaNeedsEvenD:
+    @pytest.mark.parametrize("command", ["train", "recall", "recovery-curve"])
+    def test_odd_d_is_one_clean_error_line(self, tmp_path, capsys, command):
+        args = {
+            "train": ["train", "--out", str(tmp_path / "w.csv")],
+            "recall": ["recall", "--pattern", probe_file(tmp_path, "1 0 0 0 0\n")],
+            "recovery-curve": ["experiment", "recovery-curve", "--units", "neurons",
+                               "--l-grid", "1", "--reps", "1"],
+        }[command]
+        assert main([*args, "--d", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fasta data needs an even d (two neurons per base)\n"
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestMemoryErrors:

@@ -56,6 +56,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="even d"):
             ExperimentConfig(l_grid=(1,), d=7, units="bases")
 
+    def test_fasta_data_requires_even_d_in_either_unit(self):
+        with pytest.raises(ValueError, match="fasta data needs an even d"):
+            ExperimentConfig(l_grid=(1,), d=5, units="neurons")
+
+    @pytest.mark.parametrize("data_format", ["patterns", "synthetic"])
+    def test_pattern_and_synthetic_stores_take_odd_d(self, data_format):
+        assert ExperimentConfig(l_grid=(5,), d=5, units="neurons",
+                                data_format=data_format).d == 5
+        with pytest.raises(ValueError, match="1..2"):
+            ExperimentConfig(l_grid=(3,), d=5, data_format=data_format)
+
     def test_grid_bounded_by_base_count(self):
         with pytest.raises(ValueError, match="1..50"):
             ExperimentConfig(l_grid=(51,), d=100, units="bases")

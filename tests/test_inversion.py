@@ -350,6 +350,16 @@ class TestSolvePerturbed:
             report = solve_perturbed(wm, [1.0, -1.0], gamma=0.2, beta=0.2)
         assert not report.minimum_certified
 
+    def test_certificate_is_the_spectrum_not_the_norm_bound(self):
+        # W = -0.5 (J - I) has eigenvalues -1, 0.5, 0.5, so |W| = 1 and both
+        # calls warn; Q = 0.8 I - W has eigenvalues 0.3, 0.3, 1.8 (definite),
+        # Q = 0.4 I - W has -0.1, -0.1, 1.4 (indefinite)
+        wm = WeightMatrix(-0.5 * (np.ones((3, 3)) - np.eye(3)))
+        for half, certified in ((0.4, True), (0.2, False)):
+            with pytest.warns(RuntimeWarning, match="does not exceed"):
+                report = solve_perturbed(wm, [1.0, -1.0, 1.0], gamma=half, beta=half)
+            assert report.minimum_certified is certified
+
     def test_parameter_validation(self, worked_wm):
         with pytest.raises(ValueError, match="beta must be positive"):
             solve_perturbed(worked_wm, [1.0, 1.0], beta=0.0)
