@@ -14,7 +14,6 @@ from .hebbian import (
     DensityMatrix,
     WeightMatrix,
     density,
-    load_matrix_csv,
     save_matrix_csv,
     spectral_norm,
     train,
@@ -49,7 +48,7 @@ __all__ = [
     "BASE_TO_BITS", "ClampSet", "TrainingSet", "as_pattern", "encode_rna",
     "load_fasta", "load_patterns",
     "DensityMatrix", "WeightMatrix", "density",
-    "load_matrix_csv", "save_matrix_csv", "spectral_norm", "train",
+    "save_matrix_csv", "spectral_norm", "train",
     "RecallTrace", "energy", "recall",
     "LinearSystem", "SolveReport", "assemble", "certify_minimum",
     "discretize", "solve", "solve_perturbed", "truncated_pseudoinverse_apply",

@@ -16,7 +16,7 @@ import numpy as np
 from .hebbian import WeightMatrix, train
 from .inversion import (LinearSystem, _reduced_solve, assemble, discretize, solve,
                         truncated_pseudoinverse_apply)
-from .iterative import recall
+from .iterative import FILLS, recall
 from .patterns import ClampSet, TrainingSet, encode_rna, load_fasta, load_patterns
 from .quantum.solver import qhop_recall, qhop_solve
 
@@ -63,6 +63,10 @@ class ExperimentConfig:
             raise ValueError("mu must be >= 0 and finite")
         if not isinstance(self.t_qubits, (int, np.integer)) or self.t_qubits < 1:
             raise ValueError(f"t_qubits must be an integer >= 1, got {self.t_qubits!r}")
+        if not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
+            raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
+        if self.fill not in FILLS:
+            raise ValueError(f"fill must be one of {FILLS}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.data_format not in FORMATS:

@@ -1,4 +1,4 @@
-"""Hebbian training: weight matrix, pattern density matrix, matrix CSV files.
+"""Hebbian training: weight matrix, pattern density matrix, matrix CSV output.
 
 Training averages outer products of the stored patterns,
 
@@ -167,36 +167,14 @@ def density(source: TrainingSet | WeightMatrix) -> DensityMatrix:
     return dm
 
 
-def spectral_norm(wm: WeightMatrix | DensityMatrix | np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    if isinstance(wm, WeightMatrix):
-        return wm.norm
-    if isinstance(wm, DensityMatrix):
-        a = wm.rho
-    else:
-        a = np.asarray(wm, dtype=float)
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+def spectral_norm(wm: WeightMatrix) -> float:
+    """Largest absolute eigenvalue of W, computed when the WeightMatrix was built."""
+    return wm.norm
 
 
-def save_matrix_csv(path, matrix) -> None:
-    """Write a square matrix row-major as CSV with a 'd=<n>' header line."""
-    a = matrix.w if isinstance(matrix, WeightMatrix) else (
-        matrix.rho if isinstance(matrix, DensityMatrix) else np.asarray(matrix, dtype=float))
+def save_matrix_csv(path, wm: WeightMatrix) -> None:
+    """Write W row-major as CSV with a 'd=<n>' header line."""
     with open(path, "w") as fh:
-        fh.write(f"d={a.shape[0]}\n")
-        for row in a:
+        fh.write(f"d={wm.d}\n")
+        for row in wm.w:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by save_matrix_csv."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("d="):
-            raise ValueError(f"{path}: expected 'd=<n>' header, got {header!r}")
-        d = int(header[2:])
-        rows = [[float(tok) for tok in line.strip().split(",")] for line in fh if line.strip()]
-    a = np.array(rows)
-    if a.shape != (d, d):
-        raise ValueError(f"{path}: expected {d}x{d} matrix, got {a.shape}")
-    return a

@@ -74,12 +74,6 @@ class TrainingSet:
     def d(self) -> int:
         return self.patterns.shape[1]
 
-    def pattern(self, m: int) -> np.ndarray:
-        """Return pattern m (1-based)."""
-        if not 1 <= m <= self.m:
-            raise ValueError(f"pattern index {m} outside 1..{self.m}")
-        return self.patterns[m - 1]
-
 
 @dataclass(frozen=True)
 class ClampSet:

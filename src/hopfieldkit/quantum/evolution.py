@@ -1,14 +1,16 @@
 """Hamiltonian simulation pieces for the recall pipeline.
 
-Pattern projectors are exponentiated exactly, e^{-i P dt} =
-I + (e^{-i dt} - 1) P for a rank-1 projector P, so the only approximation
-in the product formula is the splitting itself. The padded saddle-point
-matrix A is evolved in one of two modes. Reference mode is exact: A is
-zero outside its active block (the top block and the clamped multipliers),
-so one eigendecomposition of that (d_pad + l)-square block gives e^{i A t}
-for every t, the identity off the block. Trotter mode follows
-the hardware-oriented split A = B + C + D: B holds the off-diagonal
-projector blocks (1-sparse), C = -gamma' I on the top block with
+The Hebbian steps are the conditional pattern step, its swap-trick
+realization and the pattern product formula. Pattern projectors are
+exponentiated exactly, e^{-i P dt} = I + (e^{-i dt} - 1) P for a rank-1
+projector P, so the only approximation in the product formula is the
+splitting itself. The padded saddle-point matrix A is evolved in one of
+two modes. Reference mode is exact: A is zero outside its active block
+(the top block and the clamped multipliers), so one eigendecomposition
+of that (d_pad + l)-square block gives e^{i A t} for every t, the
+identity off the block. Trotter mode follows the hardware-oriented
+split A = B + C + D: B holds the off-diagonal projector blocks
+(1-sparse), C = -gamma' I on the top block with
 gamma' = gamma + 1/d, and D places the pattern density matrix rho on the
 top block, conditioned on the leading qubit. B and C exponentiate in
 closed form; D uses the conditional pattern-product formula.
@@ -17,53 +19,17 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..hebbian import density
 from ..inversion import _saddle
 from ..patterns import ClampSet, TrainingSet
-from .register import QuantumRegister, _pad, qubits_for
+from .register import _pad, qubits_for
 
 MODES = ("reference", "trotter")
-DELTA_T_WARN = 0.1
 # Split error trotter mode's default step count aims for.
 TROTTER_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class TrotterPlan:
-    """Product-formula schedule: n repetitions of M pattern factors.
-
-    Per-factor step is delta_t = t / (n * m). The first-order error is
-    O(t^2 / n); for_error picks n accordingly.
-    """
-
-    t: float
-    n: int
-    m: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("step count n must be >= 1")
-        if self.m < 1:
-            raise ValueError("pattern count m must be >= 1")
-        if abs(self.delta_t) > DELTA_T_WARN:
-            warnings.warn(f"per-factor step {self.delta_t:.3g} exceeds {DELTA_T_WARN}; "
-                          "product-formula accuracy degrades", RuntimeWarning, stacklevel=2)
-
-    @property
-    def delta_t(self) -> float:
-        return self.t / (self.n * self.m)
-
-    @classmethod
-    def for_error(cls, t: float, m: int, target_eps: float) -> "TrotterPlan":
-        if target_eps <= 0:
-            raise ValueError("target_eps must be positive")
-        n = max(1, math.ceil(t * t / target_eps))
-        return cls(t=t, n=n, m=m)
 
 
 def _normalized_padded(pattern) -> np.ndarray:
@@ -160,44 +126,6 @@ def pattern_product_unitary(ts: TrainingSet, t: float, n: int) -> np.ndarray:
     return np.linalg.matrix_power(step, n)
 
 
-def qheb_step(register: QuantumRegister, ts: TrainingSet, k: int, delta_t: float,
-              method: str = "exact"):
-    """One conditional pattern unitary U_k on a (control, system) register.
-
-    method="exact" returns the new register; method="swap" routes through
-    the swap-trick and returns a density matrix over (control, system).
-    """
-    if not 1 <= k <= ts.m:
-        raise ValueError(f"pattern index {k} outside 1..{ts.m}")
-    if abs(delta_t) > DELTA_T_WARN:
-        warnings.warn(f"delta_t {delta_t:.3g} exceeds {DELTA_T_WARN}; swap-trick and "
-                      "product-formula errors grow quadratically", RuntimeWarning, stacklevel=2)
-    n_sys = qubits_for(ts.d)
-    if register.total_qubits != 1 + n_sys:
-        raise ValueError(f"register must hold 1 control + {n_sys} system qubits")
-    pattern = ts.patterns[k - 1]
-    if method == "exact":
-        amps = conditional_pattern_step(register.amplitudes, pattern, delta_t)
-        return QuantumRegister(amps, register.layout)
-    if method == "swap":
-        return conditional_pattern_step_swap(register.amplitudes, pattern, delta_t)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def qheb_evolve(register: QuantumRegister, ts: TrainingSet, plan: TrotterPlan) -> QuantumRegister:
-    """Apply the full conditional product (U_1 ... U_M)^n for time plan.t."""
-    if plan.m != ts.m:
-        raise ValueError(f"plan was sized for m={plan.m}, training set has m={ts.m}")
-    n_sys = qubits_for(ts.d)
-    if register.total_qubits != 1 + n_sys:
-        raise ValueError(f"register must hold 1 control + {n_sys} system qubits")
-    d_pad = 2 ** n_sys
-    g = pattern_product_unitary(ts, plan.t, plan.n)
-    amps = register.amplitudes.copy()
-    amps[d_pad:] = g @ amps[d_pad:]
-    return QuantumRegister(amps, register.layout)
-
-
 class _ExactEvolution:
     """e^{i H t} for a real symmetric H that is zero off the rows and columns active.
 
@@ -229,7 +157,8 @@ class BlockSplitEvolution:
     mode="trotter" uses the plain first-order product U_B(h) U_C(h) U_D(h)
     of the B + C + D split, with U_D realized by one pass of the
     conditional pattern-product formula, per-step error O(h^2), matching
-    the hardware-oriented pipeline; steps sets its step count. Classical
+    the hardware-oriented pipeline; steps sets its step count n, by default
+    ceil(t^2 / TROTTER_EPS) for the O(t^2 / n) split error. Classical
     simulation cost of trotter mode is O(n (2 d_pad)^2) amortized by binary
     powering; the hardware-oriented construction it models is
     polylogarithmic in d.
@@ -303,7 +232,7 @@ class BlockSplitEvolution:
             return self.eigenbasis(t)
         n = self.steps
         if n is None:
-            n = TrotterPlan.for_error(t, self._ts.m, TROTTER_EPS).n
+            n = max(1, math.ceil(t * t / TROTTER_EPS))
         h = t / n
         # U_D: conditional on the leading qubit reading 0, top block only
         u_d = np.eye(self.dim, dtype=complex)

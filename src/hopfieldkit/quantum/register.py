@@ -1,9 +1,9 @@
 """Amplitude-encoded registers and the swap-test overlap estimator.
 
-A register is a unit-norm complex amplitude vector plus a layout naming
-its sub-registers; the first-listed sub-register holds the most
-significant qubits. Vectors of length d are amplitude-encoded on
-ceil(log2 d) qubits, zero-padded up to the next power of two.
+A register is a unit-norm complex amplitude vector whose length is a
+power of two; its qubit count is read from that length. Vectors of
+length d are amplitude-encoded on ceil(log2 d) qubits, zero-padded up to
+the next power of two.
 """
 from __future__ import annotations
 
@@ -25,35 +25,23 @@ def qubits_for(dim: int) -> int:
 
 @dataclass(frozen=True)
 class QuantumRegister:
-    """Unit-norm amplitudes with named sub-registers (most significant first)."""
+    """Unit-norm amplitudes over a power-of-two number of basis states, at least 2."""
 
     amplitudes: np.ndarray
-    layout: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        layout = tuple((str(name), int(n)) for name, n in self.layout)
-        if any(n < 1 for _, n in layout) or not layout:
-            raise ValueError("every sub-register needs at least one qubit")
-        total = sum(n for _, n in layout)
-        if amps.shape != (2 ** total,):
-            raise ValueError(f"amplitude vector must have length 2**{total}")
+        amps = np.array(self.amplitudes, dtype=complex)
+        n = amps.size
+        if amps.ndim != 1 or n < 2 or n & (n - 1):
+            raise ValueError("amplitudes must be a vector of length 2**k, k >= 1")
         if abs(np.linalg.norm(amps) - 1.0) > NORM_ATOL:
             raise ValueError("register norm deviates from 1 beyond 1e-10")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "layout", layout)
 
     @property
     def total_qubits(self) -> int:
-        return sum(n for _, n in self.layout)
-
-    def qubits(self, name: str) -> int:
-        for reg_name, n in self.layout:
-            if reg_name == name:
-                return n
-        raise KeyError(f"no sub-register named {name!r}")
+        return self.amplitudes.size.bit_length() - 1
 
 
 def _pad(x: np.ndarray) -> np.ndarray:
@@ -63,7 +51,7 @@ def _pad(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed(x, name: str = "system") -> tuple[QuantumRegister, float]:
+def embed(x) -> tuple[QuantumRegister, float]:
     """Amplitude-encode a real vector; returns (register, euclidean norm).
 
     The norm is returned alongside because the encoding discards it.
@@ -74,8 +62,7 @@ def embed(x, name: str = "system") -> tuple[QuantumRegister, float]:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("cannot embed a zero vector")
-    padded = _pad(v / norm)
-    return QuantumRegister(padded, ((name, qubits_for(v.size)),)), norm
+    return QuantumRegister(_pad(v / norm)), norm
 
 
 def embed_w(theta, clamp: ClampSet) -> tuple[QuantumRegister, float]:
@@ -93,8 +80,7 @@ def embed_w(theta, clamp: ClampSet) -> tuple[QuantumRegister, float]:
     w[:d] = t
     w[d_pad:d_pad + d] = clamp.values
     norm = float(np.linalg.norm(w))
-    reg = QuantumRegister((w / norm).astype(complex), (("system", qubits_for(d) + 1),))
-    return reg, norm
+    return QuantumRegister(w / norm), norm
 
 
 @dataclass(frozen=True)
@@ -124,7 +110,7 @@ def swap_test(a: QuantumRegister, b: QuantumRegister, shots: int,
         raise ValueError("shots must be >= 1")
     n = a.total_qubits
     dim = 2 ** n
-    joint = np.kron(a.amplitudes, b.amplitudes)  # layout: (a, b)
+    joint = np.kron(a.amplitudes, b.amplitudes)  # register order (a, b)
     # ancilla |0>, then H: (|0> + |1>)/sqrt(2) tensor joint
     branch0 = joint / np.sqrt(2.0)
     branch1 = joint / np.sqrt(2.0)

@@ -195,15 +195,13 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     trace.add("postselect_block", "x", x_amps, norm=1.0)
     trace.write()
 
-    x_register = QuantumRegister(x_amps, (("system", qubits_for(clamp.d)),))
-    v_register = QuantumRegister(v_sys, (("system", n_sys),))
     return QhopReport(ok=True, message="",
                       success_probability=success_probability,
                       post_selection_probability=post_selection_probability,
                       phase_residual=phase_residual, resolution_ok=resolution_ok,
                       kept_bins=kept_bins, mu=mu, t0=float(t0),
                       t_qubits=t_qubits, mode=mode, w_norm=w_norm,
-                      x_register=x_register, v_register=v_register)
+                      x_register=QuantumRegister(x_amps), v_register=QuantumRegister(v_sys))
 
 
 def qhop_recall(source, clamp: ClampSet, gamma: float = 1.0, mu: float = 0.0,

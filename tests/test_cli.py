@@ -11,7 +11,7 @@ import pytest
 import hopfieldkit
 from hopfieldkit.cli import _parse_float_grid, _parse_grid, main
 from hopfieldkit.experiments import ExperimentConfig, ingest, synthetic_patterns
-from hopfieldkit.hebbian import load_matrix_csv, train
+from hopfieldkit.hebbian import train
 
 try:
     import resource
@@ -55,13 +55,15 @@ class TestTrain:
 
         cfg = ExperimentConfig(l_grid=(1,), d=8, m=2, data_format="synthetic")
         expected = train(ingest(cfg)).w
-        np.testing.assert_array_equal(load_matrix_csv(out), expected)
+        assert out.read_text().splitlines()[0] == "d=8"
+        np.testing.assert_array_equal(np.loadtxt(out, delimiter=",", skiprows=1), expected)
 
     def test_synthetic_store_at_odd_d(self, tmp_path, capsys):
         out = tmp_path / "weights.csv"
         assert main(["train", "--format", "synthetic", "--d", "5", "--out", str(out)]) == 0
         assert "d=5" in capsys.readouterr().out
-        assert load_matrix_csv(out).shape == (5, 5)
+        assert out.read_text().splitlines()[0] == "d=5"
+        assert np.loadtxt(out, delimiter=",", skiprows=1).shape == (5, 5)
 
 
 class TestRecall:

@@ -47,6 +47,9 @@ class TestExperimentConfig:
         ("t_qubits", 0, "t_qubits must be an integer >= 1"),
         ("t_qubits", -1, "t_qubits must be an integer >= 1"),
         ("t_qubits", 2.5, "t_qubits must be an integer >= 1"),
+        ("max_sweeps", 0, "max_sweeps must be an integer >= 1"),
+        ("max_sweeps", 2.5, "max_sweeps must be an integer >= 1"),
+        ("fill", "zeros", "fill must be one of"),
     ])
     def test_field_validation(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -240,8 +240,8 @@ class TestRecall:
         ts = ingest(ExperimentConfig(l_grid=(1,)))
         wm = train(ts)
         for k in range(1, ts.m + 1):
-            trace = recall(wm, ts.pattern(k), rng_seed=k, max_sweeps=5)
-            np.testing.assert_array_equal(trace.final, ts.pattern(k))
+            trace = recall(wm, ts.patterns[k - 1], rng_seed=k, max_sweeps=5)
+            np.testing.assert_array_equal(trace.final, ts.patterns[k - 1])
             assert trace.sweeps == 1
             assert trace.converged
 
@@ -347,7 +347,7 @@ class TestMatchesThePlainLoop:
         rng = np.random.default_rng(71)
         ties = 0
         for k in range(60):
-            target = ts.pattern(int(rng.integers(1, ts.m + 1)))
+            target = ts.patterns[int(rng.integers(1, ts.m + 1)) - 1]
             start = np.where(rng.random(ts.d) < rng.random(), target, 0.0)
             theta = None if k % 2 else np.zeros(ts.d)
             _, t = assert_matches_reference(wm, start, [71, k], theta=theta,
@@ -401,7 +401,7 @@ class TestMatchesThePlainLoop:
         rng = np.random.default_rng(74)
         ties = 0
         for k in range(30):
-            target = ts.pattern(int(rng.integers(1, ts.m + 1)))
+            target = ts.patterns[int(rng.integers(1, ts.m + 1)) - 1]
             start = np.where(rng.random(ts.d) < rng.random(), target, 0.0)
             _, t = assert_matches_reference(wm, start, [74, k], max_sweeps=50)
             ties += t
@@ -433,7 +433,7 @@ class TestExactFields:
         wm = train(ts)
         rng = np.random.default_rng([cfg.seed, 2])
         mask = experiments._known_mask(experiments._TrialContext(cfg, ts), 1, rng)
-        start = np.where(mask, ts.pattern(1), 0.0)
+        start = np.where(mask, ts.patterns[0], 0.0)
 
         p = ts.patterns.astype(np.int64)
         c = p.T @ p
@@ -449,8 +449,8 @@ class TestExactFields:
         floating = reference_recall(wm, start, rng_seed=copy.deepcopy(rng),
                                     max_sweeps=cfg.max_sweeps)[0]
         trace = recall(wm, start, rng_seed=copy.deepcopy(rng), max_sweeps=cfg.max_sweeps)
-        assert np.sum(floating != ts.pattern(1)) == 50
-        assert np.sum(trace.final != ts.pattern(1)) == 70
+        assert np.sum(floating != ts.patterns[0]) == 50
+        assert np.sum(trace.final != ts.patterns[0]) == 70
         exact = exact_reference_recall(wm, start, rng_seed=copy.deepcopy(rng),
                                        max_sweeps=cfg.max_sweeps)[0]
         assert trace.final.tobytes() == exact.tobytes()

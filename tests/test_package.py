@@ -1,5 +1,10 @@
-"""Package surface: every exported name resolves, and no module keeps a dead import."""
+"""Package surface: every exported name resolves, no module keeps a dead import, and
+the README's examples run."""
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +14,7 @@ import hopfieldkit.quantum
 
 SRC = Path(hopfieldkit.__file__).parent
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("package", [hopfieldkit, hopfieldkit.quantum],
@@ -35,3 +41,27 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(SRC).as_posix())
 def test_module_has_no_unused_import(path):
     assert unused_imports(path) == []
+
+
+def readme_examples() -> dict[str, list[str]]:
+    """The README's fenced python blocks that import hopfieldkit, by section heading."""
+    examples, heading = {}, None
+    text = (ROOT / "README.md").read_text()
+    for match in re.finditer(r"^## ([^\n]+)$|^```python\n(.*?)^```", text, re.M | re.S):
+        if match.group(1) is not None:
+            heading = match.group(1)
+        elif re.search(r"^(from|import) hopfieldkit", match.group(2), re.M):
+            examples.setdefault(heading, []).append(match.group(2))
+    return examples
+
+
+def test_readme_examples_run(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outputs = {}
+    for heading, blocks in readme_examples().items():
+        for block in blocks:
+            proc = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, f"{heading}: {proc.stderr}"
+            outputs[heading] = proc.stdout
+    assert outputs["Library use"] == "[ 1.  1.  1. -1.] True\n"

@@ -102,14 +102,7 @@ class TestTrainingSet:
     def test_shape_accessors(self):
         ts = TrainingSet([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
         assert (ts.m, ts.d) == (2, 3)
-        np.testing.assert_array_equal(ts.pattern(2), [1.0, 1.0, -1.0])
-
-    def test_pattern_index_is_one_based(self):
-        ts = TrainingSet([[1.0, -1.0]])
-        with pytest.raises(ValueError, match="outside 1..1"):
-            ts.pattern(0)
-        with pytest.raises(ValueError, match="outside 1..1"):
-            ts.pattern(2)
+        np.testing.assert_array_equal(ts.patterns[1], [1.0, 1.0, -1.0])
 
     def test_rejects_incomplete_patterns(self):
         with pytest.raises(ValueError, match="fully specified"):

@@ -1,6 +1,4 @@
 """Product-formula evolution of pattern projectors and the block split."""
-import warnings
-
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -9,52 +7,14 @@ from hopfieldkit.hebbian import density, train
 from hopfieldkit.patterns import ClampSet, TrainingSet
 from hopfieldkit.quantum.evolution import (
     BlockSplitEvolution,
-    TrotterPlan,
     _ExactEvolution,
     assemble_quantum_a,
     conditional_pattern_step,
     conditional_pattern_step_swap,
     pattern_product_unitary,
-    qheb_evolve,
-    qheb_step,
 )
-from hopfieldkit.quantum.register import QuantumRegister
 
 TWO_PATTERNS = TrainingSet([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])
-
-
-def random_register(rng, qubits):
-    amps = rng.normal(size=2 ** qubits) + 1j * rng.normal(size=2 ** qubits)
-    amps /= np.linalg.norm(amps)
-    return QuantumRegister(amps, (("system", qubits),))
-
-
-class TestTrotterPlan:
-    def test_per_factor_step(self):
-        plan = TrotterPlan(t=1.0, n=10, m=2)
-        assert plan.delta_t == pytest.approx(0.05)
-
-    def test_for_error_picks_quadratic_step_count(self):
-        assert TrotterPlan.for_error(1.0, m=3, target_eps=0.01).n == 100
-        assert TrotterPlan.for_error(0.5, m=1, target_eps=1e-6).n == 250_000
-        assert TrotterPlan.for_error(0.0, m=1, target_eps=1e-6).n == 1
-
-    def test_warns_on_coarse_step(self):
-        with pytest.warns(RuntimeWarning, match="exceeds 0.1"):
-            TrotterPlan(t=1.0, n=2, m=1)
-
-    def test_silent_on_fine_step(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            TrotterPlan(t=0.5, n=10, m=1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            TrotterPlan(t=1.0, n=0, m=1)
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            TrotterPlan(t=1.0, n=1, m=0)
-        with pytest.raises(ValueError, match="target_eps must be positive"):
-            TrotterPlan.for_error(1.0, m=1, target_eps=0.0)
 
 
 class TestConditionalPatternStep:
@@ -134,9 +94,9 @@ class TestPatternProductUnitary:
     def test_single_pattern_is_exact(self):
         ts = TrainingSet([[1.0, 1.0]])
         rho = density(train(ts)).rho
-        for n in (1, 3, 7):
-            g = pattern_product_unitary(ts, 0.9, n)
-            np.testing.assert_allclose(g, expm(-1j * rho * 0.9), atol=1e-10)
+        for n, t in ((1, 0.9), (3, 0.9), (7, 0.9), (30, 2.0), (5, 0.0)):
+            g = pattern_product_unitary(ts, t, n)
+            np.testing.assert_allclose(g, expm(-1j * rho * t), atol=1e-10)
 
     def test_is_unitary(self):
         g = pattern_product_unitary(TWO_PATTERNS, 1.3, 5)
@@ -153,78 +113,6 @@ class TestPatternProductUnitary:
     def test_rejects_bad_step_count(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             pattern_product_unitary(TWO_PATTERNS, 1.0, 0)
-
-
-class TestQhebStep:
-    def test_exact_path_matches_direct_step(self):
-        rng = np.random.default_rng(21)
-        reg = random_register(rng, 3)
-        out = qheb_step(reg, TWO_PATTERNS, k=2, delta_t=0.05)
-        expected = conditional_pattern_step(reg.amplitudes,
-                                            TWO_PATTERNS.patterns[1], 0.05)
-        np.testing.assert_allclose(out.amplitudes, expected, atol=1e-14)
-        assert out.layout == reg.layout
-
-    def test_swap_path_returns_density(self):
-        rng = np.random.default_rng(22)
-        reg = random_register(rng, 3)
-        rho = qheb_step(reg, TWO_PATTERNS, k=1, delta_t=0.05, method="swap")
-        assert rho.shape == (8, 8)
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_warns_on_coarse_delta(self):
-        rng = np.random.default_rng(23)
-        reg = random_register(rng, 3)
-        with pytest.warns(RuntimeWarning, match="exceeds 0.1"):
-            qheb_step(reg, TWO_PATTERNS, k=1, delta_t=0.5)
-
-    def test_rejects_bad_inputs(self):
-        rng = np.random.default_rng(24)
-        reg = random_register(rng, 3)
-        with pytest.raises(ValueError, match="pattern index 3 outside 1..2"):
-            qheb_step(reg, TWO_PATTERNS, k=3, delta_t=0.05)
-        with pytest.raises(ValueError, match="unknown method"):
-            qheb_step(reg, TWO_PATTERNS, k=1, delta_t=0.05, method="dense")
-        small = random_register(rng, 2)
-        with pytest.raises(ValueError, match="1 control"):
-            qheb_step(small, TWO_PATTERNS, k=1, delta_t=0.05)
-
-
-class TestQhebEvolve:
-    def test_single_pattern_exact_for_any_step_count(self):
-        ts = TrainingSet([[1.0, 1.0]])
-        rho = density(train(ts)).rho
-        rng = np.random.default_rng(31)
-        reg = random_register(rng, 2)
-        for n, t in ((1, 0.09), (3, 0.09), (7, 0.09), (30, 2.0)):
-            out = qheb_evolve(reg, ts, TrotterPlan(t=t, n=n, m=1))
-            expected = reg.amplitudes.copy()
-            expected[2:] = expm(-1j * rho * t) @ expected[2:]
-            assert np.linalg.norm(out.amplitudes - expected) <= 1e-10
-
-    def test_control_zero_block_untouched(self):
-        rng = np.random.default_rng(32)
-        reg = random_register(rng, 3)
-        out = qheb_evolve(reg, TWO_PATTERNS, TrotterPlan(t=0.8, n=10, m=2))
-        np.testing.assert_array_equal(out.amplitudes[:4], reg.amplitudes[:4])
-
-    def test_zero_time_is_identity(self):
-        rng = np.random.default_rng(33)
-        reg = random_register(rng, 3)
-        out = qheb_evolve(reg, TWO_PATTERNS, TrotterPlan(t=0.0, n=5, m=2))
-        np.testing.assert_allclose(out.amplitudes, reg.amplitudes, atol=1e-14)
-
-    def test_plan_pattern_count_must_match(self):
-        rng = np.random.default_rng(34)
-        reg = random_register(rng, 3)
-        with pytest.raises(ValueError, match="plan was sized for m=3"):
-            qheb_evolve(reg, TWO_PATTERNS, TrotterPlan(t=0.5, n=10, m=3))
-
-    def test_register_width_must_match(self):
-        rng = np.random.default_rng(35)
-        reg = random_register(rng, 2)
-        with pytest.raises(ValueError, match="1 control"):
-            qheb_evolve(reg, TWO_PATTERNS, TrotterPlan(t=0.5, n=10, m=2))
 
 
 class TestHermitianEvolution:
@@ -321,6 +209,12 @@ class TestBlockSplitEvolution:
             errs.append(np.linalg.norm(evo(0.8) - exact, 2))
         assert errs[0] / errs[1] >= 1.8
         assert errs[1] / errs[2] >= 1.8
+
+    def test_trotter_default_steps_are_t_squared(self):
+        # n = ceil(t^2 / 1e-6): 250 000 steps at t = 0.5
+        default = self.make(mode="trotter")(0.5)
+        np.testing.assert_array_equal(default, self.make(mode="trotter", steps=250_000)(0.5))
+        assert not np.array_equal(default, self.make(mode="trotter", steps=249_999)(0.5))
 
     def test_split_blocks_do_not_commute_yet_reference_converges(self):
         # Even with zero couplings and every neuron clamped, the projector

@@ -1,4 +1,4 @@
-"""Amplitude encoding, register layout, and the swap-test estimator."""
+"""Amplitude encoding, registers, and the swap-test estimator."""
 import numpy as np
 import pytest
 
@@ -24,37 +24,25 @@ class TestQubitsFor:
 
 
 class TestQuantumRegister:
-    def test_total_and_named_qubits(self):
-        reg = QuantumRegister(np.ones(8) / np.sqrt(8.0),
-                              (("phase", 2), ("system", 1)))
+    def test_total_qubits_from_length(self):
+        reg = QuantumRegister(np.ones(8) / np.sqrt(8.0))
         assert reg.total_qubits == 3
-        assert reg.qubits("phase") == 2
-        assert reg.qubits("system") == 1
-
-    def test_unknown_name_rejected(self):
-        reg = QuantumRegister(np.array([1.0, 0.0]), (("system", 1),))
-        with pytest.raises(KeyError, match="ancilla"):
-            reg.qubits("ancilla")
+        assert QuantumRegister(np.array([1.0, 0.0])).total_qubits == 1
 
     def test_amplitudes_are_immutable_and_complex(self):
-        reg = QuantumRegister(np.array([1.0, 0.0]), (("system", 1),))
+        reg = QuantumRegister(np.array([1.0, 0.0]))
         assert reg.amplitudes.dtype == complex
         with pytest.raises(ValueError):
             reg.amplitudes[0] = 0.0
 
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="norm deviates"):
-            QuantumRegister(np.array([1.0, 1.0]), (("system", 1),))
+            QuantumRegister(np.array([1.0, 1.0]))
 
-    def test_length_must_match_layout(self):
-        with pytest.raises(ValueError, match="length 2\\*\\*2"):
-            QuantumRegister(np.array([1.0, 0.0]), (("system", 2),))
-
-    def test_layout_must_be_nonempty_with_positive_widths(self):
-        with pytest.raises(ValueError, match="at least one qubit"):
-            QuantumRegister(np.array([1.0]), ())
-        with pytest.raises(ValueError, match="at least one qubit"):
-            QuantumRegister(np.array([1.0, 0.0]), (("system", 0), ("p", 1)))
+    def test_length_must_be_a_power_of_two_at_least_two(self):
+        for amps in ([1.0], [1.0, 0.0, 0.0], np.eye(2)[0:1], np.eye(2) / np.sqrt(2.0)):
+            with pytest.raises(ValueError, match="length 2\\*\\*k, k >= 1"):
+                QuantumRegister(np.asarray(amps))
 
 
 class TestEmbed:
@@ -64,7 +52,7 @@ class TestEmbed:
                                    [1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)],
                                    atol=1e-15)
         assert norm == pytest.approx(np.sqrt(2.0), rel=1e-15)
-        assert reg.layout == (("system", 1),)
+        assert reg.total_qubits == 1
 
     def test_basis_vector_maps_to_basis_state(self):
         reg, norm = embed([1.0, 0.0, 0.0, 0.0])
@@ -85,10 +73,6 @@ class TestEmbed:
                                    atol=1e-15)
         assert norm == pytest.approx(5.0)
 
-    def test_custom_register_name(self):
-        reg, _ = embed([1.0, 2.0], name="probe")
-        assert reg.qubits("probe") == 1
-
     def test_rejects_zero_and_non_vector_inputs(self):
         with pytest.raises(ValueError, match="zero vector"):
             embed([0.0, 0.0])
@@ -103,7 +87,7 @@ class TestEmbedW:
         reg, norm = embed_w(None, ClampSet((1,), np.array([1.0, 0.0])))
         np.testing.assert_array_equal(reg.amplitudes, [0.0, 0.0, 1.0, 0.0])
         assert norm == 1.0
-        assert reg.layout == (("system", 2),)
+        assert reg.total_qubits == 2
 
     def test_both_blocks_superpose(self):
         reg, norm = embed_w([1.0, 0.0], ClampSet((2,), np.array([0.0, 1.0])))

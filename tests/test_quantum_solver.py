@@ -182,8 +182,7 @@ class TestRecall:
 
         def negated(*args, **kwargs):
             report = qhop_solve(*args, **kwargs)
-            flipped = QuantumRegister(-report.x_register.amplitudes,
-                                      report.x_register.layout)
+            flipped = QuantumRegister(-report.x_register.amplitudes)
             return replace(report, x_register=flipped)
 
         monkeypatch.setattr(solver, "qhop_solve", negated)
