@@ -90,6 +90,28 @@ class TestSwapTrickStep:
             conditional_pattern_step_swap(np.zeros(6), self.pattern, 0.1)
 
 
+class TestQhebEvolve:
+    """The controlled Hebbian evolution on a control + system register.
+
+    n conditional steps of dt = t / n apply e^{-i rho t} on the control-1
+    block and leave the control-0 block alone.
+    """
+
+    def test_single_pattern_exact_for_any_step_count(self):
+        ts = TrainingSet([[1.0, 1.0]])
+        rho = density(train(ts)).rho
+        rng = np.random.default_rng(31)
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amps /= np.linalg.norm(amps)
+        for n, t in ((1, 0.09), (3, 0.09), (7, 0.09), (30, 2.0)):
+            out = amps
+            for _ in range(n):
+                out = conditional_pattern_step(out, ts.patterns[0], t / n)
+            expected = amps.copy()
+            expected[2:] = expm(-1j * rho * t) @ expected[2:]
+            assert np.linalg.norm(out - expected) <= 1e-10
+
+
 class TestPatternProductUnitary:
     def test_single_pattern_is_exact(self):
         ts = TrainingSet([[1.0, 1.0]])

@@ -39,8 +39,15 @@ class TestQuantumRegister:
         with pytest.raises(ValueError, match="norm deviates"):
             QuantumRegister(np.array([1.0, 1.0]))
 
-    def test_length_must_be_a_power_of_two_at_least_two(self):
-        for amps in ([1.0], [1.0, 0.0, 0.0], np.eye(2)[0:1], np.eye(2) / np.sqrt(2.0)):
+    def test_length_must_match_layout(self):
+        # the layout is implied by the length, which must be 2**k
+        for amps in ([1.0, 0.0, 0.0], np.eye(2) / np.sqrt(2.0)):
+            with pytest.raises(ValueError, match="length 2\\*\\*k, k >= 1"):
+                QuantumRegister(np.asarray(amps))
+
+    def test_layout_must_be_nonempty_with_positive_widths(self):
+        # fewer than two amplitudes would be a register of zero qubits
+        for amps in ([], [1.0], np.eye(2)[0:1]):
             with pytest.raises(ValueError, match="length 2\\*\\*k, k >= 1"):
                 QuantumRegister(np.asarray(amps))
 
