@@ -12,7 +12,7 @@ from .experiments import (FORMATS, METHODS, UNITS, ExperimentConfig, ingest, run
 from .hebbian import save_matrix_csv, spectral_norm, train
 from .inversion import assemble, solve
 from .iterative import FILLS, recall
-from .patterns import ClampSet, as_pattern, load_pattern_lines
+from .patterns import ClampSet, as_pattern, load_patterns
 from .quantum.evolution import MODES
 from .quantum.solver import qhop_recall
 
@@ -92,8 +92,7 @@ def _cmd_train(args) -> int:
 
 
 def _load_probe(path: str) -> np.ndarray:
-    with open(path) as fh:
-        rows = load_pattern_lines(fh.read().splitlines(), path)
+    rows = load_patterns(path)
     if rows.shape[0] != 1:
         raise ValueError(f"{path}: expected a single probe line, found {rows.shape[0]}")
     return rows[0]
@@ -113,10 +112,7 @@ def _cmd_recall(args) -> int:
         print(f"converged={trace.converged} sweeps={trace.sweeps} "
               f"energy={trace.energies[-1]:.10g}", file=sys.stderr)
     else:
-        known = tuple(int(i) + 1 for i in np.flatnonzero(probe))
-        if not known:
-            raise ValueError("probe clamps nothing: every entry is zero")
-        clamp = ClampSet(known, probe)
+        clamp = ClampSet(probe)
         if cfg.method == "inversion":
             report = solve(assemble(wm, clamp, gamma=cfg.gamma), mu=cfg.mu)
             final = report.discretized

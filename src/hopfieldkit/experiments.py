@@ -164,8 +164,7 @@ def _inversion_recover(ctx: _TrialContext, mask: np.ndarray) -> np.ndarray:
         if x is not None:
             return x
     # truncated-pseudoinverse path (mu > 0, or a singular reduced block)
-    clamp = ClampSet.from_pattern(ctx.target, np.flatnonzero(mask) + 1)
-    sys = LinearSystem(ctx.wm, clamp, cfg.gamma, None)
+    sys = LinearSystem(ctx.wm, ClampSet(np.where(mask, ctx.target, 0.0)), cfg.gamma, None)
     v, _, _, _ = truncated_pseudoinverse_apply(sys.a, sys.rhs, cfg.mu)
     return v[:ctx.ts.d]
 
@@ -182,8 +181,7 @@ def run_trial(ctx: _TrialContext, l: int, rng: np.random.Generator) -> int:
                        fill=cfg.fill)
         recovered = trace.final
     else:
-        indices = tuple(int(i) for i in np.flatnonzero(mask) + 1)
-        clamp = ClampSet.from_pattern(ctx.target, indices)
+        clamp = ClampSet(np.where(mask, ctx.target, 0.0))
         recovered, _ = qhop_recall(ctx.ts, clamp, gamma=cfg.gamma, mu=cfg.mu,
                                    t_qubits=cfg.t_qubits)
     return int(np.sum(recovered != ctx.target))
@@ -274,8 +272,7 @@ def run_quantum_crosscheck(d: int = 2, n_seeds: int = 10, gamma: float = 1.0,
         wm = train(ts)
         target = rng.choice([-1.0, 1.0], size=d)
         l = int(rng.integers(1, d)) if d > 1 else 1
-        indices = np.sort(rng.choice(d, size=l, replace=False) + 1)
-        clamp = ClampSet.from_pattern(target, tuple(int(i) for i in indices))
+        clamp = ClampSet.from_pattern(target, rng.choice(d, size=l, replace=False) + 1)
         theta = rng.uniform(-0.25, 0.25, size=d)
 
         report = solve(assemble(wm, clamp, theta, gamma), mu=mu)

@@ -186,6 +186,8 @@ def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
     Q_UU, takes the truncated pseudoinverse of sys.a by eigendecomposition
     instead. minimum_certified is the verdict of certify_minimum.
     """
+    if not 0 <= mu < np.inf:
+        raise ValueError("mu must be >= 0 and finite")
     d = sys.d
     theta, x_inc = sys.theta, sys.clamp.values
     p_mask = sys.clamp.mask()

@@ -92,15 +92,14 @@ def recall(
     theta=None,
     rng_seed=None,
     max_sweeps: int = 100,
-    order: str = "random",
     fill: str = "plus",
 ) -> RecallTrace:
     """Run asynchronous updates until stable or the sweep budget is spent.
 
     Unknown (zero) entries of start are filled with +1, or with random
-    +/-1 when fill="random". order="random" draws neurons i.i.d. uniform;
-    order="sweep" cycles through 1..d. Convergence requires d consecutive
-    updates without a state change. Deterministic for a fixed rng_seed.
+    +/-1 when fill="random". Neurons are drawn i.i.d. uniform. Convergence
+    requires d consecutive updates without a state change. Deterministic
+    for a fixed rng_seed.
 
     The result, including the energy trace and the state a passed-in
     Generator is left in, is that of drawing one index per update and
@@ -115,8 +114,6 @@ def recall(
     such update is decided by the row product w[i] @ x, and h is reset to
     W x at every full stability check.
     """
-    if order not in ("random", "sweep"):
-        raise ValueError(f"unknown update order {order!r}")
     if fill not in FILLS:
         raise ValueError(f"unknown fill mode {fill!r}")
     if max_sweeps < 1:
@@ -168,10 +165,7 @@ def recall(
         # the state that one draw per update leaves. A fractional budget
         # ends at the next whole update, as in a plain loop.
         n = math.ceil(min(d - stable_run, budget - updates))
-        if order == "random":
-            block = rng.integers(d, size=n)
-        else:
-            block = (updates + np.arange(n)) % d
+        block = rng.integers(d, size=n)
         first, end = updates, updates + n
         while updates < end:
             rest = block[updates - first:]

@@ -1,8 +1,9 @@
 """Bipolar activation patterns, clamp sets, RNA encoding, and pattern loaders.
 
 Patterns are plain numpy vectors with entries in {+1, -1, 0}; 0 marks an
-unknown neuron. Fully specified patterns contain no zeros. All indices in
-public interfaces are 1-based.
+unknown neuron. Fully specified patterns contain no zeros. A clamp set is a
+probe, the pattern with zeros on its unknown neurons; only
+ClampSet.from_pattern takes indices, and they are 1-based.
 """
 from __future__ import annotations
 
@@ -77,39 +78,23 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class ClampSet:
-    """Known neurons and their clamped values.
+    """A probe x_inc: +/-1 on the clamped (known) neurons and 0 elsewhere.
 
-    indices are 1-based and strictly increasing; values is a full-length
-    vector holding +/-1 on the clamped neurons and 0 elsewhere.
+    The clamp set is the support of values; at least one neuron is clamped.
     """
 
-    indices: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        v = as_pattern(self.values)
-        d = v.size
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) == 0:
-            raise ValueError("clamp set must contain at least one neuron")
-        if any(not 1 <= i <= d for i in idx):
-            raise ValueError(f"clamp indices must lie in 1..{d}")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("clamp indices must be strictly increasing")
-        mask = np.zeros(d, dtype=bool)
-        mask[[i - 1 for i in idx]] = True
-        if not np.all(np.abs(v[mask]) == 1.0):
-            raise ValueError("clamped values must be +1/-1 on every clamped index")
-        if np.any(v[~mask] != 0.0):
-            raise ValueError("values must be 0 off the clamp set")
-        v = v.copy()
+        v = as_pattern(self.values).copy()
+        if not v.any():
+            raise ValueError("probe clamps nothing: every entry is zero")
         v.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", v)
 
     @property
     def l(self) -> int:
-        return len(self.indices)
+        return int(np.count_nonzero(self.values))
 
     @property
     def d(self) -> int:
@@ -121,15 +106,16 @@ class ClampSet:
 
     @classmethod
     def from_pattern(cls, pattern, indices) -> "ClampSet":
-        """Clamp the given 1-based indices to their values in pattern."""
+        """Clamp the given distinct 1-based indices to their values in pattern."""
         x = as_pattern(pattern, allow_unknown=False)
-        idx = tuple(sorted(int(i) for i in indices))
         values = np.zeros(x.size)
-        for i in idx:
+        for i in map(int, indices):
             if not 1 <= i <= x.size:
                 raise ValueError(f"clamp index {i} outside 1..{x.size}")
+            if values[i - 1]:
+                raise ValueError(f"clamp index {i} repeated")
             values[i - 1] = x[i - 1]
-        return cls(idx, values)
+        return cls(values)
 
 
 def encode_rna(sequence: str) -> np.ndarray:

@@ -193,7 +193,7 @@ class BlockSplitEvolution:
         self.spectral_bound = float(gamma) + 2.0
         self.steps = steps
         self.clamp = clamp
-        self._clamped0 = np.array([i - 1 for i in clamp.indices], dtype=int)
+        self._clamped0 = np.flatnonzero(clamp.mask())
         self.eigenbasis = None
         if mode == "reference":
             active = np.concatenate([np.arange(self.d_pad), self.d_pad + self._clamped0])

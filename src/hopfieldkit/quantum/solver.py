@@ -168,7 +168,10 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
                           x_register=None, v_register=None)
 
     if success_probability < 1e-14:
-        return _fail("every eigencomponent fell below the cutoff; nothing to invert")
+        if np.linalg.norm(s[keep]) ** 2 < 1e-14:
+            return _fail("every eigencomponent fell below the cutoff; nothing to invert")
+        return _fail(f"flag probability {success_probability:.3g} is too small to "
+                     f"post-select; the rotation constant C = mu = {mu:.3g}")
 
     back = qpe_backward(s_flag, powers)
     if basis is None:

@@ -14,7 +14,7 @@ def worked_wm():
 @pytest.fixture
 def worked_clamp():
     """Neuron 1 clamped to +1, neuron 2 unknown."""
-    return ClampSet((1,), np.array([1.0, 0.0]))
+    return ClampSet(np.array([1.0, 0.0]))
 
 
 @pytest.fixture
@@ -53,6 +53,6 @@ def make_clamp():
         idx = np.sort(rng.choice(d, size=l, replace=False)) + 1
         values = np.zeros(d)
         values[idx - 1] = rng.choice([-1.0, 1.0], size=l)
-        return ClampSet(tuple(int(i) for i in idx), values)
+        return ClampSet(values)
 
     return _make

@@ -45,7 +45,7 @@ class TestAssemble:
 
     def test_zero_couplings_top_block_is_negative_identity(self):
         wm = WeightMatrix(np.zeros((3, 3)))
-        clamp = ClampSet((1, 2), np.array([1.0, 1.0, 0.0]))
+        clamp = ClampSet(np.array([1.0, 1.0, 0.0]))
         sys = assemble(wm, clamp, gamma=1.0)
         np.testing.assert_array_equal(sys.a[:3, :3], -np.eye(3))
 
@@ -85,7 +85,7 @@ class TestAssemble:
             assemble(worked_wm, worked_clamp, gamma=0.0)
 
     def test_rejects_dimension_mismatch(self, worked_wm):
-        clamp = ClampSet((1,), np.array([1.0, 0.0, 0.0]))
+        clamp = ClampSet(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="does not match"):
             assemble(worked_wm, clamp)
 
@@ -95,7 +95,7 @@ class TestAssemble:
 
     def test_linear_system_rejects_bad_inputs(self, worked_wm, worked_clamp):
         with pytest.raises(ValueError, match="does not match"):
-            LinearSystem(worked_wm, ClampSet((1,), np.array([1.0, 0.0, 0.0])), 1.0, None)
+            LinearSystem(worked_wm, ClampSet(np.array([1.0, 0.0, 0.0])), 1.0, None)
         for gamma in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="gamma must be positive"):
                 LinearSystem(worked_wm, worked_clamp, gamma, None)
@@ -241,7 +241,7 @@ class TestSolve:
         # d + l - 2 and the elimination must hand over to the eigen path.
         w = np.zeros((5, 5))
         w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = coupling
-        clamp = ClampSet((5,), np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        clamp = ClampSet(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
         theta = np.random.default_rng(82).normal(size=5)
         with pytest.warns(RuntimeWarning, match="spectral norm"):
             sys = assemble(WeightMatrix(w), clamp, theta, gamma=coupling)
@@ -288,6 +288,14 @@ class TestSolve:
                        rng.normal(size=d), gamma=1.0)
         report = solve(sys)
         np.testing.assert_array_equal(report.discretized, discretize(report.x))
+
+    def test_rejects_bad_mu_before_building_the_saddle_matrix(self, make_training, make_clamp):
+        rng = np.random.default_rng(57)
+        sys = assemble(train(make_training(rng, 3, 12)), make_clamp(rng, 12))
+        for mu in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu must be >= 0 and finite"):
+                solve(sys, mu=mu)
+        assert "a" not in vars(sys)
 
 
 class TestDiscretize:
@@ -429,7 +437,7 @@ class TestCertifyMinimum:
         w = np.zeros((5, 5))
         w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = coupling
         wm = WeightMatrix(w)
-        clamp = ClampSet((5,), np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+        clamp = ClampSet(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
         assert not certify_minimum(wm, clamp, gamma=coupling)
         assert not bordered_minors_certified(w, clamp.mask(), coupling)
         assert certify_minimum(wm, clamp, gamma=coupling * (1 + 1e-6))
@@ -457,7 +465,7 @@ class TestCertifyMinimum:
         w = np.zeros((3, 3))
         w[1, 2] = w[2, 1] = 0.9
         wm = WeightMatrix(w)
-        clamp = ClampSet((1,), np.array([1.0, 0.0, 0.0]))
+        clamp = ClampSet(np.array([1.0, 0.0, 0.0]))
         assert not certify_minimum(wm, clamp, gamma=0.5)
         assert certify_minimum(wm, clamp, gamma=0.95)
 
@@ -465,7 +473,7 @@ class TestCertifyMinimum:
         with pytest.raises(ValueError, match="non-negative"):
             certify_minimum(worked_wm, worked_clamp, gamma=-0.1)
         with pytest.raises(ValueError, match="does not match"):
-            certify_minimum(worked_wm, ClampSet((1,), np.array([1.0, 0.0, 0.0])),
+            certify_minimum(worked_wm, ClampSet(np.array([1.0, 0.0, 0.0])),
                             gamma=1.0)
 
 
@@ -554,7 +562,7 @@ class TestTrainedStore:
         # Q_UU and the core C are exactly singular.
         p = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
         wm = train(TrainingSet([p, p]))
-        clamp = ClampSet((2, 5, 7), np.where(np.isin(np.arange(8), [1, 4, 6]), p, 0.0))
+        clamp = ClampSet(np.where(np.isin(np.arange(8), [1, 4, 6]), p, 0.0))
         theta = np.random.default_rng(93).normal(size=8)
         for store in (wm, dense_copy(wm)):
             assert not certify_minimum(store, clamp, 0.5)
@@ -581,7 +589,7 @@ class TestTrainedStore:
             l = int(rng.integers(max(1, d - 2), d))
             assert not certify_minimum(wm, make_clamp(rng, d, l=l), 0.0)
         wm = train(TrainingSet([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]]))
-        assert not certify_minimum(wm, ClampSet((1, 3), np.array([1.0, 0, 1.0, 0])), 0.0)
+        assert not certify_minimum(wm, ClampSet(np.array([1.0, 0, 1.0, 0])), 0.0)
 
     def test_perturbed_solve_matches_the_dense_path_and_an_lu(self, make_training):
         # Nothing clamped: the M x M core of the whole store against the

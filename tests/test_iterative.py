@@ -11,8 +11,7 @@ from hopfieldkit.iterative import RecallTrace, energy, recall
 from hopfieldkit.patterns import TrainingSet, as_pattern, as_thresholds
 
 
-def reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100,
-                     order="random", fill="plus"):
+def reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100, fill="plus"):
     """The plain float loop: one draw and one row product w[i] @ x per update.
 
     Returns the final state, sweeps, energy trace, converged flag and the
@@ -37,10 +36,7 @@ def reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100,
     budget = max_sweeps * d
     converged = False
     while updates < budget:
-        if order == "random":
-            i = int(rng.integers(d))
-        else:
-            i = updates % d
+        i = int(rng.integers(d))
         field = w[i] @ x
         ties += abs(field - t[i]) <= 1e-12
         new = 1.0 if field >= t[i] else -1.0
@@ -64,7 +60,7 @@ def reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100,
 
 
 def exact_reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100,
-                           order="random", fill="plus"):
+                           fill="plus"):
     """The plain loop in exact integers, for a trained store.
 
     One draw and one int64 row product per update: M d (W x)_i is the
@@ -98,10 +94,7 @@ def exact_reference_recall(wm, start, theta=None, rng_seed=None, max_sweeps=100,
     budget = max_sweeps * d
     converged = False
     while updates < budget:
-        if order == "random":
-            i = int(rng.integers(d))
-        else:
-            i = updates % d
+        i = int(rng.integers(d))
         field = int(c[i] @ x)
         ties += field == thr[i]
         new = 1 if field >= thr[i] else -1
@@ -188,11 +181,29 @@ class TestEnergy:
 
 
 class TestUpdateNeuron:
-    """The single-neuron update rule, seen through one sweep of recall in sweep order."""
+    """The single-neuron update rule, seen through recall on one neuron.
 
-    @staticmethod
-    def sweep_once(wm, start, theta=None):
-        return recall(wm, start, theta=theta, max_sweeps=1, order="sweep").final
+    Updating neuron i alone is recall on a one-neuron network whose
+    threshold absorbs the field of the others: theta_i - (W x)_i.
+    """
+
+    LONE = WeightMatrix(np.zeros((1, 1)))
+
+    @classmethod
+    def update(cls, wm, x, i, theta=None):
+        """A copy of x with neuron i updated once."""
+        x = np.array(x, dtype=float)
+        field = as_thresholds(theta, wm.d)[i] - wm.w[i] @ x
+        x[i] = recall(cls.LONE, x[i:i + 1], theta=[field], max_sweeps=1).final[0]
+        return x
+
+    @classmethod
+    def sweep_once(cls, wm, start, theta=None):
+        """One sweep through neurons 1..d in order."""
+        x = start
+        for i in range(wm.d):
+            x = cls.update(wm, x, i, theta)
+        return x
 
     def test_negative_field_flips_down(self, worked_wm):
         # neuron 1 sees -0.5 and flips; neuron 2 then sees -0.5 and stays down
@@ -213,13 +224,10 @@ class TestUpdateNeuron:
 
     def test_input_not_mutated(self, worked_wm):
         x = np.array([1.0, -1.0])
-        self.sweep_once(worked_wm, x)
+        recall(worked_wm, x, rng_seed=0, max_sweeps=1)
         np.testing.assert_array_equal(x, [1.0, -1.0])
 
     def test_single_update_never_raises_energy(self, make_weights):
-        # Updating neuron i alone is recall on a one-neuron network whose
-        # threshold absorbs the field of the others: theta_i - (W x)_i.
-        lone = WeightMatrix(np.zeros((1, 1)))
         rng = np.random.default_rng(61)
         for _ in range(40):
             d = int(rng.integers(2, 15))
@@ -228,9 +236,7 @@ class TestUpdateNeuron:
                 x = rng.choice([-1.0, 1.0], size=d)
                 theta = rng.normal(scale=0.5, size=d)
                 i = int(rng.integers(d))
-                new = x.copy()
-                new[i] = self.sweep_once(lone, x[i:i + 1],
-                                         theta=[theta[i] - wm.w[i] @ x])[0]
+                new = self.update(wm, x, i, theta)
                 assert new[i] == (1.0 if wm.w[i] @ x >= theta[i] else -1.0)
                 assert energy(wm, new, theta) <= energy(wm, x, theta) + 1e-12
 
@@ -299,12 +305,6 @@ class TestRecall:
         np.testing.assert_array_equal(a.final, b.final)
         assert tuple(a.final) in {(1.0, 1.0), (-1.0, -1.0)}
 
-    def test_sweep_order_cycles_deterministically(self, worked_wm):
-        a = recall(worked_wm, [1.0, -1.0], order="sweep")
-        b = recall(worked_wm, [1.0, -1.0], order="sweep")
-        np.testing.assert_array_equal(a.final, b.final)
-        assert a.converged
-
     def test_final_state_is_binary(self, make_weights):
         wm = make_weights(np.random.default_rng(65), 8)
         trace = recall(wm, np.zeros(8), rng_seed=1, fill="random")
@@ -317,8 +317,6 @@ class TestRecall:
             trace.final[0] = 0.0
 
     def test_option_validation(self, worked_wm):
-        with pytest.raises(ValueError, match="unknown update order"):
-            recall(worked_wm, [1.0, 1.0], order="shuffled")
         with pytest.raises(ValueError, match="unknown fill mode"):
             recall(worked_wm, [1.0, 1.0], fill="zeros")
         with pytest.raises(ValueError, match="max_sweeps"):
@@ -368,7 +366,7 @@ class TestMatchesThePlainLoop:
             start = rng.choice([-1.0, 0.0, 1.0], size=d)
             converged, _ = assert_matches_reference(
                 wm, start, [72, k], theta=theta, max_sweeps=int(rng.integers(1, 12)),
-                order=("random", "sweep")[k % 5 == 0], fill=("plus", "random")[k // 2 % 2])
+                fill=("plus", "random")[k // 2 % 2])
             outcomes.add(converged)
         assert outcomes == {True, False}
 
@@ -410,11 +408,10 @@ class TestMatchesThePlainLoop:
     def test_two_neurons(self, worked_wm):
         for seed in range(20):
             for start in ([1.0, -1.0], [-1.0, 1.0], [0.0, 0.0], [0.0, -1.0]):
-                for order in ("random", "sweep"):
-                    for theta in (None, [0.5, -0.5], [1.0, 0.0]):
-                        assert_matches_reference(worked_wm, start, seed, theta=theta,
-                                                 max_sweeps=1 + seed % 4, order=order,
-                                                 fill=("plus", "random")[seed % 2])
+                for theta in (None, [0.5, -0.5], [1.0, 0.0]):
+                    assert_matches_reference(worked_wm, start, seed, theta=theta,
+                                             max_sweeps=1 + seed % 4,
+                                             fill=("plus", "random")[seed % 2])
 
 
 class TestExactFields:

@@ -120,7 +120,7 @@ class TestTrainingSet:
 
 class TestClampSet:
     def test_accessors_mask_projector(self):
-        clamp = ClampSet((1, 3), np.array([1.0, 0.0, -1.0]))
+        clamp = ClampSet(np.array([1.0, 0.0, -1.0]))
         assert clamp.l == 2
         assert clamp.d == 3
         np.testing.assert_array_equal(clamp.mask(), [True, False, True])
@@ -128,12 +128,12 @@ class TestClampSet:
         assert int(clamp.mask().sum()) == clamp.l
 
     def test_full_clamp_is_allowed(self):
-        clamp = ClampSet((1, 2), np.array([1.0, -1.0]))
+        clamp = ClampSet(np.array([1.0, -1.0]))
         assert clamp.l == clamp.d == 2
 
     def test_from_pattern(self):
         clamp = ClampSet.from_pattern([1.0, -1.0, 1.0], [3, 1])
-        assert clamp.indices == (1, 3)
+        assert clamp.l == 2
         np.testing.assert_array_equal(clamp.values, [1.0, 0.0, 1.0])
 
     def test_from_pattern_rejects_out_of_range_index(self):
@@ -141,28 +141,29 @@ class TestClampSet:
             ClampSet.from_pattern([1.0, -1.0], [3])
 
     def test_rejects_empty_index_set(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ClampSet((), np.zeros(2))
+        with pytest.raises(ValueError, match="probe clamps nothing"):
+            ClampSet(np.zeros(2))
 
-    def test_rejects_out_of_range_indices(self):
-        with pytest.raises(ValueError, match="1..2"):
-            ClampSet((0, 1), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="1..2"):
-            ClampSet((3,), np.array([0.0, 0.0]))
-
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ClampSet((2, 1), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ClampSet((1, 1), np.array([1.0, 0.0]))
-
-    def test_rejects_zero_value_on_clamped_index(self):
-        with pytest.raises(ValueError, match="clamped values"):
-            ClampSet((1,), np.array([0.0, 0.0]))
-
-    def test_rejects_nonzero_value_off_clamp(self):
-        with pytest.raises(ValueError, match="0 off the clamp"):
-            ClampSet((1,), np.array([1.0, -1.0]))
+    def test_random_probes_define_their_clamp(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            d = int(rng.integers(1, 30))
+            x = rng.choice([-1.0, 1.0], size=d)
+            mask = rng.random(d) < rng.random()
+            mask[rng.integers(d)] = True
+            probe = np.where(mask, x, 0.0)
+            clamp = ClampSet(probe)
+            np.testing.assert_array_equal(clamp.mask(), mask)
+            assert clamp.l == int(mask.sum())
+            assert clamp.d == d
+            idx = rng.permutation(np.flatnonzero(mask) + 1)
+            np.testing.assert_array_equal(ClampSet.from_pattern(x, idx).values, probe)
+            with pytest.raises(ValueError, match=f"outside 1..{d}"):
+                ClampSet.from_pattern(x, [*idx, (0, d + 1)[d % 2]])
+            with pytest.raises(ValueError, match="repeated"):
+                ClampSet.from_pattern(x, [*idx, idx[0]])
+            probe[:] = 0.0
+            assert clamp.l == int(mask.sum())  # the clamp holds its own copy
 
 
 class TestLoaders:

@@ -153,7 +153,7 @@ class TestHermitianEvolution:
 class TestBlockSplitEvolution:
     def make(self, **kwargs):
         ts = TrainingSet([[1.0, 1.0]])
-        clamp = ClampSet((1,), np.array([1.0, 0.0]))
+        clamp = ClampSet(np.array([1.0, 0.0]))
         return BlockSplitEvolution(ts, clamp, kwargs.pop("gamma", 1.0), **kwargs)
 
     def test_shifted_ridge_and_bound(self):
@@ -164,7 +164,7 @@ class TestBlockSplitEvolution:
 
     def test_padding_dimensions(self):
         ts = TrainingSet([[1.0, 1.0, -1.0]])
-        clamp = ClampSet((1,), np.array([1.0, 0.0, 0.0]))
+        clamp = ClampSet(np.array([1.0, 0.0, 0.0]))
         evo = BlockSplitEvolution(ts, clamp, 1.0)
         assert evo.d_pad == 4 and evo.dim == 8
 
@@ -173,7 +173,7 @@ class TestBlockSplitEvolution:
         # padding is involved: rho - (gamma + 1/d) I = W - gamma I.
         for ts in (TrainingSet([[1.0, 1.0]]), TWO_PATTERNS):
             d = ts.d
-            clamp = ClampSet((1,), np.array([1.0] + [0.0] * (d - 1)))
+            clamp = ClampSet(np.array([1.0] + [0.0] * (d - 1)))
             evo = BlockSplitEvolution(ts, clamp, 1.0)
             w = train(ts).w
             np.testing.assert_array_equal(evo.a[:d, :d], w - np.eye(d))
@@ -181,9 +181,9 @@ class TestBlockSplitEvolution:
     def test_logical_system_matches_classical_assembly(self):
         from hopfieldkit.inversion import assemble
 
-        cases = [(TWO_PATTERNS, ClampSet((1, 3), np.array([1.0, 0.0, -1.0, 0.0]))),
+        cases = [(TWO_PATTERNS, ClampSet(np.array([1.0, 0.0, -1.0, 0.0]))),
                  (TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),
-                  ClampSet((2,), np.array([0.0, -1.0, 0.0])))]
+                  ClampSet(np.array([0.0, -1.0, 0.0])))]
         for ts, clamp in cases:
             d = ts.d
             evo = BlockSplitEvolution(ts, clamp, 1.0)
@@ -193,7 +193,7 @@ class TestBlockSplitEvolution:
 
     def test_reference_mode_converges_to_dense_exponential(self):
         padded = BlockSplitEvolution(TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),
-                                     ClampSet((2,), np.array([0.0, -1.0, 0.0])), 0.5)
+                                     ClampSet(np.array([0.0, -1.0, 0.0])), 0.5)
         for evo in (self.make(), padded):
             for t in (1.0, -0.7, np.pi / 3.0):
                 assert np.linalg.norm(evo(t) - expm(1j * evo.a * t), 2) <= 1e-12
@@ -202,7 +202,7 @@ class TestBlockSplitEvolution:
         # padded d = 3: the top padding row is active (A has -gamma' there),
         # the bottom padding and the unclamped multipliers are not
         evo = BlockSplitEvolution(TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),
-                                  ClampSet((2,), np.array([0.0, -1.0, 0.0])), 0.5)
+                                  ClampSet(np.array([0.0, -1.0, 0.0])), 0.5)
         basis = evo.eigenbasis
         np.testing.assert_array_equal(basis.active, [0, 1, 2, 3, 5])
         inactive = np.setdiff1d(np.arange(evo.dim), basis.active)
@@ -244,7 +244,7 @@ class TestBlockSplitEvolution:
         # has unit norm), so no step count makes the product formula of
         # trotter mode exact; reference mode, one eigendecomposition of A, is.
         ts = TrainingSet([[1.0, 1.0], [1.0, -1.0]])  # makes W = 0
-        clamp = ClampSet((1, 2), np.array([1.0, 1.0]))
+        clamp = ClampSet(np.array([1.0, 1.0]))
         evo = BlockSplitEvolution(ts, clamp, 1.0, mode="trotter", steps=40)
         np.testing.assert_array_equal(train(ts).w, np.zeros((2, 2)))
         b = evo.a.copy()
@@ -259,7 +259,7 @@ class TestBlockSplitEvolution:
 
     def test_validation(self):
         ts = TrainingSet([[1.0, 1.0]])
-        clamp = ClampSet((1,), np.array([1.0, 0.0]))
+        clamp = ClampSet(np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="unknown mode"):
             BlockSplitEvolution(ts, clamp, 1.0, mode="euler")
         for gamma in (0.0, np.nan, np.inf):
@@ -270,13 +270,13 @@ class TestBlockSplitEvolution:
                 BlockSplitEvolution(source, clamp, 1.0)
         with pytest.raises(ValueError, match="reference mode is exact"):
             BlockSplitEvolution(ts, clamp, 1.0, steps=50)
-        bad_clamp = ClampSet((1,), np.array([1.0, 0.0, 0.0]))
+        bad_clamp = ClampSet(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="does not match"):
             BlockSplitEvolution(ts, bad_clamp, 1.0)
 
     def test_wrapper_passes_through(self):
         ts = TrainingSet([[1.0, 1.0]])
-        clamp = ClampSet((1,), np.array([1.0, 0.0]))
+        clamp = ClampSet(np.array([1.0, 0.0]))
         evo = assemble_quantum_a(ts, clamp, 1.2, mode="trotter", steps=9)
         assert isinstance(evo, BlockSplitEvolution)
         assert evo.mode == "trotter" and evo.steps == 9

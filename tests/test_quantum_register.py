@@ -91,19 +91,19 @@ class TestEmbed:
 
 class TestEmbedW:
     def test_clamped_block_only(self):
-        reg, norm = embed_w(None, ClampSet((1,), np.array([1.0, 0.0])))
+        reg, norm = embed_w(None, ClampSet(np.array([1.0, 0.0])))
         np.testing.assert_array_equal(reg.amplitudes, [0.0, 0.0, 1.0, 0.0])
         assert norm == 1.0
         assert reg.total_qubits == 2
 
     def test_both_blocks_superpose(self):
-        reg, norm = embed_w([1.0, 0.0], ClampSet((2,), np.array([0.0, 1.0])))
+        reg, norm = embed_w([1.0, 0.0], ClampSet(np.array([0.0, 1.0])))
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(reg.amplitudes, [s, 0.0, 0.0, s], atol=1e-15)
         assert norm == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_blocks_pad_to_common_power_of_two(self):
-        reg, norm = embed_w(None, ClampSet((1, 3), np.array([1.0, 0.0, -1.0])))
+        reg, norm = embed_w(None, ClampSet(np.array([1.0, 0.0, -1.0])))
         assert reg.total_qubits == 3  # 2 system qubits + 1 block flag
         expected = np.zeros(8)
         expected[4], expected[6] = 1.0, -1.0
@@ -113,7 +113,7 @@ class TestEmbedW:
 
     def test_rejects_mismatched_theta(self):
         with pytest.raises(ValueError, match="shape \\(2,\\)"):
-            embed_w([1.0, 0.0, 0.0], ClampSet((1,), np.array([1.0, 0.0])))
+            embed_w([1.0, 0.0, 0.0], ClampSet(np.array([1.0, 0.0])))
 
 
 class TestSwapTest:

@@ -13,7 +13,7 @@ from hopfieldkit.quantum.register import QuantumRegister
 from hopfieldkit.quantum.solver import qhop_recall, qhop_solve
 
 TS = TrainingSet([[1.0, 1.0]])
-CLAMP = ClampSet((1,), np.array([1.0, 0.0]))
+CLAMP = ClampSet(np.array([1.0, 0.0]))
 # classical solution of the worked two-neuron system: x = (1, 0.5)
 TARGET = np.array([2.0, 1.0]) / np.sqrt(5.0)
 EXPECTED_POST = 1.25 / 1.8125  # |x|^2 / (|x|^2 + |lambda|^2)
@@ -120,21 +120,21 @@ class TestEigenbasisCircuit:
             # relative to that weight, not to the small residual left over
             gaps["phase_residual"] = (abs(fast.phase_residual - dense.phase_residual)
                                       / (1.0 - dense.phase_residual))
-            assert max(gaps.values()) <= 1e-12, (clamp.d, clamp.indices, gaps)
+            assert max(gaps.values()) <= 1e-12, (clamp.values, gaps)
 
     def test_inactive_coordinates_stay_exactly_zero(self):
         for ts, clamp, theta in eigenbasis_instances():
             report = qhop_solve(ts, clamp, theta=theta)
             evo = BlockSplitEvolution(ts, clamp, 1.0)
             inactive = np.setdiff1d(np.arange(evo.dim), evo.eigenbasis.active)
-            assert inactive.size == evo.dim - evo.d_pad - len(clamp.indices)
+            assert inactive.size == evo.dim - evo.d_pad - clamp.l
             np.testing.assert_array_equal(report.v_register.amplitudes[inactive], 0.0)
 
 
 class TestGuards:
     def test_qubit_budget_enforced(self):
         ts = TrainingSet([[1.0, 1.0, 1.0, -1.0]])
-        clamp = ClampSet((1,), np.array([1.0, 0.0, 0.0, 0.0]))
+        clamp = ClampSet(np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="needs 17 qubits"):
             qhop_solve(ts, clamp, t_qubits=12)
 
@@ -172,9 +172,21 @@ class TestGuards:
         assert report.success_probability == 0.0
 
 
+    @pytest.mark.filterwarnings("ignore:phase resolution")
+    def test_tiny_rotation_constant_is_named_as_the_cause(self):
+        # 511 of 512 bins pass a cutoff of 1e-9, but C = mu scales the flag
+        # amplitude down to ~1e-9, so the flag probability is ~1e-18
+        clamp = ClampSet.from_pattern([1.0, 1.0], (1,))
+        with pytest.warns(RuntimeWarning, match=r"flag probability .* C = mu = 1e-09"):
+            report = qhop_solve(TrainingSet([[1.0, 1.0], [1.0, -1.0]]), clamp, mu=1e-9)
+        assert not report.ok
+        assert report.kept_bins == 511
+        assert 0.0 < report.success_probability < 1e-14
+
+
 class TestRecall:
     STORE = TrainingSet([[1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
-    PROBE = ClampSet((1, 2), np.array([1.0, -1.0, 0.0, 0.0]))
+    PROBE = ClampSet(np.array([1.0, -1.0, 0.0, 0.0]))
 
     def test_global_sign_is_fixed_against_the_clamp(self, monkeypatch):
         expected, _ = qhop_recall(self.STORE, self.PROBE, t_qubits=8)
