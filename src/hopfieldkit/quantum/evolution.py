@@ -139,13 +139,10 @@ class _ExactEvolution:
         self.active = active
         self.eigs, self.vecs = np.linalg.eigh(h[np.ix_(active, active)])
 
-    def phases(self, t: float) -> np.ndarray:
-        """e^{i eigs t}: e^{i H t} on the active block, written in its eigenbasis."""
-        return np.exp(1j * self.eigs * t)
-
     def __call__(self, t: float) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)
-        u[np.ix_(self.active, self.active)] = (self.vecs * self.phases(t)) @ self.vecs.T
+        block = (self.vecs * np.exp(1j * self.eigs * t)) @ self.vecs.T
+        u[np.ix_(self.active, self.active)] = block
         return u
 
 
@@ -165,9 +162,8 @@ class BlockSplitEvolution:
 
     eigenbasis is None in trotter mode. In reference mode it is the
     _ExactEvolution of the active block: active indexes the top d_pad
-    coordinates and then the clamped multipliers (every other row and
-    column of A is zero), eigs and vecs are the block's eigenpairs, and
-    phases(t) is e^{i A t} on the block in that eigenbasis.
+    coordinates and then the clamped multipliers (A is zero elsewhere),
+    and eigs and vecs, the block's eigenpairs, feed the solver's closed form.
     """
 
     def __init__(self, source, clamp: ClampSet, gamma: float, mode: str = "reference",

@@ -1,19 +1,19 @@
 """Phase estimation on the controlled powers of U(t0), with signed eigenvalue bins.
 
 The phase register holds T qubits (most significant first). Controlled
-powers U^(2^k) come from repeated squaring of U(t0), and the inverse
-Fourier transform runs along the phase axis. Bin b of 2^T encodes the
-phase b/2^T; bins above 2^(T-1) wrap to negative phases (two's
-complement), so eigenvalues are read in the window (-pi/t0, +pi/t0].
+powers U^(2^k) come from repeated squaring of a dense U(t0), and the
+inverse Fourier transform runs along the phase axis. Bin b of 2^T
+encodes the phase b/2^T; bins above 2^(T-1) wrap to negative phases
+(two's complement), so eigenvalues are read in the window
+(-pi/t0, +pi/t0].
 
 Neither Hadamard layer is simulated as a transform. The forward pass
 builds the 2^T controlled-power rows U^b psi by doubling (row h + j is
 U^(2^k) times row j, h = 2^k), and the backward pass folds them back the
 same way and returns only the branch where the phase register is back at
 |0...0>, the one the solver keeps. Each pass costs 2^T - 1 row products
-on contiguous slices. U is either a dense (dim, dim) matrix, O(2^T dim^2)
-a pass, or a 1-D vector: the diagonal of U written in its own eigenbasis,
-whose powers stay diagonal and apply elementwise, O(2^T dim) a pass.
+on contiguous slices, O(2^T dim^2). U is dense; the solver's reference
+mode needs no pass, only the bin weights of _bin_weights.
 """
 from __future__ import annotations
 
@@ -21,14 +21,10 @@ import numpy as np
 
 
 def controlled_powers(u1: np.ndarray, t_qubits: int) -> list[np.ndarray]:
-    """[U, U^2, U^4, ...] by repeated squaring, one entry per phase qubit.
-
-    A 1-D u1 is a diagonal U; its powers are squared elementwise.
-    """
+    """[U, U^2, U^4, ...] by repeated squaring, one entry per phase qubit."""
     powers = [np.asarray(u1, dtype=complex)]
-    square = np.multiply if powers[0].ndim == 1 else np.matmul
     for _ in range(t_qubits - 1):
-        powers.append(square(powers[-1], powers[-1]))
+        powers.append(powers[-1] @ powers[-1])
     return powers
 
 
@@ -37,17 +33,13 @@ def qpe_forward(powers: list[np.ndarray], psi: np.ndarray) -> np.ndarray:
 
     Row b before the transform is U^b psi / sqrt(2^T), built by doubling:
     the rows whose top set bit is k are U^(2^k) times the 2^k rows below.
-    A 1-D power is a diagonal and scales each row elementwise.
     """
     n_bins = 2 ** len(powers)
     s = np.empty((n_bins, psi.size), dtype=complex)
     s[0] = psi / np.sqrt(n_bins)
     h = 1
     for u in powers:
-        if u.ndim == 1:
-            np.multiply(s[:h], u, out=s[h:2 * h])
-        else:
-            s[h:2 * h] = s[:h] @ u.T
+        s[h:2 * h] = s[:h] @ u.T
         h *= 2
     # inverse QFT along the phase axis: QFT^dag = fft / sqrt(N)
     return np.fft.fft(s, axis=0, norm="ortho")
@@ -59,8 +51,7 @@ def qpe_backward(s: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
     After the QFT, the inverted powers and the Hadamards, the |0...0>
     phase row is sum_b U^(-b) y_b / sqrt(2^T) over the QFT rows y_b. It is
     folded from the top qubit down: the upper half of the rows, times
-    U^(-2^k), is added onto the lower half. 1-D powers are diagonals, as
-    in qpe_forward.
+    U^(-2^k), is added onto the lower half.
     """
     n_bins = 2 ** len(powers)
     # QFT = sqrt(N) ifft; the unscaled ifft and one exact division by N
@@ -69,8 +60,8 @@ def qpe_backward(s: np.ndarray, powers: list[np.ndarray]) -> np.ndarray:
     h = n_bins
     for u in reversed(powers):
         h //= 2
-        # row-vector form of U^dag: (U^dag)^T = conj(U), or conj(u) on a diagonal
-        y[:h] += y[h:2 * h] * u.conj() if u.ndim == 1 else y[h:2 * h] @ u.conj()
+        # row-vector form of U^dag: (U^dag)^T = conj(U)
+        y[:h] += y[h:2 * h] @ u.conj()
     return y[0] / n_bins
 
 
@@ -81,3 +72,23 @@ def bin_eigenvalues(t_qubits: int, t0: float) -> np.ndarray:
     phi = b / n_bins
     phi = np.where(b > n_bins // 2, phi - 1.0, phi)
     return 2.0 * np.pi * phi / t0
+
+
+def _bin_weights(phases: np.ndarray, t_qubits: int) -> np.ndarray:
+    """(2^T, k) table: the probability that eigenphase phases[k] is read in bin c.
+
+    The Fejer kernel |alpha_c|^2 = sin^2(N delta/2) / (N sin(delta/2))^2,
+    N = 2^T, of the amplitude alpha_c = sum_b e^{i b delta} / N at
+    delta = phi - 2 pi c / N (Harrow, Hassidim and Lloyd, PRL 103, 150502,
+    2009). In bins N delta / (2 pi) = m + f, with f phi's exact offset from
+    its nearest bin and m wrapped into (-N/2, N/2]: the numerator is
+    sin^2(pi f), and where m = f = 0 the entry is exactly 1.
+    """
+    n_bins = 2 ** t_qubits
+    x = np.asarray(phases, dtype=float) / (2.0 * np.pi) * n_bins
+    nearest = np.rint(x)
+    f = x - nearest
+    half = n_bins // 2
+    m = half - (half - nearest.astype(np.int64) + np.arange(n_bins)[:, None]) % n_bins
+    den = (n_bins * np.sin(np.pi / n_bins * (m + f))) ** 2
+    return np.divide(np.sin(np.pi * f) ** 2, den, out=np.ones_like(den), where=den != 0.0)

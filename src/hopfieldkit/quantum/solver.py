@@ -8,13 +8,12 @@ uncomputed, and post-selecting the flag leaves a state proportional to
 the truncated-pseudoinverse solution (x; lambda). A second post-selection
 on the leading system qubit isolates |x>.
 
-In reference mode the same circuit is simulated with the system register
-written in the eigenbasis of A's active block (the evolution's
-eigenbasis): A and |w> vanish off that block, so those coordinates stay
-exactly zero, and every controlled power is a diagonal. |w> is rotated
-into the eigenbasis once before phase estimation and the phase-zero
-branch rotated back once after it. Trotter mode runs the dense powers of
-U(t0) on the full register.
+Trotter mode simulates that circuit with dense powers of U(t0). Reference
+mode evaluates it in closed form, as a spectral filter on the eigenpairs
+(lambda_k, v_k) of A's active block (Harrow, Hassidim and Lloyd, PRL 103,
+150502, 2009): with w_k = v_k^T |w> and F[c, k] the Fejer-kernel weight of
+eigenphase lambda_k t0 in bin c, bin c holds sum_k F[c, k] w_k^2, and the
+phase-zero branch is sum_k f_k w_k v_k with f_k = sum_c r_c F[c, k].
 """
 from __future__ import annotations
 
@@ -26,9 +25,10 @@ import numpy as np
 from ..inversion import discretize
 from ..patterns import ClampSet
 from .evolution import assemble_quantum_a
-from .phase import bin_eigenvalues, controlled_powers, qpe_backward, qpe_forward
+from .phase import _bin_weights, bin_eigenvalues, controlled_powers, qpe_backward, qpe_forward
 from .register import QuantumRegister, embed_w, qubits_for
 
+# Qubits of the paper's circuit; in reference mode its size, not the simulator's memory.
 QUBIT_BUDGET = 16
 ANCILLA_QUBITS = 2  # rotation flag plus the conditioning ancilla of the D block
 
@@ -62,12 +62,9 @@ class QhopReport:
 def _top_amplitudes(vec: np.ndarray, count: int = 8) -> str:
     """The count largest entries by modulus, printed by their real parts.
 
-    The real part is what qhop_recall reads. In reference mode the
-    imaginary parts are rounding noise, whose digits would tie the trace
-    bytes to the order of the arithmetic. So would the order of moduli
-    that agree to rounding, and the digits of rounding-level entries:
-    moduli are compared in steps of 1e-12 times the largest, equal steps
-    list by index, and an entry below one step prints as 0.
+    The real part is what qhop_recall reads. Moduli are compared in steps
+    of 1e-12 times the largest, equal steps list by index, and an entry
+    below one step prints as 0, so reordered arithmetic keeps the bytes.
     """
     mod = np.abs(vec)
     step = 1e-12 * (mod.max(initial=0.0) or 1.0)
@@ -77,10 +74,9 @@ def _top_amplitudes(vec: np.ndarray, count: int = 8) -> str:
 
 
 class _Trace:
-    """CSV trace of the pipeline's intermediate states; inert without a path.
+    """CSV trace of the pipeline's intermediate states; rows are formatted only with a path.
 
-    A (bins, dim) state is summarized by its per-bin probabilities. Rows
-    are formatted only when a path was given.
+    A state with a phase register is given by its per-bin probabilities.
     """
 
     def __init__(self, path):
@@ -88,12 +84,9 @@ class _Trace:
         self.rows = []
 
     def add(self, step: str, subregister: str, state: np.ndarray, norm: float | None = None):
-        if self.path is None:
-            return
-        if norm is None:
-            norm = float(np.linalg.norm(state))
-        amps = np.sum(np.abs(state) ** 2, axis=1) if state.ndim == 2 else state
-        self.rows.append((step, subregister, norm, _top_amplitudes(amps)))
+        if self.path is not None:
+            norm = float(np.linalg.norm(state)) if norm is None else norm
+            self.rows.append((step, subregister, norm, _top_amplitudes(state)))
 
     def write(self) -> None:
         if self.path is None:
@@ -141,21 +134,21 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     if basis is None:
         powers = controlled_powers(evolve(t0), t_qubits)
         s = qpe_forward(powers, psi)
+        bin_probs = np.sum(np.abs(s) ** 2, axis=1)
     else:
-        powers = controlled_powers(basis.phases(t0), t_qubits)
-        s = qpe_forward(powers, basis.vecs.T @ psi[basis.active])
-    trace.add("phase_estimate", "phase+system", s)
+        w = basis.vecs.T @ psi[basis.active].real
+        weights = _bin_weights(basis.eigs * t0, t_qubits)
+        bin_probs = weights @ w ** 2
+    trace.add("phase_estimate", "phase+system", bin_probs, norm=np.sqrt(bin_probs.sum()))
 
     mu_tilde = bin_eigenvalues(t_qubits, t0)
     keep = np.abs(mu_tilde) >= mu
-    rot = np.zeros_like(mu_tilde)
-    rot[keep] = mu / mu_tilde[keep]
+    rot = np.divide(mu, mu_tilde, out=np.zeros_like(mu_tilde), where=keep)
     kept_bins = int(keep.sum())
 
-    s_flag = s * rot[:, None]
-    trace.add("rotation", "flag=1", s_flag)
-
-    success_probability = float(np.linalg.norm(s_flag) ** 2)
+    flag_probs = rot ** 2 * bin_probs
+    success_probability = float(flag_probs.sum())
+    trace.add("rotation", "flag=1", flag_probs, norm=np.sqrt(success_probability))
 
     def _fail(message: str) -> QhopReport:
         trace.write()
@@ -168,17 +161,16 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
                           x_register=None, v_register=None)
 
     if success_probability < 1e-14:
-        if np.linalg.norm(s[keep]) ** 2 < 1e-14:
+        if bin_probs[keep].sum() < 1e-14:
             return _fail("every eigencomponent fell below the cutoff; nothing to invert")
         return _fail(f"flag probability {success_probability:.3g} is too small to "
                      f"post-select; the rotation constant C = mu = {mu:.3g}")
 
-    back = qpe_backward(s_flag, powers)
     if basis is None:
-        back0 = back
+        back0 = qpe_backward(s * rot[:, None], powers)
     else:
-        back0 = np.zeros(psi.size, dtype=complex)
-        back0[basis.active] = basis.vecs @ back
+        back0 = np.zeros(psi.size)
+        back0[basis.active] = basis.vecs @ ((rot @ weights) * w)
     trace.add("uncompute", "phase=0", back0)
 
     phase_zero = float(np.linalg.norm(back0) ** 2) / success_probability

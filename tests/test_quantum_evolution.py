@@ -210,7 +210,6 @@ class TestBlockSplitEvolution:
         np.testing.assert_array_equal(evo.a[:, inactive], 0.0)
         block = evo.a[np.ix_(basis.active, basis.active)]
         np.testing.assert_allclose((basis.vecs * basis.eigs) @ basis.vecs.T, block, atol=1e-14)
-        np.testing.assert_allclose(basis.phases(0.7), np.exp(0.7j * basis.eigs))
         assert self.make(mode="trotter", steps=5).eigenbasis is None
 
     def test_call_is_unitary(self):

@@ -8,6 +8,7 @@ from hopfieldkit.hebbian import density, train
 from hopfieldkit.patterns import ClampSet, TrainingSet
 from hopfieldkit.quantum.evolution import BlockSplitEvolution
 from hopfieldkit.quantum.phase import (
+    _bin_weights,
     bin_eigenvalues,
     controlled_powers,
     qpe_backward,
@@ -26,16 +27,6 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_phases(rng, dim):
-    """A diagonal unitary, given as its 1-D vector of phases."""
-    return np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
-
-
-def as_matrices(powers):
-    """The powers as dense matrices: a 1-D power is a diagonal."""
-    return [np.diag(p) if p.ndim == 1 else p for p in powers]
-
-
 class TestControlledPowers:
     def test_repeated_squaring_matches_matrix_power(self):
         u = random_unitary(np.random.default_rng(1), 4)
@@ -44,15 +35,6 @@ class TestControlledPowers:
         for k, p in enumerate(powers):
             np.testing.assert_allclose(p, np.linalg.matrix_power(u, 2 ** k),
                                        atol=1e-10)
-
-    def test_diagonal_powers_stay_diagonal(self):
-        u = random_phases(np.random.default_rng(2), 6)
-        powers = controlled_powers(u, 5)
-        assert len(powers) == 5
-        for k, p in enumerate(powers):
-            assert p.shape == (6,)
-            np.testing.assert_allclose(np.diag(p),
-                                       np.linalg.matrix_power(np.diag(u), 2 ** k), atol=1e-10)
 
 
 def masked_forward(powers, psi):
@@ -78,11 +60,7 @@ def full_inverse_phase_zero(s, powers):
 
 
 def oracle_instances():
-    """(powers, psi): random unitaries, a scaled unitary, a contraction and a diagonal unitary.
-
-    The diagonal unitary is passed as its 1-D vector of phases; the oracles
-    run on as_matrices(powers).
-    """
+    """(powers, psi): random unitaries, a scaled unitary and a contraction."""
     rng = np.random.default_rng(5)
     for t_qubits in range(1, 10):
         for dim in (2, 3, 8, 32):
@@ -90,15 +68,14 @@ def oracle_instances():
             psi /= np.linalg.norm(psi)
             u = random_unitary(rng, dim)
             z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            for m in (u, 0.99 * u, z / np.linalg.norm(z, 2), random_phases(rng, dim)):
+            for m in (u, 0.99 * u, z / np.linalg.norm(z, 2)):
                 yield controlled_powers(m, t_qubits), psi
 
 
 class TestQpeOracles:
     def test_forward_matches_the_masked_loop(self):
         for powers, psi in oracle_instances():
-            np.testing.assert_allclose(qpe_forward(powers, psi),
-                                       masked_forward(as_matrices(powers), psi),
+            np.testing.assert_allclose(qpe_forward(powers, psi), masked_forward(powers, psi),
                                        rtol=0, atol=1e-12)
 
     def test_backward_matches_row_zero_of_the_full_inverse(self):
@@ -109,7 +86,7 @@ class TestQpeOracles:
             s /= np.linalg.norm(s)
             back = qpe_backward(s, powers)
             assert back.shape == (dim,)
-            np.testing.assert_allclose(back, full_inverse_phase_zero(s, as_matrices(powers)),
+            np.testing.assert_allclose(back, full_inverse_phase_zero(s, powers),
                                        rtol=0, atol=1e-12)
 
 
@@ -141,6 +118,41 @@ class TestBinEigenvalues:
     def test_window_scales_inversely_with_t0(self):
         np.testing.assert_allclose(bin_eigenvalues(3, np.pi / 2.0),
                                    2.0 * bin_eigenvalues(3, np.pi), atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+class TestBinWeights:
+    def test_every_column_is_a_distribution(self):
+        rng = np.random.default_rng(7)
+        for t_qubits in (1, 3, 9):
+            n_bins = 2 ** t_qubits
+            phases = np.r_[rng.uniform(-np.pi, np.pi, size=50), 0.0, np.pi, -np.pi,
+                           2.0 * np.pi * 3 / n_bins, 1e-17, -1e-17]
+            weights = _bin_weights(phases, t_qubits)
+            assert weights.shape == (n_bins, phases.size)
+            np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_a_phase_on_a_bin_is_read_there_alone(self):
+        # delta = 0 on the hit bin, where the kernel's denominator vanishes;
+        # -pi is bin N/2 once delta is wrapped, and 3 wraps onto bin 1 at T = 1
+        for t_qubits in (1, 3, 9):
+            n_bins = 2 ** t_qubits
+            weights = _bin_weights(np.array([0.0, 2.0 * np.pi * 3 / n_bins, -np.pi]), t_qubits)
+            expected = np.zeros((n_bins, 3))
+            expected[[0, 3 % n_bins, n_bins // 2], [0, 1, 2]] = 1.0
+            np.testing.assert_array_equal(weights, expected)
+
+    def test_matches_the_phase_estimation_amplitudes(self):
+        # |alpha_c(phi)|^2 with alpha_c(phi) = sum_b e^{i b (phi - 2 pi c/N)} / N
+        rng = np.random.default_rng(8)
+        for t_qubits in (1, 4, 9):
+            n_bins = 2 ** t_qubits
+            b = np.arange(n_bins)
+            to_bins = np.exp(-2j * np.pi * (np.outer(b, b) % n_bins) / n_bins) / n_bins
+            phases = rng.uniform(-np.pi, np.pi, size=40)
+            alpha = to_bins @ np.exp(1j * np.outer(b, phases))
+            np.testing.assert_allclose(_bin_weights(phases, t_qubits), np.abs(alpha) ** 2,
+                                       rtol=0, atol=1e-13)
 
 
 def readout(h, psi, t_qubits, t0):

@@ -1,4 +1,5 @@
 """The simulated end-to-end recall pipeline on the saddle-point system."""
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -88,30 +89,40 @@ class _DensePowers:
 
 
 def eigenbasis_instances():
-    """(store, clamp, theta): the 13 d = 16 clamps, then padded d = 3 and 5 with theta != 0."""
+    """(store, clamp, kwargs) over gamma in {0.3, 1, 2} and mu in {0.02, 0.05, 0.2}.
+
+    The clamps are the 13 at d = 16, then padded d = 3 and 5 with theta != 0.
+    """
+    cases = []
     ts = synthetic_patterns(16, 4, 0)
     for l in range(2, 15):
         known = np.sort(np.random.default_rng(l).permutation(16)[:l]) + 1
-        yield ts, ClampSet.from_pattern(ts.patterns[0], tuple(int(i) for i in known)), None
+        cases.append((ts, ClampSet.from_pattern(ts.patterns[0], tuple(int(i) for i in known)),
+                      None))
     for d in (3, 5):
         ts = synthetic_patterns(d, 2, 0)
         rng = np.random.default_rng(d)
         for l in range(1, d + 1):
             known = np.sort(rng.permutation(d)[:l]) + 1
             clamp = ClampSet.from_pattern(ts.patterns[0], tuple(int(i) for i in known))
-            yield ts, clamp, 0.1 * rng.normal(size=d)
+            cases.append((ts, clamp, 0.1 * rng.normal(size=d)))
+    for gamma, mu in itertools.product((0.3, 1.0, 2.0), (0.02, 0.05, 0.2)):
+        for ts, clamp, theta in cases:
+            yield ts, clamp, {"theta": theta, "gamma": gamma, "mu": mu}
 
 
 class TestEigenbasisCircuit:
     def test_matches_the_dense_power_circuit(self, monkeypatch):
         build = solver.assemble_quantum_a
-        for ts, clamp, theta in eigenbasis_instances():
-            fast = qhop_solve(ts, clamp, theta=theta)
+        for ts, clamp, kwargs in eigenbasis_instances():
+            fast = qhop_solve(ts, clamp, **kwargs)
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "assemble_quantum_a",
-                              lambda *args, **kwargs: _DensePowers(build(*args, **kwargs)))
-                dense = qhop_solve(ts, clamp, theta=theta)
-            assert fast.ok and dense.ok
+                              lambda *args, **kw: _DensePowers(build(*args, **kw)))
+                dense = qhop_solve(ts, clamp, **kwargs)
+            assert fast.ok == dense.ok, (clamp.values, kwargs)
+            if not fast.ok:
+                continue
             x_fast, x_dense = fast.x_register.amplitudes, dense.x_register.amplitudes
             gaps = {"x_register": np.linalg.norm(x_fast - x_dense) / np.linalg.norm(x_dense)}
             for name in ("success_probability", "post_selection_probability"):
@@ -120,12 +131,12 @@ class TestEigenbasisCircuit:
             # relative to that weight, not to the small residual left over
             gaps["phase_residual"] = (abs(fast.phase_residual - dense.phase_residual)
                                       / (1.0 - dense.phase_residual))
-            assert max(gaps.values()) <= 1e-12, (clamp.values, gaps)
+            assert max(gaps.values()) <= 1e-12, (clamp.values, kwargs, gaps)
 
     def test_inactive_coordinates_stay_exactly_zero(self):
-        for ts, clamp, theta in eigenbasis_instances():
-            report = qhop_solve(ts, clamp, theta=theta)
-            evo = BlockSplitEvolution(ts, clamp, 1.0)
+        for ts, clamp, kwargs in eigenbasis_instances():
+            report = qhop_solve(ts, clamp, **kwargs)
+            evo = BlockSplitEvolution(ts, clamp, kwargs["gamma"])
             inactive = np.setdiff1d(np.arange(evo.dim), evo.eigenbasis.active)
             assert inactive.size == evo.dim - evo.d_pad - clamp.l
             np.testing.assert_array_equal(report.v_register.amplitudes[inactive], 0.0)
