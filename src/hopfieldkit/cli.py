@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+import warnings
 
 import numpy as np
 
@@ -213,13 +214,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its warnings print as "warning: ..." lines once it returns.
+
+    A failure prints one "error: ..." line and returns 1; a warning that
+    the error message repeats, such as a failed quantum run's, is dropped.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+            error, code = str(exc) or "out of memory", 1
+    for w in caught:
+        if error is None or str(w.message) not in error:
+            print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,10 +7,10 @@ projector P, so the only approximation in the product formula is the
 splitting itself. The padded saddle-point matrix A is evolved in one of
 two modes. Reference mode is exact: A is zero outside its active block
 (the top block and the clamped multipliers), so one eigendecomposition
-of that (d_pad + l)-square block gives e^{i A t} for every t, the
-identity off the block. Trotter mode follows the hardware-oriented
-split A = B + C + D: B holds the off-diagonal projector blocks
-(1-sparse), C = -gamma' I on the top block with
+of that (d_pad + l)-square block, built without the dense A, gives
+e^{i A t} for every t, the identity off the block. Trotter mode follows
+the hardware-oriented split A = B + C + D: B holds the off-diagonal
+projector blocks (1-sparse), C = -gamma' I on the top block with
 gamma' = gamma + 1/d, and D places the pattern density matrix rho on the
 top block, conditioned on the leading qubit. B and C exponentiate in
 closed form; D uses the conditional pattern-product formula.
@@ -127,17 +127,17 @@ def pattern_product_unitary(ts: TrainingSet, t: float, n: int) -> np.ndarray:
 
 
 class _ExactEvolution:
-    """e^{i H t} for a real symmetric H that is zero off the rows and columns active.
+    """e^{i H t} on dim coordinates, H real symmetric and zero off the rows and columns active.
 
-    One eigendecomposition of the active block, H[active, active] =
+    One eigendecomposition of the active block, block = H[active, active] =
     vecs diag(eigs) vecs^T, gives every t; off the block e^{i H t} is the
     identity.
     """
 
-    def __init__(self, h: np.ndarray, active: np.ndarray):
-        self.dim = h.shape[0]
+    def __init__(self, block: np.ndarray, active: np.ndarray, dim: int):
+        self.dim = dim
         self.active = active
-        self.eigs, self.vecs = np.linalg.eigh(h[np.ix_(active, active)])
+        self.eigs, self.vecs = np.linalg.eigh(block)
 
     def __call__(self, t: float) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)
@@ -193,19 +193,38 @@ class BlockSplitEvolution:
         self.eigenbasis = None
         if mode == "reference":
             active = np.concatenate([np.arange(self.d_pad), self.d_pad + self._clamped0])
-            self.eigenbasis = _ExactEvolution(self.a, active)
+            self.eigenbasis = _ExactEvolution(self._active_block(), active, self.dim)
 
-    @functools.cached_property
-    def a(self) -> np.ndarray:
-        """Dense padded A, built on first read; reference mode evolves under it.
-
-        On the first d coordinates of each block it equals the A of
-        inversion.assemble up to rounding.
-        """
+    def _top(self) -> np.ndarray:
+        """rho - gamma' I on the padded top block."""
         dp, d = self.d_pad, self.d
         top = -self.gamma_prime * np.eye(dp)
         top[:d, :d] += density(self._ts).rho
-        return _saddle(top, np.pad(self.clamp.mask(), (0, dp - d)))
+        return top
+
+    def _active_block(self) -> np.ndarray:
+        """A[active, active] without A: the top block, then P and P^T on the clamped multipliers.
+
+        It takes a's operations in a's order, so it is bit for bit
+        a[np.ix_(active, active)].
+        """
+        dp, l = self.d_pad, self._clamped0.size
+        block = np.zeros((dp + l, dp + l))
+        block[:dp, :dp] = self._top()
+        multipliers = dp + np.arange(l)
+        block[self._clamped0, multipliers] = 1.0
+        block[multipliers, self._clamped0] = 1.0
+        return block
+
+    @functools.cached_property
+    def a(self) -> np.ndarray:
+        """Dense padded A, built on first read: the tests' oracle for the evolution.
+
+        No library code reads it. On the first d coordinates of each block it
+        equals the A of inversion.assemble up to rounding.
+        """
+        dp, d = self.d_pad, self.d
+        return _saddle(self._top(), np.pad(self.clamp.mask(), (0, dp - d)))
 
     def _u_b(self, t: float) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)

@@ -17,7 +17,10 @@ mode needs no pass, only the bin weights of _bin_weights.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def controlled_powers(u1: np.ndarray, t_qubits: int) -> list[np.ndarray]:
@@ -74,6 +77,21 @@ def bin_eigenvalues(t_qubits: int, t0: float) -> np.ndarray:
     return 2.0 * np.pi * phi / t0
 
 
+@functools.lru_cache(maxsize=16)
+def _offset_tables(t_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """N sin(pi m/N) and N cos(pi m/N) as read-only (N + 1, N) windows of a doubled table.
+
+    Entry j of the doubled table holds the offset m = N/2 - (N/2 + j) mod N,
+    wrapped into (-N/2, N/2], so window s, entry c, is the offset m
+    congruent to c - n (mod N) for any nearest bin n with s = -n mod N.
+    """
+    n_bins = 2 ** t_qubits
+    half = n_bins // 2
+    angle = np.pi / n_bins * (half - (half + np.arange(2 * n_bins)) % n_bins)
+    return (sliding_window_view(n_bins * np.sin(angle), n_bins),
+            sliding_window_view(n_bins * np.cos(angle), n_bins))
+
+
 def _bin_weights(phases: np.ndarray, t_qubits: int) -> np.ndarray:
     """(2^T, k) table: the probability that eigenphase phases[k] is read in bin c.
 
@@ -82,13 +100,28 @@ def _bin_weights(phases: np.ndarray, t_qubits: int) -> np.ndarray:
     delta = phi - 2 pi c / N (Harrow, Hassidim and Lloyd, PRL 103, 150502,
     2009). In bins N delta / (2 pi) = m + f, with f phi's exact offset from
     its nearest bin and m wrapped into (-N/2, N/2]: the numerator is
-    sin^2(pi f), and where m = f = 0 the entry is exactly 1.
+    sin^2(pi f), and a phase with sin(pi f) = 0 is read in its nearest bin
+    alone, with weight exactly 1. The denominator's root, N sin(pi (m + f)/N),
+    is N sin(pi m/N) cos(pi f/N) + N cos(pi m/N) sin(pi f/N), with the
+    N sin(pi m/N) and N cos(pi m/N) read from cached offset tables, so a
+    column costs one sin and cos of f and O(N) multiply-adds.
     """
     n_bins = 2 ** t_qubits
     x = np.asarray(phases, dtype=float) / (2.0 * np.pi) * n_bins
     nearest = np.rint(x)
     f = x - nearest
-    half = n_bins // 2
-    m = half - (half - nearest.astype(np.int64) + np.arange(n_bins)[:, None]) % n_bins
-    den = (n_bins * np.sin(np.pi / n_bins * (m + f))) ** 2
-    return np.divide(np.sin(np.pi * f) ** 2, den, out=np.ones_like(den), where=den != 0.0)
+    n = nearest.astype(np.int64)
+    start = -n % n_bins
+    sin_m, cos_m = _offset_tables(t_qubits)
+    g = np.pi / n_bins * f
+    # rows are the k phases until the final transpose
+    den = sin_m[start]
+    den *= np.cos(g)[:, None]
+    den += cos_m[start] * np.sin(g)[:, None]
+    den *= den
+    num = np.sin(np.pi * f) ** 2
+    hit = num == 0.0
+    den[hit] = 1.0
+    weights = np.divide(num[:, None], den, out=den)
+    weights[hit, n[hit] % n_bins] = 1.0
+    return weights.T

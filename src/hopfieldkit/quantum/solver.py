@@ -17,6 +17,7 @@ phase-zero branch is sum_k f_k w_k v_k with f_k = sum_c r_c F[c, k].
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -97,6 +98,17 @@ class _Trace:
                 fh.write(f'{step},{reg},{norm:.10g},"{amps}"\n')
 
 
+@functools.lru_cache(maxsize=64)
+def _rotation(t_qubits: int, t0: float, mu: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read-only kept-bin mask, flag amplitudes C/mu~ (C = mu; 0 off the mask), kept count."""
+    mu_tilde = bin_eigenvalues(t_qubits, t0)
+    keep = np.abs(mu_tilde) >= mu
+    rot = np.divide(mu, mu_tilde, out=np.zeros_like(mu_tilde), where=keep)
+    keep.setflags(write=False)
+    rot.setflags(write=False)
+    return keep, rot, int(keep.sum())
+
+
 def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: float = 0.05,
                t_qubits: int = 9, mode: str = "reference", trace_path=None) -> QhopReport:
     """Simulate the full recall pipeline on the saddle-point system.
@@ -141,11 +153,7 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
         bin_probs = weights @ w ** 2
     trace.add("phase_estimate", "phase+system", bin_probs, norm=np.sqrt(bin_probs.sum()))
 
-    mu_tilde = bin_eigenvalues(t_qubits, t0)
-    keep = np.abs(mu_tilde) >= mu
-    rot = np.divide(mu, mu_tilde, out=np.zeros_like(mu_tilde), where=keep)
-    kept_bins = int(keep.sum())
-
+    keep, rot, kept_bins = _rotation(t_qubits, t0, mu)
     flag_probs = rot ** 2 * bin_probs
     success_probability = float(flag_probs.sum())
     trace.add("rotation", "flag=1", flag_probs, norm=np.sqrt(success_probability))
@@ -173,12 +181,13 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
         back0[basis.active] = basis.vecs @ ((rot @ weights) * w)
     trace.add("uncompute", "phase=0", back0)
 
-    phase_zero = float(np.linalg.norm(back0) ** 2) / success_probability
+    back_norm = np.linalg.norm(back0)
+    phase_zero = float(back_norm ** 2) / success_probability
     phase_residual = 1.0 - phase_zero
     if phase_zero < 1e-14:
         return _fail("phase register failed to uncompute; no usable solution branch")
 
-    v_sys = back0 / np.linalg.norm(back0)
+    v_sys = back0 / back_norm
     d_pad = evolve.d_pad
     post_selection_probability = float(np.linalg.norm(v_sys[:d_pad]) ** 2)
     trace.add("postselect_flag", "system", v_sys, norm=1.0)

@@ -147,6 +147,37 @@ class TestRecall:
         assert "certified=False" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def run_quantum_on_store5(self, tmp_path, *flags):
+        """recall --method quantum on a d = 5 pattern-file store, in a fresh interpreter."""
+        data = tmp_path / "store.txt"
+        data.write_text("1 -1 1 -1 1\n1 1 -1 -1 1\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(hopfieldkit.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        return subprocess.run(
+            [sys.executable, "-m", "hopfieldkit.cli", "recall", "--data", str(data),
+             "--format", "patterns", "--d", "5", "--m", "2",
+             "--pattern", probe_file(tmp_path, "1 -1 0 0 0\n"), "--method", "quantum", *flags],
+            capture_output=True, text=True, env=env, timeout=120, check=False)
+
+    def test_failed_quantum_recall_is_one_error_line(self, tmp_path):
+        # a cutoff above every bin eigenvalue (|mu~| <= gamma + 2 = 3) leaves
+        # nothing to invert; the failure's warning is not echoed before it
+        proc = self.run_quantum_on_store5(tmp_path, "--mu", "5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: quantum recall failed: every eigencomponent fell "
+                               "below the cutoff; nothing to invert\n")
+
+    def test_coarse_phase_grid_warns_on_one_line(self, tmp_path):
+        proc = self.run_quantum_on_store5(tmp_path, "--mu", "0.0001")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1 -1 1 -1 1\n"
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 2, proc.stderr
+        assert lines[0].startswith("success_p=")
+        assert lines[1] == ("warning: phase resolution 0.0117 is coarser than the cutoff "
+                            "mu=0.0001; filtering is unreliable at T=9")
+
     def test_all_zero_probe_is_an_error(self, tmp_path, capsys):
         code = main(["recall", *SYNTH,
                      "--pattern", probe_file(tmp_path, "0 0 0 0 0 0 0 0\n")])

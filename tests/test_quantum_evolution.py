@@ -13,6 +13,7 @@ from hopfieldkit.quantum.evolution import (
     conditional_pattern_step_swap,
     pattern_product_unitary,
 )
+from test_quantum_solver import eigenbasis_instances
 
 TWO_PATTERNS = TrainingSet([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])
 
@@ -144,7 +145,8 @@ class TestHermitianEvolution:
         h = rng.normal(size=(5, 5))
         h = (h + h.T) / 2.0
         h[2, :] = h[:, 2] = 0.0
-        evolve = _ExactEvolution(h, np.array([0, 1, 3, 4]))
+        active = np.array([0, 1, 3, 4])
+        evolve = _ExactEvolution(h[np.ix_(active, active)], active, 5)
         assert evolve.vecs.shape == (4, 4)
         for t in (0.3, 1.7, -0.9):
             np.testing.assert_allclose(evolve(t), expm(1j * h * t), atol=1e-12)
@@ -211,6 +213,16 @@ class TestBlockSplitEvolution:
         block = evo.a[np.ix_(basis.active, basis.active)]
         np.testing.assert_allclose((basis.vecs * basis.eigs) @ basis.vecs.T, block, atol=1e-14)
         assert self.make(mode="trotter", steps=5).eigenbasis is None
+
+    def test_active_block_is_the_slice_of_the_dense_a(self):
+        for ts, clamp, kwargs in eigenbasis_instances():
+            evo = BlockSplitEvolution(ts, clamp, kwargs["gamma"])
+            active = evo.eigenbasis.active
+            block = evo.a[np.ix_(active, active)]
+            np.testing.assert_array_equal(evo._active_block(), block)
+            eigs, vecs = np.linalg.eigh(block)
+            np.testing.assert_array_equal(evo.eigenbasis.eigs, eigs)
+            np.testing.assert_array_equal(evo.eigenbasis.vecs, vecs)
 
     def test_call_is_unitary(self):
         for evo in (self.make(), self.make(mode="trotter", steps=50)):

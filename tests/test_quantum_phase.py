@@ -120,8 +120,35 @@ class TestBinEigenvalues:
                                    2.0 * bin_eigenvalues(3, np.pi), atol=1e-14)
 
 
+def fejer_oracle(phases, t_qubits):
+    """The direct m + f Fejer formula, each entry's offset m wrapped by an integer modulo."""
+    n_bins = 2 ** t_qubits
+    x = np.asarray(phases, dtype=float) / (2.0 * np.pi) * n_bins
+    nearest = np.rint(x)
+    f = x - nearest
+    half = n_bins // 2
+    m = half - (half - nearest.astype(np.int64) + np.arange(n_bins)[:, None]) % n_bins
+    den = (n_bins * np.sin(np.pi / n_bins * (m + f))) ** 2
+    return np.divide(np.sin(np.pi * f) ** 2, den, out=np.ones_like(den), where=den != 0.0)
+
+
 @pytest.mark.filterwarnings("error")
 class TestBinWeights:
+    def test_matches_the_direct_fejer_formula_entry_by_entry(self):
+        # rtol alone: the tail entries, many decades below the peak, must
+        # keep their relative precision, and the oracle's zeros stay zeros
+        rng = np.random.default_rng(9)
+        for t_qubits in range(1, 11):
+            n_bins = 2 ** t_qubits
+            on_bin = 2.0 * np.pi * np.r_[0, rng.integers(-n_bins // 2, n_bins // 2 + 1, 10)]
+            on_bin /= n_bins
+            half_bin = 2.0 * np.pi * (rng.integers(-n_bins // 2, n_bins // 2, 10) + 0.5) / n_bins
+            phases = np.r_[rng.uniform(-np.pi, np.pi, 50), on_bin, on_bin + 1e-17,
+                           on_bin - 1e-17, np.nextafter(on_bin, np.inf),
+                           np.nextafter(on_bin, -np.inf), half_bin, np.pi, -np.pi]
+            np.testing.assert_allclose(_bin_weights(phases, t_qubits),
+                                       fejer_oracle(phases, t_qubits), rtol=1e-13, atol=0)
+
     def test_every_column_is_a_distribution(self):
         rng = np.random.default_rng(7)
         for t_qubits in (1, 3, 9):

@@ -1,6 +1,6 @@
 """The simulated end-to-end recall pipeline on the saddle-point system."""
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hopfieldkit.patterns import ClampSet, TrainingSet
 from hopfieldkit.quantum import solver
 from hopfieldkit.quantum.evolution import BlockSplitEvolution
 from hopfieldkit.quantum.register import QuantumRegister
-from hopfieldkit.quantum.solver import qhop_recall, qhop_solve
+from hopfieldkit.quantum.solver import QhopReport, qhop_recall, qhop_solve
 
 TS = TrainingSet([[1.0, 1.0]])
 CLAMP = ClampSet(np.array([1.0, 0.0]))
@@ -140,6 +140,37 @@ class TestEigenbasisCircuit:
             inactive = np.setdiff1d(np.arange(evo.dim), evo.eigenbasis.active)
             assert inactive.size == evo.dim - evo.d_pad - clamp.l
             np.testing.assert_array_equal(report.v_register.amplitudes[inactive], 0.0)
+
+
+class TestRotationCache:
+    def test_cached_arrays_are_read_only(self):
+        keep, rot, _ = solver._rotation(9, np.pi / 3.0, 0.05)
+        for cached in (keep, rot):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = cached[1]
+
+    def test_consecutive_runs_match_a_fresh_rotation(self, monkeypatch):
+        # every setting is cached first, then each run changes mu, gamma or T
+        # and must read its own entry, not the previous run's
+        ts = synthetic_patterns(16, 4, 0)
+        clamp = ClampSet.from_pattern(ts.patterns[0], (2, 5, 7, 11, 13))
+        settings = list(itertools.product((0.5, 2.0), (0.05, 0.2), (8, 9)))
+        for gamma, mu, t_qubits in settings:
+            qhop_solve(ts, clamp, gamma=gamma, mu=mu, t_qubits=t_qubits)
+        for gamma, mu, t_qubits in settings[::-1] + settings:
+            cached = qhop_solve(ts, clamp, gamma=gamma, mu=mu, t_qubits=t_qubits)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_rotation", solver._rotation.__wrapped__)
+                fresh = qhop_solve(ts, clamp, gamma=gamma, mu=mu, t_qubits=t_qubits)
+            t0 = np.pi / (gamma + 2.0)
+            kept = np.abs(solver.bin_eigenvalues(t_qubits, t0)) >= mu
+            assert cached.kept_bins == fresh.kept_bins == int(kept.sum())
+            for field in fields(QhopReport):
+                a, b = getattr(cached, field.name), getattr(fresh, field.name)
+                if isinstance(a, QuantumRegister):
+                    np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+                else:
+                    assert a == b, field.name
 
 
 class TestGuards:
