@@ -14,8 +14,7 @@ from .hebbian import save_matrix_csv, spectral_norm, train
 from .inversion import assemble, solve
 from .iterative import FILLS, recall
 from .patterns import ClampSet, as_pattern, load_patterns
-from .quantum.evolution import MODES
-from .quantum.solver import qhop_recall
+from .quantum.solver import MODES, qhop_recall
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:

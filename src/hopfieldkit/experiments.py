@@ -17,7 +17,7 @@ from .hebbian import WeightMatrix, train
 from .inversion import (LinearSystem, _reduced_solve, assemble, discretize, solve,
                         truncated_pseudoinverse_apply)
 from .iterative import FILLS, recall
-from .patterns import ClampSet, TrainingSet, encode_rna, load_fasta, load_patterns
+from .patterns import ClampSet, TrainingSet, _count, encode_rna, load_fasta, load_patterns
 from .quantum.solver import qhop_recall, qhop_solve
 
 METHODS = ("iterative", "inversion", "quantum")
@@ -61,10 +61,8 @@ class ExperimentConfig:
             raise ValueError("gamma must be positive and finite")
         if not 0 <= self.mu < np.inf:
             raise ValueError("mu must be >= 0 and finite")
-        if not isinstance(self.t_qubits, (int, np.integer)) or self.t_qubits < 1:
-            raise ValueError(f"t_qubits must be an integer >= 1, got {self.t_qubits!r}")
-        if not isinstance(self.max_sweeps, (int, np.integer)) or self.max_sweeps < 1:
-            raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
+        for name, low in (("d", 2), ("m", 1), ("reps", 1), ("t_qubits", 1), ("max_sweeps", 1)):
+            _count(getattr(self, name), name, low)
         if self.fill not in FILLS:
             raise ValueError(f"fill must be one of {FILLS}")
         if self.method not in METHODS:
@@ -75,10 +73,11 @@ class ExperimentConfig:
             raise ValueError(f"units must be one of {UNITS}")
         if self.data_format == "fasta" and self.d % 2:
             raise ValueError("fasta data needs an even d (two neurons per base)")
-        grid = tuple(int(l) for l in self.l_grid)
+        grid = tuple(self.l_grid)
         top = self.d // 2 if self.units == "bases" else self.d
         if not grid or any(not 1 <= l <= top for l in grid):
             raise ValueError(f"l grid values must lie in 1..{top}")
+        grid = tuple(_count(l, "l grid value") for l in grid)
         object.__setattr__(self, "l_grid", grid)
 
 

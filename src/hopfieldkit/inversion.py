@@ -33,7 +33,7 @@ module runs.
   with C. A recall costs O(M^2 |U| + M^3), and Q x costs O(M d); no d x d
   matrix is read.
 - A hand-built W has no factor. Q_UU is extracted and eigendecomposed
-  itself, O(|U|^3), and solved in its eigenbasis. The tests use this
+  itself, O(|U|^3), and solved with its eigenvectors. The tests use this
   dense path as an oracle of the factored one.
 
 For mu > 0, and when Q_UU is singular, A is eigendecomposed instead and
@@ -291,7 +291,7 @@ class _DenseBlock(_SpectralBlock):
         self._decide(eigs)
 
     def solve(self, x, theta=None):
-        """x_U solving Q_UU x_U = -(theta_U + Q_UK x_K) in Q_UU's eigenbasis."""
+        """x_U solving Q_UU x_U = -(theta_U + Q_UK x_K) with Q_UU's eigenvectors."""
         known = ~self.free
         rhs = self.w[np.ix_(self.free, known)] @ x[known]  # -Q_UK x_K
         if theta is not None:

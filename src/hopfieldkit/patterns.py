@@ -41,6 +41,13 @@ def as_pattern(values, d: int | None = None, allow_unknown: bool = True) -> np.n
     return x
 
 
+def _count(value, name: str, low: int = 1) -> int:
+    """value as an int >= low. Python and numpy integers pass; a bool or a float (2.0 too) fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def as_thresholds(theta, d: int) -> np.ndarray:
     """Validate thresholds as a finite float64 vector of length d; None means zeros."""
     if theta is None:
@@ -109,9 +116,10 @@ class ClampSet:
         """Clamp the given distinct 1-based indices to their values in pattern."""
         x = as_pattern(pattern, allow_unknown=False)
         values = np.zeros(x.size)
-        for i in map(int, indices):
+        for i in indices:
             if not 1 <= i <= x.size:
                 raise ValueError(f"clamp index {i} outside 1..{x.size}")
+            i = _count(i, "clamp index")
             if values[i - 1]:
                 raise ValueError(f"clamp index {i} repeated")
             values[i - 1] = x[i - 1]

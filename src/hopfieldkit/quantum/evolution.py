@@ -4,16 +4,17 @@ The Hebbian steps are the conditional pattern step, its swap-trick
 realization and the pattern product formula. Pattern projectors are
 exponentiated exactly, e^{-i P dt} = I + (e^{-i dt} - 1) P for a rank-1
 projector P, so the only approximation in the product formula is the
-splitting itself. The padded saddle-point matrix A is evolved in one of
-two modes. Reference mode is exact: A is zero outside its active block
-(the top block and the clamped multipliers), so one eigendecomposition
-of that (d_pad + l)-square block, built without the dense A, gives
-e^{i A t} for every t, the identity off the block. Trotter mode follows
-the hardware-oriented split A = B + C + D: B holds the off-diagonal
-projector blocks (1-sparse), C = -gamma' I on the top block with
-gamma' = gamma + 1/d, and D places the pattern density matrix rho on the
-top block, conditioned on the leading qubit. B and C exponentiate in
-closed form; D uses the conditional pattern-product formula.
+splitting itself.
+
+BlockSplitEvolution holds the padded saddle-point matrix A of one recall
+and evolves it as the circuit does, through the hardware-oriented split
+A = B + C + D: B holds the off-diagonal projector blocks (1-sparse),
+C = -gamma' I on the top block with gamma' = gamma + 1/d, and D places
+the pattern density matrix rho on the top block, conditioned on the
+leading qubit. B and C exponentiate in closed form; D uses the
+conditional pattern-product formula. A is zero outside its active block
+(the top block and the clamped multipliers), which is built without the
+dense A; the solver's closed form reads that block's eigenpairs.
 """
 from __future__ import annotations
 
@@ -27,8 +28,7 @@ from ..inversion import _saddle
 from ..patterns import ClampSet, TrainingSet
 from .register import _pad, qubits_for
 
-MODES = ("reference", "trotter")
-# Split error trotter mode's default step count aims for.
+# Split error the product formula's step count aims for.
 TROTTER_EPS = 1e-6
 
 
@@ -126,74 +126,41 @@ def pattern_product_unitary(ts: TrainingSet, t: float, n: int) -> np.ndarray:
     return np.linalg.matrix_power(step, n)
 
 
-class _ExactEvolution:
-    """e^{i H t} on dim coordinates, H real symmetric and zero off the rows and columns active.
-
-    One eigendecomposition of the active block, block = H[active, active] =
-    vecs diag(eigs) vecs^T, gives every t; off the block e^{i H t} is the
-    identity.
-    """
-
-    def __init__(self, block: np.ndarray, active: np.ndarray, dim: int):
-        self.dim = dim
-        self.active = active
-        self.eigs, self.vecs = np.linalg.eigh(block)
-
-    def __call__(self, t: float) -> np.ndarray:
-        u = np.eye(self.dim, dtype=complex)
-        block = (self.vecs * np.exp(1j * self.eigs * t)) @ self.vecs.T
-        u[np.ix_(self.active, self.active)] = block
-        return u
-
-
 class BlockSplitEvolution:
-    """Evolution callback e^{i A t} for the padded saddle-point matrix.
+    """The padded saddle-point matrix A of one recall, and e^{i A t} by the B + C + D split.
 
-    mode="reference" is exact: one eigendecomposition of A's active block
-    at build time, then V e^{i Lambda t} V^T on the block per call.
-    mode="trotter" uses the plain first-order product U_B(h) U_C(h) U_D(h)
-    of the B + C + D split, with U_D realized by one pass of the
-    conditional pattern-product formula, per-step error O(h^2), matching
-    the hardware-oriented pipeline; steps sets its step count n, by default
-    ceil(t^2 / TROTTER_EPS) for the O(t^2 / n) split error. Classical
-    simulation cost of trotter mode is O(n (2 d_pad)^2) amortized by binary
-    powering; the hardware-oriented construction it models is
-    polylogarithmic in d.
+    A is zero outside its active block: active indexes the top d_pad
+    coordinates and then the clamped multipliers, and active_block() is
+    A[active, active], built without the dense A. a is the dense padded A,
+    built on first read.
 
-    eigenbasis is None in trotter mode. In reference mode it is the
-    _ExactEvolution of the active block: active indexes the top d_pad
-    coordinates and then the clamped multipliers (A is zero elsewhere),
-    and eigs and vecs, the block's eigenpairs, feed the solver's closed form.
+    Calling it with t gives the plain first-order product U_B(h) U_C(h)
+    U_D(h), h = t / n, with U_D realized by one pass of the conditional
+    pattern-product formula, per-step error O(h^2), matching the
+    hardware-oriented pipeline. It takes n = max(1, ceil(t^2 / TROTTER_EPS))
+    steps for the O(t^2 / n) split error. Classical simulation cost is
+    O(n (2 d_pad)^2) amortized by binary powering; the hardware-oriented
+    construction it models is polylogarithmic in d.
     """
 
-    def __init__(self, source, clamp: ClampSet, gamma: float, mode: str = "reference",
-                 steps: int | None = None):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+    def __init__(self, source, clamp: ClampSet, gamma: float):
         if not 0 < gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
         if not isinstance(source, TrainingSet):
             raise TypeError("source must be a TrainingSet")
-        if mode == "reference" and steps is not None:
-            raise ValueError("steps sets the trotter product formula; reference mode is exact")
         d = source.d
         if clamp.d != d:
             raise ValueError(f"clamp dimension {clamp.d} does not match patterns {d}")
         self._ts = source
-        self.mode = mode
         self.gamma = float(gamma)
         self.d = d
         self.gamma_prime = float(gamma) + 1.0 / d
         self.d_pad = 2 ** qubits_for(d)
         self.dim = 2 * self.d_pad
         self.spectral_bound = float(gamma) + 2.0
-        self.steps = steps
         self.clamp = clamp
         self._clamped0 = np.flatnonzero(clamp.mask())
-        self.eigenbasis = None
-        if mode == "reference":
-            active = np.concatenate([np.arange(self.d_pad), self.d_pad + self._clamped0])
-            self.eigenbasis = _ExactEvolution(self._active_block(), active, self.dim)
+        self.active = np.concatenate([np.arange(self.d_pad), self.d_pad + self._clamped0])
 
     def _top(self) -> np.ndarray:
         """rho - gamma' I on the padded top block."""
@@ -202,7 +169,7 @@ class BlockSplitEvolution:
         top[:d, :d] += density(self._ts).rho
         return top
 
-    def _active_block(self) -> np.ndarray:
+    def active_block(self) -> np.ndarray:
         """A[active, active] without A: the top block, then P and P^T on the clamped multipliers.
 
         It takes a's operations in a's order, so it is bit for bit
@@ -241,13 +208,7 @@ class BlockSplitEvolution:
         return diag
 
     def __call__(self, t: float) -> np.ndarray:
-        if t == 0.0:
-            return np.eye(self.dim, dtype=complex)
-        if self.eigenbasis is not None:
-            return self.eigenbasis(t)
-        n = self.steps
-        if n is None:
-            n = max(1, math.ceil(t * t / TROTTER_EPS))
+        n = max(1, math.ceil(t * t / TROTTER_EPS))
         h = t / n
         # U_D: conditional on the leading qubit reading 0, top block only
         u_d = np.eye(self.dim, dtype=complex)
@@ -256,7 +217,6 @@ class BlockSplitEvolution:
         return np.linalg.matrix_power(step, n)
 
 
-def assemble_quantum_a(source, clamp: ClampSet, gamma: float, mode: str = "reference",
-                       steps: int | None = None) -> BlockSplitEvolution:
-    """Build the evolution callback e^{i A t} for the saddle-point matrix."""
-    return BlockSplitEvolution(source, clamp, gamma, mode=mode, steps=steps)
+def assemble_quantum_a(source, clamp: ClampSet, gamma: float) -> BlockSplitEvolution:
+    """Build the padded saddle-point matrix of one recall and its evolution e^{i A t}."""
+    return BlockSplitEvolution(source, clamp, gamma)

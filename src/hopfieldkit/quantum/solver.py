@@ -1,6 +1,6 @@
 """End-to-end simulated quantum recall: embed, estimate, rotate, uncompute.
 
-The linear solve happens in the eigenbasis of the saddle-point matrix A:
+The linear solve acts on the eigencomponents of the saddle-point matrix A:
 phase estimation tags each eigencomponent of |w> = (theta; x_inc) with an
 eigenvalue estimate mu~, a rotation writes amplitude C/mu~ (C = mu) onto a
 flag ancilla for every bin with |mu~| >= mu, the phase register is
@@ -8,12 +8,15 @@ uncomputed, and post-selecting the flag leaves a state proportional to
 the truncated-pseudoinverse solution (x; lambda). A second post-selection
 on the leading system qubit isolates |x>.
 
-Trotter mode simulates that circuit with dense powers of U(t0). Reference
-mode evaluates it in closed form, as a spectral filter on the eigenpairs
-(lambda_k, v_k) of A's active block (Harrow, Hassidim and Lloyd, PRL 103,
-150502, 2009): with w_k = v_k^T |w> and F[c, k] the Fejer-kernel weight of
-eigenphase lambda_k t0 in bin c, bin c holds sum_k F[c, k] w_k^2, and the
-phase-zero branch is sum_k f_k w_k v_k with f_k = sum_c r_c F[c, k].
+Both modes build the instance with assemble_quantum_a. Trotter mode
+simulates that circuit with dense powers of U(t0), the evolution's
+B + C + D product formula. Reference mode evaluates it in closed form, as
+a spectral filter on the eigenpairs (lambda_k, v_k) of A's active block,
+which it reads from one eigendecomposition of that block (Harrow, Hassidim
+and Lloyd, PRL 103, 150502, 2009): with w_k = v_k^T |w> and F[c, k] the
+Fejer-kernel weight of eigenphase lambda_k t0 in bin c, bin c holds
+sum_k F[c, k] w_k^2, and the phase-zero branch is sum_k f_k w_k v_k with
+f_k = sum_c r_c F[c, k].
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..inversion import discretize
-from ..patterns import ClampSet
+from ..patterns import ClampSet, _count
 from .evolution import assemble_quantum_a
 from .phase import _bin_weights, bin_eigenvalues, controlled_powers, qpe_backward, qpe_forward
 from .register import QuantumRegister, embed_w, qubits_for
@@ -32,6 +35,7 @@ from .register import QuantumRegister, embed_w, qubits_for
 # Qubits of the paper's circuit; in reference mode its size, not the simulator's memory.
 QUBIT_BUDGET = 16
 ANCILLA_QUBITS = 2  # rotation flag plus the conditioning ancilla of the D block
+MODES = ("reference", "trotter")
 
 
 @dataclass(frozen=True)
@@ -116,18 +120,20 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     mu is both the eigenvalue cutoff and the rotation constant C. The
     phase grid must resolve mu (bin width <= mu) or the run is marked
     not resolution_ok. Total qubits (system + phase + 2 ancillas) must
-    fit the 16-qubit desk-scale budget.
+    fit the 16-qubit desk-scale budget. mode is one of MODES: "reference"
+    evaluates the circuit in closed form, "trotter" simulates it.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if not 0 < mu < np.inf:
         raise ValueError("mu must be positive and finite; it doubles as the rotation constant")
-    if not isinstance(t_qubits, (int, np.integer)) or t_qubits < 1:
-        raise ValueError(f"t_qubits must be an integer >= 1, got {t_qubits!r}")
+    t_qubits = _count(t_qubits, "t_qubits")
     n_sys = qubits_for(clamp.d) + 1
     total = n_sys + t_qubits + ANCILLA_QUBITS
     if total > QUBIT_BUDGET:
         raise ValueError(f"needs {total} qubits (system {n_sys}, phase {t_qubits}, "
                          f"ancillas {ANCILLA_QUBITS}), budget is {QUBIT_BUDGET}")
-    evolve = assemble_quantum_a(source, clamp, gamma, mode=mode)
+    evolve = assemble_quantum_a(source, clamp, gamma)
 
     t0 = np.pi / evolve.spectral_bound
     resolution = 2.0 * np.pi / (t0 * 2 ** t_qubits)
@@ -142,14 +148,14 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     trace = _Trace(trace_path)
     trace.add("embed_w", "system", psi)
 
-    basis = evolve.eigenbasis
-    if basis is None:
+    if mode == "trotter":
         powers = controlled_powers(evolve(t0), t_qubits)
         s = qpe_forward(powers, psi)
         bin_probs = np.sum(np.abs(s) ** 2, axis=1)
     else:
-        w = basis.vecs.T @ psi[basis.active].real
-        weights = _bin_weights(basis.eigs * t0, t_qubits)
+        eigs, vecs = np.linalg.eigh(evolve.active_block())
+        w = vecs.T @ psi[evolve.active].real
+        weights = _bin_weights(eigs * t0, t_qubits)
         bin_probs = weights @ w ** 2
     trace.add("phase_estimate", "phase+system", bin_probs, norm=np.sqrt(bin_probs.sum()))
 
@@ -174,11 +180,11 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
         return _fail(f"flag probability {success_probability:.3g} is too small to "
                      f"post-select; the rotation constant C = mu = {mu:.3g}")
 
-    if basis is None:
+    if mode == "trotter":
         back0 = qpe_backward(s * rot[:, None], powers)
     else:
         back0 = np.zeros(psi.size)
-        back0[basis.active] = basis.vecs @ ((rot @ weights) * w)
+        back0[evolve.active] = vecs @ ((rot @ weights) * w)
     trace.add("uncompute", "phase=0", back0)
 
     back_norm = np.linalg.norm(back0)

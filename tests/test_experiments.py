@@ -50,10 +50,23 @@ class TestExperimentConfig:
         ("max_sweeps", 0, "max_sweeps must be an integer >= 1"),
         ("max_sweeps", 2.5, "max_sweeps must be an integer >= 1"),
         ("fill", "zeros", "fill must be one of"),
+        ("d", 16.5, "d must be an integer >= 2"),
+        ("m", True, "m must be an integer >= 1"),
+        ("reps", 2.0, "reps must be an integer >= 1"),
+        ("t_qubits", True, "t_qubits must be an integer >= 1"),
+        ("max_sweeps", True, "max_sweeps must be an integer >= 1"),
+        ("l_grid", (2.7,), "l grid value must be an integer >= 1"),
+        ("l_grid", (3, True), "l grid value must be an integer >= 1"),
     ])
     def test_field_validation(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             small_cfg(**{field: value})
+
+    def test_numpy_integers_pass(self):
+        cfg = small_cfg(d=np.int64(12), m=np.int32(2), reps=np.uint8(10),
+                        l_grid=np.arange(1, 4), t_qubits=np.int64(9), max_sweeps=np.int16(5))
+        assert cfg.l_grid == (1, 2, 3)
+        assert all(type(l) is int for l in cfg.l_grid)
 
     def test_base_units_require_even_d(self):
         with pytest.raises(ValueError, match="even d"):

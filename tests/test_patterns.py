@@ -140,6 +140,14 @@ class TestClampSet:
         with pytest.raises(ValueError, match="outside 1..2"):
             ClampSet.from_pattern([1.0, -1.0], [3])
 
+    def test_from_pattern_rejects_non_integer_indices(self):
+        pattern = [1.0, -1.0, 1.0]
+        for bad in (1.7, True, np.float64(2.0), np.bool_(True)):
+            with pytest.raises(ValueError, match="clamp index must be an integer"):
+                ClampSet.from_pattern(pattern, [3, bad])
+        clamp = ClampSet.from_pattern(pattern, [np.int64(3), np.int8(1)])
+        np.testing.assert_array_equal(clamp.values, [1.0, 0.0, 1.0])
+
     def test_rejects_empty_index_set(self):
         with pytest.raises(ValueError, match="probe clamps nothing"):
             ClampSet(np.zeros(2))

@@ -15,6 +15,7 @@ from hopfieldkit.quantum.phase import (
     qpe_forward,
 )
 from hopfieldkit.quantum.register import embed_w
+from test_quantum_solver import exact_evolution
 
 PLUS_DENSITY = density(train(TrainingSet([[1.0, 1.0]])))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -251,7 +252,8 @@ class TestClosedFormFilter:
             r = np.zeros(n_bins)
             r[keep] = mu / mu_tilde[keep]
 
-            powers = controlled_powers(evo(t0), t_qubits)
+            powers = controlled_powers(
+                exact_evolution(evo.active_block(), evo.active, evo.dim, t0), t_qubits)
             simulated = qpe_backward(qpe_forward(powers, psi) * r[:, None], powers)
 
             lam, vecs = np.linalg.eigh(evo.a)

@@ -69,20 +69,31 @@ class TestWorkedSystem:
         assert np.linalg.norm(report.v_register.amplitudes) == pytest.approx(1.0)
 
 
-class _DensePowers:
-    """A reference evolution with its eigenbasis hidden.
+def exact_evolution(block, active, dim, t):
+    """e^{iHt} for a real symmetric H that is zero off its active rows and columns.
 
-    qhop_solve then runs the dense controlled powers of U(t0) = evo(t0) on
-    the full register, as it does in trotter mode.
+    block = H[active, active] = V diag(lam) V^T gives V e^{i lam t} V^T on
+    the block; e^{iHt} is the identity elsewhere.
     """
+    eigs, vecs = np.linalg.eigh(block)
+    u = np.eye(dim, dtype=complex)
+    u[np.ix_(active, active)] = (vecs * np.exp(1j * eigs * t)) @ vecs.T
+    return u
 
-    eigenbasis = None
+
+class _ExactPowers:
+    """An evolution whose product formula is replaced by the exact e^{iAt} of its active block.
+
+    qhop_solve in trotter mode then runs the circuit, dense controlled
+    powers of U(t0) on the full register, with no splitting error.
+    """
 
     def __init__(self, inner):
         self._inner = inner
 
     def __call__(self, t):
-        return self._inner(t)
+        evo = self._inner
+        return exact_evolution(evo.active_block(), evo.active, evo.dim, t)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -118,8 +129,8 @@ class TestEigenbasisCircuit:
             fast = qhop_solve(ts, clamp, **kwargs)
             with monkeypatch.context() as patch:
                 patch.setattr(solver, "assemble_quantum_a",
-                              lambda *args, **kw: _DensePowers(build(*args, **kw)))
-                dense = qhop_solve(ts, clamp, **kwargs)
+                              lambda *args: _ExactPowers(build(*args)))
+                dense = qhop_solve(ts, clamp, mode="trotter", **kwargs)
             assert fast.ok == dense.ok, (clamp.values, kwargs)
             if not fast.ok:
                 continue
@@ -137,7 +148,7 @@ class TestEigenbasisCircuit:
         for ts, clamp, kwargs in eigenbasis_instances():
             report = qhop_solve(ts, clamp, **kwargs)
             evo = BlockSplitEvolution(ts, clamp, kwargs["gamma"])
-            inactive = np.setdiff1d(np.arange(evo.dim), evo.eigenbasis.active)
+            inactive = np.setdiff1d(np.arange(evo.dim), evo.active)
             assert inactive.size == evo.dim - evo.d_pad - clamp.l
             np.testing.assert_array_equal(report.v_register.amplitudes[inactive], 0.0)
 
@@ -190,15 +201,29 @@ class TestGuards:
         with pytest.raises(ValueError, match="needs 22 qubits"):
             qhop_solve(ts, clamp)
 
+    def test_rejects_an_unknown_mode_before_the_budget(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an unknown mode built its evolution")
+
+        monkeypatch.setattr(solver, "assemble_quantum_a", unreachable)
+        assert solver.MODES == ("reference", "trotter")
+        over_budget = synthetic_patterns(1000, 20, 0)
+        for ts in (TS, over_budget):
+            clamp = ClampSet.from_pattern(ts.patterns[0], (1,))
+            with pytest.raises(ValueError, match="unknown mode 'euler'"):
+                qhop_solve(ts, clamp, mode="euler")
+
     def test_rejects_nonpositive_mu(self):
         for mu in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="mu must be positive"):
                 qhop_solve(TS, CLAMP, mu=mu)
 
     def test_rejects_a_phase_register_without_qubits(self):
-        for t_qubits in (0, -1, 2.0, None):
+        for t_qubits in (0, -1, 2.0, None, True, np.float64(8.0)):
             with pytest.raises(ValueError, match="t_qubits must be an integer >= 1"):
                 qhop_solve(TS, CLAMP, t_qubits=t_qubits)
+        report = qhop_solve(TS, CLAMP, t_qubits=np.int64(8))
+        assert report.t_qubits == 8 and type(report.t_qubits) is int
 
     def test_coarse_phase_grid_warns_and_flags(self):
         with pytest.warns(RuntimeWarning, match="coarser than the cutoff"):
