@@ -1,9 +1,12 @@
 """Recovery-curve and regularization-sweep experiments on stored patterns.
 
-Every repetition derives its generator from (seed, repetition index), so
-a sweep cell reproduces the matching recovery-curve cell exactly. The
-first stored pattern is the recall target throughout. CSV output uses
-fixed formatting and is byte-identical across runs.
+Repetition rep draws from the stream np.random.default_rng([seed, rep])
+in every cell, so a sweep cell reproduces the matching recovery-curve
+cell exactly. A run hashes each of those seeds once: it keeps each
+stream's start state, shared by every cell of a curve and every gamma of
+a sweep, and resets one Generator to it before each trial. The first
+stored pattern is the recall target throughout. CSV output uses fixed
+formatting and is byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -183,15 +186,33 @@ def run_trial(ctx: _TrialContext, l: int, rng: np.random.Generator) -> int:
         clamp = ClampSet(np.where(mask, ctx.target, 0.0))
         recovered, _ = qhop_recall(ctx.ts, clamp, gamma=cfg.gamma, mu=cfg.mu,
                                    t_qubits=cfg.t_qubits)
-    return int(np.sum(recovered != ctx.target))
+    return int(np.count_nonzero(recovered != ctx.target))
 
 
-def _cell(ctx: _TrialContext, l: int) -> tuple[float, float]:
+class _Streams:
+    """The repetitions' streams default_rng([seed, rep]) of one run, each seed hashed once.
+
+    It keeps each stream's start state and, iterated, yields one Generator
+    reset to each start in turn: the draws of a fresh default_rng([seed,
+    rep]), whatever the previous trial consumed, at a state copy's cost.
+    """
+
+    def __init__(self, seed: int, reps: int):
+        self._starts = [np.random.default_rng([seed, rep]).bit_generator.state
+                        for rep in range(reps)]
+        self._rng = np.random.default_rng([seed, 0])
+
+    def __iter__(self):
+        for start in self._starts:
+            self._rng.bit_generator.state = start
+            yield self._rng
+
+
+def _cell(ctx: _TrialContext, l: int, streams: _Streams) -> tuple[float, float]:
     """Mean and standard error of the distances of one cell's repetitions."""
-    cfg = ctx.cfg
-    distances = np.empty(cfg.reps)
-    for rep in range(cfg.reps):
-        distances[rep] = run_trial(ctx, l, np.random.default_rng([cfg.seed, rep]))
+    distances = np.empty(ctx.cfg.reps)
+    for rep, rng in enumerate(streams):
+        distances[rep] = run_trial(ctx, l, rng)
     mean = float(distances.mean())
     if distances.size < 2:
         return mean, 0.0
@@ -202,7 +223,8 @@ def run_recovery_curve(cfg: ExperimentConfig, ts: TrainingSet | None = None) -> 
     """Mean recall error against the amount of clamped information."""
     ts = ingest(cfg) if ts is None else ts
     ctx = _TrialContext(cfg, ts)
-    return [CurvePoint(l, *_cell(ctx, l), cfg.reps) for l in cfg.l_grid]
+    streams = _Streams(cfg.seed, cfg.reps)
+    return [CurvePoint(l, *_cell(ctx, l, streams), cfg.reps) for l in cfg.l_grid]
 
 
 def run_gamma_sweep(cfg: ExperimentConfig, gamma_grid,
@@ -222,11 +244,12 @@ def run_gamma_sweep(cfg: ExperimentConfig, gamma_grid,
         raise ValueError("gamma grid must be non-empty and positive, with finite values")
     ts = ingest(cfg) if ts is None else ts
     l = cfg.l_grid[0]
-    wm = train(ts)  # W does not depend on gamma
+    wm = train(ts)  # W and the streams do not depend on gamma
+    streams = _Streams(cfg.seed, cfg.reps)
     points = []
     for gamma in grid:
         ctx = _TrialContext(replace(cfg, gamma=gamma), ts, wm)
-        points.append(GammaPoint(gamma, *_cell(ctx, l), cfg.reps))
+        points.append(GammaPoint(gamma, *_cell(ctx, l, streams), cfg.reps))
     return points
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .patterns import TrainingSet
+from .patterns import TrainingSet, _pattern_gram
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,6 @@ class DensityMatrix:
         return self.rho.shape[0]
 
 
-def _pattern_gram(p: np.ndarray) -> np.ndarray:
-    """X^T X/(M d) for the (M, d) patterns p, as a new writable array."""
-    m, d = p.shape
-    g = p.T @ p  # integer entries, summed exactly, so exactly symmetric
-    g /= m * d
-    return g
-
-
 def train(ts: TrainingSet) -> WeightMatrix:
     """Hebbian rule: average of pattern outer products, self-couplings removed.
 
@@ -147,21 +139,21 @@ def density(source: TrainingSet | WeightMatrix) -> DensityMatrix:
 
     From a TrainingSet, or a WeightMatrix that train built, rho = X^T X/(M d)
     is built from the patterns alone, bit for bit the W + I/d of train (the
-    diagonal M/(M d) rounds as 1/d does). It is a valid density matrix by
-    construction, so, as in train, the dense checks are skipped and W is
-    not derived. A hand-built W gives W + I/d, checked.
+    diagonal M/(M d) rounds as 1/d does); a TrainingSet builds it once and
+    keeps it. It is a valid density matrix by construction, so, as in
+    train, the dense checks are skipped and W is not derived. A hand-built
+    W gives W + I/d, checked.
     """
     if isinstance(source, TrainingSet):
-        p = source.patterns
+        rho = source._rho
     elif isinstance(source, WeightMatrix):
-        p = source.factor
-        if p is None:
+        if source.factor is None:
             d = source.d
             return DensityMatrix(source.w + np.eye(d) / d)
+        rho = _pattern_gram(source.factor)
+        rho.setflags(write=False)
     else:
         raise TypeError("density expects a TrainingSet or WeightMatrix")
-    rho = _pattern_gram(p)
-    rho.setflags(write=False)
     dm = object.__new__(DensityMatrix)
     object.__setattr__(dm, "rho", rho)
     return dm

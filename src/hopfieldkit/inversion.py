@@ -43,6 +43,7 @@ TIE_TOL_FACTOR * max(1, |x|_inf) of zero is a tie and resolves to +1.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -328,7 +329,7 @@ def discretize(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     top = float(np.abs(x).max(initial=0.0))
-    if not np.isfinite(top):
+    if not math.isfinite(top):
         raise ValueError("cannot discretize non-finite values")
     return np.where(x >= -TIE_TOL_FACTOR * max(1.0, top), 1.0, -1.0)
 

@@ -8,6 +8,7 @@ ClampSet.from_pattern takes indices, and they are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,14 @@ def as_thresholds(theta, d: int) -> np.ndarray:
     return t
 
 
+def _pattern_gram(p: np.ndarray) -> np.ndarray:
+    """X^T X/(M d) for the (M, d) patterns p, as a new writable array."""
+    m, d = p.shape
+    g = p.T @ p  # integer entries, summed exactly, so exactly symmetric
+    g /= m * d
+    return g
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     """M fully specified patterns stacked row-wise into an (M, d) array."""
@@ -81,6 +90,14 @@ class TrainingSet:
     @property
     def d(self) -> int:
         return self.patterns.shape[1]
+
+    @cached_property
+    def _rho(self) -> np.ndarray:
+        """X^T X/(M d), the patterns' density matrix: read-only, built on first read
+        and cached on this set, so every recall from one store shares it."""
+        rho = _pattern_gram(self.patterns)
+        rho.setflags(write=False)
+        return rho
 
 
 @dataclass(frozen=True)

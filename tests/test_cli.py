@@ -387,6 +387,194 @@ l,mean_hamming,stderr,reps
 """
 
 
+# The benchmark's curves and a sweep at seed 1, pinned byte for byte over
+# the whole grid: every cell replays the same repetition streams.
+FIXTURE_INVERSION_CURVE_CSV = """\
+l,mean_hamming,stderr,reps
+1,32.15,1.451451179,20
+2,23.45,2.008501667,20
+3,16.3,1.623997667,20
+4,13.6,1.469693846,20
+5,8.75,1.809150717,20
+6,6.25,1.445273604,20
+7,6.5,1.666228012,20
+8,4,1.063756996,20
+9,2.35,0.85,20
+10,1.75,0.8331140062,20
+11,2.75,0.7876514057,20
+12,0.45,0.3118282253,20
+13,1.2,0.7560284038,20
+14,0.25,0.25,20
+15,0.5,0.3441236008,20
+16,0.45,0.3118282253,20
+17,0,0,20
+18,0,0,20
+19,0.25,0.25,20
+20,0.2,0.2,20
+21,0,0,20
+22,0,0,20
+23,0,0,20
+24,0,0,20
+25,0,0,20
+26,0,0,20
+27,0,0,20
+28,0,0,20
+29,0,0,20
+30,0,0,20
+31,0,0,20
+32,0,0,20
+33,0,0,20
+34,0,0,20
+35,0,0,20
+36,0,0,20
+37,0,0,20
+38,0,0,20
+39,0,0,20
+40,0,0,20
+41,0,0,20
+42,0,0,20
+43,0,0,20
+44,0,0,20
+45,0,0,20
+46,0,0,20
+47,0,0,20
+48,0,0,20
+49,0,0,20
+50,0,0,20
+"""
+
+FIXTURE_ITERATIVE_PLUS_CURVE_CSV = """\
+l,mean_hamming,stderr,reps
+1,60,2.188987589,16
+2,56.25,2.165063509,16
+3,54.6875,1.961544353,16
+4,52.5,1.290994449,16
+5,54.6875,2.348259551,16
+6,55.3125,2.67973685,16
+7,53.75,2.47907913,16
+8,50.625,1.760385848,16
+9,47.8125,1.204916145,16
+10,44.375,3.057606635,16
+11,45.625,2.617051458,16
+12,42.5,2.282177323,16
+13,35.3125,2.392207401,16
+14,32.8125,3.060798847,16
+15,35.625,2.809025632,16
+16,31.5625,2.269303766,16
+17,23.4375,3.971742638,16
+18,14.6875,4.840556743,16
+19,17.8125,3.679015663,16
+20,14.375,4.229731079,16
+21,5,1.936491673,16
+22,11.25,2.90473751,16
+23,10.3125,3.144729387,16
+24,4.375,2.536196299,16
+25,1.25,1.25,16
+26,3.4375,1.974775831,16
+27,3.4375,1.974775831,16
+28,0,0,16
+29,1.25,1.25,16
+30,0,0,16
+31,0,0,16
+32,0.625,0.625,16
+33,0.625,0.625,16
+34,0,0,16
+35,0,0,16
+36,0,0,16
+37,0,0,16
+38,0,0,16
+39,0,0,16
+40,0,0,16
+41,0,0,16
+42,0,0,16
+43,0,0,16
+44,0,0,16
+45,0,0,16
+46,0,0,16
+47,0,0,16
+48,0,0,16
+49,0,0,16
+50,0,0,16
+"""
+
+FIXTURE_ITERATIVE_RANDOM_CURVE_CSV = """\
+l,mean_hamming,stderr,reps
+1,53.4375,2.570617225,16
+2,46.875,4.375,16
+3,41.875,4.445854811,16
+4,40.9375,4.770105476,16
+5,46.25,2.757565351,16
+6,37.1875,3.872142764,16
+7,36.25,3.832427429,16
+8,34.6875,4.389114138,16
+9,27.8125,4.40096462,16
+10,26.25,5.234102916,16
+11,24.0625,4.453901614,16
+12,25.3125,4.017377617,16
+13,24.6875,4.194956049,16
+14,11.5625,3.314071954,16
+15,14.6875,3.144729387,16
+16,9.6875,3.399410182,16
+17,9.375,2.771694728,16
+18,13.125,3.350217655,16
+19,9.0625,3.136437403,16
+20,3.125,1.505199322,16
+21,4.0625,1.948223015,16
+22,4.0625,2.292140103,16
+23,4.0625,1.838180146,16
+24,2.1875,2.1875,16
+25,0,0,16
+26,2.1875,1.511673328,16
+27,1.25,1.25,16
+28,0,0,16
+29,2.5,1.767766953,16
+30,0,0,16
+31,0,0,16
+32,0,0,16
+33,0,0,16
+34,0,0,16
+35,0,0,16
+36,0,0,16
+37,0,0,16
+38,0,0,16
+39,0,0,16
+40,0,0,16
+41,0,0,16
+42,0,0,16
+43,0,0,16
+44,0,0,16
+45,0,0,16
+46,0,0,16
+47,0,0,16
+48,0,0,16
+49,0,0,16
+50,0,0,16
+"""
+
+# mu > 0 takes the truncated pseudoinverse of the dense saddle matrix
+FIXTURE_MU_CURVE_CSV = """\
+l,mean_hamming,stderr,reps
+1,32.15,1.451451179,20
+2,23.45,2.008501667,20
+5,8.75,1.809150717,20
+10,1.75,0.8331140062,20
+20,0.2,0.2,20
+30,0,0,20
+50,0,0,20
+"""
+
+FIXTURE_GAMMA_SWEEP_CSV = """\
+gamma,mean_hamming,stderr,reps
+0.01,46.08,0.6400510184,50
+0.05,25.24,1.199850331,50
+0.1,0,0,50
+0.2,0,0,50
+0.3,0,0,50
+0.5,0,0,50
+1,0,0,50
+"""
+
+
 class TestClassicalGoldens:
     def test_gamma_sweep(self, capsys):
         assert main(["experiment", "gamma-sweep", "--l-grid", "50", "--units", "neurons",
@@ -401,6 +589,23 @@ class TestClassicalGoldens:
         assert main(["experiment", "recovery-curve", "--method", method,
                      "--l-grid", "1:10", "--reps", reps]) == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("args,expected", [
+        (["--reps", "20"], FIXTURE_INVERSION_CURVE_CSV),
+        (["--reps", "16", "--method", "iterative", "--fill", "plus"],
+         FIXTURE_ITERATIVE_PLUS_CURVE_CSV),
+        (["--reps", "16", "--method", "iterative", "--fill", "random"],
+         FIXTURE_ITERATIVE_RANDOM_CURVE_CSV),
+        (["--reps", "20", "--mu", "0.1", "--l-grid", "1,2,5,10,20,30,50"],
+         FIXTURE_MU_CURVE_CSV),
+    ], ids=["inversion", "iterative-plus", "iterative-random", "mu-fallback"])
+    def test_seed_1_recovery_curve(self, capsys, args, expected):
+        assert main(["experiment", "recovery-curve", "--seed", "1", *args]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_seed_1_gamma_sweep(self, capsys):
+        assert main(["experiment", "gamma-sweep", "--seed", "1", "--reps", "50"]) == 0
+        assert capsys.readouterr().out == FIXTURE_GAMMA_SWEEP_CSV
 
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("args,message", [

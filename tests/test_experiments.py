@@ -1,6 +1,7 @@
 """Experiment harness: ingestion, trials, curves, sweeps, cross-checks."""
 import io
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,6 +203,52 @@ class TestRecoveryCurve:
         ts = TrainingSet([[1.0, -1.0, 1.0, -1.0]])
         point = run_recovery_curve(cfg, ts=ts)[0]
         assert point.reps == 3
+
+
+def replayed_cell(ctx, l):
+    """A cell as the seeding contract states it: a fresh default_rng([seed, rep]) per trial."""
+    cfg = ctx.cfg
+    distances = np.array([experiments.run_trial(ctx, l, np.random.default_rng([cfg.seed, rep]))
+                          for rep in range(cfg.reps)], dtype=float)
+    if distances.size < 2:
+        return float(distances.mean()), 0.0
+    return float(distances.mean()), float(distances.std(ddof=1) / np.sqrt(distances.size))
+
+
+class TestSeedingContract:
+    """Repetition rep of every cell draws the stream default_rng([seed, rep]).
+
+    Each grid holds l = 5 twice: trials consume their streams, so equal
+    cells show that no cell starts where the previous one stopped.
+    """
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=12, seed=3),
+        ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=6, seed=3, method="iterative",
+                         fill="plus"),
+        ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=6, seed=3, method="iterative",
+                         fill="random"),
+        ExperimentConfig(l_grid=(2, 5, 5, 14), d=16, m=4, reps=4, seed=3, method="quantum",
+                         data_format="synthetic", units="neurons"),
+    ], ids=["inversion", "iterative-plus", "iterative-random", "quantum-d16"])
+    def test_every_cell_replays_fresh_streams(self, cfg):
+        ts = ingest(cfg)
+        ctx = experiments._TrialContext(cfg, ts)
+        points = run_recovery_curve(cfg, ts)
+        assert points == [CurvePoint(l, *replayed_cell(ctx, l), cfg.reps) for l in cfg.l_grid]
+        assert points[1] == points[2]
+
+    def test_every_gamma_replays_fresh_streams(self):
+        cfg = ExperimentConfig(l_grid=(25,), reps=12, seed=3)
+        ts = ingest(cfg)
+        wm = train(ts)
+        grid = [0.05, 0.3, 0.05]
+        points = run_gamma_sweep(cfg, grid, ts)
+        assert points == [
+            GammaPoint(g, *replayed_cell(experiments._TrialContext(replace(cfg, gamma=g), ts, wm),
+                                         25), cfg.reps)
+            for g in grid]
+        assert points[0] == points[2]
 
 
 class TestGammaSweep:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hopfieldkit import patterns
 from hopfieldkit.hebbian import density, train
 from hopfieldkit.patterns import ClampSet, TrainingSet
 from hopfieldkit.quantum.evolution import (
@@ -178,6 +179,22 @@ class TestBlockSplitEvolution:
             evo = BlockSplitEvolution(ts, clamp, 1.0)
             w = train(ts).w
             np.testing.assert_array_equal(evo.a[:d, :d], w - np.eye(d))
+
+    def test_recalls_from_one_store_build_rho_once(self, monkeypatch):
+        gram, grams = patterns._pattern_gram, []
+
+        def counting_gram(p):
+            grams.append(p)
+            return gram(p)
+
+        monkeypatch.setattr(patterns, "_pattern_gram", counting_gram)
+        ts = TrainingSet(TWO_PATTERNS.patterns)
+        clamps = [ClampSet(np.array(p)) for p in ([1.0, 0, 0, 0], [0, 1.0, -1.0, 0])]
+        blocks = [BlockSplitEvolution(ts, clamp, 1.0).active_block() for clamp in clamps]
+        assert len(grams) == 1
+        for block, clamp in zip(blocks, clamps):  # bit for bit a fresh store's block
+            fresh = BlockSplitEvolution(TrainingSet(ts.patterns), clamp, 1.0)
+            np.testing.assert_array_equal(block, fresh.active_block())
 
     def test_logical_system_matches_classical_assembly(self):
         from hopfieldkit.inversion import assemble
