@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .hebbian import WeightMatrix, train
-from .inversion import (LinearSystem, _reduced_solve, assemble, discretize, solve,
+from .inversion import (_reduced_solve, _ridge_block, assemble, discretize, solve,
                         truncated_pseudoinverse_apply)
 from .iterative import FILLS, recall
 from .patterns import ClampSet, TrainingSet, _count, encode_rna, load_fasta, load_patterns
@@ -165,10 +165,10 @@ def _inversion_recover(ctx: _TrialContext, mask: np.ndarray) -> np.ndarray:
         x, _ = _reduced_solve(ctx.wm, mask, ctx.target, cfg.gamma)
         if x is not None:
             return x
-    # truncated-pseudoinverse path (mu > 0, or a singular reduced block)
-    sys = LinearSystem(ctx.wm, ClampSet(np.where(mask, ctx.target, 0.0)), cfg.gamma, None)
-    v, _, _, _ = truncated_pseudoinverse_apply(sys.a, sys.rhs, cfg.mu)
-    return v[:ctx.ts.d]
+    # truncated pseudoinverse of A's active block (mu > 0, or a singular reduced block)
+    block, _ = _ridge_block(ctx.wm, mask, cfg.gamma)
+    rhs = np.concatenate([np.zeros(ctx.ts.d), ctx.target[mask]])  # (theta = 0; x_inc on K)
+    return truncated_pseudoinverse_apply(block, rhs, cfg.mu)[0][:ctx.ts.d]
 
 
 def run_trial(ctx: _TrialContext, l: int, rng: np.random.Generator) -> int:
@@ -287,6 +287,7 @@ def run_quantum_crosscheck(d: int = 2, n_seeds: int = 10, gamma: float = 1.0,
         raise ValueError(f"cross-check is desk-scale only (1 <= d <= 4), got d={d}")
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
+    d, n_seeds = _count(d, "d"), _count(n_seeds, "n_seeds")
     rows = []
     for s in range(n_seeds):
         rng = np.random.default_rng([seed, s, 0xC4EC])

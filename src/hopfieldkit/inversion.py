@@ -9,8 +9,8 @@ Its stationarity conditions form one symmetric linear system
 
     A (x; lam) = (theta; x_inc),   A = [[W - gamma I, P], [P, 0]].
 
-A LinearSystem records the instance (W, the clamp, gamma, theta); A is
-derived from it and written out only where it is read. With mu = 0 the
+A LinearSystem records the instance (W, the clamp, gamma, theta); only
+_saddle_block lays A out, and no solve reads the dense A. With mu = 0 the
 clamped block is eliminated: x_K = x_inc fixes the known neurons,
 Q_UU x_U = -(theta_U + Q_UK x_K) with Q = gamma I - W gives the unclamped
 set U, and the multipliers follow from the clamped rows. One kernel,
@@ -36,8 +36,8 @@ module runs.
   itself, O(|U|^3), and solved with its eigenvectors. The tests use this
   dense path as an oracle of the factored one.
 
-For mu > 0, and when Q_UU is singular, A is eigendecomposed instead and
-only eigenvalues of magnitude >= mu are inverted (the truncated
+For mu > 0, and when Q_UU is singular, A's active block is eigendecomposed
+instead and only eigenvalues of magnitude >= mu are inverted (the truncated
 pseudoinverse). The recovered state is sign(x); a component within
 TIE_TOL_FACTOR * max(1, |x|_inf) of zero is a tie and resolves to +1.
 """
@@ -63,7 +63,7 @@ class LinearSystem:
 
     The saddle-point system A v = rhs it defines, with
     A = [[W - gamma I, P], [P, 0]] and rhs = (theta; x_inc), is derived on
-    first read and kept read-only; the mu = 0 elimination never reads it.
+    first read and kept read-only; a is the tests' oracle, and no solve reads it.
     """
 
     wm: WeightMatrix
@@ -87,9 +87,7 @@ class LinearSystem:
 
     @cached_property
     def a(self) -> np.ndarray:
-        a = _saddle(self.wm.w - self.gamma * np.eye(self.d), self.clamp.mask())
-        a.setflags(write=False)
-        return a
+        return _saddle(*_ridge_block(self.wm, self.clamp.mask(), self.gamma), self.d)
 
     @cached_property
     def rhs(self) -> np.ndarray:
@@ -98,14 +96,32 @@ class LinearSystem:
         return rhs
 
 
-def _saddle(top, known) -> np.ndarray:
-    """Dense [[top, P], [P, 0]], P the diagonal projector onto the True entries of known."""
-    n = top.shape[0]
+def _saddle_block(top, known) -> tuple[np.ndarray, np.ndarray]:
+    """A's active block [[top, E], [E^T, 0]] and its indices into A = [[top, P], [P, 0]].
+
+    P projects onto known, which may stop short of top's last rows, and E is its
+    clamped columns. A is zero on the unclamped multipliers: no solve inverts them.
+    """
+    n, ks = top.shape[0], np.flatnonzero(known)
+    multipliers = n + np.arange(ks.size)
+    block = np.zeros((n + ks.size, n + ks.size))
+    block[:n, :n] = top
+    block[ks, multipliers] = block[multipliers, ks] = 1.0
+    return block, np.concatenate([np.arange(n), n + ks])
+
+
+def _ridge_block(wm: WeightMatrix, known, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """_saddle_block for top = W - gamma I; W's diagonal is exactly zero, so -gamma replaces it."""
+    block, active = _saddle_block(wm.w, known)
+    np.fill_diagonal(block[:wm.d, :wm.d], -gamma)
+    return block, active
+
+
+def _saddle(block, active, n: int) -> np.ndarray:
+    """The read-only dense 2n-square A of an active block: block on its active rows and columns."""
     a = np.zeros((2 * n, 2 * n))
-    a[:n, :n] = top
-    ks = np.flatnonzero(known)
-    a[ks, n + ks] = 1.0
-    a[n + ks, ks] = 1.0
+    a[np.ix_(active, active)] = block
+    a.setflags(write=False)
     return a
 
 
@@ -184,8 +200,8 @@ def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
     mu = 0 eliminates the clamped block on Q = gamma I - W: _reduced_solve
     on Q_UU gives the minimum-norm pseudoinverse solution (eta = 0,
     kept = d + l, rank_tol = 0) without building A. mu > 0, or a singular
-    Q_UU, takes the truncated pseudoinverse of sys.a by eigendecomposition
-    instead. minimum_certified is the verdict of certify_minimum.
+    Q_UU, takes the truncated pseudoinverse of A's active block instead.
+    minimum_certified is the verdict of certify_minimum.
     """
     if not 0 <= mu < np.inf:
         raise ValueError("mu must be >= 0 and finite")
@@ -204,13 +220,14 @@ def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
         lam = np.where(p_mask, qx + theta, 0.0)
         eta, kept, rank_tol = 0.0, d + sys.clamp.l, 0.0
         residual_constraint = 0.0
-        stat = lam - qx - theta
     else:
-        v, eta, kept, rank_tol = truncated_pseudoinverse_apply(sys.a, sys.rhs, mu)
-        x, lam = v[:d], v[d:]
+        saddle, active = _ridge_block(sys.wm, p_mask, sys.gamma)
+        v, eta, kept, rank_tol = truncated_pseudoinverse_apply(saddle, sys.rhs[active], mu)
+        x, lam = v[:d], np.zeros(d)
+        lam[p_mask] = v[d:]  # the unclamped multipliers stay exactly zero
+        qx = _apply_q(sys.wm, sys.gamma, x)
         residual_constraint = float(np.max(np.abs(np.where(p_mask, x, 0.0) - x_inc)))
-        stat = np.where(p_mask, lam, 0.0) - _apply_q(sys.wm, sys.gamma, x) - theta
-    residual_stationarity = float(np.abs(stat).max())
+    residual_stationarity = float(np.abs(lam - qx - theta).max())
     certified = certify_minimum(sys.wm, sys.clamp, sys.gamma, _block=block)
     return SolveReport(x=x, lam=lam, discretized=discretize(x), gamma=sys.gamma,
                        mu=float(mu), rank_tol=rank_tol, kept=kept, eta=eta,

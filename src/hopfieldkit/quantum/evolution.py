@@ -13,8 +13,8 @@ C = -gamma' I on the top block with gamma' = gamma + 1/d, and D places
 the pattern density matrix rho on the top block, conditioned on the
 leading qubit. B and C exponentiate in closed form; D uses the
 conditional pattern-product formula. A is zero outside its active block
-(the top block and the clamped multipliers), which is built without the
-dense A; the solver's closed form reads that block's eigenpairs.
+(the top block and the clamped multipliers), which inversion._saddle_block
+builds without the dense A; the solver's closed form reads its eigenpairs.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from ..hebbian import density
-from ..inversion import _saddle
+from ..inversion import _saddle, _saddle_block
 from ..patterns import ClampSet, TrainingSet
 from .register import _pad, qubits_for
 
@@ -129,10 +129,10 @@ def pattern_product_unitary(ts: TrainingSet, t: float, n: int) -> np.ndarray:
 class BlockSplitEvolution:
     """The padded saddle-point matrix A of one recall, and e^{i A t} by the B + C + D split.
 
-    A is zero outside its active block: active indexes the top d_pad
-    coordinates and then the clamped multipliers, and active_block() is
-    A[active, active], built without the dense A. a is the dense padded A,
-    built on first read.
+    A is zero outside its active block, the top d_pad coordinates and the
+    clamped multipliers: active_block() gives that block and its indices
+    into A from inversion._saddle_block, without the dense A. a, the dense
+    padded A, is its scatter, built on first read.
 
     Calling it with t gives the plain first-order product U_B(h) U_C(h)
     U_D(h), h = t / n, with U_D realized by one pass of the conditional
@@ -158,9 +158,7 @@ class BlockSplitEvolution:
         self.d_pad = 2 ** qubits_for(d)
         self.dim = 2 * self.d_pad
         self.spectral_bound = float(gamma) + 2.0
-        self.clamp = clamp
-        self._clamped0 = np.flatnonzero(clamp.mask())
-        self.active = np.concatenate([np.arange(self.d_pad), self.d_pad + self._clamped0])
+        self._known = clamp.mask()  # over the first d rows; the padding is never clamped
 
     def _top(self) -> np.ndarray:
         """rho - gamma' I on the padded top block."""
@@ -169,34 +167,19 @@ class BlockSplitEvolution:
         top[:d, :d] += density(self._ts).rho
         return top
 
-    def active_block(self) -> np.ndarray:
-        """A[active, active] without A: the top block, then P and P^T on the clamped multipliers.
-
-        It takes a's operations in a's order, so it is bit for bit
-        a[np.ix_(active, active)].
-        """
-        dp, l = self.d_pad, self._clamped0.size
-        block = np.zeros((dp + l, dp + l))
-        block[:dp, :dp] = self._top()
-        multipliers = dp + np.arange(l)
-        block[self._clamped0, multipliers] = 1.0
-        block[multipliers, self._clamped0] = 1.0
-        return block
+    def active_block(self) -> tuple[np.ndarray, np.ndarray]:
+        """(A[active, active], active) by inversion._saddle_block on the padded top block."""
+        return _saddle_block(self._top(), self._known)
 
     @functools.cached_property
     def a(self) -> np.ndarray:
-        """Dense padded A, built on first read: the tests' oracle for the evolution.
-
-        No library code reads it. On the first d coordinates of each block it
-        equals the A of inversion.assemble up to rounding.
-        """
-        dp, d = self.d_pad, self.d
-        return _saddle(self._top(), np.pad(self.clamp.mask(), (0, dp - d)))
+        """Dense padded A, active_block() scattered: the tests' oracle, read by no library code."""
+        return _saddle(*self.active_block(), self.d_pad)
 
     def _u_b(self, t: float) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)
         c, s = np.cos(t), 1j * np.sin(t)
-        for i in self._clamped0:
+        for i in np.flatnonzero(self._known):
             j = self.d_pad + i
             u[i, i] = u[j, j] = c
             u[i, j] = u[j, i] = s

@@ -12,11 +12,11 @@ Both modes build the instance with assemble_quantum_a. Trotter mode
 simulates that circuit with dense powers of U(t0), the evolution's
 B + C + D product formula. Reference mode evaluates it in closed form, as
 a spectral filter on the eigenpairs (lambda_k, v_k) of A's active block,
-which it reads from one eigendecomposition of that block (Harrow, Hassidim
-and Lloyd, PRL 103, 150502, 2009): with w_k = v_k^T |w> and F[c, k] the
-Fejer-kernel weight of eigenphase lambda_k t0 in bin c, bin c holds
-sum_k F[c, k] w_k^2, and the phase-zero branch is sum_k f_k w_k v_k with
-f_k = sum_c r_c F[c, k].
+which inversion._saddle_block builds as for the classical truncated solve
+(Harrow, Hassidim and Lloyd, PRL 103, 150502, 2009): with w_k = v_k^T |w>
+and F[c, k] the Fejer-kernel weight of eigenphase lambda_k t0 in bin c,
+bin c holds sum_k F[c, k] w_k^2, and the phase-zero branch is
+sum_k f_k w_k v_k with f_k = sum_c r_c F[c, k].
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ MODES = ("reference", "trotter")
 
 @dataclass(frozen=True)
 class QhopReport:
-    """Diagnostics and final registers of one pipeline run.
+    """Diagnostics and the final x register of one pipeline run.
 
     success_probability is the flag post-selection weight,
     post_selection_probability the |0>-branch weight |x|^2/(|x|^2+|lambda|^2)
@@ -60,8 +60,7 @@ class QhopReport:
     t_qubits: int
     mode: str
     w_norm: float
-    x_register: QuantumRegister | None
-    v_register: QuantumRegister | None
+    x_register: QuantumRegister | None = None
 
 
 def _top_amplitudes(vec: np.ndarray, count: int = 8) -> str:
@@ -153,8 +152,9 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
         s = qpe_forward(powers, psi)
         bin_probs = np.sum(np.abs(s) ** 2, axis=1)
     else:
-        eigs, vecs = np.linalg.eigh(evolve.active_block())
-        w = vecs.T @ psi[evolve.active].real
+        block, active = evolve.active_block()
+        eigs, vecs = np.linalg.eigh(block)
+        w = vecs.T @ psi[active].real
         weights = _bin_weights(eigs * t0, t_qubits)
         bin_probs = weights @ w ** 2
     trace.add("phase_estimate", "phase+system", bin_probs, norm=np.sqrt(bin_probs.sum()))
@@ -171,8 +171,7 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
                           success_probability=success_probability,
                           post_selection_probability=0.0, phase_residual=1.0,
                           resolution_ok=resolution_ok, kept_bins=kept_bins, mu=mu,
-                          t0=float(t0), t_qubits=t_qubits, mode=mode, w_norm=w_norm,
-                          x_register=None, v_register=None)
+                          t0=float(t0), t_qubits=t_qubits, mode=mode, w_norm=w_norm)
 
     if success_probability < 1e-14:
         if bin_probs[keep].sum() < 1e-14:
@@ -184,7 +183,7 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
         back0 = qpe_backward(s * rot[:, None], powers)
     else:
         back0 = np.zeros(psi.size)
-        back0[evolve.active] = vecs @ ((rot @ weights) * w)
+        back0[active] = vecs @ ((rot @ weights) * w)
     trace.add("uncompute", "phase=0", back0)
 
     back_norm = np.linalg.norm(back0)
@@ -211,7 +210,7 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
                       phase_residual=phase_residual, resolution_ok=resolution_ok,
                       kept_bins=kept_bins, mu=mu, t0=float(t0),
                       t_qubits=t_qubits, mode=mode, w_norm=w_norm,
-                      x_register=QuantumRegister(x_amps), v_register=QuantumRegister(v_sys))
+                      x_register=QuantumRegister(x_amps))
 
 
 def qhop_recall(source, clamp: ClampSet, gamma: float = 1.0, mu: float = 0.0,

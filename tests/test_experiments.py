@@ -338,6 +338,12 @@ class TestQuantumCrosscheck:
         b = run_quantum_crosscheck(d=2, n_seeds=2)
         assert a == b
 
+    @pytest.mark.parametrize("name", ["d", "n_seeds"])
+    @pytest.mark.parametrize("value", [2.0, 2.5, True])
+    def test_rejects_counts_that_are_not_integers(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {value!r}$"):
+            run_quantum_crosscheck(**{name: value})
+
     def test_rejects_large_systems(self):
         with pytest.raises(ValueError, match="desk-scale only"):
             run_quantum_crosscheck(d=8)

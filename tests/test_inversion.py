@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -688,6 +689,74 @@ class TestTrainedStore:
                 singular += is_singular
         if gamma == 0.05:
             assert singular > 0
+
+
+class TestActiveBlockSolve:
+    """The truncated solve on A's (d + l)-square active block against the dense A."""
+
+    @staticmethod
+    def assert_matches_the_dense_a(sys, mu):
+        got = solve(sys, mu)
+        v, eta, kept, _ = truncated_pseudoinverse_apply(sys.a, sys.rhs, mu)
+        d, scale = sys.d, np.linalg.norm(v)
+        assert np.linalg.norm(got.x - v[:d]) <= 1e-12 * scale
+        assert np.linalg.norm(got.lam - v[d:]) <= 1e-12 * scale
+        # eta = |v - v0| differences two solutions, so its rounding is that
+        # of the larger one, the rank-tolerance solution v0
+        v0 = truncated_pseudoinverse_apply(sys.a, sys.rhs, 0.0)[0]
+        assert abs(got.eta - eta) <= 1e-12 * np.linalg.norm(v0)
+        assert got.kept == kept
+        np.testing.assert_array_equal(got.discretized, discretize(v[:d]))
+        return got
+
+    @pytest.mark.parametrize("store", ["trained", "dense copy", "hand-built"])
+    @pytest.mark.parametrize("mu", [0.02, 0.1, 0.5])
+    def test_matches_the_dense_a_on_random_instances(self, make_training, make_weights,
+                                                     make_clamp, store, mu):
+        rng = np.random.default_rng([98, int(100 * mu), len(store)])
+        for _ in range(15):
+            d = int(rng.integers(2, 30))
+            if store == "hand-built":
+                wm = make_weights(rng, d)
+            else:
+                wm = train(make_training(rng, int(rng.integers(1, 8)), d))
+                wm = dense_copy(wm) if store == "dense copy" else wm
+            theta = rng.normal(scale=0.3, size=d) if rng.random() < 0.5 else None
+            gamma = float(rng.choice([0.3, 1.0, 1.5]))
+            for l in sorted({1, d - 1, d}):
+                clamp = make_clamp(rng, d, l=l)
+                got = self.assert_matches_the_dense_a(quiet_assemble(wm, clamp, theta, gamma), mu)
+                assert got.kept <= d + l
+
+    @pytest.mark.parametrize("known", [[4], [1, 4, 6]])
+    def test_singular_blocks_at_zero_mu_match_the_dense_a(self, known):
+        # The duplicated pattern of TestTrainedStore: W_UU has the eigenvalue
+        # (|U| - 1)/d along p_U, so gamma there makes Q_UU singular and mu = 0
+        # falls back. Clamps of d - 1 or d neurons leave no such gamma > 0.
+        p = np.array([1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0])
+        wm = train(TrainingSet([p, p]))
+        clamp = ClampSet(np.where(np.isin(np.arange(8), known), p, 0.0))
+        gamma = (8 - len(known) - 1) / 8
+        theta = np.random.default_rng(99).normal(size=8)
+        for store in (wm, dense_copy(wm)):
+            got = self.assert_matches_the_dense_a(quiet_assemble(store, clamp, theta, gamma), 0.0)
+            assert got.rank_tol > 0.0 and got.kept == 8 + len(known) - 1
+
+
+def test_truncated_solve_at_d1000_traces_less_than_the_dense_a():
+    """solve(mu=0.1) at d = 1000, M = 20, l = 50 eigendecomposes A's 1050-square
+    active block, so its traced peak stays below the dense 2000-square A alone."""
+    ts = synthetic_patterns(1000, 20, 0)
+    known = np.random.default_rng(0).choice(1000, size=50, replace=False) + 1
+    sys = assemble(train(ts), ClampSet.from_pattern(ts.patterns[0], known))
+    tracemalloc.start()
+    try:
+        report = solve(sys, mu=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.kept == 1050 and report.minimum_certified
+    assert peak < (2 * 1000) ** 2 * 8, peak
 
 
 def test_recall_at_d2000_reads_no_matrix_larger_than_the_core(monkeypatch):

@@ -253,7 +253,7 @@ class TestClosedFormFilter:
             r[keep] = mu / mu_tilde[keep]
 
             powers = controlled_powers(
-                exact_evolution(evo.active_block(), evo.active, evo.dim, t0), t_qubits)
+                exact_evolution(*evo.active_block(), evo.dim, t0), t_qubits)
             simulated = qpe_backward(qpe_forward(powers, psi) * r[:, None], powers)
 
             lam, vecs = np.linalg.eigh(evo.a)
