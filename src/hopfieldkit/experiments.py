@@ -4,13 +4,17 @@ Repetition rep draws from the stream np.random.default_rng([seed, rep])
 in every cell, so a sweep cell reproduces the matching recovery-curve
 cell exactly. A run hashes each of those seeds once: it keeps each
 stream's start state, shared by every cell of a curve and every gamma of
-a sweep, and resets one Generator to it before each trial. The first
-stored pattern is the recall target throughout. CSV output uses fixed
-formatting and is byte-identical across runs.
+a sweep, and resets one Generator to it before each trial. The inversion
+engine draws every clamp of a cell from its stream, then solves the
+cell's repetitions together as one stack, in chunks of bounded size; only
+a repetition whose reduced block is singular is solved on its own. The
+first stored pattern is the recall target throughout. CSV output uses
+fixed formatting and is byte-identical across runs.
 """
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -26,6 +30,7 @@ from .quantum.solver import qhop_recall, qhop_solve
 METHODS = ("iterative", "inversion", "quantum")
 FORMATS = ("fasta", "patterns", "synthetic")
 UNITS = ("bases", "neurons")
+_STACK_ELEMENTS = 1 << 22  # float elements of a stacked solve's largest temporary, per chunk
 
 
 @dataclass(frozen=True)
@@ -158,35 +163,61 @@ def _known_mask(ctx: _TrialContext, l: int, rng: np.random.Generator) -> np.ndar
     return mask
 
 
-def _inversion_recover(ctx: _TrialContext, mask: np.ndarray) -> np.ndarray:
-    """Constrained solve for one trial: the mu = 0 kernel, with the eigen fallback of solve."""
+def _inversion_recover(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
+    """Constrained solves of a stack of one cell's clamps, x row by row.
+
+    At mu = 0 the kernel solves the whole stack at once. Only a row whose
+    reduced block the spectral rule calls singular, or every row at mu > 0,
+    takes the eigen fallback of solve: the truncated pseudoinverse of A's
+    active block, one row at a time.
+    """
     cfg = ctx.cfg
     if cfg.mu == 0.0:
-        x, _ = _reduced_solve(ctx.wm, mask, ctx.target, cfg.gamma)
-        if x is not None:
-            return x
-    # truncated pseudoinverse of A's active block (mu > 0, or a singular reduced block)
-    block, _ = _ridge_block(ctx.wm, mask, cfg.gamma)
-    rhs = np.concatenate([np.zeros(ctx.ts.d), ctx.target[mask]])  # (theta = 0; x_inc on K)
-    return truncated_pseudoinverse_apply(block, rhs, cfg.mu)[0][:ctx.ts.d]
-
-
-def run_trial(ctx: _TrialContext, l: int, rng: np.random.Generator) -> int:
-    """One repetition: clamp l units of the target, recall the rest, count errors."""
-    mask = _known_mask(ctx, l, rng)
-    cfg = ctx.cfg
-    if cfg.method == "inversion":
-        recovered = discretize(_inversion_recover(ctx, mask))
-    elif cfg.method == "iterative":
-        start = np.where(mask, ctx.target, 0.0)
-        trace = recall(ctx.wm, start, rng_seed=rng, max_sweeps=cfg.max_sweeps,
-                       fill=cfg.fill)
-        recovered = trace.final
+        x, block = _reduced_solve(ctx.wm, masks, np.where(masks, ctx.target, 0.0), cfg.gamma)
+        fallback = np.flatnonzero(block.singular)
     else:
-        clamp = ClampSet(np.where(mask, ctx.target, 0.0))
-        recovered, _ = qhop_recall(ctx.ts, clamp, gamma=cfg.gamma, mu=cfg.mu,
-                                   t_qubits=cfg.t_qubits)
-    return int(np.count_nonzero(recovered != ctx.target))
+        x, fallback = np.empty(masks.shape), range(len(masks))
+    d = ctx.ts.d
+    for i in fallback:
+        active, _ = _ridge_block(ctx.wm, masks[i], cfg.gamma)
+        rhs = np.concatenate([np.zeros(d), ctx.target[masks[i]]])  # (theta = 0; x_inc on K)
+        x[i] = truncated_pseudoinverse_apply(active, rhs, cfg.mu)[0][:d]
+    return x
+
+
+def _recover_one(ctx: _TrialContext, mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The iterative or the quantum engine's recall of one trial's clamp."""
+    cfg = ctx.cfg
+    if cfg.method == "iterative":
+        start = np.where(mask, ctx.target, 0.0)
+        return recall(ctx.wm, start, rng_seed=rng, max_sweeps=cfg.max_sweeps,
+                      fill=cfg.fill).final
+    clamp = ClampSet(np.where(mask, ctx.target, 0.0))
+    return qhop_recall(ctx.ts, clamp, gamma=cfg.gamma, mu=cfg.mu, t_qubits=cfg.t_qubits)[0]
+
+
+def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
+    """The trials of one cell: per generator, clamp l units of the target, recall, count errors.
+
+    Each trial draws its clamp from its generator, which must hold its
+    stream's state when the iteration yields it. The inversion engine
+    solves the cell's clamps from the trained store's factor, as stacks
+    of at most _STACK_ELEMENTS // (d M) rows, and discretizes them row by
+    row; the other engines recall trial by trial, each drawing from its
+    generator after the clamp. The name is kept for the benchmark's
+    tracer, whose experiments.run_trial span now covers a cell.
+    """
+    cfg = ctx.cfg
+    if cfg.method != "inversion":
+        return np.array([np.count_nonzero(_recover_one(ctx, _known_mask(ctx, l, rng), rng)
+                                          != ctx.target) for rng in rngs], dtype=int)
+    rows = max(1, _STACK_ELEMENTS // (ctx.ts.d * ctx.ts.m))
+    masks = (_known_mask(ctx, l, rng) for rng in rngs)
+    distances = []
+    while stack := list(itertools.islice(masks, rows)):
+        recovered = discretize(_inversion_recover(ctx, np.array(stack)))
+        distances.append(np.count_nonzero(recovered != ctx.target, axis=1))
+    return np.concatenate(distances)
 
 
 class _Streams:
@@ -210,9 +241,7 @@ class _Streams:
 
 def _cell(ctx: _TrialContext, l: int, streams: _Streams) -> tuple[float, float]:
     """Mean and standard error of the distances of one cell's repetitions."""
-    distances = np.empty(ctx.cfg.reps)
-    for rep, rng in enumerate(streams):
-        distances[rep] = run_trial(ctx, l, rng)
+    distances = run_trial(ctx, l, streams).astype(float)
     mean = float(distances.mean())
     if distances.size < 2:
         return mean, 0.0
@@ -231,9 +260,11 @@ def run_gamma_sweep(cfg: ExperimentConfig, gamma_grid,
                     ts: TrainingSet | None = None) -> list[GammaPoint]:
     """Recovery trials at fixed l for each regularization strength.
 
-    Only the inversion method responds to gamma, so other methods are
-    rejected. A single-point grid reproduces the matching recovery-curve
-    cell exactly: repetitions share the (seed, repetition) streams.
+    The sweep runs the inversion method only, and rejects the others; the
+    quantum engine depends on gamma too (through rho - gamma' I and its
+    evolution time t0 = pi/(gamma + 2)) but is not swept yet. A
+    single-point grid reproduces the matching recovery-curve cell exactly:
+    repetitions share the (seed, repetition) streams.
     """
     if cfg.method != "inversion":
         raise ValueError("gamma sweep applies to the inversion method only")

@@ -13,11 +13,12 @@ W is rank M plus a shift, W = s X^T X - I/d with s = 1/(M d) and X the
 its factor: |W| comes from the eigenvalues of the smaller of the Gram
 matrices X X^T and X^T X, with no d x d eigensolve. The mu = 0 inversion
 recall and the perturbed solve work on an M x M core built from X, and
-the iterative recall on the M exact integers X x. The dense W is derived
-from X on its first read and cached on the store, so a store of d neurons
-costs M d floats until something reads W; the mu > 0 and singular
-fallbacks and the matrix CSV do. A hand-built WeightMatrix(w) has no
-factor; it is checked densely and recalled by the dense path.
+the iterative recall on the M exact integers X x; the mu > 0 and singular
+fallbacks write X^T X/(M d) straight into their saddle block. The dense W
+is derived from X on its first read and cached on the store, so a store
+of d neurons costs M d floats until something reads W; of the library,
+only the matrix CSV does. A hand-built WeightMatrix(w) has no factor; it
+is checked densely and recalled by the dense path.
 """
 from __future__ import annotations
 
@@ -68,8 +69,15 @@ class _TrainedWeightMatrix(WeightMatrix):
 
     w is X^T X/(M d) with a zero diagonal, computed on first read, cached on
     this store and read-only; d is read from the factor, so the recall
-    paths that need only d and X never derive W.
+    paths that need only d and X never derive W. gram is the M x M integer
+    Gram matrix X X^T, read-only; train keeps the one its norm came from.
     """
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        g = self.factor @ self.factor.T
+        g.setflags(write=False)
+        return g
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -131,6 +139,9 @@ def train(ts: TrainingSet) -> WeightMatrix:
     wm = object.__new__(_TrainedWeightMatrix)  # valid by construction: skip the dense checks
     object.__setattr__(wm, "norm", norm)
     object.__setattr__(wm, "factor", p)
+    if m < d:
+        gram.setflags(write=False)
+        object.__setattr__(wm, "gram", gram)  # X X^T, which the mu = 0 recall reads
     return wm
 
 

@@ -14,9 +14,11 @@ _saddle_block lays A out, and no solve reads the dense A. With mu = 0 the
 clamped block is eliminated: x_K = x_inc fixes the known neurons,
 Q_UU x_U = -(theta_U + Q_UK x_K) with Q = gamma I - W gives the unclamped
 set U, and the multipliers follow from the clamped rows. One kernel,
-_reduced_solve, does this for the library solve, the curve harness and
-the perturbed solve (nothing clamped, gamma + beta for gamma). It takes
-Q_UU apart by one symmetric eigendecomposition, and the solve, the
+_reduced_solve, does this for a stack of clamps that fix equally many
+neurons: the library solve and the perturbed solve (nothing clamped,
+gamma + beta for gamma) pass one row, the curve harness all repetitions
+of a cell. It takes each row's Q_UU apart by one symmetric
+eigendecomposition, run over the whole stack at once, and the solve, the
 singularity rule and the certificate share it. The rule is the same for
 every block: with floor = RANK_TOL_FACTOR times the largest eigenvalue
 magnitude of the decomposed matrix, Q_UU counts as singular when an
@@ -27,18 +29,21 @@ module runs.
 - A trained W keeps its patterns X as a factor, W = s X^T X - I/d with
   s = 1/(M d). Then Q_UU = c I - s X_U^T X_U with c = gamma + 1/d, whose
   spectrum is that of the M x M core C = c I - s X_U X_U^T up to copies of
-  c > 0. One eigendecomposition of the Gram matrix X_U X_U^T gives C's
-  spectrum and eigenvectors, and the rule is applied to C. Woodbury,
+  c > 0. The Gram matrix X_U X_U^T = X X^T - X_K X_K^T has integer
+  entries, so it is exact; X X^T is kept on the store, and only the
+  clamp's columns X_K are gathered. One eigendecomposition of it gives
+  C's spectrum and eigenvectors, and the rule is applied to C. Woodbury,
   (Q_UU)^-1 r = (r + s X_U^T C^-1 X_U r) / c, turns the solve into one
-  with C. A recall costs O(M^2 |U| + M^3), and Q x costs O(M d); no d x d
-  matrix is read.
+  with C. A recall costs O(M^2 |K| + M d + M^3), and Q x costs O(M d); no
+  d x d matrix is read.
 - A hand-built W has no factor. Q_UU is extracted and eigendecomposed
   itself, O(|U|^3), and solved with its eigenvectors. The tests use this
   dense path as an oracle of the factored one.
 
 For mu > 0, and when Q_UU is singular, A's active block is eigendecomposed
 instead and only eigenvalues of magnitude >= mu are inverted (the truncated
-pseudoinverse). The recovered state is sign(x); a component within
+pseudoinverse); a trained W enters that block straight from its factor.
+The recovered state is sign(x); a component within
 TIE_TOL_FACTOR * max(1, |x|_inf) of zero is a tie and resolves to +1.
 """
 from __future__ import annotations
@@ -96,24 +101,34 @@ class LinearSystem:
         return rhs
 
 
-def _saddle_block(top, known) -> tuple[np.ndarray, np.ndarray]:
+def _saddle_block(n: int, known) -> tuple[np.ndarray, np.ndarray]:
     """A's active block [[top, E], [E^T, 0]] and its indices into A = [[top, P], [P, 0]].
 
-    P projects onto known, which may stop short of top's last rows, and E is its
-    clamped columns. A is zero on the unclamped multipliers: no solve inverts them.
+    The n-square top is left zero for the caller to write. P projects onto
+    known, which may stop short of top's last rows, and E is its clamped
+    columns. A is zero on the unclamped multipliers: no solve inverts them.
     """
-    n, ks = top.shape[0], np.flatnonzero(known)
+    ks = np.flatnonzero(known)
     multipliers = n + np.arange(ks.size)
     block = np.zeros((n + ks.size, n + ks.size))
-    block[:n, :n] = top
     block[ks, multipliers] = block[multipliers, ks] = 1.0
     return block, np.concatenate([np.arange(n), n + ks])
 
 
 def _ridge_block(wm: WeightMatrix, known, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """_saddle_block for top = W - gamma I; W's diagonal is exactly zero, so -gamma replaces it."""
-    block, active = _saddle_block(wm.w, known)
-    np.fill_diagonal(block[:wm.d, :wm.d], -gamma)
+    """_saddle_block with top = W - gamma I; W's diagonal is exactly zero, so -gamma replaces it.
+
+    A trained W is written from its factor as the integer Gram X^T X/(M d),
+    summed exactly, so no d x d W is derived or kept on the store.
+    """
+    block, active = _saddle_block(wm.d, known)
+    top = block[:wm.d, :wm.d]
+    if wm.factor is None:
+        top[...] = wm.w
+    else:
+        np.matmul(wm.factor.T, wm.factor, out=top)
+        top /= wm.factor.size
+    np.fill_diagonal(top, -gamma)
     return block, active
 
 
@@ -210,9 +225,12 @@ def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
     p_mask = sys.clamp.mask()
     x = block = None
     if mu == 0.0:
-        # zero thresholds skip the theta terms of the elimination
-        x, block = _reduced_solve(sys.wm, p_mask, x_inc, sys.gamma,
-                                  theta if theta.any() else None)
+        # one clamp, a one-row stack; x_inc is already zero off the clamp, and
+        # zero thresholds skip the theta terms
+        xs, block = _reduced_solve(sys.wm, p_mask[None], x_inc[None], sys.gamma,
+                                   theta if theta.any() else None)
+        if not block.singular[0]:
+            x = xs[0]
     if x is not None:
         # full-rank elimination: rank(A) = d + l, truncation plays no part,
         # and x_K = x_inc by construction
@@ -244,24 +262,41 @@ def _apply_q(wm: WeightMatrix, gamma: float, x) -> np.ndarray:
     return (gamma + 1.0 / wm.d) * x - (f.T @ (f @ x)) / f.size
 
 
-class _SpectralBlock:
-    """Q_UU taken apart by one eigendecomposition; eigs is the decomposed spectrum.
+def _columns(mask) -> np.ndarray:
+    """The (R, k) ascending column indices of an (R, d) mask stack with k set in every row."""
+    cols = mask.nonzero()[1]
+    k = cols.size // len(mask)
+    if len(mask) > 1 and np.any(mask.sum(axis=1) != k):
+        raise ValueError("every clamp of a stack must fix equally many neurons")
+    return cols.reshape(len(mask), k)
 
-    The rule of the module notes: with floor = RANK_TOL_FACTOR * max|eigs|,
-    the block is singular when some |eig| <= floor and positive definite
-    when min(eigs) > floor. An empty spectrum (nothing unclamped) counts
-    as definite and not singular.
+
+class _SpectralBlock:
+    """A stack of Q_UU, one per clamp, each taken apart by one eigendecomposition.
+
+    eigs is the (R, n) stack of decomposed spectra, each sorted either way.
+    The rule of the module notes, row by row: with floor = RANK_TOL_FACTOR *
+    max|eigs|, a block is singular when some |eig| <= floor and positive
+    definite when min(eigs) > floor. An empty spectrum (nothing unclamped)
+    counts as definite and not singular. u is |U|, shared by every row.
     """
 
     def _decide(self, eigs: np.ndarray) -> None:
-        """Apply the rule to eigs, sorted either way, so that its ends are its extremes."""
         self.eigs = eigs
-        if not eigs.size:
-            self.singular, self.definite = False, True
+        if not eigs.shape[1]:
+            self.singular = np.zeros(len(eigs), dtype=bool)
+            self.definite = np.ones(len(eigs), dtype=bool)
             return
-        floor = _rank_floor(eigs)
-        self.singular = bool(np.abs(eigs).min() <= floor)
-        self.definite = min(float(eigs[0]), float(eigs[-1])) > floor
+        size = np.abs(eigs)
+        floor = RANK_TOL_FACTOR * np.maximum(size[:, 0], size[:, -1])  # sorted: ends are extremes
+        self.singular = np.minimum.reduce(size, axis=1) <= floor
+        self.definite = np.minimum(eigs[:, 0], eigs[:, -1]) > floor
+
+    def _inverse(self, r: np.ndarray) -> np.ndarray:
+        """Each row of r under its block's inverse, by the eigenpairs; zero on singular rows."""
+        coef = (r[:, None, :] @ self.vecs)[:, 0]
+        coef /= np.where(self.singular[:, None], np.inf, self.eigs)
+        return (self.vecs @ coef[:, :, None])[:, :, 0]
 
 
 class _CoreBlock(_SpectralBlock):
@@ -274,67 +309,73 @@ class _CoreBlock(_SpectralBlock):
     def __init__(self, wm: WeightMatrix, known, gamma: float):
         f = wm.factor
         m, d = f.shape
-        self.free = ~known
         self.f = f
+        self.known = known
         self.c = gamma + 1.0 / d
-        self.xu = f[:, self.free]
-        g, self.vecs = np.linalg.eigh(self.xu @ self.xu.T)
+        xk = f[:, _columns(known)].transpose(1, 0, 2)  # each row's X_K
+        self.u = d - xk.shape[2]
+        # X_U X_U^T = X X^T - X_K X_K^T has integer entries, so it is exact
+        g, self.vecs = np.linalg.eigh(wm.gram - xk @ xk.transpose(0, 2, 1))
         self._decide(gamma * m * d + m - g)  # c M d minus the ascending Gram spectrum
 
-    def solve(self, x, theta=None):
-        """x_U with Q_UU x_U = -(theta_U + Q_UK x_K), for a block the rule calls regular.
+    def solve(self, x, theta=None) -> np.ndarray:
+        """A new x with Q_UU x_U = -(theta_U + Q_UK x_K), from x holding x_inc on K and 0 on U.
 
         Woodbury, with I + s C^-1 X_U X_U^T = c C^-1, gives
         x_U = s X_U^T C^-1 (X_K x_K - X_U theta_U / c) - theta_U / c. The
         spectral rule is the only gate: past it the eigen fallback would
         invert the same small eigenvalues, so no residual guard follows.
         """
-        b = self.f @ x  # X_K x_K, for x zero on U
+        b = x @ self.f.T  # X_K x_K, for x zero on U
         if theta is not None:
-            t = theta[self.free] / self.c
-            b = b - self.xu @ t
-        sol = self.xu.T @ (self.vecs @ (b @ self.vecs / self.eigs))
-        return sol if theta is None else sol - t
+            t = np.where(self.known, 0.0, theta / self.c)
+            b = b - t @ self.f.T
+        sol = self._inverse(b) @ self.f  # X^T of it, read on U
+        if theta is not None:
+            sol = sol - t
+        return np.where(self.known, x, sol)
 
 
 class _DenseBlock(_SpectralBlock):
     """Q_UU of a hand-built W, extracted and eigendecomposed once."""
 
     def __init__(self, wm: WeightMatrix, known, gamma: float):
-        self.free = ~known
         self.w = wm.w
-        quu = -wm.w[np.ix_(self.free, self.free)]
-        np.fill_diagonal(quu, gamma)  # W has a zero diagonal, so this is gamma I - W_UU
+        self.free = _columns(~known)
+        self.u = self.free.shape[1]
+        quu = -self.w[self.free[:, :, None], self.free[:, None, :]]
+        diag = np.arange(self.u)
+        quu[:, diag, diag] = gamma  # W has a zero diagonal, so this is gamma I - W_UU
         eigs, self.vecs = np.linalg.eigh(quu)
         self._decide(eigs)
 
-    def solve(self, x, theta=None):
-        """x_U solving Q_UU x_U = -(theta_U + Q_UK x_K) with Q_UU's eigenvectors."""
-        known = ~self.free
-        rhs = self.w[np.ix_(self.free, known)] @ x[known]  # -Q_UK x_K
+    def solve(self, x, theta=None) -> np.ndarray:
+        """A new x with Q_UU x_U = -(theta_U + Q_UK x_K), from x holding x_inc on K and 0 on U."""
+        rhs = np.take_along_axis(x @ self.w, self.free, axis=1)  # -Q_UK x_K, for x zero on U
         if theta is not None:
-            rhs = rhs - theta[self.free]
-        return self.vecs @ ((rhs @ self.vecs) / self.eigs)
+            rhs -= theta[self.free]
+        x = x.copy()
+        np.put_along_axis(x, self.free, self._inverse(rhs), axis=1)
+        return x
 
 
 def _unclamped_block(wm: WeightMatrix, known, gamma: float):
-    """Q_UU = (gamma I - W)_UU on the unclamped set U = ~known, taken apart once."""
+    """Q_UU = (gamma I - W)_UU on each row's unclamped set U = ~known, taken apart once."""
     return (_DenseBlock if wm.factor is None else _CoreBlock)(wm, known, gamma)
 
 
-def _reduced_solve(wm: WeightMatrix, known, x_inc, gamma: float, theta=None):
+def _reduced_solve(wm: WeightMatrix, known, probes, gamma: float, theta=None):
     """The mu = 0 kernel: x with x_K = x_inc_K and Q_UU x_U = -(theta_U + Q_UK x_K).
 
-    Q = gamma I - W and U = ~known; theta=None means zero thresholds, and
-    x_inc is read only on known. Returns (x, block), block being Q_UU from
-    _unclamped_block, with x = None when the spectral rule calls it singular.
+    known is an (R, d) stack of masks that clamp equally many neurons, and
+    probes the (R, d) stack of their x_inc, zero off the clamp; each row is
+    solved on its own, with Q = gamma I - W and U = ~known. theta=None
+    means zero thresholds. Returns (x, block): x is a new (R, d) array, and
+    block the stack of Q_UU from _unclamped_block. A row that the spectral
+    rule calls singular (block.singular) is not solved; its x is meaningless.
     """
     block = _unclamped_block(wm, known, gamma)
-    if block.singular:
-        return None, block
-    x = np.where(known, x_inc, 0.0)
-    x[block.free] = block.solve(x, theta)
-    return x, block
+    return block.solve(probes, theta), block
 
 
 def discretize(x) -> np.ndarray:
@@ -342,13 +383,14 @@ def discretize(x) -> np.ndarray:
 
     A component within TIE_TOL_FACTOR * max(1, |x|_inf) of zero is a tie:
     it vanishes in exact arithmetic, and its rounding residue, whose sign
-    depends on the solver, does not decide the neuron.
+    depends on the solver, does not decide the neuron. A stack of solutions
+    is discretized row by row, each row against its own |x|_inf.
     """
     x = np.asarray(x, dtype=float)
-    top = float(np.abs(x).max(initial=0.0))
-    if not math.isfinite(top):
+    scale = np.maximum.reduce(np.abs(x), axis=-1, keepdims=True, initial=1.0)  # max(1, |x|_inf)
+    if not math.isfinite(np.maximum.reduce(scale, axis=None)):
         raise ValueError("cannot discretize non-finite values")
-    return np.where(x >= -TIE_TOL_FACTOR * max(1.0, top), 1.0, -1.0)
+    return np.where(x >= -TIE_TOL_FACTOR * scale, 1.0, -1.0)
 
 
 def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
@@ -378,16 +420,17 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     if gamma + beta <= spectral_norm(wm):
         warnings.warn("gamma + beta does not exceed |W|; system may be indefinite",
                       RuntimeWarning, stacklevel=2)
-    x, block = _reduced_solve(wm, np.zeros(wm.d, dtype=bool), 0.0, gamma + beta,
-                              t - beta * anchor)
-    if x is None:
+    xs, block = _reduced_solve(wm, np.zeros((1, wm.d), dtype=bool), np.zeros((1, wm.d)),
+                               gamma + beta, t - beta * anchor)
+    if block.singular[0]:
         raise ValueError("perturbed system matrix is singular")
+    x = xs[0]
     residual = float(np.max(np.abs(_apply_q(wm, gamma + beta, x) - (beta * anchor - t))))
     return SolveReport(x=x, lam=np.zeros(0), discretized=discretize(x),
                        gamma=float(gamma), mu=0.0, rank_tol=0.0, kept=wm.d,
                        eta=0.0, residual_constraint=0.0,
                        residual_stationarity=residual,
-                       minimum_certified=block.definite)
+                       minimum_certified=bool(block.definite[0]))
 
 
 def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=None) -> bool:
@@ -401,12 +444,12 @@ def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=N
     eigenvalue magnitude, so a block within that floor of singular fails.
     An empty U certifies; gamma = 0 never certifies a non-empty U, since
     Q_UU = -W_UU then has zero trace. solve hands over, as _block, the
-    Q_UU it already took apart.
+    one-row stack of Q_UU it already took apart.
     """
     if not 0 <= gamma < np.inf:
         raise ValueError("gamma must be non-negative and finite")
     if clamp.d != wm.d:
         raise ValueError(f"clamp dimension {clamp.d} does not match weights {wm.d}")
     if _block is None:
-        _block = _unclamped_block(wm, clamp.mask(), gamma)
-    return not _block.free.any() or _block.definite
+        _block = _unclamped_block(wm, clamp.mask()[None], gamma)
+    return not _block.u or bool(_block.definite[0])

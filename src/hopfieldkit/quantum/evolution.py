@@ -169,7 +169,9 @@ class BlockSplitEvolution:
 
     def active_block(self) -> tuple[np.ndarray, np.ndarray]:
         """(A[active, active], active) by inversion._saddle_block on the padded top block."""
-        return _saddle_block(self._top(), self._known)
+        block, active = _saddle_block(self.d_pad, self._known)
+        block[:self.d_pad, :self.d_pad] = self._top()
+        return block, active
 
     @functools.cached_property
     def a(self) -> np.ndarray:

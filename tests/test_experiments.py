@@ -1,6 +1,7 @@
 """Experiment harness: ingestion, trials, curves, sweeps, cross-checks."""
 import io
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,13 @@ from hopfieldkit.experiments import (
     write_points_csv,
 )
 from hopfieldkit.hebbian import train
-from hopfieldkit.inversion import assemble, solve
+from hopfieldkit.inversion import (
+    RANK_TOL_FACTOR,
+    _reduced_solve,
+    assemble,
+    solve,
+    truncated_pseudoinverse_apply,
+)
 from hopfieldkit.patterns import ClampSet, TrainingSet, encode_rna, load_fasta
 
 
@@ -181,7 +188,8 @@ class TestRecoveryCurve:
             mask[rng.choice(ctx.ts.d, size=l, replace=False)] = True
             clamp = ClampSet.from_pattern(ctx.target, tuple(np.flatnonzero(mask) + 1))
             expected = solve(assemble(ctx.wm, clamp, gamma=cfg.gamma), mu=cfg.mu).x
-            np.testing.assert_array_equal(experiments._inversion_recover(ctx, mask), expected)
+            np.testing.assert_array_equal(experiments._inversion_recover(ctx, mask[None])[0],
+                                          expected)
 
     @pytest.mark.parametrize("method", ["inversion", "iterative", "quantum"])
     def test_curves_never_derive_the_dense_weights(self, monkeypatch, method):
@@ -208,8 +216,8 @@ class TestRecoveryCurve:
 def replayed_cell(ctx, l):
     """A cell as the seeding contract states it: a fresh default_rng([seed, rep]) per trial."""
     cfg = ctx.cfg
-    distances = np.array([experiments.run_trial(ctx, l, np.random.default_rng([cfg.seed, rep]))
-                          for rep in range(cfg.reps)], dtype=float)
+    rngs = [np.random.default_rng([cfg.seed, rep]) for rep in range(cfg.reps)]
+    distances = experiments.run_trial(ctx, l, rngs).astype(float)
     if distances.size < 2:
         return float(distances.mean()), 0.0
     return float(distances.mean()), float(distances.std(ddof=1) / np.sqrt(distances.size))
@@ -249,6 +257,90 @@ class TestSeedingContract:
                                          25), cfg.reps)
             for g in grid]
         assert points[0] == points[2]
+
+
+def fresh_streams(seed, reps):
+    return [np.random.default_rng([seed, rep]) for rep in range(reps)]
+
+
+class TestStackedCell:
+    """run_trial solves a cell's repetitions together; each is still its own one-generator call.
+
+    At gamma = 0.05 some clamps of 50 fixture neurons leave the reduced
+    block singular, so that cell mixes stacked rows and eigen fallbacks.
+    """
+
+    SINGULAR = ExperimentConfig(l_grid=(50,), units="neurons", gamma=0.05, reps=200)
+
+    @pytest.mark.parametrize("cfg", [
+        SINGULAR,
+        ExperimentConfig(l_grid=(10,), reps=30, seed=4),
+        ExperimentConfig(l_grid=(3,), d=12, m=2, reps=25, units="neurons",
+                         data_format="synthetic", seed=2, mu=0.1),
+        ExperimentConfig(l_grid=(3,), d=12, m=2, reps=12, units="neurons",
+                         data_format="synthetic", seed=2, method="iterative"),
+    ], ids=["singular-rows", "bases", "positive-mu", "iterative"])
+    def test_a_cell_is_its_one_generator_calls(self, cfg):
+        ctx = experiments._TrialContext(cfg, ingest(cfg))
+        l = cfg.l_grid[0]
+        got = experiments.run_trial(ctx, l, fresh_streams(cfg.seed, cfg.reps))
+        want = np.concatenate([experiments.run_trial(ctx, l, [rng])
+                               for rng in fresh_streams(cfg.seed, cfg.reps)])
+        np.testing.assert_array_equal(got, want)
+        reset = experiments.run_trial(ctx, l, experiments._Streams(cfg.seed, cfg.reps))
+        np.testing.assert_array_equal(reset, want)
+
+    def test_only_singular_rows_take_the_eigen_fallback(self, monkeypatch):
+        cfg = self.SINGULAR
+        ctx = experiments._TrialContext(cfg, ingest(cfg))
+        w = train(ctx.ts).w
+        singular = 0
+        for rng in fresh_streams(cfg.seed, cfg.reps):
+            free = ~experiments._known_mask(ctx, 50, rng)
+            eigs = np.abs(np.linalg.eigvalsh(cfg.gamma * np.eye(50) - w[np.ix_(free, free)]))
+            singular += eigs.min() <= RANK_TOL_FACTOR * eigs.max()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return truncated_pseudoinverse_apply(*args)
+
+        monkeypatch.setattr(experiments, "truncated_pseudoinverse_apply", counting)
+        experiments.run_trial(ctx, 50, fresh_streams(cfg.seed, cfg.reps))
+        assert len(calls) == singular > 0
+
+    def test_chunk_boundaries_do_not_show(self, monkeypatch):
+        cfg = self.SINGULAR
+        ctx = experiments._TrialContext(cfg, ingest(cfg))
+        want = experiments.run_trial(ctx, 50, fresh_streams(cfg.seed, cfg.reps))
+        sizes = []
+
+        def recording(wm, known, *args):
+            sizes.append(len(known))
+            return _reduced_solve(wm, known, *args)
+
+        monkeypatch.setattr(experiments, "_reduced_solve", recording)
+        monkeypatch.setattr(experiments, "_STACK_ELEMENTS", 7 * ctx.ts.d * ctx.ts.m)
+        got = experiments.run_trial(ctx, 50, fresh_streams(cfg.seed, cfg.reps))
+        assert sizes == [7] * 28 + [4]  # 200 = 28 * 7 + 4
+        np.testing.assert_array_equal(got, want)
+
+    def test_a_cell_holds_one_chunk_at_a_time(self, monkeypatch):
+        # chunks of 4 rows at d = 2000: the cell's peak stays below one
+        # (reps, d) float stack, which an unchunked solve would hold several times
+        cfg = ExperimentConfig(l_grid=(200,), d=2000, m=8, reps=200, units="neurons",
+                               data_format="synthetic")
+        ctx = experiments._TrialContext(cfg, ingest(cfg))
+        rngs = fresh_streams(cfg.seed, cfg.reps)
+        monkeypatch.setattr(experiments, "_STACK_ELEMENTS", 4 * cfg.d * cfg.m)
+        tracemalloc.start()
+        try:
+            distances = experiments.run_trial(ctx, 200, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert distances.shape == (cfg.reps,)
+        assert peak < cfg.reps * cfg.d * 8, peak
 
 
 class TestGammaSweep:

@@ -85,6 +85,18 @@ class TestTrain:
         np.testing.assert_allclose(wm.w, shifted, rtol=0.0, atol=1e-15)
         assert WeightMatrix(wm.w).factor is None
 
+    def test_keeps_the_pattern_gram_it_took_the_norm_from(self, make_training):
+        # X X^T is kept from the norm's eigvalsh when M < d, and derived on
+        # first read otherwise; integer sums, so bit for bit either way
+        rng = np.random.default_rng(28)
+        for m, d in ((3, 10), (8, 8), (12, 5)):
+            ts = make_training(rng, m, d)
+            wm = train(ts)
+            assert ("gram" in vars(wm)) == (m < d)
+            np.testing.assert_array_equal(wm.gram, np.einsum("ik,jk->ij", ts.patterns,
+                                                             ts.patterns))
+            assert not wm.gram.flags.writeable
+
     def test_derives_w_from_the_factor_on_first_read(self, make_training):
         rng = np.random.default_rng(29)
         for _ in range(20):

@@ -23,6 +23,7 @@ from hopfieldkit.inversion import (
     solve_perturbed,
     truncated_pseudoinverse_apply,
 )
+from hopfieldkit.inversion import _reduced_solve  # the mu = 0 kernel, stacked
 from hopfieldkit.patterns import ClampSet, TrainingSet, as_thresholds
 
 try:
@@ -202,10 +203,10 @@ class TestSolve:
 
     def test_zero_mu_eigendecomposes_only_the_unclamped_block(self, make_weights, make_clamp,
                                                               monkeypatch):
-        # A hand-built W: one eigh of Q_UU serves the solve and the certificate;
-        # neither the 2d x 2d A nor an LU or Cholesky factorization is touched.
-        # The perturbed solve is the same kernel with nothing clamped: one eigh
-        # of the whole d x d matrix (gamma + beta) I - W.
+        # A hand-built W: one eigh of Q_UU, a one-row stack, serves the solve
+        # and the certificate; neither the 2d x 2d A nor an LU or Cholesky
+        # factorization is touched. The perturbed solve is the same kernel with
+        # nothing clamped: one eigh of the whole d x d matrix (gamma + beta) I - W.
         rng = np.random.default_rng(81)
         cases = [(make_weights(rng, d), make_clamp(rng, d)) for d in (3, 8, 20)]
         shapes = []
@@ -227,12 +228,12 @@ class TestSolve:
             shapes.clear()
             report = solve(assemble(wm, clamp, gamma=1.2))
             u = wm.d - clamp.l
-            assert shapes == [(u, u)]
+            assert shapes == [(1, u, u)]
             assert report.minimum_certified
             assert (report.kept, report.eta, report.rank_tol) == (wm.d + clamp.l, 0.0, 0.0)
             shapes.clear()
             report = solve_perturbed(wm, rng.choice([-1.0, 0.0, 1.0], size=wm.d), beta=0.5)
-            assert shapes == [(wm.d, wm.d)]
+            assert shapes == [(1, wm.d, wm.d)]
             assert report.minimum_certified
 
     @pytest.mark.parametrize("coupling", [0.3, 0.4, 0.7])
@@ -521,7 +522,8 @@ class TestTrainedStore:
 
     def test_mu_zero_recall_never_derives_w(self, make_training, make_clamp):
         # the factored solve, its residuals and the certificate read only d
-        # and the factor; the mu > 0 path reads the saddle matrix, so W
+        # and the factor; the mu > 0 path writes W into the saddle block from
+        # the factor, so it derives no W either
         rng = np.random.default_rng(95)
         for _ in range(10):
             m, d = int(rng.integers(1, 10)), int(rng.integers(4, 40))
@@ -533,7 +535,7 @@ class TestTrainedStore:
             assert report.rank_tol == 0.0
             assert "w" not in vars(wm)
             solve(assemble(wm, clamp, theta), mu=1e-3)
-            assert "w" in vars(wm)
+            assert "w" not in vars(wm)
 
     def test_certificate_matches_the_dense_cholesky(self, make_training, make_clamp):
         # The core's spectrum, Q_UU's own, and an independent Cholesky of Q_UU
@@ -684,11 +686,85 @@ class TestTrainedStore:
                 got = solve(quiet_assemble(ctx.wm, clamp, gamma=gamma))
                 want = solve(quiet_assemble(dense, clamp, gamma=gamma))
                 assert (got.rank_tol > 0.0) == (want.rank_tol > 0.0) == is_singular
-                np.testing.assert_array_equal(experiments._inversion_recover(ctx, mask), got.x)
+                np.testing.assert_array_equal(
+                    experiments._inversion_recover(ctx, mask[None])[0], got.x)
                 np.testing.assert_array_equal(got.discretized, want.discretized)
                 singular += is_singular
         if gamma == 0.05:
             assert singular > 0
+
+
+def mask_stack(rng, d, rows, l, units):
+    """rows clamps of l units each, drawn as the harness draws them: bases clamp neuron pairs."""
+    masks = np.zeros((rows, d), dtype=bool)
+    for mask in masks:
+        if units == "bases":
+            bases = rng.choice(d // 2, size=l, replace=False)
+            mask[2 * bases] = mask[2 * bases + 1] = True
+        else:
+            mask[rng.choice(d, size=l, replace=False)] = True
+    return masks
+
+
+class TestStackedKernel:
+    """_reduced_solve on a stack of clamps against its one-row calls, row by row."""
+
+    @staticmethod
+    def assert_rows_match(wm, masks, x_inc, gamma, theta=None):
+        xs, block = _reduced_solve(wm, masks, np.where(masks, x_inc, 0.0), gamma, theta)
+        assert xs.shape == masks.shape
+        stacked = discretize(xs)
+        for i, known in enumerate(masks):
+            x, one = _reduced_solve(wm, known[None], np.where(known, x_inc, 0.0)[None], gamma,
+                                    theta)
+            assert block.singular[i] == one.singular[0]
+            assert block.definite[i] == one.definite[0]
+            if one.singular[0]:
+                continue
+            np.testing.assert_array_equal(xs[i, known], x_inc[known])
+            assert np.abs(xs[i] - x[0]).max() <= 1e-12 * np.abs(x[0]).max()
+            np.testing.assert_array_equal(stacked[i], discretize(x[0]))
+        return block
+
+    @pytest.mark.parametrize("store", ["trained", "hand-built"])
+    @pytest.mark.parametrize("units", ["bases", "neurons"])
+    def test_every_row_matches_its_one_row_call(self, make_training, make_weights, store,
+                                                units):
+        rng = np.random.default_rng([101, len(store), len(units)])
+        for _ in range(10):
+            d = 2 * int(rng.integers(2, 16))
+            if store == "trained":
+                wm = train(make_training(rng, int(rng.integers(1, 9)), d))
+            else:
+                wm = make_weights(rng, d)
+            x_inc = rng.choice([-1.0, 1.0], size=d)
+            theta = rng.normal(scale=0.3, size=d) if rng.random() < 0.5 else None
+            gamma = float(rng.choice([0.3, 1.0]))
+            top = d // 2 if units == "bases" else d
+            for l in sorted({1, int(rng.integers(1, top + 1)), top}):
+                masks = mask_stack(rng, d, int(rng.integers(1, 12)), l, units)
+                self.assert_rows_match(wm, masks, x_inc, gamma, theta)
+
+    @pytest.mark.parametrize("thresholds", [False, True])
+    def test_singular_rows_of_the_fixture_match_on_both_paths(self, thresholds):
+        # at gamma = 0.05 some clamps of 50 fixture neurons leave Q_UU
+        # singular and the rest regular, so one stack holds both kinds
+        cfg = ExperimentConfig(l_grid=(50,), units="neurons", gamma=0.05)
+        ctx = experiments._TrialContext(cfg, ingest(cfg))
+        masks = np.array([experiments._known_mask(ctx, 50, np.random.default_rng([0, rep]))
+                          for rep in range(200)])
+        theta = np.random.default_rng(102).normal(scale=0.3, size=100) if thresholds else None
+        verdicts = [self.assert_rows_match(wm, masks, ctx.target, cfg.gamma, theta).singular
+                    for wm in (ctx.wm, dense_copy(ctx.wm))]
+        np.testing.assert_array_equal(*verdicts)
+        assert 0 < verdicts[0].sum() < len(masks)
+
+    def test_rejects_a_stack_of_unequal_clamps(self, make_training):
+        wm = train(make_training(np.random.default_rng(103), 2, 6))
+        masks = np.zeros((2, 6), dtype=bool)
+        masks[0, :2] = masks[1, :3] = True
+        with pytest.raises(ValueError, match="equally many neurons"):
+            _reduced_solve(wm, masks, np.where(masks, 1.0, 0.0), 1.0)
 
 
 class TestActiveBlockSolve:
@@ -728,6 +804,21 @@ class TestActiveBlockSolve:
                 got = self.assert_matches_the_dense_a(quiet_assemble(wm, clamp, theta, gamma), mu)
                 assert got.kept <= d + l
 
+    def test_trained_store_enters_the_block_from_its_factor(self, make_training, make_clamp):
+        # the integer Gram X^T X/(M d) is written into A's active block: A is
+        # bit for bit the dense copy's, and no d x d W is derived on the store
+        rng = np.random.default_rng(104)
+        for _ in range(10):
+            d = int(rng.integers(2, 40))
+            wm = train(make_training(rng, int(rng.integers(1, 10)), d))
+            clamp = make_clamp(rng, d)
+            report = solve(quiet_assemble(wm, clamp), mu=0.1)
+            assert "w" not in vars(wm)
+            dense = dense_copy(wm)
+            np.testing.assert_array_equal(report.x, solve(quiet_assemble(dense, clamp), mu=0.1).x)
+            np.testing.assert_array_equal(quiet_assemble(wm, clamp).a,
+                                          quiet_assemble(dense, clamp).a)
+
     @pytest.mark.parametrize("known", [[4], [1, 4, 6]])
     def test_singular_blocks_at_zero_mu_match_the_dense_a(self, known):
         # The duplicated pattern of TestTrainedStore: W_UU has the eigenvalue
@@ -761,7 +852,8 @@ def test_truncated_solve_at_d1000_traces_less_than_the_dense_a():
 
 def test_recall_at_d2000_reads_no_matrix_larger_than_the_core(monkeypatch):
     """train plus a certified solve at d = 2000, M = 40: every numpy.linalg
-    call sees at most M x M, so neither a d x d eigensolve nor an LU of Q_UU runs."""
+    call sees at most M x M matrices, so neither a d x d eigensolve nor an LU
+    of Q_UU runs."""
     ts = synthetic_patterns(2000, 40, 0)
     known = np.sort(np.random.default_rng(0).choice(2000, size=200, replace=False))
     clamp = ClampSet.from_pattern(ts.patterns[0], tuple(int(i) + 1 for i in known))
@@ -773,7 +865,8 @@ def test_recall_at_d2000_reads_no_matrix_larger_than_the_core(monkeypatch):
 
     def recorder(fn):
         def wrapper(*args, **kwargs):
-            largest.append(max((max(np.shape(a)) for a in args if np.ndim(a) == 2), default=0))
+            largest.append(max((max(np.shape(a)[-2:]) for a in args if np.ndim(a) >= 2),
+                               default=0))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -783,7 +876,7 @@ def test_recall_at_d2000_reads_no_matrix_larger_than_the_core(monkeypatch):
     report = solve(assemble(train(ts), clamp))
     assert report.minimum_certified and report.rank_tol == 0.0
     np.testing.assert_allclose(report.x, x_ref, rtol=0.0, atol=1e-10)
-    assert largest and max(largest) <= 40
+    assert largest and 0 < max(largest) <= 40
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS")
