@@ -13,6 +13,7 @@ fixed formatting and is byte-identical across runs.
 """
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 from dataclasses import dataclass, replace
@@ -24,7 +25,8 @@ from .hebbian import WeightMatrix, train
 from .inversion import (_reduced_solve, _ridge_block, assemble, discretize, solve,
                         truncated_pseudoinverse_apply)
 from .iterative import FILLS, recall
-from .patterns import ClampSet, TrainingSet, _count, encode_rna, load_fasta, load_patterns
+from .patterns import (ClampSet, TrainingSet, _count, _UnknownBase, encode_rna, load_fasta,
+                       load_patterns)
 from .quantum.solver import qhop_recall, qhop_solve
 
 METHODS = ("iterative", "inversion", "quantum")
@@ -105,8 +107,9 @@ class GammaPoint:
     reps: int
 
 
+@functools.cache
 def fixture_path() -> str:
-    """Filesystem path of the bundled synthetic FASTA fixture."""
+    """Filesystem path of the bundled synthetic FASTA fixture, resolved on first call."""
     return str(resources.files("hopfieldkit") / "data" / "fixture.fasta")
 
 
@@ -117,7 +120,11 @@ def synthetic_patterns(d: int, m: int, seed: int) -> TrainingSet:
 
 
 def ingest(cfg: ExperimentConfig) -> TrainingSet:
-    """Load the configured training set (bundled fixture when data is None)."""
+    """Load the configured training set (bundled fixture when data is None).
+
+    FASTA records keep their first d/2 bases, and the M of them are
+    encoded as one string and split into rows.
+    """
     if cfg.data_format == "synthetic":
         return synthetic_patterns(cfg.d, cfg.m, cfg.seed)
     path = cfg.data if cfg.data is not None else fixture_path()
@@ -128,17 +135,21 @@ def ingest(cfg: ExperimentConfig) -> TrainingSet:
         if arr.shape[1] != cfg.d:
             raise ValueError(f"{path}: patterns have d={arr.shape[1]}, expected {cfg.d}")
         return TrainingSet(arr[: cfg.m])
-    records = load_fasta(path)
+    records = load_fasta(path)[: cfg.m]
     if len(records) < cfg.m:
         raise ValueError(f"{path}: found {len(records)} sequences, need m={cfg.m}")
     bases = cfg.d // 2
-    rows = []
-    for name, seq in records[: cfg.m]:
+    for name, seq in records:
         if len(seq) < bases:
             raise ValueError(f"{path}: sequence {name!r} has {len(seq)} bases, "
                              f"need at least {bases}")
-        rows.append(encode_rna(seq[:bases]))
-    return TrainingSet(np.array(rows))
+    try:
+        bits = encode_rna("".join(seq[:bases] for _, seq in records))
+    except _UnknownBase as exc:
+        record, pos = divmod(exc.index, bases)
+        raise ValueError(f"{path}: sequence {record + 1} ({records[record][0]!r}): unknown base "
+                         f"{exc.symbol!r} at position {pos + 1}") from None
+    return TrainingSet(bits.reshape(cfg.m, cfg.d))
 
 
 class _TrialContext:

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from hopfieldkit import ClampSet, TrainingSet, WeightMatrix
+from hopfieldkit import BASE_TO_BITS, ClampSet, TrainingSet, WeightMatrix
 
 
 @pytest.fixture
@@ -56,3 +56,14 @@ def make_clamp():
         return ClampSet(values)
 
     return _make
+
+
+@pytest.fixture
+def per_base_encoding():
+    """The reference RNA encoding: BASE_TO_BITS base by base, T read as U, either case."""
+
+    def _encode(seq):
+        return np.array([bit for ch in seq.upper() for bit in BASE_TO_BITS[ch.replace("T", "U")]],
+                        dtype=float)
+
+    return _encode

@@ -657,6 +657,18 @@ class TestFastaNeedsEvenD:
         assert not (tmp_path / "w.csv").exists()
 
 
+class TestUnknownBase:
+    def test_is_one_clean_error_line_naming_file_record_and_position(self, tmp_path, capsys):
+        path = tmp_path / "genome.fasta"
+        path.write_text(">seg1\nACGUACGU\n>seg2\nACGNACGU\n")
+        code = main(["experiment", "recovery-curve", "--data", str(path), "--d", "16",
+                     "--m", "2", "--l-grid", "1", "--reps", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: sequence 2 ('seg2'): unknown base 'N' at position 4\n"
+
+
 class TestMemoryErrors:
     @pytest.mark.parametrize("message,line", [
         ("", "error: out of memory\n"),

@@ -133,6 +133,31 @@ class TestIngest:
         with pytest.raises(ValueError, match="has 2 bases, need at least 3"):
             ingest(ExperimentConfig(l_grid=(1,), d=6, m=1, data=str(path)))
 
+    def test_unknown_base_names_file_record_and_position(self, tmp_path):
+        path = tmp_path / "toy.fasta"
+        path.write_text(">one\nACGUAC\n>two x\nACG\nU\u00dfCG\n>three\nnnnnnn\n")
+        with pytest.raises(ValueError) as exc:
+            ingest(ExperimentConfig(l_grid=(1,), d=12, m=2, data=str(path)))
+        assert str(exc.value) == f"{path}: sequence 2 ('two x'): unknown base '\u00df' at position 5"
+        path.write_text(">one\nACGUAC\n>two\nACGUAC\n>three\nACGuan\n")
+        with pytest.raises(ValueError) as exc:
+            ingest(ExperimentConfig(l_grid=(1,), d=12, m=3, data=str(path)))
+        assert str(exc.value) == f"{path}: sequence 3 ('three'): unknown base 'n' at position 6"
+        # a symbol past the d/2 bases each record keeps is not read
+        assert ingest(ExperimentConfig(l_grid=(1,), d=10, m=3, data=str(path))).m == 3
+
+    def test_genome_scale_fasta_matches_the_per_base_encoding(self, tmp_path, per_base_encoding):
+        # H1N1-genome size: 8 records of 13 500 bases, d = 27 000
+        rng = np.random.default_rng(11)
+        records = ["".join(rng.choice(list("ACGUTacgut"), size=13500)) for _ in range(8)]
+        path = tmp_path / "genome.fasta"
+        with open(path, "w") as fh:
+            for k, seq in enumerate(records):
+                fh.write(f">segment {k + 1}\n")
+                fh.writelines(seq[i:i + 60] + "\n" for i in range(0, len(seq), 60))
+        ts = ingest(ExperimentConfig(l_grid=(1,), d=27000, m=8, data=str(path)))
+        np.testing.assert_array_equal(ts.patterns, [per_base_encoding(seq) for seq in records])
+
     def test_pattern_file_round_trip(self, tmp_path):
         path = tmp_path / "toy.txt"
         path.write_text("+1 -1\n-1 -1\n")

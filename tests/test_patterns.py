@@ -97,6 +97,41 @@ class TestEncodeRna:
     def test_base_map_is_injective(self):
         assert len(set(BASE_TO_BITS.values())) == 4
 
+    def test_random_sequences_match_the_per_base_map(self, per_base_encoding):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 60, 1000):
+            seq = "".join(rng.choice(list("ACGUTacgut"), size=n))
+            np.testing.assert_array_equal(encode_rna(seq), per_base_encoding(seq))
+
+    def test_output_is_float64_of_two_entries_per_base(self):
+        for n in (1, 3, 50):
+            x = encode_rna("GuT" * n)
+            assert x.dtype == np.float64
+            assert x.shape == (6 * n,)
+
+    def test_every_other_ascii_byte_is_rejected_at_its_position(self):
+        bases = set("ACGUTacgut")
+        for code in range(128):
+            symbol = chr(code)
+            if symbol in bases:
+                continue
+            with pytest.raises(ValueError) as exc:
+                encode_rna("ACG" + symbol + "N")
+            assert str(exc.value) == f"unknown base {symbol!r} at position 4"
+
+    @pytest.mark.parametrize("seq,message", [
+        ("A\u00dfC", "unknown base '\u00df' at position 2"),
+        ("\u00e9\u00e9", "unknown base '\u00e9' at position 1"),
+        ("ACN\u00dfC", "unknown base 'N' at position 3"),
+        ("AC\u00dfNC", "unknown base '\u00df' at position 3"),
+        ("GG\U0001f9ecU", "unknown base '\U0001f9ec' at position 3"),
+        ("AC\udcffG", "unknown base '\\udcff' at position 3"),  # a lone surrogate
+    ])
+    def test_non_ascii_symbol_is_rejected_as_written_at_its_position(self, seq, message):
+        with pytest.raises(ValueError) as exc:
+            encode_rna(seq)
+        assert str(exc.value) == message
+
 
 class TestTrainingSet:
     def test_shape_accessors(self):
