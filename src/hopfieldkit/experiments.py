@@ -63,16 +63,12 @@ class ExperimentConfig:
     t_qubits: int = 9
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if self.m < 1 or self.reps < 1:
-            raise ValueError("m and reps must be >= 1")
+        for name, low in (("d", 2), ("m", 1), ("reps", 1), ("t_qubits", 1), ("max_sweeps", 1)):
+            _count(getattr(self, name), name, low)
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
         if not 0 <= self.mu < np.inf:
             raise ValueError("mu must be >= 0 and finite")
-        for name, low in (("d", 2), ("m", 1), ("reps", 1), ("t_qubits", 1), ("max_sweeps", 1)):
-            _count(getattr(self, name), name, low)
         if self.fill not in FILLS:
             raise ValueError(f"fill must be one of {FILLS}")
         if self.method not in METHODS:
@@ -190,9 +186,9 @@ def _inversion_recover(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
         x, fallback = np.empty(masks.shape), range(len(masks))
     d = ctx.ts.d
     for i in fallback:
-        active, _ = _ridge_block(ctx.wm, masks[i], cfg.gamma)
+        block, _ = _ridge_block(ctx.wm, masks[i], cfg.gamma)
         rhs = np.concatenate([np.zeros(d), ctx.target[masks[i]]])  # (theta = 0; x_inc on K)
-        x[i] = truncated_pseudoinverse_apply(active, rhs, cfg.mu)[0][:d]
+        x[i] = truncated_pseudoinverse_apply(block, rhs, cfg.mu)[0][:d]
     return x
 
 
@@ -325,11 +321,9 @@ def run_quantum_crosscheck(d: int = 2, n_seeds: int = 10, gamma: float = 1.0,
     block post-selection probability lands within 0.02 of
     |x|^2 / (|x|^2 + |lambda|^2), and the phase grid resolves mu.
     """
-    if not 1 <= d <= 4:
-        raise ValueError(f"cross-check is desk-scale only (1 <= d <= 4), got d={d}")
-    if n_seeds < 1:
-        raise ValueError("n_seeds must be >= 1")
     d, n_seeds = _count(d, "d"), _count(n_seeds, "n_seeds")
+    if d > 4:
+        raise ValueError(f"cross-check is desk-scale only (1 <= d <= 4), got d={d}")
     rows = []
     for s in range(n_seeds):
         rng = np.random.default_rng([seed, s, 0xC4EC])

@@ -14,7 +14,8 @@ its factor: |W| comes from the eigenvalues of the smaller of the Gram
 matrices X X^T and X^T X, with no d x d eigensolve. The mu = 0 inversion
 recall and the perturbed solve work on an M x M core built from X, and
 the iterative recall on the M exact integers X x; the mu > 0 and singular
-fallbacks write X^T X/(M d) straight into their saddle block. The dense W
+fallbacks, and quantum reference mode from a TrainingSet's patterns, write
+X^T X/(M d) straight into the one saddle block. The dense W
 is derived from X on its first read and cached on the store, so a store
 of d neurons costs M d floats until something reads W; of the library,
 only the matrix CSV does. A hand-built WeightMatrix(w) has no factor; it
@@ -145,26 +146,30 @@ def train(ts: TrainingSet) -> WeightMatrix:
     return wm
 
 
+def _patterns_of(source: TrainingSet | WeightMatrix) -> np.ndarray | None:
+    """The (M, d) patterns X of a TrainingSet or a store train built; None for a hand-built W."""
+    if isinstance(source, TrainingSet):
+        return source.patterns
+    if isinstance(source, WeightMatrix):
+        return source.factor
+    raise TypeError("expected a TrainingSet or WeightMatrix")
+
+
 def density(source: TrainingSet | WeightMatrix) -> DensityMatrix:
     """Density matrix rho = W + I/d of the normalized stored patterns.
 
     From a TrainingSet, or a WeightMatrix that train built, rho = X^T X/(M d)
     is built from the patterns alone, bit for bit the W + I/d of train (the
-    diagonal M/(M d) rounds as 1/d does); a TrainingSet builds it once and
-    keeps it. It is a valid density matrix by construction, so, as in
-    train, the dense checks are skipped and W is not derived. A hand-built
-    W gives W + I/d, checked.
+    diagonal M/(M d) rounds as 1/d does). It is a valid density matrix by
+    construction, so, as in train, the dense checks are skipped and W is
+    not derived. A hand-built W gives W + I/d, checked.
     """
-    if isinstance(source, TrainingSet):
-        rho = source._rho
-    elif isinstance(source, WeightMatrix):
-        if source.factor is None:
-            d = source.d
-            return DensityMatrix(source.w + np.eye(d) / d)
-        rho = _pattern_gram(source.factor)
-        rho.setflags(write=False)
-    else:
-        raise TypeError("density expects a TrainingSet or WeightMatrix")
+    x = _patterns_of(source)
+    if x is None:
+        d = source.d
+        return DensityMatrix(source.w + np.eye(d) / d)
+    rho = _pattern_gram(x)
+    rho.setflags(write=False)
     dm = object.__new__(DensityMatrix)
     object.__setattr__(dm, "rho", rho)
     return dm

@@ -9,8 +9,10 @@ Its stationarity conditions form one symmetric linear system
 
     A (x; lam) = (theta; x_inc),   A = [[W - gamma I, P], [P, 0]].
 
-A LinearSystem records the instance (W, the clamp, gamma, theta); only
-_saddle_block lays A out, and no solve reads the dense A. With mu = 0 the
+A LinearSystem records the instance (W, the clamp, gamma, theta). No code
+lays out the dense 2d-square A: _ridge_block, the one builder, writes its
+(d + l)-square active block, which the truncated solve below and quantum
+reference mode both eigendecompose. With mu = 0 the
 clamped block is eliminated: x_K = x_inc fixes the known neurons,
 Q_UU x_U = -(theta_U + Q_UK x_K) with Q = gamma I - W gives the unclamped
 set U, and the multipliers follow from the clamped rows. One kernel,
@@ -55,8 +57,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .hebbian import WeightMatrix, spectral_norm
-from .patterns import ClampSet, as_thresholds
+from .hebbian import WeightMatrix, _patterns_of, spectral_norm
+from .patterns import ClampSet, TrainingSet, as_thresholds
 
 RANK_TOL_FACTOR = 1e-10  # relative eigenvalue cutoff treated as exact rank deficiency
 TIE_TOL_FACTOR = 1e-10  # components this close to zero, relative to max(1, |x|_inf), are ties
@@ -66,9 +68,10 @@ TIE_TOL_FACTOR = 1e-10  # components this close to zero, relative to max(1, |x|_
 class LinearSystem:
     """One recall instance: couplings wm, clamp, ridge gamma and thresholds theta.
 
-    The saddle-point system A v = rhs it defines, with
-    A = [[W - gamma I, P], [P, 0]] and rhs = (theta; x_inc), is derived on
-    first read and kept read-only; a is the tests' oracle, and no solve reads it.
+    It defines the saddle-point system A v = rhs with
+    A = [[W - gamma I, P], [P, 0]] and rhs = (theta; x_inc). rhs is derived
+    on first read and kept read-only; A is never laid out whole, only its
+    active block, by _ridge_block.
     """
 
     wm: WeightMatrix
@@ -91,53 +94,38 @@ class LinearSystem:
         return self.clamp.d
 
     @cached_property
-    def a(self) -> np.ndarray:
-        return _saddle(*_ridge_block(self.wm, self.clamp.mask(), self.gamma), self.d)
-
-    @cached_property
     def rhs(self) -> np.ndarray:
         rhs = np.concatenate([self.theta, self.clamp.values])
         rhs.setflags(write=False)
         return rhs
 
 
-def _saddle_block(n: int, known) -> tuple[np.ndarray, np.ndarray]:
-    """A's active block [[top, E], [E^T, 0]] and its indices into A = [[top, P], [P, 0]].
+def _ridge_block(source: WeightMatrix | TrainingSet, known,
+                 gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """A's active block [[W - gamma I, E], [E^T, 0]] and its indices into A.
 
-    The n-square top is left zero for the caller to write. P projects onto
-    known, which may stop short of top's last rows, and E is its clamped
-    columns. A is zero on the unclamped multipliers: no solve inverts them.
+    A = [[W - gamma I, P], [P, 0]]: P projects onto known, and E is its
+    clamped columns. A is zero on the unclamped multipliers, which no
+    solve inverts, so the block holds the other d + l rows. W's diagonal
+    is exactly zero, so -gamma replaces it. A TrainingSet, or a
+    WeightMatrix that train built, writes W from its patterns X as the
+    integer Gram X^T X/(M d), summed exactly, so no d x d W is derived or
+    kept on the store; a hand-built W is copied in.
     """
+    x = _patterns_of(source)
+    d = source.d
     ks = np.flatnonzero(known)
-    multipliers = n + np.arange(ks.size)
-    block = np.zeros((n + ks.size, n + ks.size))
-    block[ks, multipliers] = block[multipliers, ks] = 1.0
-    return block, np.concatenate([np.arange(n), n + ks])
-
-
-def _ridge_block(wm: WeightMatrix, known, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """_saddle_block with top = W - gamma I; W's diagonal is exactly zero, so -gamma replaces it.
-
-    A trained W is written from its factor as the integer Gram X^T X/(M d),
-    summed exactly, so no d x d W is derived or kept on the store.
-    """
-    block, active = _saddle_block(wm.d, known)
-    top = block[:wm.d, :wm.d]
-    if wm.factor is None:
-        top[...] = wm.w
+    multipliers = d + np.arange(ks.size)
+    block = np.zeros((d + ks.size, d + ks.size))
+    top = block[:d, :d]
+    if x is None:
+        top[...] = source.w
     else:
-        np.matmul(wm.factor.T, wm.factor, out=top)
-        top /= wm.factor.size
+        np.matmul(x.T, x, out=top)
+        top /= x.size
     np.fill_diagonal(top, -gamma)
-    return block, active
-
-
-def _saddle(block, active, n: int) -> np.ndarray:
-    """The read-only dense 2n-square A of an active block: block on its active rows and columns."""
-    a = np.zeros((2 * n, 2 * n))
-    a[np.ix_(active, active)] = block
-    a.setflags(write=False)
-    return a
+    block[ks, multipliers] = block[multipliers, ks] = 1.0
+    return block, np.concatenate([np.arange(d), d + ks])
 
 
 @dataclass(frozen=True)
@@ -187,7 +175,7 @@ def truncated_pseudoinverse_apply(a, w, mu: float):
     if not 0 <= mu < np.inf:
         raise ValueError("mu must be >= 0 and finite")
     eigs, vecs = np.linalg.eigh(a)
-    rank_tol = _rank_floor(eigs)
+    rank_tol = float(_rank_floor(eigs))
     beta = vecs.T @ w
 
     def apply_cut(cut):
@@ -202,11 +190,9 @@ def truncated_pseudoinverse_apply(a, w, mu: float):
     return v, eta, kept, rank_tol
 
 
-def _rank_floor(eigs: np.ndarray) -> float:
-    """RANK_TOL_FACTOR * max|eigs|, read from the ends of a sorted spectrum; 0 if empty."""
-    if not eigs.size:
-        return 0.0
-    return RANK_TOL_FACTOR * max(abs(float(eigs[0])), abs(float(eigs[-1])))
+def _rank_floor(eigs: np.ndarray) -> np.ndarray:
+    """RANK_TOL_FACTOR * max|eigs| over the last axis: the module rule's floor, 0 if empty."""
+    return RANK_TOL_FACTOR * np.maximum.reduce(np.abs(eigs), axis=-1, initial=0.0)
 
 
 def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
@@ -275,22 +261,18 @@ class _SpectralBlock:
     """A stack of Q_UU, one per clamp, each taken apart by one eigendecomposition.
 
     eigs is the (R, n) stack of decomposed spectra, each sorted either way.
-    The rule of the module notes, row by row: with floor = RANK_TOL_FACTOR *
-    max|eigs|, a block is singular when some |eig| <= floor and positive
+    The rule of the module notes, row by row: with floor = _rank_floor of
+    the row, a block is singular when some |eig| <= floor and positive
     definite when min(eigs) > floor. An empty spectrum (nothing unclamped)
-    counts as definite and not singular. u is |U|, shared by every row.
+    has floor 0 and counts as definite and not singular. u is |U|, shared
+    by every row.
     """
 
     def _decide(self, eigs: np.ndarray) -> None:
         self.eigs = eigs
-        if not eigs.shape[1]:
-            self.singular = np.zeros(len(eigs), dtype=bool)
-            self.definite = np.ones(len(eigs), dtype=bool)
-            return
-        size = np.abs(eigs)
-        floor = RANK_TOL_FACTOR * np.maximum(size[:, 0], size[:, -1])  # sorted: ends are extremes
-        self.singular = np.minimum.reduce(size, axis=1) <= floor
-        self.definite = np.minimum(eigs[:, 0], eigs[:, -1]) > floor
+        floor = _rank_floor(eigs)
+        self.singular = np.minimum.reduce(np.abs(eigs), axis=1, initial=np.inf) <= floor
+        self.definite = np.minimum.reduce(eigs, axis=1, initial=np.inf) > floor
 
     def _inverse(self, r: np.ndarray) -> np.ndarray:
         """Each row of r under its block's inverse, by the eigenpairs; zero on singular rows."""

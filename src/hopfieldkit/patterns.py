@@ -8,7 +8,6 @@ ClampSet.from_pattern takes indices, and they are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -90,14 +89,6 @@ class TrainingSet:
     @property
     def d(self) -> int:
         return self.patterns.shape[1]
-
-    @cached_property
-    def _rho(self) -> np.ndarray:
-        """X^T X/(M d), the patterns' density matrix: read-only, built on first read
-        and cached on this set, so every recall from one store shares it."""
-        rho = _pattern_gram(self.patterns)
-        rho.setflags(write=False)
-        return rho
 
 
 @dataclass(frozen=True)

@@ -6,25 +6,23 @@ exponentiated exactly, e^{-i P dt} = I + (e^{-i dt} - 1) P for a rank-1
 projector P, so the only approximation in the product formula is the
 splitting itself.
 
-BlockSplitEvolution holds the padded saddle-point matrix A of one recall
-and evolves it as the circuit does, through the hardware-oriented split
-A = B + C + D: B holds the off-diagonal projector blocks (1-sparse),
-C = -gamma' I on the top block with gamma' = gamma + 1/d, and D places
-the pattern density matrix rho on the top block, conditioned on the
-leading qubit. B and C exponentiate in closed form; D uses the
-conditional pattern-product formula. A is zero outside its active block
-(the top block and the clamped multipliers), which inversion._saddle_block
-builds without the dense A; the solver's closed form reads its eigenpairs.
+BlockSplitEvolution evolves one recall's padded saddle-point matrix A as
+the circuit does, through the hardware-oriented split A = B + C + D: B
+holds the off-diagonal projector blocks (1-sparse), C = -gamma' I on the
+top block with gamma' = gamma + 1/d, and D places the pattern density
+matrix rho on the top block, conditioned on the leading qubit. B and C
+exponentiate in closed form; D uses the conditional pattern-product
+formula. No dense A is built: rho - gamma' I is W - gamma I, so the
+solver's closed form reads the eigenpairs of inversion._ridge_block's
+unpadded (d + l)-square block, and the padding rows, decoupled -gamma'
+rows that |w> leaves empty, drop out of it.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from ..hebbian import density
-from ..inversion import _saddle, _saddle_block
 from ..patterns import ClampSet, TrainingSet
 from .register import _pad, qubits_for
 
@@ -127,12 +125,10 @@ def pattern_product_unitary(ts: TrainingSet, t: float, n: int) -> np.ndarray:
 
 
 class BlockSplitEvolution:
-    """The padded saddle-point matrix A of one recall, and e^{i A t} by the B + C + D split.
+    """e^{i A t} by the B + C + D split, for the padded saddle-point matrix A of one recall.
 
-    A is zero outside its active block, the top d_pad coordinates and the
-    clamped multipliers: active_block() gives that block and its indices
-    into A from inversion._saddle_block, without the dense A. a, the dense
-    padded A, is its scatter, built on first read.
+    A = [[rho - gamma' I, P], [P, 0]] on 2 d_pad amplitudes; its padding
+    rows are never clamped. The split is its only representation.
 
     Calling it with t gives the plain first-order product U_B(h) U_C(h)
     U_D(h), h = t / n, with U_D realized by one pass of the conditional
@@ -159,24 +155,6 @@ class BlockSplitEvolution:
         self.dim = 2 * self.d_pad
         self.spectral_bound = float(gamma) + 2.0
         self._known = clamp.mask()  # over the first d rows; the padding is never clamped
-
-    def _top(self) -> np.ndarray:
-        """rho - gamma' I on the padded top block."""
-        dp, d = self.d_pad, self.d
-        top = -self.gamma_prime * np.eye(dp)
-        top[:d, :d] += density(self._ts).rho
-        return top
-
-    def active_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A[active, active], active) by inversion._saddle_block on the padded top block."""
-        block, active = _saddle_block(self.d_pad, self._known)
-        block[:self.d_pad, :self.d_pad] = self._top()
-        return block, active
-
-    @functools.cached_property
-    def a(self) -> np.ndarray:
-        """Dense padded A, active_block() scattered: the tests' oracle, read by no library code."""
-        return _saddle(*self.active_block(), self.d_pad)
 
     def _u_b(self, t: float) -> np.ndarray:
         u = np.eye(self.dim, dtype=complex)

@@ -11,12 +11,15 @@ on the leading system qubit isolates |x>.
 Both modes build the instance with assemble_quantum_a. Trotter mode
 simulates that circuit with dense powers of U(t0), the evolution's
 B + C + D product formula. Reference mode evaluates it in closed form, as
-a spectral filter on the eigenpairs (lambda_k, v_k) of A's active block,
-which inversion._saddle_block builds as for the classical truncated solve
+a spectral filter on the eigenpairs (lambda_k, v_k) of A's unpadded
+(d + l)-square active block, written from the store's patterns by
+inversion._ridge_block, the builder of the classical truncated solve
 (Harrow, Hassidim and Lloyd, PRL 103, 150502, 2009): with w_k = v_k^T |w>
 and F[c, k] the Fejer-kernel weight of eigenphase lambda_k t0 in bin c,
 bin c holds sum_k F[c, k] w_k^2, and the phase-zero branch is
-sum_k f_k w_k v_k with f_k = sum_c r_c F[c, k].
+sum_k f_k w_k v_k with f_k = sum_c r_c F[c, k]. The register's padding
+rows are decoupled -gamma' rows on which |w> is zero, so the filter gives
+them no weight and the unpadded block is the same computation.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..inversion import discretize
+from ..inversion import _ridge_block, discretize
 from ..patterns import ClampSet, _count
 from .evolution import assemble_quantum_a
 from .phase import _bin_weights, bin_eigenvalues, controlled_powers, qpe_backward, qpe_forward
@@ -152,7 +155,8 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
         s = qpe_forward(powers, psi)
         bin_probs = np.sum(np.abs(s) ** 2, axis=1)
     else:
-        block, active = evolve.active_block()
+        block, active = _ridge_block(source, clamp.mask(), evolve.gamma)
+        active[clamp.d:] += evolve.d_pad - clamp.d  # multiplier d + k sits at d_pad + k
         eigs, vecs = np.linalg.eigh(block)
         w = vecs.T @ psi[active].real
         weights = _bin_weights(eigs * t0, t_qubits)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from dense_saddle import dense_a
+
 from hopfieldkit.experiments import (
     ExperimentConfig,
     ingest,
@@ -122,12 +124,12 @@ def test_solver_satisfies_constraints_and_matches_pseudoinverse_oracle(
         np.testing.assert_allclose(report.x[mask], clamp.values[mask],
                                    atol=1e-8)
         vec = np.concatenate([report.x, report.lam])
-        np.testing.assert_allclose(ls.a @ vec, ls.rhs, atol=1e-8)
+        np.testing.assert_allclose(dense_a(ls) @ vec, ls.rhs, atol=1e-8)
     for _ in range(60):
         d = int(rng.integers(2, 7))
         ls = assemble(make_weights(rng, d), make_clamp(rng, d), gamma=1.1)
         report = solve(ls, mu=0.0)
-        oracle = np.linalg.pinv(ls.a, rcond=1e-10) @ ls.rhs
+        oracle = np.linalg.pinv(dense_a(ls), rcond=1e-10) @ ls.rhs
         np.testing.assert_allclose(report.x, oracle[:d], atol=1e-8)
 
 
@@ -155,15 +157,16 @@ def test_truncation_error_is_zero_below_the_spectrum_and_monotone(
     for _ in range(50):
         d = int(rng.integers(2, 13))
         ls = assemble(make_weights(rng, d), make_clamp(rng, d), gamma=1.3)
-        _, eta0, _, rank_tol = truncated_pseudoinverse_apply(ls.a, ls.rhs, 0.0)
+        a = dense_a(ls)
+        _, eta0, _, rank_tol = truncated_pseudoinverse_apply(a, ls.rhs, 0.0)
         assert eta0 == 0.0
         # same eigh call as the implementation, so the boundary mu == smallest
         # compares bit-identical floats
-        magnitudes = np.abs(np.linalg.eigh(ls.a)[0])
+        magnitudes = np.abs(np.linalg.eigh(a)[0])
         smallest = float(magnitudes[magnitudes >= rank_tol].min())
         for mu in (0.5 * smallest, 0.9 * smallest, smallest):
-            assert truncated_pseudoinverse_apply(ls.a, ls.rhs, mu)[1] == 0.0
-        etas = [truncated_pseudoinverse_apply(ls.a, ls.rhs, mu)[1]
+            assert truncated_pseudoinverse_apply(a, ls.rhs, mu)[1] == 0.0
+        etas = [truncated_pseudoinverse_apply(a, ls.rhs, mu)[1]
                 for mu in smallest * np.array([0.0, 0.5, 1.1, 2.0, 5.0, 20.0])]
         assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
 

@@ -619,14 +619,15 @@ class TestNonFiniteParameters:
         (["experiment", "gamma-sweep", "--gamma-grid", "1,nan"], "gamma grid must be non-empty"),
         (["qcheck", "--gamma", "nan"], "gamma must be positive"),
         (["qcheck", "--mu", "inf"], "mu must be >= 0"),
-        (["qcheck", "--seeds", "0"], "n_seeds must be >= 1"),
+        (["qcheck", "--seeds", "0"], "n_seeds must be an integer >= 1"),
         (["recall", "--method", "quantum", "--t-phase", "0"], "t_qubits must be an integer >= 1"),
         (["recall", "--method", "quantum", "--t-phase", "-1"], "t_qubits must be an integer >= 1"),
         (["qcheck", "--t-phase", "0"], "t_qubits must be an integer >= 1"),
         (["experiment", "recovery-curve", "--method", "quantum", "--t-phase", "0"],
          "t_qubits must be an integer >= 1"),
-        (["qcheck", "--d", "0"], "cross-check is desk-scale only"),
-        (["qcheck", "--d", "-1"], "cross-check is desk-scale only"),
+        (["qcheck", "--d", "0"], "d must be an integer >= 1"),
+        (["qcheck", "--d", "-1"], "d must be an integer >= 1"),
+        (["qcheck", "--d", "5"], "cross-check is desk-scale only"),
     ])
     def test_exit_with_a_clean_error_line(self, tmp_path, capsys, args, message):
         if args[0] == "recall":

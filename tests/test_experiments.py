@@ -40,9 +40,9 @@ def small_cfg(**kwargs):
 
 class TestExperimentConfig:
     @pytest.mark.parametrize("field,value,message", [
-        ("d", 1, "d must be >= 2"),
-        ("m", 0, "m and reps"),
-        ("reps", 0, "m and reps"),
+        ("d", 1, "d must be an integer >= 2"),
+        ("m", 0, "m must be an integer >= 1"),
+        ("reps", 0, "reps must be an integer >= 1"),
         ("gamma", 0.0, "gamma must be positive"),
         ("gamma", float("nan"), "gamma must be positive"),
         ("gamma", float("inf"), "gamma must be positive"),
@@ -65,6 +65,9 @@ class TestExperimentConfig:
         ("max_sweeps", True, "max_sweeps must be an integer >= 1"),
         ("l_grid", (2.7,), "l grid value must be an integer >= 1"),
         ("l_grid", (3, True), "l grid value must be an integer >= 1"),
+        ("d", "5", "d must be an integer >= 2"),
+        ("d", None, "d must be an integer >= 2"),
+        ("m", "2", "m must be an integer >= 1"),
     ])
     def test_field_validation(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -466,11 +469,14 @@ class TestQuantumCrosscheck:
             run_quantum_crosscheck(d=8)
 
     @pytest.mark.parametrize("kwargs,message", [
-        (dict(n_seeds=0), "n_seeds must be >= 1"),
+        (dict(n_seeds=0), "n_seeds must be an integer >= 1"),
         (dict(gamma=float("nan")), "gamma must be positive"),
         (dict(mu=float("nan")), "mu must be >= 0"),
         (dict(mu=float("inf")), "mu must be >= 0"),
         (dict(mu=0.0), "mu must be positive"),
+        (dict(n_seeds="3"), "n_seeds must be an integer >= 1"),
+        (dict(d="3"), "d must be an integer >= 1"),
+        (dict(d=0), "d must be an integer >= 1"),
     ])
     def test_rejects_bad_parameters(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -219,12 +219,6 @@ class TestDensity:
             # the hand-built path: W + I/d, checked as a DensityMatrix
             np.testing.assert_array_equal(rho, density(WeightMatrix(wm.w)).rho)
 
-    def test_a_training_set_builds_it_once(self, make_training):
-        ts = make_training(np.random.default_rng(36), 3, 10)
-        rho = density(ts).rho
-        assert density(ts).rho is rho
-        assert not rho.flags.writeable
-
     def test_accepts_weight_matrix_input(self):
         ts = TrainingSet([[1.0, 1.0]])
         np.testing.assert_allclose(density(train(ts)).rho, density(ts).rho,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import hopfieldkit
+from dense_saddle import dense_a
 from hopfieldkit import experiments
 from hopfieldkit.experiments import ExperimentConfig, ingest, synthetic_patterns
 from hopfieldkit.hebbian import WeightMatrix, spectral_norm, train
@@ -24,6 +25,7 @@ from hopfieldkit.inversion import (
     truncated_pseudoinverse_apply,
 )
 from hopfieldkit.inversion import _reduced_solve  # the mu = 0 kernel, stacked
+from hopfieldkit.inversion import _ridge_block  # the one builder of A's active block
 from hopfieldkit.patterns import ClampSet, TrainingSet, as_thresholds
 
 try:
@@ -41,15 +43,18 @@ class TestAssemble:
             [1.0, 0.0, 0.0, 0.0],
             [0.0, 0.0, 0.0, 0.0],
         ])
-        np.testing.assert_array_equal(sys.a, expected_a)
+        np.testing.assert_array_equal(dense_a(sys), expected_a)
+        block, active = _ridge_block(worked_wm, worked_clamp.mask(), 1.0)
+        np.testing.assert_array_equal(active, [0, 1, 2])
+        np.testing.assert_array_equal(block, expected_a[np.ix_(active, active)])
         np.testing.assert_array_equal(sys.rhs, [0.0, 0.0, 1.0, 0.0])
         assert sys.gamma == 1.0
 
     def test_zero_couplings_top_block_is_negative_identity(self):
         wm = WeightMatrix(np.zeros((3, 3)))
         clamp = ClampSet(np.array([1.0, 1.0, 0.0]))
-        sys = assemble(wm, clamp, gamma=1.0)
-        np.testing.assert_array_equal(sys.a[:3, :3], -np.eye(3))
+        block, _ = _ridge_block(wm, clamp.mask(), 1.0)
+        np.testing.assert_array_equal(block[:3, :3], -np.eye(3))
 
     def test_system_is_symmetric_on_random_instances(self, make_weights, make_clamp):
         rng = np.random.default_rng(71)
@@ -57,14 +62,34 @@ class TestAssemble:
             d = int(rng.integers(2, 12))
             sys = assemble(make_weights(rng, d), make_clamp(rng, d),
                            rng.normal(size=d), gamma=1.5)
-            np.testing.assert_array_equal(sys.a, sys.a.T)
+            block, _ = _ridge_block(sys.wm, sys.clamp.mask(), sys.gamma)
+            np.testing.assert_array_equal(block, block.T)
 
     def test_norm_bounded_by_gamma_plus_two(self, make_weights, make_clamp):
         rng = np.random.default_rng(72)
         for gamma in (1.0, 2.5):
             d = int(rng.integers(2, 10))
             sys = assemble(make_weights(rng, d), make_clamp(rng, d), gamma=gamma)
-            assert np.max(np.abs(np.linalg.eigvalsh(sys.a))) <= gamma + 2.0
+            block, _ = _ridge_block(sys.wm, sys.clamp.mask(), sys.gamma)
+            assert np.max(np.abs(np.linalg.eigvalsh(block))) <= gamma + 2.0
+
+    @pytest.mark.parametrize("store", ["trained", "hand-built"])
+    def test_active_block_is_the_slice_of_the_dense_a(self, make_training, make_weights,
+                                                      make_clamp, store):
+        # A is zero off the block's indices: the unclamped multipliers
+        rng = np.random.default_rng([79, len(store)])
+        for _ in range(20):
+            d = int(rng.integers(2, 30))
+            wm = (make_weights(rng, d) if store == "hand-built"
+                  else train(make_training(rng, int(rng.integers(1, 8)), d)))
+            clamp = make_clamp(rng, d, l=int(rng.integers(1, d + 1)))
+            gamma = float(rng.choice([0.3, 1.0, 1.5]))
+            a = dense_a(quiet_assemble(wm, clamp, gamma=gamma))
+            block, active = _ridge_block(wm, clamp.mask(), gamma)
+            np.testing.assert_array_equal(block, a[np.ix_(active, active)])
+            rest = np.setdiff1d(np.arange(2 * d), active)
+            np.testing.assert_array_equal(active[d:], d + np.flatnonzero(clamp.mask()))
+            np.testing.assert_array_equal(a[rest], 0.0)
 
     def test_warns_when_gamma_does_not_dominate_couplings(self, worked_wm,
                                                           worked_clamp):
@@ -107,10 +132,9 @@ class TestAssemble:
     def test_system_blocks_are_derived_on_first_read(self, worked_wm, worked_clamp):
         sys = LinearSystem(worked_wm, worked_clamp, 1.0, np.array([0.25, -0.5]))
         assert solve(sys).minimum_certified
-        assert "a" not in vars(sys) and "rhs" not in vars(sys)
+        assert "rhs" not in vars(sys)
         np.testing.assert_array_equal(sys.rhs, [0.25, -0.5, 1.0, 0.0])
-        assert sys.a is sys.a
-        for block in (sys.a, sys.rhs, sys.theta):
+        for block in (sys.rhs, sys.theta):
             assert not block.flags.writeable
 
     def test_linear_system_keeps_the_coupling_matrix(self, make_weights, make_clamp):
@@ -148,9 +172,10 @@ class TestTruncatedPseudoinverse:
             d = int(rng.integers(2, 9))
             sys = assemble(make_weights(rng, d), make_clamp(rng, d),
                            rng.normal(size=d), gamma=1.2)
-            eigs = np.abs(np.linalg.eigvalsh(sys.a))
+            a = dense_a(sys)
+            eigs = np.abs(np.linalg.eigvalsh(a))
             smallest = eigs[eigs > 1e-9].min()
-            _, eta, _, _ = truncated_pseudoinverse_apply(sys.a, sys.rhs,
+            _, eta, _, _ = truncated_pseudoinverse_apply(a, sys.rhs,
                                                          mu=0.9 * smallest)
             assert eta == 0.0
 
@@ -160,7 +185,8 @@ class TestTruncatedPseudoinverse:
             d = int(rng.integers(2, 9))
             sys = assemble(make_weights(rng, d), make_clamp(rng, d),
                            rng.normal(size=d), gamma=1.2)
-            etas = [truncated_pseudoinverse_apply(sys.a, sys.rhs, mu)[1]
+            a = dense_a(sys)
+            etas = [truncated_pseudoinverse_apply(a, sys.rhs, mu)[1]
                     for mu in (0.0, 0.05, 0.2, 0.5, 1.0, 2.0)]
             assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
 
@@ -185,7 +211,7 @@ class TestSolve:
                                                             worked_clamp):
         sys = assemble(worked_wm, worked_clamp, gamma=1.0)
         report = solve(sys)
-        dense, _, kept, _ = truncated_pseudoinverse_apply(sys.a, sys.rhs, 0.0)
+        dense, _, kept, _ = truncated_pseudoinverse_apply(dense_a(sys), sys.rhs, 0.0)
         np.testing.assert_allclose(report.x, dense[:2], atol=1e-10)
         np.testing.assert_allclose(report.lam, dense[2:], atol=1e-10)
         assert report.kept == kept == 3
@@ -197,7 +223,7 @@ class TestSolve:
             sys = assemble(make_weights(rng, d), make_clamp(rng, d),
                            rng.normal(size=d), gamma=1.3)
             report = solve(sys)
-            dense = truncated_pseudoinverse_apply(sys.a, sys.rhs, 0.0)[0]
+            dense = truncated_pseudoinverse_apply(dense_a(sys), sys.rhs, 0.0)[0]
             np.testing.assert_allclose(report.x, dense[:d], atol=1e-8)
             np.testing.assert_allclose(report.lam, dense[d:], atol=1e-8)
 
@@ -251,7 +277,7 @@ class TestSolve:
         assert report.kept == 5 + 1 - 2
         assert report.rank_tol > 0.0
         assert not report.minimum_certified
-        oracle = np.linalg.pinv(sys.a, rcond=1e-10) @ sys.rhs
+        oracle = np.linalg.pinv(dense_a(sys), rcond=1e-10) @ sys.rhs
         np.testing.assert_allclose(np.concatenate([report.x, report.lam]), oracle,
                                    atol=1e-8)
 
@@ -262,7 +288,7 @@ class TestSolve:
             sys = assemble(make_weights(rng, d), make_clamp(rng, d),
                            rng.normal(size=d), gamma=1.1)
             report = solve(sys)
-            oracle = np.linalg.pinv(sys.a, rcond=1e-10) @ sys.rhs
+            oracle = np.linalg.pinv(dense_a(sys), rcond=1e-10) @ sys.rhs
             np.testing.assert_allclose(np.concatenate([report.x, report.lam]),
                                        oracle, atol=1e-8)
 
@@ -297,7 +323,6 @@ class TestSolve:
         for mu in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="mu must be >= 0 and finite"):
                 solve(sys, mu=mu)
-        assert "a" not in vars(sys)
 
 
 class TestDiscretize:
@@ -575,7 +600,7 @@ class TestTrainedStore:
         report = solve(sys)
         assert report.rank_tol > 0.0 and report.kept == 8 + 3 - 1
         assert not report.minimum_certified
-        oracle = np.linalg.pinv(sys.a, rcond=1e-10) @ sys.rhs
+        oracle = np.linalg.pinv(dense_a(sys), rcond=1e-10) @ sys.rhs
         np.testing.assert_allclose(np.concatenate([report.x, report.lam]), oracle, atol=1e-8)
         # just off the eigenvalue the block is regular again: no fallback
         for gamma in (0.5 * (1 + 1e-6), 0.5 * (1 - 1e-6)):
@@ -773,13 +798,14 @@ class TestActiveBlockSolve:
     @staticmethod
     def assert_matches_the_dense_a(sys, mu):
         got = solve(sys, mu)
-        v, eta, kept, _ = truncated_pseudoinverse_apply(sys.a, sys.rhs, mu)
+        a = dense_a(sys)
+        v, eta, kept, _ = truncated_pseudoinverse_apply(a, sys.rhs, mu)
         d, scale = sys.d, np.linalg.norm(v)
         assert np.linalg.norm(got.x - v[:d]) <= 1e-12 * scale
         assert np.linalg.norm(got.lam - v[d:]) <= 1e-12 * scale
         # eta = |v - v0| differences two solutions, so its rounding is that
         # of the larger one, the rank-tolerance solution v0
-        v0 = truncated_pseudoinverse_apply(sys.a, sys.rhs, 0.0)[0]
+        v0 = truncated_pseudoinverse_apply(a, sys.rhs, 0.0)[0]
         assert abs(got.eta - eta) <= 1e-12 * np.linalg.norm(v0)
         assert got.kept == kept
         np.testing.assert_array_equal(got.discretized, discretize(v[:d]))
@@ -816,8 +842,9 @@ class TestActiveBlockSolve:
             assert "w" not in vars(wm)
             dense = dense_copy(wm)
             np.testing.assert_array_equal(report.x, solve(quiet_assemble(dense, clamp), mu=0.1).x)
-            np.testing.assert_array_equal(quiet_assemble(wm, clamp).a,
-                                          quiet_assemble(dense, clamp).a)
+            for got, want in zip(_ridge_block(wm, clamp.mask(), 1.0),
+                                 _ridge_block(dense, clamp.mask(), 1.0)):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("known", [[4], [1, 4, 6]])
     def test_singular_blocks_at_zero_mu_match_the_dense_a(self, known):

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hopfieldkit import patterns
+from dense_saddle import dense_a, exact_evolution, padded_a
 from hopfieldkit.hebbian import density, train
+from hopfieldkit.inversion import _ridge_block, assemble
 from hopfieldkit.patterns import ClampSet, TrainingSet
 from hopfieldkit.quantum.evolution import (
     TROTTER_EPS,
@@ -14,7 +15,7 @@ from hopfieldkit.quantum.evolution import (
     conditional_pattern_step_swap,
     pattern_product_unitary,
 )
-from test_quantum_solver import eigenbasis_instances, exact_evolution
+from test_quantum_solver import eigenbasis_instances
 
 TWO_PATTERNS = TrainingSet([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0]])
 
@@ -146,10 +147,10 @@ class TestHermitianEvolution:
         h = rng.normal(size=(5, 5))
         h = (h + h.T) / 2.0
         h[2, :] = h[:, 2] = 0.0
-        active = np.array([0, 1, 3, 4])
         for t in (0.3, 1.7, -0.9):
-            u = exact_evolution(h[np.ix_(active, active)], active, 5, t)
+            u = exact_evolution(h, t)
             np.testing.assert_allclose(u, expm(1j * h * t), atol=1e-12)
+            np.testing.assert_allclose(u[2], np.eye(5)[2], atol=1e-12)
 
 
 class TestBlockSplitEvolution:
@@ -171,34 +172,20 @@ class TestBlockSplitEvolution:
         assert evo.d_pad == 4 and evo.dim == 8
 
     def test_top_block_recovers_couplings_minus_ridge(self):
-        # D + C on the top block must equal W - gamma I exactly when no
-        # padding is involved: rho - (gamma + 1/d) I = W - gamma I.
+        # D + C on the top block, rho - (gamma + 1/d) I, must equal W - gamma I,
+        # the top of the block reference mode reads, exactly when no padding
+        # is involved
         for ts in (TrainingSet([[1.0, 1.0]]), TWO_PATTERNS):
             d = ts.d
             clamp = ClampSet(np.array([1.0] + [0.0] * (d - 1)))
             evo = BlockSplitEvolution(ts, clamp, 1.0)
-            w = train(ts).w
-            np.testing.assert_array_equal(evo.a[:d, :d], w - np.eye(d))
-
-    def test_recalls_from_one_store_build_rho_once(self, monkeypatch):
-        gram, grams = patterns._pattern_gram, []
-
-        def counting_gram(p):
-            grams.append(p)
-            return gram(p)
-
-        monkeypatch.setattr(patterns, "_pattern_gram", counting_gram)
-        ts = TrainingSet(TWO_PATTERNS.patterns)
-        clamps = [ClampSet(np.array(p)) for p in ([1.0, 0, 0, 0], [0, 1.0, -1.0, 0])]
-        blocks = [BlockSplitEvolution(ts, clamp, 1.0).active_block()[0] for clamp in clamps]
-        assert len(grams) == 1
-        for block, clamp in zip(blocks, clamps):  # bit for bit a fresh store's block
-            fresh = BlockSplitEvolution(TrainingSet(ts.patterns), clamp, 1.0)
-            np.testing.assert_array_equal(block, fresh.active_block()[0])
+            top = _ridge_block(ts, clamp.mask(), evo.gamma)[0][:d, :d]
+            np.testing.assert_array_equal(top, train(ts).w - np.eye(d))
+            np.testing.assert_array_equal(top, density(ts).rho - evo.gamma_prime * np.eye(d))
 
     def test_logical_system_matches_classical_assembly(self):
-        from hopfieldkit.inversion import assemble
-
+        # on the logical coordinates the circuit evolves under the classical A;
+        # the padding rows it adds are decoupled from them
         cases = [(TWO_PATTERNS, ClampSet(np.array([1.0, 0.0, -1.0, 0.0]))),
                  (TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),
                   ClampSet(np.array([0.0, -1.0, 0.0])))]
@@ -206,40 +193,42 @@ class TestBlockSplitEvolution:
             d = ts.d
             evo = BlockSplitEvolution(ts, clamp, 1.0)
             logical = np.r_[0:d, evo.d_pad:evo.d_pad + d]
-            sys = assemble(train(ts), clamp, gamma=1.0)
-            np.testing.assert_allclose(evo.a[np.ix_(logical, logical)], sys.a, atol=1e-15)
+            a = dense_a(assemble(train(ts), clamp, gamma=1.0))
+            u = evo(0.5)
+            err = np.linalg.norm(u[np.ix_(logical, logical)] - expm(0.5j * a), 2)
+            assert err <= 2.0 * TROTTER_EPS, (d, err)
+            np.testing.assert_allclose(padded_a(ts, clamp, 1.0)[np.ix_(logical, logical)], a,
+                                       rtol=0, atol=1e-15)
 
     def test_reference_mode_converges_to_dense_exponential(self):
         # the exact e^{iAt} the circuit tests run in place of the product
-        # formula: V e^{i Lambda t} V^T on the active block
+        # formula: V e^{i Lambda t} V^T from the padded A's eigenpairs
         for ts, clamp, kwargs in eigenbasis_instances():
             if kwargs["mu"] != 0.05:
                 continue  # mu does not enter A
-            evo = BlockSplitEvolution(ts, clamp, kwargs["gamma"])
-            t0 = np.pi / evo.spectral_bound
+            a = padded_a(ts, clamp, kwargs["gamma"])
+            t0 = np.pi / (kwargs["gamma"] + 2.0)
             for t in (t0, -0.7):
-                u = exact_evolution(*evo.active_block(), evo.dim, t)
-                assert np.linalg.norm(u - expm(1j * evo.a * t), 2) <= 1e-12
+                u = exact_evolution(a, t)
+                assert np.linalg.norm(u - expm(1j * a * t), 2) <= 1e-12
 
     def test_eigenbasis_spans_the_active_block(self):
-        # padded d = 3: the top padding row is active (A has -gamma' there),
-        # the bottom padding and the unclamped multipliers are not
-        evo = BlockSplitEvolution(TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),
-                                  ClampSet(np.array([0.0, -1.0, 0.0])), 0.5)
-        block, active = evo.active_block()
-        np.testing.assert_array_equal(active, [0, 1, 2, 3, 5])
-        inactive = np.setdiff1d(np.arange(evo.dim), active)
-        np.testing.assert_array_equal(evo.a[inactive], 0.0)
-        np.testing.assert_array_equal(evo.a[:, inactive], 0.0)
+        # padded d = 3: reference mode's block holds the 3 neurons and the one
+        # clamped multiplier; the padded A adds the top padding row, decoupled
+        # at -gamma', and zero rows on the unclamped multipliers
+        ts = TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]])
+        clamp = ClampSet(np.array([0.0, -1.0, 0.0]))
+        block, active = _ridge_block(ts, clamp.mask(), 0.5)
+        np.testing.assert_array_equal(active, [0, 1, 2, 4])
+        a = padded_a(ts, clamp, 0.5)
+        logical = np.array([0, 1, 2, 5])
+        np.testing.assert_array_equal(a[3], -(0.5 + 1.0 / 3.0) * np.eye(8)[3])
+        for row in (4, 6, 7):
+            np.testing.assert_array_equal(a[row], 0.0)
+            np.testing.assert_array_equal(a[:, row], 0.0)
         eigs, vecs = np.linalg.eigh(block)
-        np.testing.assert_allclose((vecs * eigs) @ vecs.T, evo.a[np.ix_(active, active)],
+        np.testing.assert_allclose((vecs * eigs) @ vecs.T, a[np.ix_(logical, logical)],
                                    atol=1e-14)
-
-    def test_active_block_is_the_slice_of_the_dense_a(self):
-        for ts, clamp, kwargs in eigenbasis_instances():
-            evo = BlockSplitEvolution(ts, clamp, kwargs["gamma"])
-            block, active = evo.active_block()
-            np.testing.assert_array_equal(block, evo.a[np.ix_(active, active)])
 
     def test_call_is_unitary(self):
         u = self.make()(0.7)
@@ -252,15 +241,18 @@ class TestBlockSplitEvolution:
         # n = ceil(t^2 / TROTTER_EPS) steps bound the first-order split error
         # by a small multiple of TROTTER_EPS; on the W = 0 instance the split
         # blocks do not commute, so the error is there and nonzero
-        padded = BlockSplitEvolution(TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),
-                                     ClampSet(np.array([0.0, -1.0, 0.0])), 0.5)
-        no_couplings = BlockSplitEvolution(TrainingSet([[1.0, 1.0], [1.0, -1.0]]),
-                                           ClampSet(np.array([1.0, 1.0])), 1.0)
-        for evo in (self.make(), padded, no_couplings):
+        cases = [(TrainingSet([[1.0, 1.0]]), ClampSet(np.array([1.0, 0.0])), 1.0),
+                 (TrainingSet([[1.0, 1.0, -1.0], [1.0, -1.0, -1.0]]),  # padded
+                  ClampSet(np.array([0.0, -1.0, 0.0])), 0.5),
+                 (TrainingSet([[1.0, 1.0], [1.0, -1.0]]),  # no couplings
+                  ClampSet(np.array([1.0, 1.0])), 1.0)]
+        for case, (ts, clamp, gamma) in enumerate(cases):
+            evo = BlockSplitEvolution(ts, clamp, gamma)
+            a = padded_a(ts, clamp, gamma)
             for t in (0.5, 1.0, np.pi / 3.0):
-                err = np.linalg.norm(evo(t) - expm(1j * evo.a * t), 2)
-                assert err <= 2.0 * TROTTER_EPS, (evo.d, t, err)
-                if evo is no_couplings:
+                err = np.linalg.norm(evo(t) - expm(1j * a * t), 2)
+                assert err <= 2.0 * TROTTER_EPS, (ts.d, t, err)
+                if case == 2:
                     assert err > 0.1 * TROTTER_EPS, (t, err)
 
     def test_split_blocks_do_not_commute_yet_reference_converges(self):
@@ -268,18 +260,19 @@ class TestBlockSplitEvolution:
         # block fails to commute with the diagonal blocks (their commutator
         # has unit norm), so no step count makes the product formula exact
         # (test_trotter_steps_meet_their_error_target sees its error); one
-        # eigendecomposition of the active block is.
+        # eigendecomposition of reference mode's block, which here spans
+        # every coordinate, is.
         ts = TrainingSet([[1.0, 1.0], [1.0, -1.0]])  # makes W = 0
         clamp = ClampSet(np.array([1.0, 1.0]))
-        evo = BlockSplitEvolution(ts, clamp, 1.0)
         np.testing.assert_array_equal(train(ts).w, np.zeros((2, 2)))
-        b = evo.a.copy()
+        a = padded_a(ts, clamp, 1.0)
+        b = a.copy()
         b[:2, :2] = 0.0
-        cd = evo.a - b
+        cd = a - b
         commutator = b @ cd - cd @ b
         assert np.linalg.norm(commutator, 2) > 0.1
-        exact = expm(1j * evo.a * 1.0)
-        reference = exact_evolution(*evo.active_block(), evo.dim, 1.0)
+        exact = expm(1j * a * 1.0)
+        reference = exact_evolution(_ridge_block(ts, clamp.mask(), 1.0)[0], 1.0)
         assert np.linalg.norm(reference - exact, 2) <= 1e-12
 
     def test_validation(self):
@@ -301,4 +294,4 @@ class TestBlockSplitEvolution:
         evo = assemble_quantum_a(ts, clamp, 1.2)
         assert isinstance(evo, BlockSplitEvolution)
         assert evo.gamma == pytest.approx(1.2)
-        np.testing.assert_array_equal(evo.a, BlockSplitEvolution(ts, clamp, 1.2).a)
+        np.testing.assert_array_equal(evo(0.5), BlockSplitEvolution(ts, clamp, 1.2)(0.5))

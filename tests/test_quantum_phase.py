@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, hadamard
 
+from dense_saddle import exact_evolution, padded_a
 from hopfieldkit.experiments import synthetic_patterns
 from hopfieldkit.hebbian import density, train
 from hopfieldkit.patterns import ClampSet, TrainingSet
@@ -15,7 +16,6 @@ from hopfieldkit.quantum.phase import (
     qpe_forward,
 )
 from hopfieldkit.quantum.register import embed_w
-from test_quantum_solver import exact_evolution
 
 PLUS_DENSITY = density(train(TrainingSet([[1.0, 1.0]])))
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -244,19 +244,18 @@ class TestClosedFormFilter:
         for l in range(2, 15):
             known = np.sort(np.random.default_rng(l).permutation(16)[:l]) + 1
             clamp = ClampSet.from_pattern(ts.patterns[0], tuple(int(i) for i in known))
-            evo = BlockSplitEvolution(ts, clamp, 1.0)
-            t0 = np.pi / evo.spectral_bound
+            a = padded_a(ts, clamp, 1.0)
+            t0 = np.pi / BlockSplitEvolution(ts, clamp, 1.0).spectral_bound
             psi = embed_w(None, clamp)[0].amplitudes
             mu_tilde = bin_eigenvalues(t_qubits, t0)
             keep = np.abs(mu_tilde) >= mu
             r = np.zeros(n_bins)
             r[keep] = mu / mu_tilde[keep]
 
-            powers = controlled_powers(
-                exact_evolution(*evo.active_block(), evo.dim, t0), t_qubits)
+            powers = controlled_powers(exact_evolution(a, t0), t_qubits)
             simulated = qpe_backward(qpe_forward(powers, psi) * r[:, None], powers)
 
-            lam, vecs = np.linalg.eigh(evo.a)
+            lam, vecs = np.linalg.eigh(a)
             alpha = np.exp(1j * np.outer(lam * t0, b)) @ to_bins
             f = np.abs(alpha) ** 2 @ r
             oracle = vecs @ (f * (vecs.T @ psi))

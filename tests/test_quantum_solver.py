@@ -5,12 +5,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from dense_saddle import exact_evolution, padded_a
 from hopfieldkit.experiments import synthetic_patterns
-from hopfieldkit.inversion import discretize
+from hopfieldkit.inversion import _ridge_block, discretize
 from hopfieldkit.patterns import ClampSet, TrainingSet
 from hopfieldkit.quantum import solver
-from hopfieldkit.quantum.evolution import BlockSplitEvolution
-from hopfieldkit.quantum.register import QuantumRegister
+from hopfieldkit.quantum.evolution import assemble_quantum_a
+from hopfieldkit.quantum.register import QuantumRegister, embed_w
 from hopfieldkit.quantum.solver import QhopReport, qhop_recall, qhop_solve
 
 TS = TrainingSet([[1.0, 1.0]])
@@ -67,31 +68,20 @@ class TestWorkedSystem:
         assert np.linalg.norm(report.x_register.amplitudes) == pytest.approx(1.0)
 
 
-def exact_evolution(block, active, dim, t):
-    """e^{iHt} for a real symmetric H that is zero off its active rows and columns.
-
-    block = H[active, active] = V diag(lam) V^T gives V e^{i lam t} V^T on
-    the block; e^{iHt} is the identity elsewhere.
-    """
-    eigs, vecs = np.linalg.eigh(block)
-    u = np.eye(dim, dtype=complex)
-    u[np.ix_(active, active)] = (vecs * np.exp(1j * eigs * t)) @ vecs.T
-    return u
-
-
 class _ExactPowers:
-    """An evolution whose product formula is replaced by the exact e^{iAt} of its active block.
+    """An evolution whose product formula is replaced by the exact e^{iAt} of the padded A.
 
     qhop_solve in trotter mode then runs the circuit, dense controlled
-    powers of U(t0) on the full register, with no splitting error.
+    powers of U(t0) on the full register, with no splitting error; A is
+    built from its definition (dense_saddle.padded_a), padding included.
     """
 
-    def __init__(self, inner):
-        self._inner = inner
+    def __init__(self, source, clamp, gamma):
+        self._inner = assemble_quantum_a(source, clamp, gamma)
+        self._a = padded_a(source, clamp, gamma)
 
     def __call__(self, t):
-        evo = self._inner
-        return exact_evolution(*evo.active_block(), evo.dim, t)
+        return exact_evolution(self._a, t)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -100,7 +90,9 @@ class _ExactPowers:
 def eigenbasis_instances():
     """(store, clamp, kwargs) over gamma in {0.3, 1, 2} and mu in {0.02, 0.05, 0.2}.
 
-    The clamps are the 13 at d = 16, then padded d = 3 and 5 with theta != 0.
+    The clamps are the 13 at d = 16, then padded d = 3, 5 and 9 with
+    theta != 0. At d = 9, d_pad = 16: 7 padding rows, still 16 qubits at
+    T = 9, the most that reference mode drops and trotter mode simulates.
     """
     cases = []
     ts = synthetic_patterns(16, 4, 0)
@@ -108,7 +100,7 @@ def eigenbasis_instances():
         known = np.sort(np.random.default_rng(l).permutation(16)[:l]) + 1
         cases.append((ts, ClampSet.from_pattern(ts.patterns[0], tuple(int(i) for i in known)),
                       None))
-    for d in (3, 5):
+    for d in (3, 5, 9):
         ts = synthetic_patterns(d, 2, 0)
         rng = np.random.default_rng(d)
         for l in range(1, d + 1):
@@ -122,12 +114,10 @@ def eigenbasis_instances():
 
 class TestEigenbasisCircuit:
     def test_matches_the_dense_power_circuit(self, monkeypatch):
-        build = solver.assemble_quantum_a
         for ts, clamp, kwargs in eigenbasis_instances():
             fast = qhop_solve(ts, clamp, **kwargs)
             with monkeypatch.context() as patch:
-                patch.setattr(solver, "assemble_quantum_a",
-                              lambda *args: _ExactPowers(build(*args)))
+                patch.setattr(solver, "assemble_quantum_a", _ExactPowers)
                 dense = qhop_solve(ts, clamp, mode="trotter", **kwargs)
             assert fast.ok == dense.ok, (clamp.values, kwargs)
             if not fast.ok:
@@ -143,14 +133,27 @@ class TestEigenbasisCircuit:
             assert max(gaps.values()) <= 1e-12, (clamp.values, kwargs, gaps)
 
     def test_inactive_coordinates_stay_exactly_zero(self):
-        # the closed form writes only the active coordinates; A, whose
-        # eigencomponents it filters, is exactly zero on the others
+        # reference mode filters the eigencomponents of the unpadded block;
+        # the padded A adds only decoupled rows (-gamma' on the top padding,
+        # zero on the unclamped multipliers) on which |w> is zero, and the
+        # closed form writes nothing there
         for ts, clamp, kwargs in eigenbasis_instances():
-            evo = BlockSplitEvolution(ts, clamp, kwargs["gamma"])
-            inactive = np.setdiff1d(np.arange(evo.dim), evo.active_block()[1])
-            assert inactive.size == evo.dim - evo.d_pad - clamp.l
-            np.testing.assert_array_equal(evo.a[inactive], 0.0)
-            np.testing.assert_array_equal(evo.a[:, inactive], 0.0)
+            a = padded_a(ts, clamp, kwargs["gamma"])
+            d, d_pad = ts.d, len(a) // 2
+            block, active = _ridge_block(ts, clamp.mask(), kwargs["gamma"])
+            logical = np.concatenate([np.arange(d), d_pad + np.flatnonzero(clamp.mask())])
+            np.testing.assert_array_equal(active[d:] + d_pad - d, logical[d:])
+            np.testing.assert_allclose(block, a[np.ix_(logical, logical)], rtol=0, atol=1e-15)
+            rest = np.setdiff1d(np.arange(len(a)), logical)
+            assert rest.size == 2 * d_pad - d - clamp.l
+            np.testing.assert_array_equal(a[np.ix_(rest, logical)], 0.0)
+            np.testing.assert_array_equal(a[np.ix_(rest, rest)],
+                                          np.diag(np.diag(a)[rest]))
+            np.testing.assert_array_equal(embed_w(kwargs["theta"], clamp)[0].amplitudes[rest],
+                                          0.0)
+            report = qhop_solve(ts, clamp, **kwargs)
+            if report.ok:
+                np.testing.assert_array_equal(report.x_register.amplitudes[d:], 0.0)
 
 
 class TestRotationCache:
