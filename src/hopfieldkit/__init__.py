@@ -11,7 +11,6 @@ from .patterns import (
     load_patterns,
 )
 from .hebbian import (
-    DensityMatrix,
     WeightMatrix,
     density,
     save_matrix_csv,
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BASE_TO_BITS", "ClampSet", "TrainingSet", "as_pattern", "encode_rna",
     "load_fasta", "load_patterns",
-    "DensityMatrix", "WeightMatrix", "density",
+    "WeightMatrix", "density",
     "save_matrix_csv", "spectral_norm", "train",
     "RecallTrace", "energy", "recall",
     "LinearSystem", "SolveReport", "assemble", "certify_minimum",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import io
 import itertools
+import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -65,9 +66,9 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, low in (("d", 2), ("m", 1), ("reps", 1), ("t_qubits", 1), ("max_sweeps", 1)):
             _count(getattr(self, name), name, low)
-        if not 0 < self.gamma < np.inf:
+        if not isinstance(self.gamma, numbers.Real) or not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
-        if not 0 <= self.mu < np.inf:
+        if not isinstance(self.mu, numbers.Real) or not 0 <= self.mu < np.inf:
             raise ValueError("mu must be >= 0 and finite")
         if self.fill not in FILLS:
             raise ValueError(f"fill must be one of {FILLS}")
@@ -81,7 +82,8 @@ class ExperimentConfig:
             raise ValueError("fasta data needs an even d (two neurons per base)")
         grid = tuple(self.l_grid)
         top = self.d // 2 if self.units == "bases" else self.d
-        if not grid or any(not 1 <= l <= top for l in grid):
+        # only integers are range-checked; _count names any other value
+        if not grid or any(isinstance(l, (int, np.integer)) and not 1 <= l <= top for l in grid):
             raise ValueError(f"l grid values must lie in 1..{top}")
         grid = tuple(_count(l, "l grid value") for l in grid)
         object.__setattr__(self, "l_grid", grid)
@@ -336,7 +338,9 @@ def run_quantum_crosscheck(d: int = 2, n_seeds: int = 10, gamma: float = 1.0,
 
         report = solve(assemble(wm, clamp, theta, gamma), mu=mu)
         x_cl, lam_cl = report.x, report.lam
-        expected_post = float(x_cl @ x_cl / (x_cl @ x_cl + lam_cl @ lam_cl))
+        x_sq, lam_sq = x_cl @ x_cl, lam_cl @ lam_cl
+        # a cutoff above the whole spectrum keeps nothing: (x; lambda) = 0
+        expected_post = float(x_sq / (x_sq + lam_sq)) if x_sq + lam_sq > 0 else 0.0
 
         qrep = qhop_solve(ts, clamp, theta=theta, gamma=gamma, mu=mu,
                           t_qubits=t_qubits, mode=mode)

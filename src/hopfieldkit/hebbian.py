@@ -6,20 +6,22 @@ Training averages outer products of the stored patterns,
 
 which is symmetric with an exactly zero diagonal and spectral norm <= 1.
 Adding I/d back yields the density matrix of the normalized pattern
-ensemble: rho = W + I/d, positive semidefinite with unit trace.
+ensemble: rho = W + I/d, positive semidefinite with unit trace. density
+returns rho as a read-only (d, d) array.
 
 W is rank M plus a shift, W = s X^T X - I/d with s = 1/(M d) and X the
 (M, d) matrix of stored patterns. A WeightMatrix from train holds only X,
 its factor: |W| comes from the eigenvalues of the smaller of the Gram
 matrices X X^T and X^T X, with no d x d eigensolve. The mu = 0 inversion
 recall and the perturbed solve work on an M x M core built from X, and
-the iterative recall on the M exact integers X x; the mu > 0 and singular
-fallbacks, and quantum reference mode from a TrainingSet's patterns, write
-X^T X/(M d) straight into the one saddle block. The dense W
-is derived from X on its first read and cached on the store, so a store
-of d neurons costs M d floats until something reads W; of the library,
-only the matrix CSV does. A hand-built WeightMatrix(w) has no factor; it
-is checked densely and recalled by the dense path.
+the iterative recall on the M exact integers X x. One function,
+_pattern_gram, writes X^T X/(M d): the trained store's dense W, rho, and
+the top of the one saddle block that the mu > 0 and singular fallbacks
+and quantum reference mode read. The dense W is derived from X on its
+first read and cached on the store, so a store of d neurons costs M d
+floats until something reads W; of the library, only the matrix CSV does.
+A hand-built WeightMatrix(w) has no factor; it is checked densely and
+recalled by the dense path.
 """
 from __future__ import annotations
 
@@ -28,7 +30,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .patterns import TrainingSet, _pattern_gram
+from .patterns import TrainingSet
+
+
+def _pattern_gram(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """X^T X/(M d) for the (M, d) patterns p: rho, and W off its diagonal.
+
+    The one writer of this matrix. Its integer entries are summed exactly,
+    so it is exactly symmetric. It is written into out when given (a d x d
+    view, such as the saddle block's top), else into a new writable array.
+    """
+    g = np.matmul(p.T, p, out=out)
+    g /= p.size
+    return g
 
 
 @dataclass(frozen=True)
@@ -96,31 +110,6 @@ class _TrainedWeightMatrix(WeightMatrix):
         return f"WeightMatrix(trained from m={m} patterns, d={d}, norm={self.norm!r})"
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Unit-trace positive semidefinite mixture of normalized patterns."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.rho, dtype=float)
-        if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] < 1:
-            raise ValueError("density matrix must be square and non-empty")
-        if np.max(np.abs(r - r.T), initial=0.0) > 1e-12:
-            raise ValueError("density matrix must be symmetric within 1e-12")
-        if abs(np.trace(r) - 1.0) > 1e-12:
-            raise ValueError("density matrix trace must equal 1 within 1e-12")
-        if np.min(np.linalg.eigvalsh(r)) < -1e-12:
-            raise ValueError("density matrix must be positive semidefinite")
-        r = r.copy()
-        r.setflags(write=False)
-        object.__setattr__(self, "rho", r)
-
-    @property
-    def d(self) -> int:
-        return self.rho.shape[0]
-
-
 def train(ts: TrainingSet) -> WeightMatrix:
     """Hebbian rule: average of pattern outer products, self-couplings removed.
 
@@ -155,24 +144,25 @@ def _patterns_of(source: TrainingSet | WeightMatrix) -> np.ndarray | None:
     raise TypeError("expected a TrainingSet or WeightMatrix")
 
 
-def density(source: TrainingSet | WeightMatrix) -> DensityMatrix:
-    """Density matrix rho = W + I/d of the normalized stored patterns.
+def density(source: TrainingSet | WeightMatrix) -> np.ndarray:
+    """Density matrix rho = W + I/d of the normalized stored patterns, a read-only (d, d) array.
 
     From a TrainingSet, or a WeightMatrix that train built, rho = X^T X/(M d)
-    is built from the patterns alone, bit for bit the W + I/d of train (the
-    diagonal M/(M d) rounds as 1/d does). It is a valid density matrix by
-    construction, so, as in train, the dense checks are skipped and W is
-    not derived. A hand-built W gives W + I/d, checked.
+    is _pattern_gram of the patterns, bit for bit the W + I/d of train (the
+    diagonal M/(M d) rounds as 1/d does), and W is not derived. A hand-built
+    W gives W + I/d: symmetry, shape and unit trace follow from W's own
+    checks, so only positive semidefiniteness is checked.
     """
     x = _patterns_of(source)
     if x is None:
         d = source.d
-        return DensityMatrix(source.w + np.eye(d) / d)
-    rho = _pattern_gram(x)
+        rho = source.w + np.eye(d) / d
+        if np.min(np.linalg.eigvalsh(rho)) < -1e-12:
+            raise ValueError("density matrix W + I/d must be positive semidefinite")
+    else:
+        rho = _pattern_gram(x)
     rho.setflags(write=False)
-    dm = object.__new__(DensityMatrix)
-    object.__setattr__(dm, "rho", rho)
-    return dm
+    return rho
 
 
 def spectral_norm(wm: WeightMatrix) -> float:

@@ -57,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hebbian import WeightMatrix, _patterns_of, spectral_norm
+from .hebbian import WeightMatrix, _pattern_gram, _patterns_of, spectral_norm
 from .patterns import ClampSet, TrainingSet, as_thresholds
 
 RANK_TOL_FACTOR = 1e-10  # relative eigenvalue cutoff treated as exact rank deficiency
@@ -108,9 +108,9 @@ def _ridge_block(source: WeightMatrix | TrainingSet, known,
     clamped columns. A is zero on the unclamped multipliers, which no
     solve inverts, so the block holds the other d + l rows. W's diagonal
     is exactly zero, so -gamma replaces it. A TrainingSet, or a
-    WeightMatrix that train built, writes W from its patterns X as the
-    integer Gram X^T X/(M d), summed exactly, so no d x d W is derived or
-    kept on the store; a hand-built W is copied in.
+    WeightMatrix that train built, has _pattern_gram write X^T X/(M d)
+    into the top block, so no d x d W is derived or kept on the store; a
+    hand-built W is copied in.
     """
     x = _patterns_of(source)
     d = source.d
@@ -121,8 +121,7 @@ def _ridge_block(source: WeightMatrix | TrainingSet, known,
     if x is None:
         top[...] = source.w
     else:
-        np.matmul(x.T, x, out=top)
-        top /= x.size
+        _pattern_gram(x, out=top)
     np.fill_diagonal(top, -gamma)
     block[ks, multipliers] = block[multipliers, ks] = 1.0
     return block, np.concatenate([np.arange(d), d + ks])

@@ -58,14 +58,6 @@ def as_thresholds(theta, d: int) -> np.ndarray:
     return t
 
 
-def _pattern_gram(p: np.ndarray) -> np.ndarray:
-    """X^T X/(M d) for the (M, d) patterns p, as a new writable array."""
-    m, d = p.shape
-    g = p.T @ p  # integer entries, summed exactly, so exactly symmetric
-    g /= m * d
-    return g
-
-
 @dataclass(frozen=True)
 class TrainingSet:
     """M fully specified patterns stacked row-wise into an (M, d) array."""

@@ -1,10 +1,12 @@
 """Hamiltonian simulation pieces for the recall pipeline.
 
 The Hebbian steps are the conditional pattern step, its swap-trick
-realization and the pattern product formula. Pattern projectors are
+realization and the pattern product formula. Each takes its pattern state
+|x^> from register.embed, the one writer of it. Pattern projectors are
 exponentiated exactly, e^{-i P dt} = I + (e^{-i dt} - 1) P for a rank-1
-projector P, so the only approximation in the product formula is the
-splitting itself.
+projector P = |x^><x^|, so the only approximation in the product formula
+is the splitting itself; the projectors average to the density matrix
+rho that hebbian.density returns.
 
 BlockSplitEvolution evolves one recall's padded saddle-point matrix A as
 the circuit does, through the hardware-oriented split A = B + C + D: B
@@ -24,24 +26,16 @@ import math
 import numpy as np
 
 from ..patterns import ClampSet, TrainingSet
-from .register import _pad, qubits_for
+from .register import embed, qubits_for
 
 # Split error the product formula's step count aims for.
 TROTTER_EPS = 1e-6
 
 
-def _normalized_padded(pattern) -> np.ndarray:
-    x = np.asarray(pattern, dtype=float)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise ValueError("cannot project onto a zero pattern")
-    return _pad(x / norm)
-
-
 def conditional_pattern_step(state, pattern, delta_t: float) -> np.ndarray:
     """Apply |0><0| x I + |1><1| x e^{-i |x><x| dt} to a (control, system) state."""
     amps = np.asarray(state, dtype=complex)
-    xhat = _normalized_padded(pattern)
+    xhat = embed(pattern)[0].amplitudes
     d_pad = xhat.size
     if amps.shape != (2 * d_pad,):
         raise ValueError(f"state must have length {2 * d_pad} (control qubit + system)")
@@ -61,7 +55,7 @@ def conditional_pattern_step_swap(state, pattern, delta_t: float) -> np.ndarray:
     is a density matrix, since tracing generally leaves a mixed state.
     It matches the direct conditional step to O(dt^2).
     """
-    xhat = _normalized_padded(pattern)
+    xhat = embed(pattern)[0].amplitudes
     d_pad = xhat.size
     st = np.asarray(state, dtype=complex)
     if st.ndim == 1:
@@ -118,7 +112,7 @@ def pattern_product_unitary(ts: TrainingSet, t: float, n: int) -> np.ndarray:
     coeff = np.exp(-1j * delta) - 1.0
     step = np.eye(d_pad, dtype=complex)
     for k in range(ts.m):
-        xhat = _normalized_padded(ts.patterns[k])
+        xhat = embed(ts.patterns[k])[0].amplitudes
         factor = np.eye(d_pad, dtype=complex) + coeff * np.outer(xhat, xhat.conj())
         step = step @ factor
     return np.linalg.matrix_power(step, n)

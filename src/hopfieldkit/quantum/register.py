@@ -44,17 +44,12 @@ class QuantumRegister:
         return self.amplitudes.size.bit_length() - 1
 
 
-def _pad(x: np.ndarray) -> np.ndarray:
-    n = qubits_for(x.size)
-    out = np.zeros(2 ** n, dtype=complex)
-    out[: x.size] = x
-    return out
-
-
 def embed(x) -> tuple[QuantumRegister, float]:
     """Amplitude-encode a real vector; returns (register, euclidean norm).
 
-    The norm is returned alongside because the encoding discards it.
+    The norm is returned alongside because the encoding discards it. This
+    is the one writer of a pattern state |x^> = x/|x|, zero-padded to the
+    next power of two; the Hebbian evolution steps read theirs from it.
     """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -62,7 +57,9 @@ def embed(x) -> tuple[QuantumRegister, float]:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("cannot embed a zero vector")
-    return QuantumRegister(_pad(v / norm)), norm
+    amps = np.zeros(2 ** qubits_for(v.size), dtype=complex)
+    amps[: v.size] = v / norm
+    return QuantumRegister(amps), norm
 
 
 def embed_w(theta, clamp: ClampSet) -> tuple[QuantumRegister, float]:

@@ -32,7 +32,7 @@ def padded_a(ts, clamp, gamma):
     d = ts.d
     d_pad = 2 ** qubits_for(d)
     top = -(gamma + 1.0 / d) * np.eye(d_pad)
-    top[:d, :d] += density(ts).rho
+    top[:d, :d] += density(ts)
     known = np.zeros(d_pad, dtype=bool)
     known[:d] = clamp.mask()
     return _saddle(top, known)

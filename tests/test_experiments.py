@@ -2,6 +2,7 @@
 import io
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,10 @@ class TestExperimentConfig:
         ("d", "5", "d must be an integer >= 2"),
         ("d", None, "d must be an integer >= 2"),
         ("m", "2", "m must be an integer >= 1"),
+        ("l_grid", ("3",), "l grid value must be an integer >= 1"),
+        ("l_grid", (None,), "l grid value must be an integer >= 1"),
+        ("gamma", "1", "gamma must be positive"),
+        ("mu", None, "mu must be >= 0"),
     ])
     def test_field_validation(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -452,6 +457,17 @@ class TestQuantumCrosscheck:
                                    "post_error", "post_selection_probability",
                                    "resolution_ok", "seed",
                                    "success_probability"]
+
+    def test_cutoff_above_the_spectrum_fails_without_dividing_zero_by_zero(self):
+        # mu = 5 exceeds every |eigenvalue| (<= gamma + 2), so both solves keep nothing
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = run_quantum_crosscheck(d=3, n_seeds=3, mu=5.0)
+        assert caught
+        assert {str(w.message) for w in caught} == {
+            "every eigencomponent fell below the cutoff; nothing to invert"}
+        assert all(np.isfinite(row["expected_post_selection"]) for row in rows)
+        assert not any(row["passed"] for row in rows)
 
     def test_rows_are_seed_stable(self):
         a = run_quantum_crosscheck(d=2, n_seeds=2)

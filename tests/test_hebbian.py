@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hopfieldkit.hebbian import (
-    DensityMatrix,
     WeightMatrix,
     density,
     save_matrix_csv,
@@ -168,12 +167,12 @@ class TestTrain:
 
 class TestDensity:
     def test_single_pattern_projector(self):
-        dm = density(TrainingSet([[1.0, 1.0]]))
-        np.testing.assert_allclose(dm.rho, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
+        rho = density(TrainingSet([[1.0, 1.0]]))
+        np.testing.assert_allclose(rho, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_orthogonal_pair_gives_maximal_mixture(self):
-        dm = density(TrainingSet([[1.0, 1.0], [1.0, -1.0]]))
-        np.testing.assert_allclose(dm.rho, np.eye(2) / 2.0, atol=1e-15)
+        rho = density(TrainingSet([[1.0, 1.0], [1.0, -1.0]]))
+        np.testing.assert_allclose(rho, np.eye(2) / 2.0, atol=1e-15)
 
     def test_offset_from_weights_is_identity_over_d(self, make_training):
         rng = np.random.default_rng(31)
@@ -181,7 +180,7 @@ class TestDensity:
             d = int(rng.integers(2, 20))
             ts = make_training(rng, int(rng.integers(1, 6)), d)
             wm = train(ts)
-            np.testing.assert_allclose(density(ts).rho - wm.w, np.eye(d) / d,
+            np.testing.assert_allclose(density(ts) - wm.w, np.eye(d) / d,
                                        atol=1e-12)
 
     def test_equals_mixture_of_normalized_projectors(self, make_training):
@@ -191,37 +190,39 @@ class TestDensity:
         for x in ts.patterns:
             xhat = x / np.linalg.norm(x)
             mixture += np.outer(xhat, xhat)
-        np.testing.assert_allclose(density(ts).rho, mixture / 4.0, atol=1e-12)
+        np.testing.assert_allclose(density(ts), mixture / 4.0, atol=1e-12)
 
     def test_trace_one_and_positive_semidefinite(self, make_training):
         rng = np.random.default_rng(33)
         for _ in range(8):
-            dm = density(make_training(rng, int(rng.integers(1, 7)),
-                                       int(rng.integers(2, 30))))
-            assert abs(np.trace(dm.rho) - 1.0) <= 1e-12
-            assert np.min(np.linalg.eigvalsh(dm.rho)) >= -1e-12
+            rho = density(make_training(rng, int(rng.integers(1, 7)),
+                                        int(rng.integers(2, 30))))
+            assert abs(np.trace(rho) - 1.0) <= 1e-12
+            assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
     def test_patterns_give_the_bits_of_the_weights(self, make_training):
         rng = np.random.default_rng(34)
         for _ in range(40):
             ts = make_training(rng, int(rng.integers(1, 12)), int(rng.integers(2, 65)))
-            rho = density(ts).rho
-            np.testing.assert_array_equal(rho, density(train(ts)).rho)
+            rho = density(ts)
+            np.testing.assert_array_equal(rho, density(train(ts)))
             assert not rho.flags.writeable
 
     def test_trained_store_gives_the_checked_bits_without_deriving_w(self, make_training):
         rng = np.random.default_rng(35)
         for _ in range(20):
             wm = train(make_training(rng, int(rng.integers(1, 12)), int(rng.integers(2, 65))))
-            rho = density(wm).rho
+            rho = density(wm)
             assert "w" not in vars(wm)
             assert not rho.flags.writeable
-            # the hand-built path: W + I/d, checked as a DensityMatrix
-            np.testing.assert_array_equal(rho, density(WeightMatrix(wm.w)).rho)
+            # the hand-built path: W + I/d, checked positive semidefinite
+            hand_built = density(WeightMatrix(wm.w))
+            np.testing.assert_array_equal(rho, hand_built)
+            assert not hand_built.flags.writeable
 
     def test_accepts_weight_matrix_input(self):
         ts = TrainingSet([[1.0, 1.0]])
-        np.testing.assert_allclose(density(train(ts)).rho, density(ts).rho,
+        np.testing.assert_allclose(density(train(ts)), density(ts),
                                    atol=1e-15)
 
     def test_rejects_other_inputs(self):
@@ -257,13 +258,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             worked_wm.w[0, 1] = 0.0
 
-    def test_density_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.eye(2))
-
     def test_density_rejects_negative_eigenvalue(self):
+        # a valid W whose W + I/d has the eigenvalue -1 + 1/2
         with pytest.raises(ValueError, match="positive semidefinite"):
-            DensityMatrix(np.diag([1.5, -0.5]))
+            density(WeightMatrix([[0.0, -1.0], [-1.0, 0.0]]))
 
 
 class TestSpectralNorm:

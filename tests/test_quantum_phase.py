@@ -203,18 +203,18 @@ def resolution(t_qubits, t0):
 
 class TestPhaseEstimate:
     def test_rank_one_density_peaks_at_unit_eigenvalue(self):
-        value, weight = peak(*readout(PLUS_DENSITY.rho, PLUS, 6, np.pi))
+        value, weight = peak(*readout(PLUS_DENSITY, PLUS, 6, np.pi))
         assert value == pytest.approx(1.0, abs=1e-12)
         assert weight >= 0.99
 
     def test_kernel_state_peaks_at_zero(self):
-        value, weight = peak(*readout(PLUS_DENSITY.rho, MINUS, 6, np.pi))
+        value, weight = peak(*readout(PLUS_DENSITY, MINUS, 6, np.pi))
         assert value == pytest.approx(0.0, abs=1e-12)
         assert weight >= 0.99
 
     def test_probabilities_sum_to_one(self):
         for t_qubits in (1, 4, 7):
-            _, probabilities = readout(PLUS_DENSITY.rho, PLUS, t_qubits, np.pi)
+            _, probabilities = readout(PLUS_DENSITY, PLUS, t_qubits, np.pi)
             assert np.sum(probabilities) == pytest.approx(1.0, abs=1e-9)
 
     def test_extra_qubit_halves_resolution(self):
