@@ -4,6 +4,7 @@ matrix-inversion, and simulated-quantum recall, plus an experiment harness."""
 from .patterns import (
     BASE_TO_BITS,
     ClampSet,
+    HopfieldWarning,
     TrainingSet,
     as_pattern,
     encode_rna,
@@ -44,7 +45,7 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASE_TO_BITS", "ClampSet", "TrainingSet", "as_pattern", "encode_rna",
+    "BASE_TO_BITS", "ClampSet", "HopfieldWarning", "TrainingSet", "as_pattern", "encode_rna",
     "load_fasta", "load_patterns",
     "WeightMatrix", "density",
     "save_matrix_csv", "spectral_norm", "train",

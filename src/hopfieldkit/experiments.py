@@ -4,10 +4,15 @@ Repetition rep draws from the stream np.random.default_rng([seed, rep])
 in every cell, so a sweep cell reproduces the matching recovery-curve
 cell exactly. A run hashes each of those seeds once: it keeps each
 stream's start state, shared by every cell of a curve and every gamma of
-a sweep, and resets one Generator to it before each trial. The inversion
-engine draws every clamp of a cell from its stream, then solves the
-cell's repetitions together as one stack, in chunks of bounded size; only
-a repetition whose reduced block is singular is solved on its own. The
+a sweep. The iterative and quantum engines reset one Generator to it
+before each trial and draw the clamp with Generator.choice. The
+inversion engine reads each stream's leading uint32 values once per run
+and derives from them the sets choice would draw, for every cell at
+once in passes of bounded size (Floyd's algorithm over Lemire's bounded
+draws); choice itself still draws a clamp from a pool above 10 000
+units, or one that meets a rejected draw. It then solves the cell's
+repetitions together as one stack, in chunks of bounded size; only a
+repetition whose reduced block is singular is solved on its own. The
 first stored pattern is the recall target throughout. CSV output uses
 fixed formatting and is byte-identical across runs.
 """
@@ -34,6 +39,8 @@ METHODS = ("iterative", "inversion", "quantum")
 FORMATS = ("fasta", "patterns", "synthetic")
 UNITS = ("bases", "neurons")
 _STACK_ELEMENTS = 1 << 22  # float elements of a stacked solve's largest temporary, per chunk
+_FLOYD_POOL = 10_000  # Generator.choice(n, l, replace=False) runs Floyd's algorithm up to this n
+_DRAW_BLOCK = 1 << 13  # elements of each table _choice_sets holds for a block of draw positions
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, low in (("d", 2), ("m", 1), ("reps", 1), ("t_qubits", 1), ("max_sweeps", 1)):
             _count(getattr(self, name), name, low)
-        if not isinstance(self.gamma, numbers.Real) or not 0 < self.gamma < np.inf:
+        # a bool is a numbers.Real, but not a regularization strength or a cutoff
+        if (isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real)
+                or not 0 < self.gamma < np.inf):
             raise ValueError("gamma must be positive and finite")
-        if not isinstance(self.mu, numbers.Real) or not 0 <= self.mu < np.inf:
+        if (isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real)
+                or not 0 <= self.mu < np.inf):
             raise ValueError("mu must be >= 0 and finite")
         if self.fill not in FILLS:
             raise ValueError(f"fill must be one of {FILLS}")
@@ -205,28 +215,78 @@ def _recover_one(ctx: _TrialContext, mask: np.ndarray, rng: np.random.Generator)
     return qhop_recall(ctx.ts, clamp, gamma=cfg.gamma, mu=cfg.mu, t_qubits=cfg.t_qubits)[0]
 
 
+def _stacks(masks, rows: int):
+    """Stack an iterable of masks into arrays of at most rows rows."""
+    while stack := list(itertools.islice(masks, rows)):
+        yield np.array(stack)
+
+
 def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
     """The trials of one cell: per generator, clamp l units of the target, recall, count errors.
 
-    Each trial draws its clamp from its generator, which must hold its
-    stream's state when the iteration yields it. The inversion engine
+    rngs is a run's _Streams or any iterable of generators, each holding
+    its stream's state when the iteration yields it. The inversion engine
     solves the cell's clamps from the trained store's factor, as stacks
     of at most _STACK_ELEMENTS // (d M) rows, and discretizes them row by
-    row; the other engines recall trial by trial, each drawing from its
-    generator after the clamp. The name is kept for the benchmark's
-    tracer, whose experiments.run_trial span now covers a cell.
+    row; it takes its clamps from _Streams.masks when given the run's
+    streams, and draws each from its generator with _known_mask
+    otherwise. The other engines draw each clamp with _known_mask and
+    recall trial by trial, each drawing from its generator after the
+    clamp. The name is kept for the benchmark's tracer, whose
+    experiments.run_trial span now covers a cell.
     """
     cfg = ctx.cfg
     if cfg.method != "inversion":
         return np.array([np.count_nonzero(_recover_one(ctx, _known_mask(ctx, l, rng), rng)
                                           != ctx.target) for rng in rngs], dtype=int)
     rows = max(1, _STACK_ELEMENTS // (ctx.ts.d * ctx.ts.m))
-    masks = (_known_mask(ctx, l, rng) for rng in rngs)
-    distances = []
-    while stack := list(itertools.islice(masks, rows)):
-        recovered = discretize(_inversion_recover(ctx, np.array(stack)))
-        distances.append(np.count_nonzero(recovered != ctx.target, axis=1))
-    return np.concatenate(distances)
+    if isinstance(rngs, _Streams):
+        stacks = rngs.masks(ctx, l, rows)
+    else:
+        stacks = _stacks((_known_mask(ctx, l, rng) for rng in rngs), rows)
+    return np.concatenate([np.count_nonzero(discretize(_inversion_recover(ctx, masks))
+                                            != ctx.target, axis=1) for masks in stacks])
+
+
+def _choice_sets(n: int, counts: np.ndarray, leading: np.ndarray,
+                 streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sets Generator.choice(n, l, replace=False) draws, one row per stream.
+
+    counts holds each row's l in 1..n, and leading[streams] each row's
+    stream's leading next_uint32 values, at least l of them where l < n. For
+    n <= _FLOYD_POOL numpy runs Floyd's algorithm: for j = n - l ... n - 1
+    it draws v in 0..j by Lemire's multiply-shift, v = u (j + 1) >> 32
+    for the stream's next uint32 u, and takes j in place of a v already
+    chosen; a j of 0 draws nothing, so l = n takes every unit. The loop
+    runs over draw positions, each step over the rows still drawing.
+    Returns the (rows, n) membership and the rows at which Lemire's rule
+    rejects some u, whose streams read more than the table holds.
+    """
+    rows = len(counts)
+    steps = np.where(counts < n, counts, 0)
+    order = np.argsort(-steps, kind="stable")  # the rows still drawing come first
+    steps, start = steps[order], order * n
+    first = (n - counts[order] + 1).astype(np.uint64)  # j + 1 at each row's first draw
+    chosen = np.zeros(rows * n, dtype=bool)
+    rejected = np.zeros(rows, dtype=bool)
+    span = max(1, _DRAW_BLOCK // rows)  # draw positions per block of tables
+    for top in range(0, int(steps[0]), span):
+        k = np.arange(top, min(top + span, int(steps[0])))[:, None]
+        bound = first + k.astype(np.uint64)  # j + 1, (positions, rows)
+        scaled = leading[streams[order], top:top + len(k)].T * bound
+        live = k < steps
+        # Lemire rejects a u whose low word lies below 2**32 mod (j + 1) < j + 1
+        low = scaled & 0xFFFFFFFF
+        at, row = np.nonzero(live & (low < bound))
+        rejected[order[row[low[at, row] < (1 << 32) % bound[at, row]]]] = True
+        drawn = (scaled >> 32).astype(np.intp) + start
+        kept = bound.astype(np.intp) + (start - 1)
+        for step, alive in enumerate(np.count_nonzero(live, axis=1)):
+            v = drawn[step, :alive]
+            chosen[np.where(chosen[v], kept[step, :alive], v)] = True
+    chosen = chosen.reshape(rows, n)
+    chosen[counts >= n] = True
+    return chosen, np.flatnonzero(rejected)
 
 
 class _Streams:
@@ -235,17 +295,90 @@ class _Streams:
     It keeps each stream's start state and, iterated, yields one Generator
     reset to each start in turn: the draws of a fresh default_rng([seed,
     rep]), whatever the previous trial consumed, at a state copy's cost.
+    counts lists the run's clamp counts in the order its cells run.
+
+    masks gives the inversion engine each cell's clamps without a choice
+    call per trial. Once per run it draws each stream's leading uint32
+    values, as many as the run's largest count; each pass of _choice_sets
+    then derives the clamps of the requested cell and the cells after it,
+    up to _STACK_ELEMENTS // d (cell, repetition) rows, so a gamma sweep
+    derives its one cell's clamps once for every gamma. _known_mask still
+    draws a clamp from a pool larger than _FLOYD_POOL, where numpy may
+    shuffle instead, and a row whose draws Lemire's rule rejects. A uint32
+    table above _STACK_ELEMENTS values is not kept: each pass draws the
+    values of its own streams.
     """
 
-    def __init__(self, seed: int, reps: int):
+    def __init__(self, seed: int, reps: int, counts=()):
         self._starts = [np.random.default_rng([seed, rep]).bit_generator.state
                         for rep in range(reps)]
         self._rng = np.random.default_rng([seed, 0])
+        self._counts = tuple(dict.fromkeys(counts))
+        self._leading = np.empty((reps, 0), dtype=np.uint32)
+        self._masks = {}  # (l, first rep, end rep) -> clamp masks of the current pass
 
     def __iter__(self):
-        for start in self._starts:
-            self._rng.bit_generator.state = start
-            yield self._rng
+        for rep in range(len(self._starts)):
+            yield self._reset(rep)
+
+    def _reset(self, rep: int) -> np.random.Generator:
+        self._rng.bit_generator.state = self._starts[rep]
+        return self._rng
+
+    def _draws(self, reps, width: int) -> np.ndarray:
+        """The listed streams' first width next_uint32 values, (len(reps), width)."""
+        return np.array([self._reset(rep).integers(0, 2**32, size=width, dtype=np.uint32)
+                         for rep in reps])
+
+    def _prefix(self, streams: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """A table of leading uint32 values and each listed stream's row in it."""
+        if self._leading.shape[1] < width:
+            run_width = max((width, *self._counts))
+            if len(self._starts) * run_width > _STACK_ELEMENTS:
+                drawn, rows = np.unique(streams, return_inverse=True)
+                return self._draws(drawn, width), rows
+            self._leading = self._draws(range(len(self._starts)), run_width)
+        return self._leading, streams
+
+    def masks(self, ctx: _TrialContext, l: int, rows: int):
+        """Cell l's clamp masks, the ones _known_mask draws, in chunks of rows repetitions."""
+        d = ctx.ts.d
+        n = d // 2 if ctx.cfg.units == "bases" else d
+        if n > _FLOYD_POOL:
+            yield from _stacks((_known_mask(ctx, l, rng) for rng in self), rows)
+            return
+        reps = len(self._starts)
+        for first in range(0, reps, rows):
+            key = (l, first, min(first + rows, reps))
+            if key not in self._masks:
+                self._pass(ctx, n, key, rows)
+            yield self._masks[key]
+
+    def _pass(self, ctx: _TrialContext, n: int, key: tuple, rows: int) -> None:
+        """Derive the clamps of the chunks from key on, as many as _STACK_ELEMENTS // d rows hold."""
+        reps, d = len(self._starts), ctx.ts.d
+        cells = self._counts[self._counts.index(key[0]):] if key[0] in self._counts else key[:1]
+        chunks = [(l, first, min(first + rows, reps))
+                  for l in cells for first in range(0, reps, rows)]
+        chunks = chunks[chunks.index(key):]
+        filled = itertools.accumulate(stop - first for _, first, stop in chunks)
+        chunks = chunks[:max(1, sum(size <= _STACK_ELEMENTS // d for size in filled))]
+        self._masks = {}
+        counts = np.concatenate([np.full(stop - first, l) for l, first, stop in chunks])
+        streams = np.concatenate([np.arange(first, stop) for _, first, stop in chunks])
+        width = max((l for l, _, _ in chunks if l < n), default=0)
+        sets, rejected = _choice_sets(n, counts, *self._prefix(streams, width))
+        if ctx.cfg.units == "bases":
+            masks = np.zeros((len(counts), d), dtype=bool)
+            masks[:, 0:2 * n:2] = masks[:, 1:2 * n:2] = sets
+        else:
+            masks = sets
+        for row in rejected:
+            masks[row] = _known_mask(ctx, counts[row], self._reset(streams[row]))
+        offset = 0
+        for chunk in chunks:
+            self._masks[chunk] = masks[offset:offset + chunk[2] - chunk[1]]
+            offset += chunk[2] - chunk[1]
 
 
 def _cell(ctx: _TrialContext, l: int, streams: _Streams) -> tuple[float, float]:
@@ -261,7 +394,7 @@ def run_recovery_curve(cfg: ExperimentConfig, ts: TrainingSet | None = None) -> 
     """Mean recall error against the amount of clamped information."""
     ts = ingest(cfg) if ts is None else ts
     ctx = _TrialContext(cfg, ts)
-    streams = _Streams(cfg.seed, cfg.reps)
+    streams = _Streams(cfg.seed, cfg.reps, cfg.l_grid)
     return [CurvePoint(l, *_cell(ctx, l, streams), cfg.reps) for l in cfg.l_grid]
 
 
@@ -285,7 +418,7 @@ def run_gamma_sweep(cfg: ExperimentConfig, gamma_grid,
     ts = ingest(cfg) if ts is None else ts
     l = cfg.l_grid[0]
     wm = train(ts)  # W and the streams do not depend on gamma
-    streams = _Streams(cfg.seed, cfg.reps)
+    streams = _Streams(cfg.seed, cfg.reps, cfg.l_grid)
     points = []
     for gamma in grid:
         ctx = _TrialContext(replace(cfg, gamma=gamma), ts, wm)

@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .hebbian import WeightMatrix, _pattern_gram, _patterns_of, spectral_norm
-from .patterns import ClampSet, TrainingSet, as_thresholds
+from .patterns import ClampSet, HopfieldWarning, TrainingSet, as_thresholds
 
 RANK_TOL_FACTOR = 1e-10  # relative eigenvalue cutoff treated as exact rank deficiency
 TIE_TOL_FACTOR = 1e-10  # components this close to zero, relative to max(1, |x|_inf), are ties
@@ -154,10 +154,10 @@ def assemble(wm: WeightMatrix, clamp: ClampSet, theta=None, gamma: float = 1.0) 
     sys = LinearSystem(wm, clamp, float(gamma), theta)
     if gamma <= spectral_norm(wm):
         warnings.warn("gamma does not exceed the spectral norm of W; the clamped "
-                      "minimum is no longer guaranteed", RuntimeWarning, stacklevel=2)
+                      "minimum is no longer guaranteed", HopfieldWarning, stacklevel=2)
     elif gamma < 1.0:
         warnings.warn("gamma below the conventional default of 1; the minimum is "
-                      "still certified while gamma > |W|", RuntimeWarning, stacklevel=2)
+                      "still certified while gamma > |W|", HopfieldWarning, stacklevel=2)
     return sys
 
 
@@ -400,7 +400,7 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     t = as_thresholds(theta, wm.d)
     if gamma + beta <= spectral_norm(wm):
         warnings.warn("gamma + beta does not exceed |W|; system may be indefinite",
-                      RuntimeWarning, stacklevel=2)
+                      HopfieldWarning, stacklevel=2)
     xs, block = _reduced_solve(wm, np.zeros((1, wm.d), dtype=bool), np.zeros((1, wm.d)),
                                gamma + beta, t - beta * anchor)
     if block.singular[0]:

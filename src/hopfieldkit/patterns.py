@@ -20,6 +20,14 @@ BASE_TO_BITS = {
 }
 
 
+class HopfieldWarning(UserWarning):
+    """An advisory about a call's inputs or results, such as a weak regularization.
+
+    Not a RuntimeWarning, so a filter that makes numpy's floating-point
+    RuntimeWarnings errors leaves these as warnings.
+    """
+
+
 def as_pattern(values, d: int | None = None, allow_unknown: bool = True) -> np.ndarray:
     """Validate and return a pattern as a float64 vector.
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..inversion import _ridge_block, discretize
-from ..patterns import ClampSet, _count
+from ..patterns import ClampSet, HopfieldWarning, _count
 from .evolution import assemble_quantum_a
 from .phase import _bin_weights, bin_eigenvalues, controlled_powers, qpe_backward, qpe_forward
 from .register import QuantumRegister, embed_w, qubits_for
@@ -143,7 +143,7 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     if not resolution_ok:
         warnings.warn(f"phase resolution {resolution:.3g} is coarser than the cutoff "
                       f"mu={mu:.3g}; filtering is unreliable at T={t_qubits}",
-                      RuntimeWarning, stacklevel=2)
+                      HopfieldWarning, stacklevel=2)
 
     reg_w, w_norm = embed_w(theta, clamp)
     psi = reg_w.amplitudes
@@ -170,7 +170,7 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
 
     def _fail(message: str) -> QhopReport:
         trace.write()
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
+        warnings.warn(message, HopfieldWarning, stacklevel=3)
         return QhopReport(ok=False, message=message,
                           success_probability=success_probability,
                           post_selection_probability=0.0, phase_residual=1.0,

@@ -3,6 +3,7 @@ import argparse
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,32 @@ class TestQcheck:
     def test_coarse_phase_register_fails(self, capsys):
         assert main(["qcheck", "--t-phase", "2", "--seeds", "1"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestErrorFilterOnRuntimeWarnings:
+    """Under PYTHONWARNINGS=error::RuntimeWarning the library's advisories stay warning lines."""
+
+    @pytest.fixture(autouse=True)
+    def runtime_warnings_raise(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    def test_qcheck_with_the_cutoff_above_the_spectrum(self, capsys):
+        assert main(["qcheck", "--d", "3", "--mu", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL: 10/10 instances out of tolerance" in out
+        assert "warning: every eigencomponent fell below the cutoff; nothing to invert" in err
+
+    def test_recall_below_the_conventional_gamma(self, tmp_path, capsys):
+        store = tmp_path / "store.txt"
+        store.write_text("1 -1 1 -1 1\n1 1 -1 -1 1\n")
+        assert main(["recall", "--data", str(store), "--format", "patterns", "--d", "5",
+                     "--m", "2", "--pattern", probe_file(tmp_path, "1 -1 0 0 0\n"),
+                     "--gamma", "0.5"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "1 -1 1 -1 1\n"
+        assert "warning: gamma below the conventional default of 1" in err
 
 
 # Outputs of the quantum pipeline, pinned byte for byte: the recovery curve

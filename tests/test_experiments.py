@@ -4,6 +4,7 @@ import os
 import tracemalloc
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +74,8 @@ class TestExperimentConfig:
         ("l_grid", (None,), "l grid value must be an integer >= 1"),
         ("gamma", "1", "gamma must be positive"),
         ("mu", None, "mu must be >= 0"),
+        ("gamma", True, "gamma must be positive"),
+        ("mu", False, "mu must be >= 0"),
     ])
     def test_field_validation(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -374,6 +377,82 @@ class TestStackedCell:
             tracemalloc.stop()
         assert distances.shape == (cfg.reps,)
         assert peak < cfg.reps * cfg.d * 8, peak
+
+
+class TestClampDraws:
+    """The run's streams give the inversion engine the clamps _known_mask draws.
+
+    Below numpy's tail-shuffle branch (n > 10 000), Generator.choice(n, l,
+    replace=False) is Floyd's algorithm over Lemire's bounded draws, so
+    _Streams derives every cell's clamps from each stream's leading uint32
+    values; a rejected draw and a larger pool take _known_mask itself.
+    """
+
+    @pytest.mark.parametrize("units", experiments.UNITS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 50, 100, 2000, 10_000])
+    def test_clamp_sets_are_choice_sets(self, n, units):
+        d = 2 * n if units == "bases" else n
+        # the masks read d and the units only; d = 1 is below what a config allows
+        ctx = SimpleNamespace(ts=SimpleNamespace(d=d), cfg=SimpleNamespace(units=units))
+        grid = range(1, n + 1) if n <= 100 else (1, 2, n // 3, n // 2, n - 1, n)
+        reps = 2
+        for seed in range(30):
+            streams = experiments._Streams(seed, reps, grid)
+            for l in grid:
+                got = np.concatenate(list(streams.masks(ctx, l, reps)))
+                want = [experiments._known_mask(ctx, l, rng) for rng in fresh_streams(seed, reps)]
+                np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}, l {l}")
+
+    def test_a_rejected_draw_takes_known_mask(self, monkeypatch):
+        # at j near 10 000 Lemire's rule rejects about one uint32 in a million;
+        # repetition 0 of seed 34 meets one within its 5000 draws
+        cfg = ExperimentConfig(l_grid=(5000,), d=10_000, m=2, reps=10, units="neurons",
+                               data_format="synthetic", seed=34)
+        ts = ingest(cfg)
+        ctx = experiments._TrialContext(cfg, ts)
+        known_mask, drawn = experiments._known_mask, []
+
+        def counting(ctx, l, rng):
+            drawn.append(l)
+            return known_mask(ctx, l, rng)
+
+        monkeypatch.setattr(experiments, "_known_mask", counting)
+        points = run_recovery_curve(cfg, ts)
+        assert drawn == [5000]
+        monkeypatch.undo()
+        assert points == [CurvePoint(5000, *replayed_cell(ctx, 5000), cfg.reps)]
+        got = np.concatenate(list(experiments._Streams(cfg.seed, cfg.reps).masks(ctx, 5000, 4)))
+        want = [experiments._known_mask(ctx, 5000, rng) for rng in fresh_streams(cfg.seed, cfg.reps)]
+        np.testing.assert_array_equal(got, want)
+
+    def test_a_pool_above_floyds_range_takes_known_mask(self):
+        # l > n // 50 at n > 10 000: numpy shuffles the pool's tail instead
+        cfg = ExperimentConfig(l_grid=(600,), d=12_000, m=2, reps=6, units="neurons",
+                               data_format="synthetic", seed=5)
+        assert cfg.d > experiments._FLOYD_POOL and 600 > cfg.d // 50
+        ts = ingest(cfg)
+        ctx = experiments._TrialContext(cfg, ts)
+        assert run_recovery_curve(cfg, ts) == [CurvePoint(600, *replayed_cell(ctx, 600), 6)]
+
+    def test_a_run_holds_one_pass_of_clamps_at_a_time(self, monkeypatch):
+        # a pass covers at most _STACK_ELEMENTS // d rows, 32 of the run's 2000
+        # (cell, repetition) rows here, and the run's 200 x 1000 uint32 table,
+        # above _STACK_ELEMENTS, is drawn pass by pass instead of kept. The run
+        # stays within three of the solve's largest temporaries; every pass's
+        # clamps at once, the kept table or one table for all 1000 draw
+        # positions of a pass would each exceed that.
+        cfg = ExperimentConfig(l_grid=tuple(range(100, 1001, 100)), d=2000, m=8, reps=200,
+                               units="neurons", data_format="synthetic")
+        ts = ingest(cfg)
+        monkeypatch.setattr(experiments, "_STACK_ELEMENTS", 4 * cfg.d * cfg.m)
+        tracemalloc.start()
+        try:
+            points = run_recovery_curve(cfg, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(points) == 10
+        assert peak < 3 * experiments._STACK_ELEMENTS * 8, peak
 
 
 class TestGammaSweep:

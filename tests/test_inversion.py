@@ -26,7 +26,7 @@ from hopfieldkit.inversion import (
 )
 from hopfieldkit.inversion import _reduced_solve  # the mu = 0 kernel, stacked
 from hopfieldkit.inversion import _ridge_block  # the one builder of A's active block
-from hopfieldkit.patterns import ClampSet, TrainingSet, as_thresholds
+from hopfieldkit.patterns import ClampSet, HopfieldWarning, TrainingSet, as_thresholds
 
 try:
     import resource
@@ -93,13 +93,13 @@ class TestAssemble:
 
     def test_warns_when_gamma_does_not_dominate_couplings(self, worked_wm,
                                                           worked_clamp):
-        with pytest.warns(RuntimeWarning, match="spectral norm"):
+        with pytest.warns(HopfieldWarning, match="spectral norm"):
             assemble(worked_wm, worked_clamp, gamma=0.4)
-        with pytest.warns(RuntimeWarning, match="spectral norm"):
+        with pytest.warns(HopfieldWarning, match="spectral norm"):
             assemble(worked_wm, worked_clamp, gamma=0.5)
 
     def test_warns_below_conventional_default(self, worked_wm, worked_clamp):
-        with pytest.warns(RuntimeWarning, match="below the conventional default"):
+        with pytest.warns(HopfieldWarning, match="below the conventional default"):
             assemble(worked_wm, worked_clamp, gamma=0.75)
 
     def test_no_warning_at_default(self, worked_wm, worked_clamp):
@@ -143,7 +143,7 @@ class TestAssemble:
             d = int(rng.integers(2, 12))
             wm = make_weights(rng, d)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.simplefilter("ignore", HopfieldWarning)
                 sys = assemble(wm, make_clamp(rng, d), gamma=gamma)
             np.testing.assert_array_equal(sys.wm.w, wm.w)
             assert spectral_norm(sys.wm) == spectral_norm(wm)
@@ -271,7 +271,7 @@ class TestSolve:
         w[0, 1] = w[1, 0] = w[2, 3] = w[3, 2] = coupling
         clamp = ClampSet(np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
         theta = np.random.default_rng(82).normal(size=5)
-        with pytest.warns(RuntimeWarning, match="spectral norm"):
+        with pytest.warns(HopfieldWarning, match="spectral norm"):
             sys = assemble(WeightMatrix(w), clamp, theta, gamma=coupling)
         report = solve(sys)
         assert report.kept == 5 + 1 - 2
@@ -375,13 +375,13 @@ class TestSolvePerturbed:
 
     def test_singular_matrix_rejected_after_warning(self):
         wm = WeightMatrix([[0.0, 0.5], [0.5, 0.0]])
-        with pytest.warns(RuntimeWarning, match="does not exceed"):
+        with pytest.warns(HopfieldWarning, match="does not exceed"):
             with pytest.raises(ValueError, match="singular"):
                 solve_perturbed(wm, [1.0, 1.0], gamma=0.3, beta=0.2)
 
     def test_indefinite_combination_only_warns_when_solvable(self):
         wm = WeightMatrix([[0.0, 0.5], [0.5, 0.0]])
-        with pytest.warns(RuntimeWarning, match="does not exceed"):
+        with pytest.warns(HopfieldWarning, match="does not exceed"):
             report = solve_perturbed(wm, [1.0, -1.0], gamma=0.2, beta=0.2)
         assert not report.minimum_certified
 
@@ -391,7 +391,7 @@ class TestSolvePerturbed:
         # Q = 0.4 I - W has -0.1, -0.1, 1.4 (indefinite)
         wm = WeightMatrix(-0.5 * (np.ones((3, 3)) - np.eye(3)))
         for half, certified in ((0.4, True), (0.2, False)):
-            with pytest.warns(RuntimeWarning, match="does not exceed"):
+            with pytest.warns(HopfieldWarning, match="does not exceed"):
                 report = solve_perturbed(wm, [1.0, -1.0, 1.0], gamma=half, beta=half)
             assert report.minimum_certified is certified
 
@@ -511,7 +511,7 @@ def dense_copy(wm: WeightMatrix) -> WeightMatrix:
 
 def quiet_assemble(wm, clamp, theta=None, gamma=1.0):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore", HopfieldWarning)
         return assemble(wm, clamp, theta, gamma=gamma)
 
 
@@ -636,7 +636,7 @@ class TestTrainedStore:
             theta = rng.normal(scale=0.3, size=d) if rng.random() < 0.5 else None
             outcomes = []
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.simplefilter("ignore", HopfieldWarning)
                 for store in (wm, dense_copy(wm)):
                     try:
                         outcomes.append(solve_perturbed(store, anchor, theta, gamma, beta))
@@ -677,7 +677,7 @@ class TestTrainedStore:
             anchor = rng.choice([-1.0, 0.0, 1.0], size=d)
             for store in (wm, dense_copy(wm)):
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
+                    warnings.simplefilter("ignore", HopfieldWarning)
                     with pytest.raises(ValueError, match="perturbed system matrix is singular"):
                         solve_perturbed(store, anchor, gamma=half, beta=half)
                     for gamma in (half * (1 + 1e-6), half * (1 - 1e-6)):

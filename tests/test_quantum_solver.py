@@ -8,7 +8,7 @@ import pytest
 from dense_saddle import exact_evolution, padded_a
 from hopfieldkit.experiments import synthetic_patterns
 from hopfieldkit.inversion import _ridge_block, discretize
-from hopfieldkit.patterns import ClampSet, TrainingSet
+from hopfieldkit.patterns import ClampSet, HopfieldWarning, TrainingSet
 from hopfieldkit.quantum import solver
 from hopfieldkit.quantum.evolution import assemble_quantum_a
 from hopfieldkit.quantum.register import QuantumRegister, embed_w
@@ -229,12 +229,12 @@ class TestGuards:
         assert report.t_qubits == 8 and type(report.t_qubits) is int
 
     def test_coarse_phase_grid_warns_and_flags(self):
-        with pytest.warns(RuntimeWarning, match="coarser than the cutoff"):
+        with pytest.warns(HopfieldWarning, match="coarser than the cutoff"):
             report = qhop_solve(TS, CLAMP, t_qubits=2)
         assert not report.resolution_ok
 
     def test_oversized_cutoff_filters_everything(self):
-        with pytest.warns(RuntimeWarning, match="nothing to invert"):
+        with pytest.warns(HopfieldWarning, match="nothing to invert"):
             report = qhop_solve(TS, CLAMP, t_qubits=8, mu=4.0)
         assert not report.ok
         assert report.kept_bins == 0
@@ -247,7 +247,7 @@ class TestGuards:
         # 511 of 512 bins pass a cutoff of 1e-9, but C = mu scales the flag
         # amplitude down to ~1e-9, so the flag probability is ~1e-18
         clamp = ClampSet.from_pattern([1.0, 1.0], (1,))
-        with pytest.warns(RuntimeWarning, match=r"flag probability .* C = mu = 1e-09"):
+        with pytest.warns(HopfieldWarning, match=r"flag probability .* C = mu = 1e-09"):
             report = qhop_solve(TrainingSet([[1.0, 1.0], [1.0, -1.0]]), clamp, mu=1e-9)
         assert not report.ok
         assert report.kept_bins == 511
@@ -273,7 +273,7 @@ class TestRecall:
         np.testing.assert_array_equal(pattern, expected)
 
     def test_failed_run_and_non_finite_mu_raise(self):
-        with pytest.warns(RuntimeWarning, match="nothing to invert"):
+        with pytest.warns(HopfieldWarning, match="nothing to invert"):
             with pytest.raises(RuntimeError, match="quantum recall failed"):
                 qhop_recall(TS, CLAMP, mu=4.0, t_qubits=8)
         for mu in (-0.1, np.nan, np.inf):
@@ -323,7 +323,7 @@ class TestTrace:
 
     def test_failed_run_still_traces(self, tmp_path):
         path = tmp_path / "failed.csv"
-        with pytest.warns(RuntimeWarning, match="nothing to invert"):
+        with pytest.warns(HopfieldWarning, match="nothing to invert"):
             qhop_solve(TS, CLAMP, t_qubits=8, mu=4.0, trace_path=path)
         lines = path.read_text().splitlines()
         assert lines[0] == "step,subregister,norm,top_amplitudes"
