@@ -6,11 +6,11 @@ cell exactly. A run hashes each of those seeds once: it keeps each
 stream's start state, shared by every cell of a curve and every gamma of
 a sweep. The iterative and quantum engines reset one Generator to it
 before each trial and draw the clamp with Generator.choice. The
-inversion engine reads each stream's leading uint32 values once per run
-and derives from them the sets choice would draw, for every cell at
-once in passes of bounded size (Floyd's algorithm over Lemire's bounded
-draws); choice itself still draws a clamp from a pool above 10 000
-units, or one that meets a rejected draw. It then solves the cell's
+inversion engine derives the sets choice would draw from each stream's
+leading uint32 values, in passes of bounded size that each read those
+values once for every cell they cover (Floyd's algorithm over Lemire's
+bounded draws); choice itself still draws a clamp from a pool above
+10 000 units, or one that meets a rejected draw. It then solves the cell's
 repetitions together as one stack, in chunks of bounded size; only a
 repetition whose reduced block is singular is solved on its own. The
 first stored pattern is the recall target throughout. CSV output uses
@@ -40,7 +40,6 @@ FORMATS = ("fasta", "patterns", "synthetic")
 UNITS = ("bases", "neurons")
 _STACK_ELEMENTS = 1 << 22  # float elements of a stacked solve's largest temporary, per chunk
 _FLOYD_POOL = 10_000  # Generator.choice(n, l, replace=False) runs Floyd's algorithm up to this n
-_DRAW_BLOCK = 1 << 13  # elements of each table _choice_sets holds for a block of draw positions
 
 
 @dataclass(frozen=True)
@@ -265,25 +264,18 @@ def _choice_sets(n: int, counts: np.ndarray, leading: np.ndarray,
     rows = len(counts)
     steps = np.where(counts < n, counts, 0)
     order = np.argsort(-steps, kind="stable")  # the rows still drawing come first
-    steps, start = steps[order], order * n
+    lead, start = streams[order], order * n
     first = (n - counts[order] + 1).astype(np.uint64)  # j + 1 at each row's first draw
     chosen = np.zeros(rows * n, dtype=bool)
     rejected = np.zeros(rows, dtype=bool)
-    span = max(1, _DRAW_BLOCK // rows)  # draw positions per block of tables
-    for top in range(0, int(steps[0]), span):
-        k = np.arange(top, min(top + span, int(steps[0])))[:, None]
-        bound = first + k.astype(np.uint64)  # j + 1, (positions, rows)
-        scaled = leading[streams[order], top:top + len(k)].T * bound
-        live = k < steps
-        # Lemire rejects a u whose low word lies below 2**32 mod (j + 1) < j + 1
-        low = scaled & 0xFFFFFFFF
-        at, row = np.nonzero(live & (low < bound))
-        rejected[order[row[low[at, row] < (1 << 32) % bound[at, row]]]] = True
-        drawn = (scaled >> 32).astype(np.intp) + start
-        kept = bound.astype(np.intp) + (start - 1)
-        for step, alive in enumerate(np.count_nonzero(live, axis=1)):
-            v = drawn[step, :alive]
-            chosen[np.where(chosen[v], kept[step, :alive], v)] = True
+    drawing = rows - np.cumsum(np.bincount(steps))[:-1]  # rows still drawing at each step
+    for step, alive in enumerate(drawing):
+        bound = first[:alive] + step  # j + 1
+        scaled = leading[lead[:alive], step] * bound
+        # Lemire rejects a u whose low word lies below 2**32 mod (j + 1)
+        rejected[order[:alive][(scaled & 0xFFFFFFFF) < (1 << 32) % bound]] = True
+        v = (scaled >> 32).astype(np.intp) + start[:alive]
+        chosen[np.where(chosen[v], bound.astype(np.intp) + (start[:alive] - 1), v)] = True
     chosen = chosen.reshape(rows, n)
     chosen[counts >= n] = True
     return chosen, np.flatnonzero(rejected)
@@ -298,15 +290,13 @@ class _Streams:
     counts lists the run's clamp counts in the order its cells run.
 
     masks gives the inversion engine each cell's clamps without a choice
-    call per trial. Once per run it draws each stream's leading uint32
-    values, as many as the run's largest count; each pass of _choice_sets
-    then derives the clamps of the requested cell and the cells after it,
-    up to _STACK_ELEMENTS // d (cell, repetition) rows, so a gamma sweep
-    derives its one cell's clamps once for every gamma. _known_mask still
-    draws a clamp from a pool larger than _FLOYD_POOL, where numpy may
-    shuffle instead, and a row whose draws Lemire's rule rejects. A uint32
-    table above _STACK_ELEMENTS values is not kept: each pass draws the
-    values of its own streams.
+    call per trial. Each pass covers the requested cell and the cells after
+    it, up to _STACK_ELEMENTS // d (cell, repetition) rows: it draws each
+    of its streams' leading uint32 values once, as many as its largest
+    count, and _choice_sets derives every row's clamps from them. A gamma
+    sweep derives its one cell's clamps once for every gamma. _known_mask
+    still draws a clamp from a pool larger than _FLOYD_POOL, where numpy
+    may shuffle instead, and a row whose draws Lemire's rule rejects.
     """
 
     def __init__(self, seed: int, reps: int, counts=()):
@@ -314,7 +304,6 @@ class _Streams:
                         for rep in range(reps)]
         self._rng = np.random.default_rng([seed, 0])
         self._counts = tuple(dict.fromkeys(counts))
-        self._leading = np.empty((reps, 0), dtype=np.uint32)
         self._masks = {}  # (l, first rep, end rep) -> clamp masks of the current pass
 
     def __iter__(self):
@@ -329,16 +318,6 @@ class _Streams:
         """The listed streams' first width next_uint32 values, (len(reps), width)."""
         return np.array([self._reset(rep).integers(0, 2**32, size=width, dtype=np.uint32)
                          for rep in reps])
-
-    def _prefix(self, streams: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """A table of leading uint32 values and each listed stream's row in it."""
-        if self._leading.shape[1] < width:
-            run_width = max((width, *self._counts))
-            if len(self._starts) * run_width > _STACK_ELEMENTS:
-                drawn, rows = np.unique(streams, return_inverse=True)
-                return self._draws(drawn, width), rows
-            self._leading = self._draws(range(len(self._starts)), run_width)
-        return self._leading, streams
 
     def masks(self, ctx: _TrialContext, l: int, rows: int):
         """Cell l's clamp masks, the ones _known_mask draws, in chunks of rows repetitions."""
@@ -367,7 +346,8 @@ class _Streams:
         counts = np.concatenate([np.full(stop - first, l) for l, first, stop in chunks])
         streams = np.concatenate([np.arange(first, stop) for _, first, stop in chunks])
         width = max((l for l, _, _ in chunks if l < n), default=0)
-        sets, rejected = _choice_sets(n, counts, *self._prefix(streams, width))
+        drawn, rows_of = np.unique(streams, return_inverse=True)
+        sets, rejected = _choice_sets(n, counts, self._draws(drawn, width), rows_of)
         if ctx.cfg.units == "bases":
             masks = np.zeros((len(counts), d), dtype=bool)
             masks[:, 0:2 * n:2] = masks[:, 1:2 * n:2] = sets

@@ -436,11 +436,10 @@ class TestClampDraws:
 
     def test_a_run_holds_one_pass_of_clamps_at_a_time(self, monkeypatch):
         # a pass covers at most _STACK_ELEMENTS // d rows, 32 of the run's 2000
-        # (cell, repetition) rows here, and the run's 200 x 1000 uint32 table,
-        # above _STACK_ELEMENTS, is drawn pass by pass instead of kept. The run
-        # stays within three of the solve's largest temporaries; every pass's
-        # clamps at once, the kept table or one table for all 1000 draw
-        # positions of a pass would each exceed that.
+        # (cell, repetition) rows here, and draws only its own streams' uint32
+        # values; the run's whole 200 x 1000 table would exceed _STACK_ELEMENTS.
+        # The run stays within three of the solve's largest temporaries; every
+        # pass's clamps at once would exceed that.
         cfg = ExperimentConfig(l_grid=tuple(range(100, 1001, 100)), d=2000, m=8, reps=200,
                                units="neurons", data_format="synthetic")
         ts = ingest(cfg)
