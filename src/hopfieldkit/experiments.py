@@ -4,15 +4,17 @@ Repetition rep draws from the stream np.random.default_rng([seed, rep])
 in every cell, so a sweep cell reproduces the matching recovery-curve
 cell exactly. A run hashes each of those seeds once: it keeps each
 stream's start state, shared by every cell of a curve and every gamma of
-a sweep. The iterative and quantum engines reset one Generator to it
-before each trial and draw the clamp with Generator.choice. The
-inversion engine derives the sets choice would draw from each stream's
-leading uint32 values, in passes of bounded size that each read those
+a sweep. The iterative engine resets one Generator to it before each
+trial, draws the clamp with Generator.choice and then its fill and
+update order. The inversion and quantum engines draw nothing after the
+clamp, so they take the sets choice would draw, derived from each
+stream's leading uint32 values, in passes of bounded size that each read those
 values once for every cell they cover (Floyd's algorithm over Lemire's
 bounded draws); choice itself still draws a clamp from a pool above
-10 000 units, or one that meets a rejected draw. It then solves the cell's
-repetitions together as one stack, in chunks of bounded size; only a
-repetition whose reduced block is singular is solved on its own. The
+10 000 units, or one that meets a rejected draw. The inversion engine
+then solves the cell's repetitions together as one stack, in chunks of
+bounded size; only a repetition whose reduced block is singular is
+solved on its own. The quantum engine recalls them one by one. The
 first stored pattern is the recall target throughout. CSV output uses
 fixed formatting and is byte-identical across runs.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 import functools
 import io
 import itertools
-import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -31,8 +32,8 @@ from .hebbian import WeightMatrix, train
 from .inversion import (_reduced_solve, _ridge_block, assemble, discretize, solve,
                         truncated_pseudoinverse_apply)
 from .iterative import FILLS, recall
-from .patterns import (ClampSet, TrainingSet, _count, _UnknownBase, encode_rna, load_fasta,
-                       load_patterns)
+from .patterns import (ClampSet, TrainingSet, _count, _real, _UnknownBase, encode_rna,
+                       load_fasta, load_patterns)
 from .quantum.solver import qhop_recall, qhop_solve
 
 METHODS = ("iterative", "inversion", "quantum")
@@ -72,13 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, low in (("d", 2), ("m", 1), ("reps", 1), ("t_qubits", 1), ("max_sweeps", 1)):
             _count(getattr(self, name), name, low)
-        # a bool is a numbers.Real, but not a regularization strength or a cutoff
-        if (isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real)
-                or not 0 < self.gamma < np.inf):
-            raise ValueError("gamma must be positive and finite")
-        if (isinstance(self.mu, bool) or not isinstance(self.mu, numbers.Real)
-                or not 0 <= self.mu < np.inf):
-            raise ValueError("mu must be >= 0 and finite")
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
+        object.__setattr__(self, "mu", _real(self.mu, "mu", zero=True))
         if self.fill not in FILLS:
             raise ValueError(f"fill must be one of {FILLS}")
         if self.method not in METHODS:
@@ -203,15 +199,12 @@ def _inversion_recover(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
     return x
 
 
-def _recover_one(ctx: _TrialContext, mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The iterative or the quantum engine's recall of one trial's clamp."""
+def _quantum_recover(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
+    """qhop_recall of a stack of one cell's clamps, row by row: the +/-1 states."""
     cfg = ctx.cfg
-    if cfg.method == "iterative":
-        start = np.where(mask, ctx.target, 0.0)
-        return recall(ctx.wm, start, rng_seed=rng, max_sweeps=cfg.max_sweeps,
-                      fill=cfg.fill).final
-    clamp = ClampSet(np.where(mask, ctx.target, 0.0))
-    return qhop_recall(ctx.ts, clamp, gamma=cfg.gamma, mu=cfg.mu, t_qubits=cfg.t_qubits)[0]
+    return np.array([qhop_recall(ctx.ts, ClampSet(np.where(mask, ctx.target, 0.0)),
+                                 gamma=cfg.gamma, mu=cfg.mu, t_qubits=cfg.t_qubits)[0]
+                     for mask in masks])
 
 
 def _stacks(masks, rows: int):
@@ -224,27 +217,34 @@ def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
     """The trials of one cell: per generator, clamp l units of the target, recall, count errors.
 
     rngs is a run's _Streams or any iterable of generators, each holding
-    its stream's state when the iteration yields it. The inversion engine
-    solves the cell's clamps from the trained store's factor, as stacks
-    of at most _STACK_ELEMENTS // (d M) rows, and discretizes them row by
-    row; it takes its clamps from _Streams.masks when given the run's
-    streams, and draws each from its generator with _known_mask
-    otherwise. The other engines draw each clamp with _known_mask and
-    recall trial by trial, each drawing from its generator after the
-    clamp. The name is kept for the benchmark's tracer, whose
-    experiments.run_trial span now covers a cell.
+    its stream's state when the iteration yields it. The iterative engine
+    draws each clamp with _known_mask and recalls trial by trial, drawing
+    its fill and update order from the generator after the clamp. The
+    inversion and quantum engines draw nothing after the clamp: they take
+    the cell's clamps from _Streams.masks when given the run's streams,
+    and draw each from its generator with _known_mask otherwise, in
+    stacks of at most _STACK_ELEMENTS // (d M) rows. The inversion engine
+    solves each stack from the trained store's factor and discretizes it
+    row by row; the quantum engine recalls its rows one by one. The name
+    is kept for the benchmark's tracer, whose experiments.run_trial span
+    now covers a cell.
     """
     cfg = ctx.cfg
-    if cfg.method != "inversion":
-        return np.array([np.count_nonzero(_recover_one(ctx, _known_mask(ctx, l, rng), rng)
-                                          != ctx.target) for rng in rngs], dtype=int)
+    if cfg.method == "iterative":
+        finals = (recall(ctx.wm, np.where(_known_mask(ctx, l, rng), ctx.target, 0.0),
+                         rng_seed=rng, max_sweeps=cfg.max_sweeps, fill=cfg.fill).final
+                  for rng in rngs)
+        return np.array([np.count_nonzero(x != ctx.target) for x in finals], dtype=int)
     rows = max(1, _STACK_ELEMENTS // (ctx.ts.d * ctx.ts.m))
     if isinstance(rngs, _Streams):
         stacks = rngs.masks(ctx, l, rows)
     else:
         stacks = _stacks((_known_mask(ctx, l, rng) for rng in rngs), rows)
-    return np.concatenate([np.count_nonzero(discretize(_inversion_recover(ctx, masks))
-                                            != ctx.target, axis=1) for masks in stacks])
+    if cfg.method == "quantum":
+        recalled = (_quantum_recover(ctx, masks) for masks in stacks)
+    else:
+        recalled = (discretize(_inversion_recover(ctx, masks)) for masks in stacks)
+    return np.concatenate([np.count_nonzero(x != ctx.target, axis=1) for x in recalled])
 
 
 def _choice_sets(n: int, counts: np.ndarray, leading: np.ndarray,
@@ -289,11 +289,11 @@ class _Streams:
     rep]), whatever the previous trial consumed, at a state copy's cost.
     counts lists the run's clamp counts in the order its cells run.
 
-    masks gives the inversion engine each cell's clamps without a choice
-    call per trial. Each pass covers the requested cell and the cells after
-    it, up to _STACK_ELEMENTS // d (cell, repetition) rows: it draws each
-    of its streams' leading uint32 values once, as many as its largest
-    count, and _choice_sets derives every row's clamps from them. A gamma
+    masks gives the inversion and quantum engines each cell's clamps
+    without a choice call per trial. Each pass covers the requested cell
+    and the cells after it, up to _STACK_ELEMENTS // d (cell, repetition)
+    rows: it draws each of its streams' leading uint32 values once, as
+    many as its largest count, and _choice_sets derives every row's clamps from them. A gamma
     sweep derives its one cell's clamps once for every gamma. _known_mask
     still draws a clamp from a pool larger than _FLOYD_POOL, where numpy
     may shuffle instead, and a row whose draws Lemire's rule rejects.
@@ -392,9 +392,9 @@ def run_gamma_sweep(cfg: ExperimentConfig, gamma_grid,
         raise ValueError("gamma sweep applies to the inversion method only")
     if len(cfg.l_grid) != 1:
         raise ValueError("gamma sweep needs exactly one l value in the grid")
-    grid = [float(g) for g in gamma_grid]
-    if not grid or any(not 0 < g < np.inf for g in grid):
-        raise ValueError("gamma grid must be non-empty and positive, with finite values")
+    grid = [_real(g, "gamma") for g in gamma_grid]
+    if not grid:
+        raise ValueError("gamma grid must be non-empty")
     ts = ingest(cfg) if ts is None else ts
     l = cfg.l_grid[0]
     wm = train(ts)  # W and the streams do not depend on gamma

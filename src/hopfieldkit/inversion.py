@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .hebbian import WeightMatrix, _pattern_gram, _patterns_of, spectral_norm
-from .patterns import ClampSet, HopfieldWarning, TrainingSet, as_thresholds
+from .patterns import ClampSet, HopfieldWarning, TrainingSet, _finite_vector, _real, as_thresholds
 
 RANK_TOL_FACTOR = 1e-10  # relative eigenvalue cutoff treated as exact rank deficiency
 TIE_TOL_FACTOR = 1e-10  # components this close to zero, relative to max(1, |x|_inf), are ties
@@ -83,8 +83,7 @@ class LinearSystem:
         if self.clamp.d != self.wm.d:
             raise ValueError(f"clamp dimension {self.clamp.d} does not match "
                              f"weights {self.wm.d}")
-        if not 0 < self.gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
+        object.__setattr__(self, "gamma", _real(self.gamma, "gamma"))
         theta = as_thresholds(self.theta, self.d).copy()
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
@@ -151,11 +150,11 @@ class SolveReport:
 
 def assemble(wm: WeightMatrix, clamp: ClampSet, theta=None, gamma: float = 1.0) -> LinearSystem:
     """The recall instance whose system is A = [[W - gamma I, P], [P, 0]], rhs (theta; x_inc)."""
-    sys = LinearSystem(wm, clamp, float(gamma), theta)
-    if gamma <= spectral_norm(wm):
+    sys = LinearSystem(wm, clamp, gamma, theta)
+    if sys.gamma <= spectral_norm(wm):
         warnings.warn("gamma does not exceed the spectral norm of W; the clamped "
                       "minimum is no longer guaranteed", HopfieldWarning, stacklevel=2)
-    elif gamma < 1.0:
+    elif sys.gamma < 1.0:
         warnings.warn("gamma below the conventional default of 1; the minimum is "
                       "still certified while gamma > |W|", HopfieldWarning, stacklevel=2)
     return sys
@@ -171,8 +170,7 @@ def truncated_pseudoinverse_apply(a, w, mu: float):
     """
     a = np.asarray(a, dtype=float)
     w = np.asarray(w, dtype=float)
-    if not 0 <= mu < np.inf:
-        raise ValueError("mu must be >= 0 and finite")
+    mu = _real(mu, "mu", zero=True)
     eigs, vecs = np.linalg.eigh(a)
     rank_tol = float(_rank_floor(eigs))
     beta = vecs.T @ w
@@ -203,8 +201,7 @@ def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
     Q_UU, takes the truncated pseudoinverse of A's active block instead.
     minimum_certified is the verdict of certify_minimum.
     """
-    if not 0 <= mu < np.inf:
-        raise ValueError("mu must be >= 0 and finite")
+    mu = _real(mu, "mu", zero=True)
     d = sys.d
     theta, x_inc = sys.theta, sys.clamp.values
     p_mask = sys.clamp.mask()
@@ -233,7 +230,7 @@ def solve(sys: LinearSystem, mu: float = 0.0) -> SolveReport:
     residual_stationarity = float(np.abs(lam - qx - theta).max())
     certified = certify_minimum(sys.wm, sys.clamp, sys.gamma, _block=block)
     return SolveReport(x=x, lam=lam, discretized=discretize(x), gamma=sys.gamma,
-                       mu=float(mu), rank_tol=rank_tol, kept=kept, eta=eta,
+                       mu=mu, rank_tol=rank_tol, kept=kept, eta=eta,
                        residual_constraint=residual_constraint,
                        residual_stationarity=residual_stationarity,
                        minimum_certified=bool(certified))
@@ -263,8 +260,7 @@ class _SpectralBlock:
     The rule of the module notes, row by row: with floor = _rank_floor of
     the row, a block is singular when some |eig| <= floor and positive
     definite when min(eigs) > floor. An empty spectrum (nothing unclamped)
-    has floor 0 and counts as definite and not singular. u is |U|, shared
-    by every row.
+    has floor 0 and counts as definite and not singular.
     """
 
     def _decide(self, eigs: np.ndarray) -> None:
@@ -294,7 +290,6 @@ class _CoreBlock(_SpectralBlock):
         self.known = known
         self.c = gamma + 1.0 / d
         xk = f[:, _columns(known)].transpose(1, 0, 2)  # each row's X_K
-        self.u = d - xk.shape[2]
         # X_U X_U^T = X X^T - X_K X_K^T has integer entries, so it is exact
         g, self.vecs = np.linalg.eigh(wm.gram - xk @ xk.transpose(0, 2, 1))
         self._decide(gamma * m * d + m - g)  # c M d minus the ascending Gram spectrum
@@ -323,9 +318,8 @@ class _DenseBlock(_SpectralBlock):
     def __init__(self, wm: WeightMatrix, known, gamma: float):
         self.w = wm.w
         self.free = _columns(~known)
-        self.u = self.free.shape[1]
         quu = -self.w[self.free[:, :, None], self.free[:, None, :]]
-        diag = np.arange(self.u)
+        diag = np.arange(self.free.shape[1])
         quu[:, diag, diag] = gamma  # W has a zero diagonal, so this is gamma I - W_UU
         eigs, self.vecs = np.linalg.eigh(quu)
         self._decide(eigs)
@@ -390,13 +384,8 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     sufficient for it but not necessary; below that bound a warning is
     raised before solving.
     """
-    if not 0 < gamma < np.inf:
-        raise ValueError("gamma must be positive and finite")
-    if not 0 < beta < np.inf:
-        raise ValueError("beta must be positive and finite")
-    anchor = np.asarray(x_pert, dtype=float)
-    if anchor.shape != (wm.d,) or not np.all(np.isfinite(anchor)):
-        raise ValueError(f"x_pert must be a finite vector of shape ({wm.d},)")
+    gamma, beta = _real(gamma, "gamma"), _real(beta, "beta")
+    anchor = _finite_vector(x_pert, wm.d, "x_pert")
     t = as_thresholds(theta, wm.d)
     if gamma + beta <= spectral_norm(wm):
         warnings.warn("gamma + beta does not exceed |W|; system may be indefinite",
@@ -408,7 +397,7 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     x = xs[0]
     residual = float(np.max(np.abs(_apply_q(wm, gamma + beta, x) - (beta * anchor - t))))
     return SolveReport(x=x, lam=np.zeros(0), discretized=discretize(x),
-                       gamma=float(gamma), mu=0.0, rank_tol=0.0, kept=wm.d,
+                       gamma=gamma, mu=0.0, rank_tol=0.0, kept=wm.d,
                        eta=0.0, residual_constraint=0.0,
                        residual_stationarity=residual,
                        minimum_certified=bool(block.definite[0]))
@@ -427,10 +416,9 @@ def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=N
     Q_UU = -W_UU then has zero trace. solve hands over, as _block, the
     one-row stack of Q_UU it already took apart.
     """
-    if not 0 <= gamma < np.inf:
-        raise ValueError("gamma must be non-negative and finite")
+    gamma = _real(gamma, "gamma", zero=True)
     if clamp.d != wm.d:
         raise ValueError(f"clamp dimension {clamp.d} does not match weights {wm.d}")
     if _block is None:
         _block = _unclamped_block(wm, clamp.mask()[None], gamma)
-    return not _block.u or bool(_block.definite[0])
+    return bool(_block.definite[0])

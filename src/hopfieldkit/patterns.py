@@ -7,6 +7,8 @@ ClampSet.from_pattern takes indices, and they are 1-based.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +58,25 @@ def _count(value, name: str, low: int = 1) -> int:
     return int(value)
 
 
+def _real(value, name: str, zero: bool = False) -> float:
+    """value as a finite float > 0, or >= 0 if zero. A bool, str, None, array, NaN or inf fails."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (0 <= value if zero else 0 < value) or value == math.inf):
+        raise ValueError(f"{name} must be {'>= 0' if zero else 'positive'} and finite")
+    return float(value)
+
+
+def _finite_vector(values, d: int, name: str) -> np.ndarray:
+    """values as a finite float64 vector of length d."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (d,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be a finite vector of shape ({d},)")
+    return v
+
+
 def as_thresholds(theta, d: int) -> np.ndarray:
     """Validate thresholds as a finite float64 vector of length d; None means zeros."""
-    if theta is None:
-        return np.zeros(d)
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (d,) or not np.all(np.isfinite(t)):
-        raise ValueError(f"thresholds must be a finite vector of shape ({d},)")
-    return t
+    return np.zeros(d) if theta is None else _finite_vector(theta, d, "thresholds")
 
 
 @dataclass(frozen=True)

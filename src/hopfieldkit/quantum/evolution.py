@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from ..patterns import ClampSet, TrainingSet
+from ..patterns import ClampSet, TrainingSet, _count, _real
 from .register import embed, qubits_for
 
 # Split error the product formula's step count aims for.
@@ -105,8 +105,7 @@ def pattern_product_unitary(ts: TrainingSet, t: float, n: int) -> np.ndarray:
     Converges to e^{-i rho t} as n grows, with first-order error O(t^2/n).
     Exact for M = 1 at any n.
     """
-    if n < 1:
-        raise ValueError("step count n must be >= 1")
+    n = _count(n, "step count n")
     d_pad = 2 ** qubits_for(ts.d)
     delta = t / (n * ts.m)
     coeff = np.exp(-1j * delta) - 1.0
@@ -134,20 +133,19 @@ class BlockSplitEvolution:
     """
 
     def __init__(self, source, clamp: ClampSet, gamma: float):
-        if not 0 < gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
+        gamma = _real(gamma, "gamma")
         if not isinstance(source, TrainingSet):
             raise TypeError("source must be a TrainingSet")
         d = source.d
         if clamp.d != d:
             raise ValueError(f"clamp dimension {clamp.d} does not match patterns {d}")
         self._ts = source
-        self.gamma = float(gamma)
+        self.gamma = gamma
         self.d = d
-        self.gamma_prime = float(gamma) + 1.0 / d
+        self.gamma_prime = gamma + 1.0 / d
         self.d_pad = 2 ** qubits_for(d)
         self.dim = 2 * self.d_pad
-        self.spectral_bound = float(gamma) + 2.0
+        self.spectral_bound = gamma + 2.0
         self._known = clamp.mask()  # over the first d rows; the padding is never clamped
 
     def _u_b(self, t: float) -> np.ndarray:

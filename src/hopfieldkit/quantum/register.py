@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..patterns import ClampSet, as_thresholds
+from ..patterns import ClampSet, _count, as_thresholds
 
 NORM_ATOL = 1e-10
 
@@ -71,13 +71,11 @@ def embed_w(theta, clamp: ClampSet) -> tuple[QuantumRegister, float]:
     encoded vector is never zero.
     """
     d = clamp.d
-    t = as_thresholds(theta, d)
     d_pad = 2 ** qubits_for(d)
     w = np.zeros(2 * d_pad)
-    w[:d] = t
+    w[:d] = as_thresholds(theta, d)
     w[d_pad:d_pad + d] = clamp.values
-    norm = float(np.linalg.norm(w))
-    return QuantumRegister(w / norm), norm
+    return embed(w)
 
 
 @dataclass(frozen=True)
@@ -103,8 +101,7 @@ def swap_test(a: QuantumRegister, b: QuantumRegister, shots: int,
     """Hadamard, register-controlled swap, Hadamard, measure the ancilla."""
     if a.total_qubits != b.total_qubits:
         raise ValueError("swap test requires registers of equal qubit count")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = _count(shots, "shots")
     n = a.total_qubits
     dim = 2 ** n
     joint = np.kron(a.amplitudes, b.amplitudes)  # register order (a, b)

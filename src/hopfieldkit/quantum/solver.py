@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..inversion import _ridge_block, discretize
-from ..patterns import ClampSet, HopfieldWarning, _count
+from ..patterns import ClampSet, HopfieldWarning, _count, _real
 from .evolution import assemble_quantum_a
 from .phase import _bin_weights, bin_eigenvalues, controlled_powers, qpe_backward, qpe_forward
 from .register import QuantumRegister, embed_w, qubits_for
@@ -127,8 +127,7 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if not 0 < mu < np.inf:
-        raise ValueError("mu must be positive and finite; it doubles as the rotation constant")
+    mu = _real(mu, "mu")
     t_qubits = _count(t_qubits, "t_qubits")
     n_sys = qubits_for(clamp.d) + 1
     total = n_sys + t_qubits + ANCILLA_QUBITS
@@ -226,8 +225,7 @@ def qhop_recall(source, clamp: ClampSet, gamma: float = 1.0, mu: float = 0.0,
     the clamped values before discretizing. A failed run raises
     RuntimeError.
     """
-    if not 0 <= mu < np.inf:
-        raise ValueError("mu must be >= 0 and finite")
+    mu = _real(mu, "mu", zero=True)
     report = qhop_solve(source, clamp, gamma=gamma, mu=mu if mu > 0 else 0.05,
                         t_qubits=t_qubits, trace_path=trace_path)
     if not report.ok:

@@ -643,7 +643,7 @@ class TestNonFiniteParameters:
         (["recall", "--gamma", "nan"], "gamma must be positive"),
         (["experiment", "recovery-curve", "--gamma", "nan"], "gamma must be positive"),
         (["experiment", "recovery-curve", "--mu", "nan"], "mu must be >= 0"),
-        (["experiment", "gamma-sweep", "--gamma-grid", "1,nan"], "gamma grid must be non-empty"),
+        (["experiment", "gamma-sweep", "--gamma-grid", "1,nan"], "gamma must be positive"),
         (["qcheck", "--gamma", "nan"], "gamma must be positive"),
         (["qcheck", "--mu", "inf"], "mu must be >= 0"),
         (["qcheck", "--seeds", "0"], "n_seeds must be an integer >= 1"),

@@ -315,7 +315,9 @@ class TestStackedCell:
                          data_format="synthetic", seed=2, mu=0.1),
         ExperimentConfig(l_grid=(3,), d=12, m=2, reps=12, units="neurons",
                          data_format="synthetic", seed=2, method="iterative"),
-    ], ids=["singular-rows", "bases", "positive-mu", "iterative"])
+        ExperimentConfig(l_grid=(6,), d=16, m=4, reps=12, units="neurons",
+                         data_format="synthetic", seed=3, method="quantum"),
+    ], ids=["singular-rows", "bases", "positive-mu", "iterative", "quantum"])
     def test_a_cell_is_its_one_generator_calls(self, cfg):
         ctx = experiments._TrialContext(cfg, ingest(cfg))
         l = cfg.l_grid[0]
@@ -490,11 +492,11 @@ class TestGammaSweep:
             run_gamma_sweep(small_cfg(method="iterative"), [1.0])
         with pytest.raises(ValueError, match="exactly one l"):
             run_gamma_sweep(small_cfg(l_grid=(1, 2)), [1.0])
-        with pytest.raises(ValueError, match="non-empty and positive"):
+        with pytest.raises(ValueError, match="gamma grid must be non-empty"):
             run_gamma_sweep(small_cfg(), [])
-        with pytest.raises(ValueError, match="non-empty and positive"):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
             run_gamma_sweep(small_cfg(), [1.0, -0.5])
-        with pytest.raises(ValueError, match="non-empty and positive"):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
             run_gamma_sweep(small_cfg(), [1.0, float("nan")])
 
 
@@ -514,6 +516,13 @@ class TestCsvOutput:
         write_points_csv(points, buf, "gamma")
         assert buf.getvalue() == ("gamma,mean_hamming,stderr,reps\n"
                                   "0.01,45.5,0.5,9\n")
+
+    def test_one_repetition_cell_has_zero_stderr(self):
+        points = run_recovery_curve(small_cfg(reps=1))
+        assert [p.stderr for p in points] == [0.0]
+        buf = io.StringIO()
+        write_points_csv(points, buf, "l")
+        assert buf.getvalue().splitlines()[1].endswith(",0,1")
 
     def test_file_output_is_byte_identical_across_runs(self, tmp_path):
         cfg = small_cfg(reps=8, gamma=0.7)

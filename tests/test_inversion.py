@@ -497,7 +497,7 @@ class TestCertifyMinimum:
         assert certify_minimum(wm, clamp, gamma=0.95)
 
     def test_rejects_negative_gamma_and_mismatch(self, worked_wm, worked_clamp):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
             certify_minimum(worked_wm, worked_clamp, gamma=-0.1)
         with pytest.raises(ValueError, match="does not match"):
             certify_minimum(worked_wm, ClampSet(np.array([1.0, 0.0, 0.0])),

@@ -1,19 +1,28 @@
-"""Pattern model: validation, RNA encoding, clamps, file loaders."""
+"""Pattern model: validation, RNA encoding, clamps, file loaders, and the shared parameter rules."""
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from hopfieldkit.experiments import ExperimentConfig, run_gamma_sweep, run_quantum_crosscheck
+from hopfieldkit.hebbian import train
+from hopfieldkit.inversion import (assemble, certify_minimum, solve, solve_perturbed,
+                                   truncated_pseudoinverse_apply)
 from hopfieldkit.patterns import (
     BASE_TO_BITS,
     ClampSet,
     TrainingSet,
+    _real,
     as_pattern,
     encode_rna,
     load_fasta,
     load_pattern_lines,
     load_patterns,
 )
+from hopfieldkit.quantum.evolution import pattern_product_unitary
+from hopfieldkit.quantum.register import embed, swap_test
+from hopfieldkit.quantum.solver import qhop_recall, qhop_solve
 
 
 class TestAsPattern:
@@ -253,3 +262,71 @@ class TestLoaders:
         path.write_text("\n\n")
         with pytest.raises(ValueError, match="no FASTA records"):
             load_fasta(path)
+
+
+# The shared parameter rules: every entry point that reads a gamma, mu, beta
+# or count refuses the same inputs with the same message.
+STORE = TrainingSet(np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]]))
+STORE_WM = train(STORE)
+STORE_CLAMP = ClampSet(np.array([1.0, -1.0, 0.0, 0.0]))
+POSITIVE, NON_NEGATIVE = "positive and finite", ">= 0 and finite"
+
+REAL_PARAMETERS = {
+    "config-gamma": (lambda v: ExperimentConfig(l_grid=(1,), gamma=v), "gamma", POSITIVE),
+    "config-mu": (lambda v: ExperimentConfig(l_grid=(1,), mu=v), "mu", NON_NEGATIVE),
+    "assemble-gamma": (lambda v: assemble(STORE_WM, STORE_CLAMP, gamma=v), "gamma", POSITIVE),
+    "solve-mu": (lambda v: solve(assemble(STORE_WM, STORE_CLAMP), mu=v), "mu", NON_NEGATIVE),
+    "perturbed-gamma": (lambda v: solve_perturbed(STORE_WM, STORE.patterns[0], gamma=v),
+                        "gamma", POSITIVE),
+    "perturbed-beta": (lambda v: solve_perturbed(STORE_WM, STORE.patterns[0], beta=v),
+                       "beta", POSITIVE),
+    "certify-gamma": (lambda v: certify_minimum(STORE_WM, STORE_CLAMP, v), "gamma", NON_NEGATIVE),
+    "pseudoinverse-mu": (lambda v: truncated_pseudoinverse_apply(np.eye(2), np.ones(2), v),
+                         "mu", NON_NEGATIVE),
+    "qhop-solve-gamma": (lambda v: qhop_solve(STORE, STORE_CLAMP, gamma=v), "gamma", POSITIVE),
+    "qhop-solve-mu": (lambda v: qhop_solve(STORE, STORE_CLAMP, mu=v), "mu", POSITIVE),
+    "qhop-recall-mu": (lambda v: qhop_recall(STORE, STORE_CLAMP, mu=v), "mu", NON_NEGATIVE),
+    "sweep-grid": (lambda v: run_gamma_sweep(ExperimentConfig(l_grid=(1,)), [1.0, v]),
+                   "gamma", POSITIVE),
+    "crosscheck-gamma": (lambda v: run_quantum_crosscheck(d=2, n_seeds=1, gamma=v),
+                         "gamma", POSITIVE),
+}
+BAD_REALS = [True, False, "1", None, np.array(1.0), np.nan, np.inf, -np.inf]
+
+COUNT_PARAMETERS = {
+    "swap-test-shots": (lambda v: swap_test(embed([1.0, 0.0])[0], embed([0.0, 1.0])[0], shots=v),
+                        "shots"),
+    "product-formula-n": (lambda v: pattern_product_unitary(STORE, 1.0, v), "step count n"),
+}
+BAD_COUNTS = [True, "1", None, np.nan, np.inf, 2.5, 0]
+
+
+class TestParameterRules:
+    @pytest.mark.parametrize("entry", REAL_PARAMETERS)
+    def test_real_parameters_share_one_rule(self, entry):
+        call, name, rule = REAL_PARAMETERS[entry]
+        below = 0.0 if rule == POSITIVE else -0.5
+        for value in BAD_REALS + [below]:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}')}$"):
+                call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_PARAMETERS)
+    def test_count_parameters_share_one_rule(self, entry):
+        call, name = COUNT_PARAMETERS[entry]
+        for value in BAD_COUNTS:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be an integer >= 1')}"):
+                call(value)
+
+    def test_a_real_comes_back_as_a_float(self):
+        for value, zero in ((np.float32(0.5), False), (np.int64(3), False), (0, True)):
+            got = _real(value, "x", zero)
+            assert type(got) is float and got == value
+        assert type(assemble(STORE_WM, STORE_CLAMP, gamma=2).gamma) is float
+
+    @pytest.mark.parametrize("bad", [[1.0, np.nan, 0.0, 0.0], [1.0, 0.0, np.inf, 0.0], [1.0, 0.0]])
+    def test_vectors_must_be_finite_and_of_length_d(self, bad):
+        shape = re.escape(" must be a finite vector of shape (4,)")
+        with pytest.raises(ValueError, match=f"^thresholds{shape}$"):
+            assemble(STORE_WM, STORE_CLAMP, theta=bad)
+        with pytest.raises(ValueError, match=f"^x_pert{shape}$"):
+            solve_perturbed(STORE_WM, bad)

@@ -136,7 +136,7 @@ class TestPatternProductUnitary:
         assert errs[1] / errs[2] >= 1.8
 
     def test_rejects_bad_step_count(self):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="step count n must be an integer >= 1"):
             pattern_product_unitary(TWO_PATTERNS, 1.0, 0)
 
 

@@ -170,5 +170,5 @@ class TestSwapTest:
         c, _ = embed([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="equal qubit count"):
             swap_test(a, c, shots=10)
-        with pytest.raises(ValueError, match="shots must be >= 1"):
+        with pytest.raises(ValueError, match="shots must be an integer >= 1"):
             swap_test(a, a, shots=0)
