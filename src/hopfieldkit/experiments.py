@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import io
 import itertools
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -180,10 +181,11 @@ def _known_mask(ctx: _TrialContext, l: int, rng: np.random.Generator) -> np.ndar
 def _inversion_recover(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
     """Constrained solves of a stack of one cell's clamps, x row by row.
 
-    At mu = 0 the kernel solves the whole stack at once. Only a row whose
-    reduced block the spectral rule calls singular, or every row at mu > 0,
-    takes the eigen fallback of solve: the truncated pseudoinverse of A's
-    active block, one row at a time.
+    At mu = 0 the kernel certifies and solves the whole stack at once, by
+    the norm route or the eigen route. Only a row whose reduced block the
+    spectral rule calls singular, or every row at mu > 0, takes the eigen
+    fallback of solve: the truncated pseudoinverse of A's active block, one
+    row at a time.
     """
     cfg = ctx.cfg
     if cfg.mu == 0.0:
@@ -362,12 +364,20 @@ class _Streams:
 
 
 def _cell(ctx: _TrialContext, l: int, streams: _Streams) -> tuple[float, float]:
-    """Mean and standard error of the distances of one cell's repetitions."""
-    distances = run_trial(ctx, l, streams).astype(float)
-    mean = float(distances.mean())
-    if distances.size < 2:
-        return mean, 0.0
-    return mean, float(distances.std(ddof=1) / np.sqrt(distances.size))
+    """Mean and standard error of the distances of one cell's repetitions.
+
+    Both come from the integer sums s and q of the n distances and of their
+    squares: the squared standard error is (n q - s^2) / (n^2 (n - 1)),
+    taken in Python ints, so nothing overflows and only the final divisions
+    and the square root round.
+    """
+    distances = run_trial(ctx, l, streams)
+    n = distances.size
+    s = int(distances.sum())
+    if n < 2:
+        return s / n, 0.0
+    q = int(distances @ distances)  # each distance is at most d, so q <= n d^2 fits int64
+    return s / n, math.sqrt((n * q - s * s) / (n * n * (n - 1)))
 
 
 def run_recovery_curve(cfg: ExperimentConfig, ts: TrainingSet | None = None) -> list[CurvePoint]:

@@ -19,28 +19,45 @@ set U, and the multipliers follow from the clamped rows. One kernel,
 _reduced_solve, does this for a stack of clamps that fix equally many
 neurons: the library solve and the perturbed solve (nothing clamped,
 gamma + beta for gamma) pass one row, the curve harness all repetitions
-of a cell. It takes each row's Q_UU apart by one symmetric
-eigendecomposition, run over the whole stack at once, and the solve, the
-singularity rule and the certificate share it. The rule is the same for
-every block: with floor = RANK_TOL_FACTOR times the largest eigenvalue
-magnitude of the decomposed matrix, Q_UU counts as singular when an
-eigenvalue lies within floor of zero, and as positive definite when its
-smallest eigenvalue exceeds floor. eigh is the only factorization the
-module runs.
+of a cell. Each stack is certified and solved by one of two routes:
+
+- Q = gamma I - W >= (gamma - |W|) I, so once gamma clears the coupling
+  norm |W| every Q_UU is positive definite, with its spectrum in
+  [gamma - |W|, gamma + |W|]. While that bound puts the condition number
+  at most KAPPA_DIRECT, every row is certified from the norm that train
+  already computed, and the rows are solved by one batched LU
+  (np.linalg.solve); no spectrum is computed. The margin is what keeps
+  the route's output that of the eigen route: the solve's error grows
+  with the condition number, and near gamma = |W| rounding would decide
+  signs.
+- Otherwise each row's Q_UU is taken apart by one symmetric
+  eigendecomposition, run over the whole stack at once, and the solve,
+  the singularity rule and the certificate share it. The rule is the
+  same for every block: with floor = RANK_TOL_FACTOR times the largest
+  eigenvalue magnitude of the decomposed matrix, Q_UU counts as singular
+  when an eigenvalue lies within floor of zero, and as positive definite
+  when its smallest eigenvalue exceeds floor. Past the margin the rule
+  would call every row definite and not singular, which is why the norm
+  route may skip it.
+
+For the two kinds of store:
 
 - A trained W keeps its patterns X as a factor, W = s X^T X - I/d with
   s = 1/(M d). Then Q_UU = c I - s X_U^T X_U with c = gamma + 1/d, whose
   spectrum is that of the M x M core C = c I - s X_U X_U^T up to copies of
   c > 0. The Gram matrix X_U X_U^T = X X^T - X_K X_K^T has integer
   entries, so it is exact; X X^T is kept on the store, and only the
-  clamp's columns X_K are gathered. One eigendecomposition of it gives
-  C's spectrum and eigenvectors, and the rule is applied to C. Woodbury,
+  clamp's columns X_K are gathered. The norm route solves with C itself,
+  whose spectrum lies in [gamma - |W|, max(gamma + |W|, c)]: its copies
+  of c exceed gamma + |W| only when |W| < 1/d, which takes M >= d. The
+  eigen route eigendecomposes the Gram matrix, which gives C's spectrum
+  and eigenvectors, and applies the rule to C. Woodbury,
   (Q_UU)^-1 r = (r + s X_U^T C^-1 X_U r) / c, turns the solve into one
   with C. A recall costs O(M^2 |K| + M d + M^3), and Q x costs O(M d); no
   d x d matrix is read.
-- A hand-built W has no factor. Q_UU is extracted and eigendecomposed
-  itself, O(|U|^3), and solved with its eigenvectors. The tests use this
-  dense path as an oracle of the factored one.
+- A hand-built W has no factor. Q_UU is extracted, O(|U|^2), and solved
+  by LU or eigendecomposed itself, O(|U|^3). The tests use this dense
+  path as an oracle of the factored one.
 
 For mu > 0, and when Q_UU is singular, A's active block is eigendecomposed
 instead and only eigenvalues of magnitude >= mu are inverted (the truncated
@@ -61,6 +78,7 @@ from .hebbian import WeightMatrix, _pattern_gram, _patterns_of, spectral_norm
 from .patterns import ClampSet, HopfieldWarning, TrainingSet, _finite_vector, _real, as_thresholds
 
 RANK_TOL_FACTOR = 1e-10  # relative eigenvalue cutoff treated as exact rank deficiency
+KAPPA_DIRECT = 1e4  # reduced blocks whose norm-bound condition number is at most this skip eigh
 TIE_TOL_FACTOR = 1e-10  # components this close to zero, relative to max(1, |x|_inf), are ties
 
 
@@ -254,14 +272,30 @@ def _columns(mask) -> np.ndarray:
 
 
 class _SpectralBlock:
-    """A stack of Q_UU, one per clamp, each taken apart by one eigendecomposition.
+    """A stack of Q_UU, one per clamp, certified and solved by one route (see the module notes).
 
-    eigs is the (R, n) stack of decomposed spectra, each sorted either way.
-    The rule of the module notes, row by row: with floor = _rank_floor of
-    the row, a block is singular when some |eig| <= floor and positive
-    definite when min(eigs) > floor. An empty spectrum (nothing unclamped)
-    has floor 0 and counts as definite and not singular.
+    Each subclass states top, the bound of its matrices' largest
+    eigenvalue; gamma - |W| bounds their smallest. The norm route applies
+    when gamma > |W| and top <= KAPPA_DIRECT (gamma - |W|): every row is
+    definite and not singular, the block keeps its matrices as q, and
+    _inverse solves them by one batched LU. Otherwise each row is taken
+    apart by one eigendecomposition: eigs is the (R, n) stack of decomposed
+    spectra, each sorted either way, and the rule of the module notes
+    decides row by row: with floor = _rank_floor of the row, a block is
+    singular when some |eig| <= floor and positive definite when
+    min(eigs) > floor. An empty spectrum (nothing unclamped) has floor 0
+    and counts as definite and not singular.
     """
+
+    vecs = None  # the eigenvectors; None on the norm route
+
+    def _norm_route(self, gamma: float, norm: float, top: float, rows: int) -> bool:
+        """Whether the norm bound certifies all rows; if it does, mark them definite."""
+        if not (gamma > norm and top <= KAPPA_DIRECT * (gamma - norm)):
+            return False
+        self.singular = np.zeros(rows, dtype=bool)
+        self.definite = ~self.singular
+        return True
 
     def _decide(self, eigs: np.ndarray) -> None:
         self.eigs = eigs
@@ -270,17 +304,20 @@ class _SpectralBlock:
         self.definite = np.minimum.reduce(eigs, axis=1, initial=np.inf) > floor
 
     def _inverse(self, r: np.ndarray) -> np.ndarray:
-        """Each row of r under its block's inverse, by the eigenpairs; zero on singular rows."""
+        """Each row of r under its block's inverse; zero on singular rows."""
+        if self.vecs is None:
+            return np.linalg.solve(self.q, r[:, :, None])[:, :, 0]
         coef = (r[:, None, :] @ self.vecs)[:, 0]
         coef /= np.where(self.singular[:, None], np.inf, self.eigs)
         return (self.vecs @ coef[:, :, None])[:, :, 0]
 
 
 class _CoreBlock(_SpectralBlock):
-    """Q_UU of a trained W, through the spectrum of its M x M core (see the module notes).
+    """Q_UU of a trained W, through its M x M core (see the module notes).
 
     The core is kept scaled by M d, as M d C = (gamma M d + M) I - X_U X_U^T,
-    so its spectrum follows from the Gram matrix by one subtraction.
+    so its spectrum follows from the Gram matrix by one subtraction. Its
+    top is max(gamma + |W|, c).
     """
 
     def __init__(self, wm: WeightMatrix, known, gamma: float):
@@ -291,16 +328,23 @@ class _CoreBlock(_SpectralBlock):
         self.c = gamma + 1.0 / d
         xk = f[:, _columns(known)].transpose(1, 0, 2)  # each row's X_K
         # X_U X_U^T = X X^T - X_K X_K^T has integer entries, so it is exact
-        g, self.vecs = np.linalg.eigh(wm.gram - xk @ xk.transpose(0, 2, 1))
-        self._decide(gamma * m * d + m - g)  # c M d minus the ascending Gram spectrum
+        g = wm.gram - xk @ xk.transpose(0, 2, 1)
+        shift = gamma * m * d + m  # c M d
+        if self._norm_route(gamma, wm.norm, max(gamma + wm.norm, self.c), len(g)):
+            self.q = shift * np.eye(m) - g
+        else:
+            g, self.vecs = np.linalg.eigh(g)
+            self._decide(shift - g)  # c M d minus the ascending Gram spectrum
 
     def solve(self, x, theta=None) -> np.ndarray:
         """A new x with Q_UU x_U = -(theta_U + Q_UK x_K), from x holding x_inc on K and 0 on U.
 
         Woodbury, with I + s C^-1 X_U X_U^T = c C^-1, gives
         x_U = s X_U^T C^-1 (X_K x_K - X_U theta_U / c) - theta_U / c. The
-        spectral rule is the only gate: past it the eigen fallback would
-        invert the same small eigenvalues, so no residual guard follows.
+        block's verdict is the only gate: on the norm route the condition
+        number is at most KAPPA_DIRECT, and past the spectral rule the eigen
+        fallback would invert the same small eigenvalues, so no residual
+        guard follows.
         """
         b = x @ self.f.T  # X_K x_K, for x zero on U
         if theta is not None:
@@ -313,7 +357,7 @@ class _CoreBlock(_SpectralBlock):
 
 
 class _DenseBlock(_SpectralBlock):
-    """Q_UU of a hand-built W, extracted and eigendecomposed once."""
+    """Q_UU of a hand-built W, extracted once; its top is gamma + |W|."""
 
     def __init__(self, wm: WeightMatrix, known, gamma: float):
         self.w = wm.w
@@ -321,8 +365,11 @@ class _DenseBlock(_SpectralBlock):
         quu = -self.w[self.free[:, :, None], self.free[:, None, :]]
         diag = np.arange(self.free.shape[1])
         quu[:, diag, diag] = gamma  # W has a zero diagonal, so this is gamma I - W_UU
-        eigs, self.vecs = np.linalg.eigh(quu)
-        self._decide(eigs)
+        if self._norm_route(gamma, wm.norm, gamma + wm.norm, len(quu)):
+            self.q = quu
+        else:
+            eigs, self.vecs = np.linalg.eigh(quu)
+            self._decide(eigs)
 
     def solve(self, x, theta=None) -> np.ndarray:
         """A new x with Q_UU x_U = -(theta_U + Q_UK x_K), from x holding x_inc on K and 0 on U."""
@@ -335,7 +382,7 @@ class _DenseBlock(_SpectralBlock):
 
 
 def _unclamped_block(wm: WeightMatrix, known, gamma: float):
-    """Q_UU = (gamma I - W)_UU on each row's unclamped set U = ~known, taken apart once."""
+    """Q_UU = (gamma I - W)_UU on each row's unclamped set U = ~known, certified once."""
     return (_DenseBlock if wm.factor is None else _CoreBlock)(wm, known, gamma)
 
 
@@ -348,6 +395,7 @@ def _reduced_solve(wm: WeightMatrix, known, probes, gamma: float, theta=None):
     means zero thresholds. Returns (x, block): x is a new (R, d) array, and
     block the stack of Q_UU from _unclamped_block. A row that the spectral
     rule calls singular (block.singular) is not solved; its x is meaningless.
+    The norm route never calls a row singular.
     """
     block = _unclamped_block(wm, known, gamma)
     return block.solve(probes, theta), block
@@ -376,13 +424,14 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     beta pulls the state toward the perturbed anchor x_pert, so there are
     no multipliers (lam comes back empty). It is the mu = 0 kernel with
     nothing clamped, ridge gamma + beta and thresholds theta - beta x_pert,
-    so a trained store is solved from its factor. The matrix is rejected
-    as singular when an eigenvalue lies within RANK_TOL_FACTOR times the
-    largest eigenvalue magnitude of zero, the rule of every reduced block,
-    and minimum_certified is that block's positive-definiteness verdict,
-    decided on the spectrum the solve took apart. gamma + beta > |W| is
-    sufficient for it but not necessary; below that bound a warning is
-    raised before solving.
+    so a trained store is solved from its factor, and it takes the route of
+    every reduced block. When gamma + beta clears |W| by the KAPPA_DIRECT
+    margin, the matrix is certified from the norm and solved by LU.
+    Otherwise its spectrum decides: it is rejected as singular when an
+    eigenvalue lies within RANK_TOL_FACTOR times the largest eigenvalue
+    magnitude of zero. minimum_certified is that block's
+    positive-definiteness verdict. gamma + beta > |W| is sufficient for it
+    but not necessary; below that bound a warning is raised before solving.
     """
     gamma, beta = _real(gamma, "gamma"), _real(beta, "beta")
     anchor = _finite_vector(x_pert, wm.d, "x_pert")
@@ -408,13 +457,15 @@ def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=N
 
     Clamping fixes the known coordinates, so the minimum is strict exactly
     when Q = gamma I - W on the unclamped set U is positive definite. It is
-    decided on the one spectrum the solve also uses (see the module notes):
-    Q_UU's own for a hand-built W, its core C's for a trained one. The
-    smallest eigenvalue must exceed RANK_TOL_FACTOR times the largest
-    eigenvalue magnitude, so a block within that floor of singular fails.
-    An empty U certifies; gamma = 0 never certifies a non-empty U, since
-    Q_UU = -W_UU then has zero trace. solve hands over, as _block, the
-    one-row stack of Q_UU it already took apart.
+    decided by the route the solve also takes (see the module notes). When
+    gamma clears |W| by the KAPPA_DIRECT margin, the norm bound
+    Q >= (gamma - |W|) I certifies it and nothing is factorized. Otherwise
+    the smallest eigenvalue of Q_UU (a hand-built W) or of its core C (a
+    trained one) must exceed RANK_TOL_FACTOR times the largest eigenvalue
+    magnitude, so a block within that floor of singular fails. An empty U
+    certifies; gamma = 0 never certifies a non-empty U, since Q_UU = -W_UU
+    then has zero trace. solve hands over, as _block, the one-row stack of
+    Q_UU it already certified.
     """
     gamma = _real(gamma, "gamma", zero=True)
     if clamp.d != wm.d:

@@ -27,6 +27,7 @@ every full stability check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,9 @@ def recall(
     """
     if fill not in FILLS:
         raise ValueError(f"unknown fill mode {fill!r}")
-    if max_sweeps < 1:
+    # a fractional budget of at least one sweep, or inf, is allowed
+    if (isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Real)
+            or not max_sweeps >= 1):
         raise ValueError("max_sweeps must be >= 1")
 
     x = as_pattern(start, d=wm.d).copy()

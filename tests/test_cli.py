@@ -602,11 +602,29 @@ gamma,mean_hamming,stderr,reps
 """
 
 
+# the default fixture's |W| is 0.115: the condition bound (gamma + |W|)/(gamma - |W|)
+# is 23 001 at the first gamma, inside the reduced solve's KAPPA_DIRECT margin,
+# and 7668 down to 3.7 at the other four, past it
+NEAR_NORM_GAMMA_SWEEP_CSV = """\
+gamma,mean_hamming,stderr,reps
+0.11501,1.357,0.1419425894,1000
+0.11503,1.357,0.1419425894,1000
+0.1151,1.382,0.1423177091,1000
+0.116,1.977,0.1547074834,1000
+0.2,8.467,0.2215355253,1000
+"""
+
+
 class TestClassicalGoldens:
     def test_gamma_sweep(self, capsys):
         assert main(["experiment", "gamma-sweep", "--l-grid", "50", "--units", "neurons",
                      "--gamma-grid", "0.01,0.05,0.1", "--reps", "1000"]) == 0
         assert capsys.readouterr().out == GAMMA_SWEEP_CSV
+
+    def test_gamma_sweep_near_the_coupling_norm(self, capsys):
+        assert main(["experiment", "gamma-sweep", "--l-grid", "5", "--gamma-grid",
+                     "0.11501,0.11503,0.1151,0.116,0.2", "--reps", "1000"]) == 0
+        assert capsys.readouterr().out == NEAR_NORM_GAMMA_SWEEP_CSV
 
     @pytest.mark.parametrize("method,reps,expected", [
         ("inversion", "200", INVERSION_CURVE_CSV),

@@ -1,9 +1,11 @@
 """Experiment harness: ingestion, trials, curves, sweeps, cross-checks."""
 import io
+import math
 import os
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -253,10 +255,12 @@ def replayed_cell(ctx, l):
     """A cell as the seeding contract states it: a fresh default_rng([seed, rep]) per trial."""
     cfg = ctx.cfg
     rngs = [np.random.default_rng([cfg.seed, rep]) for rep in range(cfg.reps)]
-    distances = experiments.run_trial(ctx, l, rngs).astype(float)
-    if distances.size < 2:
-        return float(distances.mean()), 0.0
-    return float(distances.mean()), float(distances.std(ddof=1) / np.sqrt(distances.size))
+    distances = experiments.run_trial(ctx, l, rngs).tolist()
+    n, s, q = len(distances), sum(distances), sum(x * x for x in distances)
+    if n < 2:
+        return s / n, 0.0
+    # the sample variance over n, exact in integers and rounded once
+    return s / n, math.sqrt((n * q - s * s) / (n * n * (n - 1)))
 
 
 class TestSeedingContract:
@@ -523,6 +527,24 @@ class TestCsvOutput:
         buf = io.StringIO()
         write_points_csv(points, buf, "l")
         assert buf.getvalue().splitlines()[1].endswith(",0,1")
+
+    def test_cell_statistics_are_rounded_once_and_keep_the_printed_digits(self, monkeypatch):
+        # _cell reads its distances from run_trial; feed it random integer cells
+        # and check each statistic against the exact rational, and its printed
+        # .10g digits against numpy's float formula
+        rng = np.random.default_rng(131)
+        cells = [rng.integers(0, int(rng.integers(1, 30000)), size=int(rng.integers(2, 3000)))
+                 for _ in range(300)]
+        cells += [np.full(7, 5), np.array([0, 27000] * 500)]
+        for distances in cells:
+            monkeypatch.setattr(experiments, "run_trial", lambda ctx, l, streams: distances)
+            mean, stderr = experiments._cell(None, 1, None)
+            n, s = distances.size, Fraction(int(distances.sum()))
+            var = (n * Fraction(int(distances @ distances)) - s * s) / (n * n * (n - 1))
+            assert mean == float(s / n)
+            assert abs(Fraction(stderr) ** 2 - var) <= abs(2 * stderr * math.ulp(stderr))
+            ref = distances.std(ddof=1) / np.sqrt(n)
+            assert (f"{mean:.10g}", f"{stderr:.10g}") == (f"{distances.mean():.10g}", f"{ref:.10g}")
 
     def test_file_output_is_byte_identical_across_runs(self, tmp_path):
         cfg = small_cfg(reps=8, gamma=0.7)

@@ -11,10 +11,11 @@ import pytest
 
 import hopfieldkit
 from dense_saddle import dense_a
-from hopfieldkit import experiments
+from hopfieldkit import experiments, inversion
 from hopfieldkit.experiments import ExperimentConfig, ingest, synthetic_patterns
 from hopfieldkit.hebbian import WeightMatrix, spectral_norm, train
 from hopfieldkit.inversion import (
+    KAPPA_DIRECT,
     RANK_TOL_FACTOR,
     LinearSystem,
     assemble,
@@ -227,40 +228,49 @@ class TestSolve:
             np.testing.assert_allclose(report.x, dense[:d], atol=1e-8)
             np.testing.assert_allclose(report.lam, dense[d:], atol=1e-8)
 
-    def test_zero_mu_eigendecomposes_only_the_unclamped_block(self, make_weights, make_clamp,
-                                                              monkeypatch):
-        # A hand-built W: one eigh of Q_UU, a one-row stack, serves the solve
-        # and the certificate; neither the 2d x 2d A nor an LU or Cholesky
-        # factorization is touched. The perturbed solve is the same kernel with
-        # nothing clamped: one eigh of the whole d x d matrix (gamma + beta) I - W.
+    def test_zero_mu_factorizes_only_the_unclamped_block(self, make_weights, make_clamp,
+                                                        monkeypatch):
+        # A hand-built W: one factorization of Q_UU, a one-row stack, serves
+        # the solve and the certificate, and neither A's active block nor a
+        # Cholesky factorization is touched. Past the KAPPA_DIRECT margin it
+        # is one LU solve and no eigh; inside it, one eigh and no solve. The
+        # perturbed solve is the same kernel with nothing clamped, on the
+        # whole d x d matrix (gamma + beta) I - W.
         rng = np.random.default_rng(81)
         cases = [(make_weights(rng, d), make_clamp(rng, d)) for d in (3, 8, 20)]
-        shapes = []
+        calls = []
 
-        def recorded(fn):
+        def recorded(name):
+            fn = getattr(np.linalg, name)
+
             def wrapper(a, *args, **kwargs):
-                shapes.append(np.shape(a))
+                calls.append((name, np.shape(a)))
                 return fn(a, *args, **kwargs)
             return wrapper
 
         def forbidden(*args, **kwargs):
             raise AssertionError("factorization called on the mu = 0 path")
 
-        for name in ("eigh", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
-        for name in ("solve", "cholesky"):
-            monkeypatch.setattr(np.linalg, name, forbidden)
+        for name in ("eigh", "eigvalsh", "solve"):
+            monkeypatch.setattr(np.linalg, name, recorded(name))
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        monkeypatch.setattr(inversion, "_ridge_block", forbidden)
         for wm, clamp in cases:
-            shapes.clear()
-            report = solve(assemble(wm, clamp, gamma=1.2))
             u = wm.d - clamp.l
-            assert shapes == [(1, u, u)]
-            assert report.minimum_certified
-            assert (report.kept, report.eta, report.rank_tol) == (wm.d + clamp.l, 0.0, 0.0)
-            shapes.clear()
-            report = solve_perturbed(wm, rng.choice([-1.0, 0.0, 1.0], size=wm.d), beta=0.5)
-            assert shapes == [(1, wm.d, wm.d)]
-            assert report.minimum_certified
+            # 1.2 clears |W| = 0.9 with condition bound 7; (1 + 1e-5) |W| does not
+            for gamma, route in [(1.2, "solve"), ((1.0 + 1e-5) * wm.norm, "eigh")]:
+                calls.clear()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", HopfieldWarning)  # gamma < 1
+                    report = solve(assemble(wm, clamp, gamma=gamma))
+                assert calls == [(route, (1, u, u))]
+                assert report.minimum_certified
+                assert (report.kept, report.eta, report.rank_tol) == (wm.d + clamp.l, 0.0, 0.0)
+                calls.clear()
+                report = solve_perturbed(wm, rng.choice([-1.0, 0.0, 1.0], size=wm.d),
+                                         gamma=gamma - 0.5, beta=0.5)
+                assert calls == [(route, (1, wm.d, wm.d))]
+                assert report.minimum_certified
 
     @pytest.mark.parametrize("coupling", [0.3, 0.4, 0.7])
     def test_singular_unclamped_block_falls_back_to_the_pseudoinverse(self, coupling):
@@ -790,6 +800,93 @@ class TestStackedKernel:
         masks[0, :2] = masks[1, :3] = True
         with pytest.raises(ValueError, match="equally many neurons"):
             _reduced_solve(wm, masks, np.where(masks, 1.0, 0.0), 1.0)
+
+
+class TestNormRoute:
+    """The KAPPA_DIRECT route of the reduced blocks against the eigen route and the dense path."""
+
+    @staticmethod
+    def eigen_route(monkeypatch, wm, masks, probes, gamma, theta):
+        """_reduced_solve with the norm route closed: every stack is eigendecomposed."""
+        with monkeypatch.context() as mp:
+            mp.setattr(inversion, "KAPPA_DIRECT", 0.0)
+            return _reduced_solve(wm, masks, probes, gamma, theta)
+
+    @pytest.mark.parametrize("store", ["trained", "hand-built"])
+    def test_verdicts_and_solutions_match_the_eigen_rule(self, make_training, make_weights,
+                                                         monkeypatch, store):
+        # gamma below |W|, inside the margin (|W| < gamma < edge) and just past
+        # it; the edge is where top = KAPPA_DIRECT (gamma - |W|), with top the
+        # bound of the block's largest eigenvalue, gamma + max(|W|, 1/d) for a
+        # trained store's core and gamma + |W| for Q_UU itself
+        rng = np.random.default_rng([111, len(store)])
+        routed = 0
+        for _ in range(30):
+            d = int(rng.integers(4, 120))
+            if store == "trained":
+                wm = train(make_training(rng, int(rng.integers(1, 20)), d))
+                hi = max(wm.norm, 1.0 / d)
+            else:
+                wm = make_weights(rng, d, scale=float(rng.uniform(0.05, 0.95)))
+                hi = wm.norm
+            n = wm.norm
+            edge = (KAPPA_DIRECT * n + hi) / (KAPPA_DIRECT - 1.0)
+            bands = {
+                "below": n * float(rng.choice([1.0, rng.uniform(0.2, 1.0)])),
+                "inside": n + (edge - n) * float(10.0 ** rng.uniform(-8, -1e-3)),
+                "past": edge * (1.0 + float(10.0 ** rng.uniform(-9, -3))),
+            }
+            dense = dense_copy(wm)
+            masks = mask_stack(rng, d, 8, int(rng.integers(1, d)), "neurons")
+            probes = np.where(masks, rng.choice([-1.0, 1.0], size=d), 0.0)
+            theta = rng.normal(scale=0.3, size=d) if rng.random() < 0.5 else None
+            for band, gamma in bands.items():
+                if gamma <= 0.0:
+                    continue
+                xs, block = _reduced_solve(wm, masks, probes, gamma, theta)
+                want, oracle = self.eigen_route(monkeypatch, wm, masks, probes, gamma, theta)
+                np.testing.assert_array_equal(block.singular, oracle.singular)
+                np.testing.assert_array_equal(block.definite, oracle.definite)
+                assert (block.vecs is None) == (band == "past")
+                if band != "past":
+                    np.testing.assert_array_equal(xs, want)
+                    continue
+                routed += 1
+                assert block.definite.all() and not block.singular.any()
+                x_dense, _ = self.eigen_route(monkeypatch, dense, masks, probes, gamma, theta)
+                scale = np.abs(x_dense).max(axis=1)
+                assert np.all(np.abs(xs - x_dense).max(axis=1) <= 1e-10 * scale)
+                np.testing.assert_array_equal(discretize(xs), discretize(x_dense))
+        assert routed >= 25
+
+    def test_copies_of_c_bound_the_core_when_the_norm_is_below_1_over_d(self, monkeypatch):
+        # two orthogonal patterns at M = d = 2: W = 0, so the core's top is
+        # c = gamma + 1/d, not gamma + |W|. At gamma = 1e-12 the clamped core's
+        # scaled spectrum is {4 gamma, 4 gamma + 2}, which the spectral rule
+        # calls singular; at gamma = 1 the route certifies it
+        wm = train(TrainingSet([[1.0, 1.0], [1.0, -1.0]]))
+        assert wm.norm == 0.0
+        masks = np.array([[True, False]])
+        probes = np.where(masks, 1.0, 0.0)
+        for gamma, routed in [(1e-12, False), (1.0, True)]:
+            _, block = _reduced_solve(wm, masks, probes, gamma)
+            _, oracle = self.eigen_route(monkeypatch, wm, masks, probes, gamma, None)
+            assert (block.vecs is None) == routed
+            assert (block.singular[0], block.definite[0]) == (oracle.singular[0],
+                                                              oracle.definite[0])
+            assert block.singular[0] != routed
+
+    def test_certify_alone_factorizes_nothing_past_the_margin(self, make_training,
+                                                              monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factorization called to certify")
+
+        wm = train(make_training(np.random.default_rng(112), 8, 100))
+        stores = (wm, dense_copy(wm))  # each norm is found here, before the patch
+        for name in ("eigh", "eigvalsh", "solve", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for store, clamp in zip(stores, [(1, 2, 3), (1,)]):
+            assert certify_minimum(store, ClampSet.from_pattern(np.ones(100), clamp), 1.0)
 
 
 class TestActiveBlockSolve:

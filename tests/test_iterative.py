@@ -322,6 +322,18 @@ class TestRecall:
         with pytest.raises(ValueError, match="max_sweeps"):
             recall(worked_wm, [1.0, 1.0], max_sweeps=0)
 
+    @pytest.mark.parametrize("budget", [None, "1", True, False, float("nan"), 0.5, -np.inf,
+                                        np.array(2.0)], ids=repr)
+    def test_refuses_a_sweep_budget_that_is_not_a_real_of_at_least_one(self, worked_wm,
+                                                                       budget):
+        with pytest.raises(ValueError, match=r"^max_sweeps must be >= 1$"):
+            recall(worked_wm, [1.0, 0.0], rng_seed=0, max_sweeps=budget)
+
+    @pytest.mark.parametrize("budget", [1, 1.5, np.float64(2.0), np.int64(3), np.inf])
+    def test_accepts_fractional_and_unbounded_sweep_budgets(self, worked_wm, budget):
+        trace = recall(worked_wm, [1.0, 0.0], rng_seed=0, max_sweeps=budget)
+        assert trace.converged
+
     def test_low_load_restores_mostly_known_pattern(self):
         # One stored pattern, 15 of 20 neurons known: the field of every
         # neuron is then dominated by the overlap with the stored pattern,
