@@ -271,37 +271,42 @@ def _columns(mask) -> np.ndarray:
     return cols.reshape(len(mask), k)
 
 
+def _clears_margin(wm: WeightMatrix, gamma: float) -> bool:
+    """Whether the norm bound certifies every Q_UU of wm at gamma (see the module notes).
+
+    gamma - |W| bounds each block's smallest eigenvalue, and top its
+    largest: gamma + |W| for a hand-built Q_UU, gamma + max(|W|, 1/d) for a
+    trained store's core. The margin holds when gamma > |W| and
+    top <= KAPPA_DIRECT (gamma - |W|).
+    """
+    norm = wm.norm
+    top = gamma + (norm if wm.factor is None else max(norm, 1.0 / wm.d))
+    return gamma > norm and top <= KAPPA_DIRECT * (gamma - norm)
+
+
 class _SpectralBlock:
     """A stack of Q_UU, one per clamp, certified and solved by one route (see the module notes).
 
-    Each subclass states top, the bound of its matrices' largest
-    eigenvalue; gamma - |W| bounds their smallest. The norm route applies
-    when gamma > |W| and top <= KAPPA_DIRECT (gamma - |W|): every row is
-    definite and not singular, the block keeps its matrices as q, and
-    _inverse solves them by one batched LU. Otherwise each row is taken
-    apart by one eigendecomposition: eigs is the (R, n) stack of decomposed
-    spectra, each sorted either way, and the rule of the module notes
-    decides row by row: with floor = _rank_floor of the row, a block is
-    singular when some |eig| <= floor and positive definite when
-    min(eigs) > floor. An empty spectrum (nothing unclamped) has floor 0
-    and counts as definite and not singular.
+    Past the margin the block keeps its matrices as q, every row is
+    definite and not singular, and _inverse solves them by one batched LU.
+    Otherwise each row is taken apart by one eigendecomposition: eigs is
+    the (R, n) stack of decomposed spectra, each sorted either way, vecs
+    their eigenvectors, and the rule of the module notes decides row by
+    row: with floor = _rank_floor of the row, a block is singular when some
+    |eig| <= floor and positive definite when min(eigs) > floor. An empty
+    spectrum (nothing unclamped) has floor 0 and counts as definite and not
+    singular.
     """
 
-    vecs = None  # the eigenvectors; None on the norm route
-
-    def _norm_route(self, gamma: float, norm: float, top: float, rows: int) -> bool:
-        """Whether the norm bound certifies all rows; if it does, mark them definite."""
-        if not (gamma > norm and top <= KAPPA_DIRECT * (gamma - norm)):
-            return False
-        self.singular = np.zeros(rows, dtype=bool)
-        self.definite = ~self.singular
-        return True
-
-    def _decide(self, eigs: np.ndarray) -> None:
-        self.eigs = eigs
-        floor = _rank_floor(eigs)
-        self.singular = np.minimum.reduce(np.abs(eigs), axis=1, initial=np.inf) <= floor
-        self.definite = np.minimum.reduce(eigs, axis=1, initial=np.inf) > floor
+    def __init__(self, q=None, eigs=None, vecs=None):
+        self.q, self.eigs, self.vecs = q, eigs, vecs
+        if vecs is None:
+            self.singular = np.zeros(len(q), dtype=bool)
+            self.definite = ~self.singular
+        else:
+            floor = _rank_floor(eigs)
+            self.singular = np.minimum.reduce(np.abs(eigs), axis=1, initial=np.inf) <= floor
+            self.definite = np.minimum.reduce(eigs, axis=1, initial=np.inf) > floor
 
     def _inverse(self, r: np.ndarray) -> np.ndarray:
         """Each row of r under its block's inverse; zero on singular rows."""
@@ -316,8 +321,7 @@ class _CoreBlock(_SpectralBlock):
     """Q_UU of a trained W, through its M x M core (see the module notes).
 
     The core is kept scaled by M d, as M d C = (gamma M d + M) I - X_U X_U^T,
-    so its spectrum follows from the Gram matrix by one subtraction. Its
-    top is max(gamma + |W|, c).
+    so its spectrum follows from the Gram matrix by one subtraction.
     """
 
     def __init__(self, wm: WeightMatrix, known, gamma: float):
@@ -330,11 +334,11 @@ class _CoreBlock(_SpectralBlock):
         # X_U X_U^T = X X^T - X_K X_K^T has integer entries, so it is exact
         g = wm.gram - xk @ xk.transpose(0, 2, 1)
         shift = gamma * m * d + m  # c M d
-        if self._norm_route(gamma, wm.norm, max(gamma + wm.norm, self.c), len(g)):
-            self.q = shift * np.eye(m) - g
+        if _clears_margin(wm, gamma):
+            super().__init__(q=shift * np.eye(m) - g)
         else:
-            g, self.vecs = np.linalg.eigh(g)
-            self._decide(shift - g)  # c M d minus the ascending Gram spectrum
+            g, vecs = np.linalg.eigh(g)
+            super().__init__(eigs=shift - g, vecs=vecs)  # c M d minus the ascending Gram spectrum
 
     def solve(self, x, theta=None) -> np.ndarray:
         """A new x with Q_UU x_U = -(theta_U + Q_UK x_K), from x holding x_inc on K and 0 on U.
@@ -357,7 +361,7 @@ class _CoreBlock(_SpectralBlock):
 
 
 class _DenseBlock(_SpectralBlock):
-    """Q_UU of a hand-built W, extracted once; its top is gamma + |W|."""
+    """Q_UU of a hand-built W, extracted once."""
 
     def __init__(self, wm: WeightMatrix, known, gamma: float):
         self.w = wm.w
@@ -365,11 +369,11 @@ class _DenseBlock(_SpectralBlock):
         quu = -self.w[self.free[:, :, None], self.free[:, None, :]]
         diag = np.arange(self.free.shape[1])
         quu[:, diag, diag] = gamma  # W has a zero diagonal, so this is gamma I - W_UU
-        if self._norm_route(gamma, wm.norm, gamma + wm.norm, len(quu)):
-            self.q = quu
+        if _clears_margin(wm, gamma):
+            super().__init__(q=quu)
         else:
-            eigs, self.vecs = np.linalg.eigh(quu)
-            self._decide(eigs)
+            eigs, vecs = np.linalg.eigh(quu)
+            super().__init__(eigs=eigs, vecs=vecs)
 
     def solve(self, x, theta=None) -> np.ndarray:
         """A new x with Q_UU x_U = -(theta_U + Q_UK x_K), from x holding x_inc on K and 0 on U."""
@@ -459,7 +463,8 @@ def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=N
     when Q = gamma I - W on the unclamped set U is positive definite. It is
     decided by the route the solve also takes (see the module notes). When
     gamma clears |W| by the KAPPA_DIRECT margin, the norm bound
-    Q >= (gamma - |W|) I certifies it and nothing is factorized. Otherwise
+    Q >= (gamma - |W|) I certifies it, and no block is built: neither the
+    clamp's columns nor a matrix is gathered. Otherwise
     the smallest eigenvalue of Q_UU (a hand-built W) or of its core C (a
     trained one) must exceed RANK_TOL_FACTOR times the largest eigenvalue
     magnitude, so a block within that floor of singular fails. An empty U
@@ -471,5 +476,7 @@ def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=N
     if clamp.d != wm.d:
         raise ValueError(f"clamp dimension {clamp.d} does not match weights {wm.d}")
     if _block is None:
+        if _clears_margin(wm, gamma):
+            return True
         _block = _unclamped_block(wm, clamp.mask()[None], gamma)
     return bool(_block.definite[0])

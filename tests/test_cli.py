@@ -614,6 +614,17 @@ gamma,mean_hamming,stderr,reps
 0.2,8.467,0.2215355253,1000
 """
 
+# gamma within 1e-7 of |W| = 0.115, where the reduced blocks' condition numbers
+# reach about 2e9: solution components within 6e-7 of zero lie outside the
+# tie band, and their signs follow the solver's rounding, so these pin the
+# eigen solve below the KAPPA_DIRECT margin (an LU there reads 1.335 at the
+# first gamma), and a different LAPACK build may move them
+EDGE_GAMMA_SWEEP_CSV = """\
+gamma,mean_hamming,stderr,reps
+0.1150000001,1.375,0.1573503547,1000
+0.1150001,1.358,0.1426891594,1000
+"""
+
 
 class TestClassicalGoldens:
     def test_gamma_sweep(self, capsys):
@@ -625,6 +636,11 @@ class TestClassicalGoldens:
         assert main(["experiment", "gamma-sweep", "--l-grid", "5", "--gamma-grid",
                      "0.11501,0.11503,0.1151,0.116,0.2", "--reps", "1000"]) == 0
         assert capsys.readouterr().out == NEAR_NORM_GAMMA_SWEEP_CSV
+
+    def test_gamma_sweep_at_the_coupling_norm(self, capsys):
+        assert main(["experiment", "gamma-sweep", "--l-grid", "5", "--gamma-grid",
+                     "0.1150000001,0.1150001", "--reps", "1000"]) == 0
+        assert capsys.readouterr().out == EDGE_GAMMA_SWEEP_CSV
 
     @pytest.mark.parametrize("method,reps,expected", [
         ("inversion", "200", INVERSION_CURVE_CSV),

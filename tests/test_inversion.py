@@ -812,13 +812,31 @@ class TestNormRoute:
             mp.setattr(inversion, "KAPPA_DIRECT", 0.0)
             return _reduced_solve(wm, masks, probes, gamma, theta)
 
+    @staticmethod
+    def assert_matches_a_dense_solve(wm, masks, probes, gamma, theta, xs, singular):
+        """Each row of xs not singular against np.linalg.solve of its dense Q_UU."""
+        w = wm.w
+        for x, known, probe, skip in zip(xs, masks, probes, singular):
+            if skip:
+                continue
+            free = ~known
+            quu = gamma * np.eye(int(free.sum())) - w[np.ix_(free, free)]
+            rhs = w[np.ix_(free, known)] @ probe[known]  # -Q_UK x_K
+            want = probe.copy()
+            want[free] = np.linalg.solve(quu, rhs if theta is None else rhs - theta[free])
+            eigs = np.abs(np.linalg.eigvalsh(quu))
+            kappa = eigs.max() / eigs.min() if eigs.size else 1.0
+            assert np.abs(x - want).max() <= 1e-13 * kappa * np.abs(want).max()
+
     @pytest.mark.parametrize("store", ["trained", "hand-built"])
     def test_verdicts_and_solutions_match_the_eigen_rule(self, make_training, make_weights,
                                                          monkeypatch, store):
         # gamma below |W|, inside the margin (|W| < gamma < edge) and just past
         # it; the edge is where top = KAPPA_DIRECT (gamma - |W|), with top the
         # bound of the block's largest eigenvalue, gamma + max(|W|, 1/d) for a
-        # trained store's core and gamma + |W| for Q_UU itself
+        # trained store's core and gamma + |W| for Q_UU itself. Below the edge
+        # each row not called singular also matches np.linalg.solve of the
+        # dense Q_UU within 1e-13 times the row's condition number
         rng = np.random.default_rng([111, len(store)])
         routed = 0
         for _ in range(30):
@@ -850,6 +868,8 @@ class TestNormRoute:
                 assert (block.vecs is None) == (band == "past")
                 if band != "past":
                     np.testing.assert_array_equal(xs, want)
+                    self.assert_matches_a_dense_solve(wm, masks, probes, gamma, theta, xs,
+                                                      block.singular)
                     continue
                 routed += 1
                 assert block.definite.all() and not block.singular.any()
@@ -885,8 +905,31 @@ class TestNormRoute:
         stores = (wm, dense_copy(wm))  # each norm is found here, before the patch
         for name in ("eigh", "eigvalsh", "solve", "cholesky"):
             monkeypatch.setattr(np.linalg, name, forbidden)
+        for name in ("_columns", "_unclamped_block"):
+            monkeypatch.setattr(inversion, name, forbidden)  # nor is a block built
         for store, clamp in zip(stores, [(1, 2, 3), (1,)]):
             assert certify_minimum(store, ClampSet.from_pattern(np.ones(100), clamp), 1.0)
+
+    @pytest.mark.parametrize("store", ["trained", "hand-built"])
+    def test_a_stack_that_mixes_singular_rows(self, store):
+        # p = 1 and q alternating on d = 8, each clamp fixing two neurons,
+        # leave the unclamped Gram matrix [[6, o], [o, 6]] with o = -(sum of
+        # q_K). At gamma = |W| = 3/8, where c M d = 16 gamma + 2 = 8, Q_UU is
+        # singular exactly when both clamped neurons have the same parity
+        # (o = +/-2). The stack equals its one-row calls, and each row not
+        # singular matches a dense solve
+        rng = np.random.default_rng([114, len(store)])
+        wm = train(TrainingSet([np.ones(8), np.tile([1.0, -1.0], 4)]))
+        assert wm.norm == 0.375
+        wm = wm if store == "trained" else dense_copy(wm)
+        masks = mask_stack(rng, 8, 24, 2, "neurons")
+        x_inc, theta = rng.choice([-1.0, 1.0], size=8), rng.normal(scale=0.3, size=8)
+        block = TestStackedKernel.assert_rows_match(wm, masks, x_inc, 0.375, theta)
+        np.testing.assert_array_equal(block.singular, masks[:, 1::2].sum(axis=1) != 1)
+        assert 0 < block.singular.sum() < len(masks)
+        probes = np.where(masks, x_inc, 0.0)
+        xs, _ = _reduced_solve(wm, masks, probes, 0.375, theta)
+        self.assert_matches_a_dense_solve(wm, masks, probes, 0.375, theta, xs, block.singular)
 
 
 class TestActiveBlockSolve:
