@@ -35,7 +35,7 @@ from .inversion import (_reduced_solve, _ridge_block, assemble, discretize, solv
 from .iterative import FILLS, recall
 from .patterns import (ClampSet, TrainingSet, _count, _real, _UnknownBase, encode_rna,
                        load_fasta, load_patterns)
-from .quantum.solver import qhop_recall, qhop_solve
+from .quantum.solver import CUTOFF, PHASE_QUBITS, qhop_recall, qhop_solve
 
 METHODS = ("iterative", "inversion", "quantum")
 FORMATS = ("fasta", "patterns", "synthetic")
@@ -69,7 +69,7 @@ class ExperimentConfig:
     units: str = "bases"
     fill: str = "plus"
     max_sweeps: int = 50
-    t_qubits: int = 9
+    t_qubits: int = PHASE_QUBITS
 
     def __post_init__(self):
         for name, low in (("d", 2), ("m", 1), ("reps", 1), ("t_qubits", 1), ("max_sweeps", 1)):
@@ -436,7 +436,7 @@ def write_points_csv(points, out, label: str) -> None:
 
 
 def run_quantum_crosscheck(d: int = 2, n_seeds: int = 10, gamma: float = 1.0,
-                           mu: float = 0.05, t_qubits: int = 9, seed: int = 0,
+                           mu: float = CUTOFF, t_qubits: int = PHASE_QUBITS, seed: int = 0,
                            mode: str = "reference") -> list[dict]:
     """Compare the simulated pipeline against the classical truncated solve.
 

@@ -21,24 +21,23 @@ neurons: the library solve and the perturbed solve (nothing clamped,
 gamma + beta for gamma) pass one row, the curve harness all repetitions
 of a cell. Each stack is certified and solved by one of two routes:
 
-- Q = gamma I - W >= (gamma - |W|) I, so once gamma clears the coupling
-  norm |W| every Q_UU is positive definite, with its spectrum in
-  [gamma - |W|, gamma + |W|]. While that bound puts the condition number
-  at most KAPPA_DIRECT, every row is certified from the norm that train
-  already computed, and the rows are solved by one batched LU
-  (np.linalg.solve); no spectrum is computed. The margin is what keeps
-  the route's output that of the eigen route: the solve's error grows
-  with the condition number, and near gamma = |W| rounding would decide
-  signs.
-- Otherwise each row's Q_UU is taken apart by one symmetric
-  eigendecomposition, run over the whole stack at once, and the solve,
-  the singularity rule and the certificate share it. The rule is the
-  same for every block: with floor = RANK_TOL_FACTOR times the largest
-  eigenvalue magnitude of the decomposed matrix, Q_UU counts as singular
-  when an eigenvalue lies within floor of zero, and as positive definite
-  when its smallest eigenvalue exceeds floor. Past the margin the rule
-  would call every row definite and not singular, which is why the norm
-  route may skip it.
+- Each row's Q_UU is taken apart by one symmetric eigendecomposition, run
+  over the whole stack at once, and the solve, the singularity rule and
+  the certificate share it. The rule is the same for every block: with
+  floor = RANK_TOL_FACTOR times the largest eigenvalue magnitude of the
+  decomposed matrix, Q_UU counts as singular when an eigenvalue lies
+  within floor of zero, and as positive definite when its smallest
+  eigenvalue exceeds floor.
+- A trained store's core skips the spectrum when the coupling norm |W|
+  that train already computed decides it. Q = gamma I - W >=
+  (gamma - |W|) I, so once gamma clears |W| every Q_UU is positive
+  definite. While the bound of the core's condition number (see below)
+  is at most KAPPA_DIRECT, every row is certified from the norm, and the
+  rows are solved by one batched LU (np.linalg.solve). The margin is what
+  keeps the route's output that of the eigen route: the solve's error
+  grows with the condition number, and near gamma = |W| rounding would
+  decide signs. Past the margin the rule would call every row definite
+  and not singular, which is why the norm route may skip it.
 
 For the two kinds of store:
 
@@ -48,16 +47,16 @@ For the two kinds of store:
   c > 0. The Gram matrix X_U X_U^T = X X^T - X_K X_K^T has integer
   entries, so it is exact; X X^T is kept on the store, and only the
   clamp's columns X_K are gathered. The norm route solves with C itself,
-  whose spectrum lies in [gamma - |W|, max(gamma + |W|, c)]: its copies
+  whose spectrum lies in [gamma - |W|, gamma + max(|W|, 1/d)]: its copies
   of c exceed gamma + |W| only when |W| < 1/d, which takes M >= d. The
   eigen route eigendecomposes the Gram matrix, which gives C's spectrum
   and eigenvectors, and applies the rule to C. Woodbury,
   (Q_UU)^-1 r = (r + s X_U^T C^-1 X_U r) / c, turns the solve into one
   with C. A recall costs O(M^2 |K| + M d + M^3), and Q x costs O(M d); no
   d x d matrix is read.
-- A hand-built W has no factor. Q_UU is extracted, O(|U|^2), and solved
-  by LU or eigendecomposed itself, O(|U|^3). The tests use this dense
-  path as an oracle of the factored one.
+- A hand-built W has no factor. Q_UU is extracted, O(|U|^2), and always
+  eigendecomposed itself, O(|U|^3). The tests use this dense path as an
+  oracle of the factored one.
 
 For mu > 0, and when Q_UU is singular, A's active block is eigendecomposed
 instead and only eigenvalues of magnitude >= mu are inverted (the truncated
@@ -78,7 +77,7 @@ from .hebbian import WeightMatrix, _pattern_gram, _patterns_of, spectral_norm
 from .patterns import ClampSet, HopfieldWarning, TrainingSet, _finite_vector, _real, as_thresholds
 
 RANK_TOL_FACTOR = 1e-10  # relative eigenvalue cutoff treated as exact rank deficiency
-KAPPA_DIRECT = 1e4  # reduced blocks whose norm-bound condition number is at most this skip eigh
+KAPPA_DIRECT = 1e4  # trained cores whose norm-bound condition number is at most this skip eigh
 TIE_TOL_FACTOR = 1e-10  # components this close to zero, relative to max(1, |x|_inf), are ties
 
 
@@ -271,24 +270,12 @@ def _columns(mask) -> np.ndarray:
     return cols.reshape(len(mask), k)
 
 
-def _clears_margin(wm: WeightMatrix, gamma: float) -> bool:
-    """Whether the norm bound certifies every Q_UU of wm at gamma (see the module notes).
-
-    gamma - |W| bounds each block's smallest eigenvalue, and top its
-    largest: gamma + |W| for a hand-built Q_UU, gamma + max(|W|, 1/d) for a
-    trained store's core. The margin holds when gamma > |W| and
-    top <= KAPPA_DIRECT (gamma - |W|).
-    """
-    norm = wm.norm
-    top = gamma + (norm if wm.factor is None else max(norm, 1.0 / wm.d))
-    return gamma > norm and top <= KAPPA_DIRECT * (gamma - norm)
-
-
 class _SpectralBlock:
     """A stack of Q_UU, one per clamp, certified and solved by one route (see the module notes).
 
-    Past the margin the block keeps its matrices as q, every row is
-    definite and not singular, and _inverse solves them by one batched LU.
+    On the norm route, which only a trained store's core takes, the block
+    keeps its matrices as q, every row is definite and not singular, and
+    _inverse solves them by one batched LU.
     Otherwise each row is taken apart by one eigendecomposition: eigs is
     the (R, n) stack of decomposed spectra, each sorted either way, vecs
     their eigenvectors, and the rule of the module notes decides row by
@@ -321,7 +308,10 @@ class _CoreBlock(_SpectralBlock):
     """Q_UU of a trained W, through its M x M core (see the module notes).
 
     The core is kept scaled by M d, as M d C = (gamma M d + M) I - X_U X_U^T,
-    so its spectrum follows from the Gram matrix by one subtraction.
+    so its spectrum follows from the Gram matrix by one subtraction. Its
+    spectrum lies in [gamma - |W|, top] with top = gamma + max(|W|, 1/d),
+    and the norm route takes the stack when gamma > |W| and
+    top <= KAPPA_DIRECT (gamma - |W|).
     """
 
     def __init__(self, wm: WeightMatrix, known, gamma: float):
@@ -334,7 +324,8 @@ class _CoreBlock(_SpectralBlock):
         # X_U X_U^T = X X^T - X_K X_K^T has integer entries, so it is exact
         g = wm.gram - xk @ xk.transpose(0, 2, 1)
         shift = gamma * m * d + m  # c M d
-        if _clears_margin(wm, gamma):
+        norm = wm.norm
+        if gamma > norm and gamma + max(norm, 1.0 / d) <= KAPPA_DIRECT * (gamma - norm):
             super().__init__(q=shift * np.eye(m) - g)
         else:
             g, vecs = np.linalg.eigh(g)
@@ -361,7 +352,7 @@ class _CoreBlock(_SpectralBlock):
 
 
 class _DenseBlock(_SpectralBlock):
-    """Q_UU of a hand-built W, extracted once."""
+    """Q_UU of a hand-built W, extracted once and eigendecomposed."""
 
     def __init__(self, wm: WeightMatrix, known, gamma: float):
         self.w = wm.w
@@ -369,11 +360,8 @@ class _DenseBlock(_SpectralBlock):
         quu = -self.w[self.free[:, :, None], self.free[:, None, :]]
         diag = np.arange(self.free.shape[1])
         quu[:, diag, diag] = gamma  # W has a zero diagonal, so this is gamma I - W_UU
-        if _clears_margin(wm, gamma):
-            super().__init__(q=quu)
-        else:
-            eigs, vecs = np.linalg.eigh(quu)
-            super().__init__(eigs=eigs, vecs=vecs)
+        eigs, vecs = np.linalg.eigh(quu)
+        super().__init__(eigs=eigs, vecs=vecs)
 
     def solve(self, x, theta=None) -> np.ndarray:
         """A new x with Q_UU x_U = -(theta_U + Q_UK x_K), from x holding x_inc on K and 0 on U."""
@@ -399,7 +387,7 @@ def _reduced_solve(wm: WeightMatrix, known, probes, gamma: float, theta=None):
     means zero thresholds. Returns (x, block): x is a new (R, d) array, and
     block the stack of Q_UU from _unclamped_block. A row that the spectral
     rule calls singular (block.singular) is not solved; its x is meaningless.
-    The norm route never calls a row singular.
+    The norm route of a trained core never calls a row singular.
     """
     block = _unclamped_block(wm, known, gamma)
     return block.solve(probes, theta), block
@@ -430,12 +418,13 @@ def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,
     nothing clamped, ridge gamma + beta and thresholds theta - beta x_pert,
     so a trained store is solved from its factor, and it takes the route of
     every reduced block. When gamma + beta clears |W| by the KAPPA_DIRECT
-    margin, the matrix is certified from the norm and solved by LU.
-    Otherwise its spectrum decides: it is rejected as singular when an
-    eigenvalue lies within RANK_TOL_FACTOR times the largest eigenvalue
-    magnitude of zero. minimum_certified is that block's
-    positive-definiteness verdict. gamma + beta > |W| is sufficient for it
-    but not necessary; below that bound a warning is raised before solving.
+    margin, a trained store's core is certified from the norm and solved by
+    LU. Otherwise, and always for a hand-built W, the spectrum decides: the
+    matrix is rejected as singular when an eigenvalue lies within
+    RANK_TOL_FACTOR times the largest eigenvalue magnitude of zero.
+    minimum_certified is that block's positive-definiteness verdict.
+    gamma + beta > |W| is sufficient for it but not necessary; below that
+    bound a warning is raised before solving.
     """
     gamma, beta = _real(gamma, "gamma"), _real(beta, "beta")
     anchor = _finite_vector(x_pert, wm.d, "x_pert")
@@ -461,10 +450,9 @@ def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=N
 
     Clamping fixes the known coordinates, so the minimum is strict exactly
     when Q = gamma I - W on the unclamped set U is positive definite. It is
-    decided by the route the solve also takes (see the module notes). When
-    gamma clears |W| by the KAPPA_DIRECT margin, the norm bound
-    Q >= (gamma - |W|) I certifies it, and no block is built: neither the
-    clamp's columns nor a matrix is gathered. Otherwise
+    decided by the block the solve also builds, on its route (see the module
+    notes). When gamma clears |W| by the KAPPA_DIRECT margin, the norm
+    bound Q >= (gamma - |W|) I certifies a trained store's core. Otherwise
     the smallest eigenvalue of Q_UU (a hand-built W) or of its core C (a
     trained one) must exceed RANK_TOL_FACTOR times the largest eigenvalue
     magnitude, so a block within that floor of singular fails. An empty U
@@ -476,7 +464,5 @@ def certify_minimum(wm: WeightMatrix, clamp: ClampSet, gamma: float, *, _block=N
     if clamp.d != wm.d:
         raise ValueError(f"clamp dimension {clamp.d} does not match weights {wm.d}")
     if _block is None:
-        if _clears_margin(wm, gamma):
-            return True
         _block = _unclamped_block(wm, clamp.mask()[None], gamma)
     return bool(_block.definite[0])

@@ -9,20 +9,17 @@ A trained store's fields are exact and are read from its factor alone.
 Its W is C/(M d) with C = X^T X - M I for the (M, d) patterns X, so
 M d (W x)_i = (X^T y)_i - M x_i with y = X x, M integers, and the rule
 compares that integer with M d theta_i: ties resolve to +1 exactly, and
-no d x d array is formed. A hand-built W's fields are floats, and
-rounding can put a tie on either side.
+no d x d array is formed. A hand-built W runs the plain algorithm
+(Hopfield, PNAS 79, 2554, 1982): each update is decided by its row
+product (W x)_i, whose rounding can put an exact tie on either side.
 
-recall is event-driven but reproduces the plain one-neuron-at-a-time loop
-exactly. It draws neuron indices in blocks that end where the loop could
-first stop, so the caller's Generator ends in the same state. It keeps
-s = y (trained) or s = h = W x (hand-built) current with one row add per
-flip, and with it a mask of the neurons that an update would flip, and
-jumps over the updates the mask rules out. For a trained store the mask
-is exact: every neuron it holds flips. For a hand-built W, h drifts by
-rounding, so the mask also holds the neurons whose field lies within a
-rounding band of their threshold; each of those is decided by the exact
-row product (W x)_i, as the plain loop decides it, and h is recomputed at
-every full stability check.
+recall is event-driven for a trained store but reproduces the plain
+one-neuron-at-a-time loop exactly. It draws neuron indices in blocks that
+end where the loop could first stop, so the caller's Generator ends in the
+same state. It keeps y = X x current with one row add per flip, and with
+it the exact mask of the neurons that an update would flip, and jumps over
+the updates the mask rules out. A hand-built W's mask holds every neuron,
+so no update is skipped.
 """
 from __future__ import annotations
 
@@ -105,15 +102,13 @@ def recall(
     The result, including the energy trace and the state a passed-in
     Generator is left in, is that of drawing one index per update and
     deciding it by the threshold rule. Indices are drawn in blocks of
-    min(d - quiet run, updates left), since no run stops inside one. A
-    flip adds one row to the maintained y = X x (trained) or h = W x
-    (hand-built) and refreshes the mask of neurons an update would flip;
-    the next update the mask holds in the rest of the block is found by one
-    gather and an argmax. A trained store's mask is exact, so each update
-    it holds flips and an empty mask is convergence. For a hand-built W
-    only: the mask holds every field within 1e-9 sqrt(d) of a tie, each
-    such update is decided by the row product w[i] @ x, and h is reset to
-    W x at every full stability check.
+    min(d - quiet run, updates left), since no run stops inside one. For a
+    trained store a flip adds one row to the maintained y = X x and
+    refreshes the exact mask of neurons an update would flip; the next
+    update the mask holds in the rest of the block is found by one gather
+    and an argmax, it flips, and an empty mask is convergence. A hand-built
+    W decides every update by its row product w[i] @ x and checks
+    convergence by W x, as the plain loop does.
     """
     if fill not in FILLS:
         raise ValueError(f"unknown fill mode {fill!r}")
@@ -141,21 +136,19 @@ def recall(
         # it exceeds ceil(M d theta_i) - 1/2, a threshold no field equals;
         # as x_i^2 = 1, x_i flips just where the integer (X^T y)_i x_i lies
         # below the half-integer M + thr_i x_i, so the mask below is exact
-        thr, base = np.ceil(m * d * t) - 0.5, m
+        thr = np.ceil(m * d * t) - 0.5
+        s = g @ x  # y = X x
+        rows = 2 * g.T  # what a flip of x_i up adds to y
+        rhs = m + thr * x
+        flips = np.dot(s, g) * x <= rhs  # the neurons an update would flip
     else:
-        # |(W x)_i| <= sqrt(d) because |W| <= 1; rounding in h stays far
-        # inside this band, so a neuron whose margin clears it cannot flip.
-        # W is symmetric only to 1e-12, so a flip of x_i adds column i.
-        g, thr, base = wm.w, t, 1e-9 * np.sqrt(d)
-    s = g @ x  # y = X x, or h = W x
-    rows = 2 * g.T  # what a flip of x_i up adds to s
-    rhs = base + thr * x
-    flips = (np.dot(s, g) if exact else s) * x <= rhs  # the neurons an update would flip, or might
+        w = wm.w
+        flips = np.ones(d, dtype=bool)  # every update is decided by its row product
     energies = []
 
     def sample():
-        # y gives x^T C x exactly (x is +/-1, so xx = d); a hand-built W's h has drifted
-        energies.append(_factor_energy(m, d, s, t, x, d) if exact else _energy(g, t, x))
+        # y gives x^T C x exactly (x is +/-1, so xx = d)
+        energies.append(_factor_energy(m, d, s, t, x, d) if exact else _energy(w, t, x))
 
     sample()
     stable_run = 0
@@ -186,15 +179,15 @@ def recall(
                 break
             i = int(rest[k])
             up = x[i] < 0.0
-            if exact or (g[i] @ x >= thr[i]) == up:
-                if up:
-                    s += rows[i]
-                    x[i] = 1.0
-                else:
-                    s -= rows[i]
-                    x[i] = -1.0
-                rhs[i] = base + thr[i] * x[i]
-                flips = (np.dot(s, g) if exact else s) * x <= rhs
+            if exact or (w[i] @ x >= t[i]) == up:
+                x[i] = 1.0 if up else -1.0
+                if exact:
+                    if up:
+                        s += rows[i]
+                    else:
+                        s -= rows[i]
+                    rhs[i] = m + thr[i] * x[i]
+                    flips = np.dot(s, g) * x <= rhs
                 stable_run = 0
             else:
                 stable_run += 1
@@ -206,14 +199,10 @@ def recall(
             # have missed some neuron, so confirm every neuron is stable
             # before reporting convergence; if not, keep iterating. A trained
             # store's mask is exact, so it is stable when the mask is empty.
-            # A hand-built W's check takes the exact product, which also
-            # clears the drift of h.
             if exact:
                 stable = not flips.any()
             else:
-                s = g @ x
-                flips = s * x <= rhs
-                stable = np.array_equal(np.where(s >= thr, 1.0, -1.0), x)
+                stable = np.array_equal(np.where(w @ x >= t, 1.0, -1.0), x)
             if stable:
                 converged = True
                 break

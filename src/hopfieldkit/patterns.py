@@ -208,26 +208,38 @@ def load_pattern_lines(lines, source: str = "<patterns>") -> np.ndarray:
     return np.array(rows)
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a text file read as UTF-8, whatever the locale.
+
+    The file is decoded whole, so a byte that is not UTF-8 is named by its
+    1-based offset in the file (a line-by-line read would give its offset
+    in a read-ahead chunk).
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text at byte {exc.start + 1} ({exc.reason})") from None
+
+
 def load_patterns(path) -> np.ndarray:
     """Load a pattern file: one pattern per line, entries +1/-1/0."""
-    with open(path) as fh:
-        return load_pattern_lines(fh, source=str(path))
+    return load_pattern_lines(_text_lines(path), source=str(path))
 
 
 def load_fasta(path) -> list[tuple[str, str]]:
     """Load (name, sequence) records from a FASTA file."""
     records: list[tuple[str, list[str]]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(">"):
-                records.append((line[1:].strip(), []))
-            else:
-                if not records:
-                    raise ValueError(f"{path}:{lineno}: sequence data before any '>' header")
-                records[-1][1].append(line)
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            records.append((line[1:].strip(), []))
+        else:
+            if not records:
+                raise ValueError(f"{path}:{lineno}: sequence data before any '>' header")
+            records[-1][1].append(line)
     if not records:
         raise ValueError(f"{path}: no FASTA records found")
     return [(name, "".join(chunks)) for name, chunks in records]

@@ -68,34 +68,14 @@ def conditional_pattern_step_swap(state, pattern, delta_t: float) -> np.ndarray:
         raise ValueError("state must be a vector or square density matrix over (control, system)")
 
     # index order (control, pattern, system); the pattern register sits in the middle
-    r4 = rho.reshape(2, d_pad, 2, d_pad)
-    full = np.einsum("qsrt,p,o->qpsrot", r4, xhat, xhat.conj())
     dd = d_pad * d_pad
-    blocks = full.reshape(2, dd, 2, dd)
-
-    cos_t, sin_t = np.cos(delta_t), np.sin(delta_t)
-
-    def swap_rows(m):
-        return m.reshape(d_pad, d_pad, dd).transpose(1, 0, 2).reshape(dd, dd)
-
-    def swap_cols(m):
-        return m.reshape(dd, d_pad, d_pad).transpose(0, 2, 1).reshape(dd, dd)
-
-    def e_left(m):  # E m with E = cos I - i sin S
-        return cos_t * m - 1j * sin_t * swap_rows(m)
-
-    def e_right(m):  # m E^dag
-        return cos_t * m + 1j * sin_t * swap_cols(m)
-
-    out = np.empty_like(blocks)
-    out[0, :, 0, :] = blocks[0, :, 0, :]
-    out[0, :, 1, :] = e_right(blocks[0, :, 1, :])
-    out[1, :, 0, :] = e_left(blocks[1, :, 0, :])
-    out[1, :, 1, :] = e_left(e_right(blocks[1, :, 1, :]))
-
+    full = np.einsum("qsrt,p,o->qpsrot", rho.reshape(2, d_pad, 2, d_pad), xhat, xhat.conj())
+    swap = np.eye(dd).reshape(d_pad, d_pad, dd).transpose(1, 0, 2).reshape(dd, dd)
+    u = np.eye(2 * dd, dtype=complex)  # |0><0| x I + |1><1| x (cos dt I - i sin dt S)
+    u[dd:, dd:] = np.cos(delta_t) * np.eye(dd) - 1j * np.sin(delta_t) * swap
+    out = u @ full.reshape(2 * dd, 2 * dd) @ u.conj().T
     # trace out the pattern register
-    out6 = out.reshape(2, d_pad, d_pad, 2, d_pad, d_pad)
-    reduced = np.einsum("qpsrpt->qsrt", out6)
+    reduced = np.einsum("qpsrpt->qsrt", out.reshape(2, d_pad, d_pad, 2, d_pad, d_pad))
     return reduced.reshape(2 * d_pad, 2 * d_pad)
 
 

@@ -39,6 +39,8 @@ from .register import QuantumRegister, embed_w, qubits_for
 QUBIT_BUDGET = 16
 ANCILLA_QUBITS = 2  # rotation flag plus the conditioning ancilla of the D block
 MODES = ("reference", "trotter")
+CUTOFF = 0.05  # default eigenvalue cutoff mu, and the one a mu = 0 recall runs at
+PHASE_QUBITS = 9  # default phase-register size T
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,9 @@ def _rotation(t_qubits: int, t0: float, mu: float) -> tuple[np.ndarray, np.ndarr
     return keep, rot, int(keep.sum())
 
 
-def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: float = 0.05,
-               t_qubits: int = 9, mode: str = "reference", trace_path=None) -> QhopReport:
+def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: float = CUTOFF,
+               t_qubits: int = PHASE_QUBITS, mode: str = "reference",
+               trace_path=None) -> QhopReport:
     """Simulate the full recall pipeline on the saddle-point system.
 
     mu is both the eigenvalue cutoff and the rotation constant C. The
@@ -217,16 +220,16 @@ def qhop_solve(source, clamp: ClampSet, theta=None, gamma: float = 1.0, mu: floa
 
 
 def qhop_recall(source, clamp: ClampSet, gamma: float = 1.0, mu: float = 0.0,
-                t_qubits: int = 9, trace_path=None) -> tuple[np.ndarray, QhopReport]:
+                t_qubits: int = PHASE_QUBITS, trace_path=None) -> tuple[np.ndarray, QhopReport]:
     """Recall a +/-1 pattern with qhop_solve; returns it with the report.
 
-    mu = 0 runs at the cutoff 0.05, since the filter needs a positive one.
-    The amplitudes carry an arbitrary global sign, which is fixed against
-    the clamped values before discretizing. A failed run raises
-    RuntimeError.
+    mu = 0 runs at the default cutoff CUTOFF, since the filter needs a
+    positive one. The amplitudes carry an arbitrary global sign, which is
+    fixed against the clamped values before discretizing. A failed run
+    raises RuntimeError.
     """
     mu = _real(mu, "mu", zero=True)
-    report = qhop_solve(source, clamp, gamma=gamma, mu=mu if mu > 0 else 0.05,
+    report = qhop_solve(source, clamp, gamma=gamma, mu=mu if mu > 0 else CUTOFF,
                         t_qubits=t_qubits, trace_path=trace_path)
     if not report.ok:
         raise RuntimeError(f"quantum recall failed: {report.message}")

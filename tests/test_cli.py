@@ -719,6 +719,27 @@ class TestFastaNeedsEvenD:
         assert not (tmp_path / "w.csv").exists()
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("flags", [
+        ["--data"],
+        ["--format", "patterns", "--data"],
+        ["--format", "synthetic", "--pattern"],
+    ], ids=["fasta", "patterns", "probe"])
+    def test_is_one_clean_error_line_naming_file_and_byte(self, tmp_path, capsys, flags):
+        # the byte lies past the first read-ahead chunk, where a decode of
+        # the file line by line would report a position inside the chunk
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 " * 6000 + b"\n\xff\n")
+        args = ["recall", "--d", "8", "--m", "2", *flags, str(path)]
+        if flags[-1] == "--data":
+            args += ["--pattern", probe_file(tmp_path)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text at byte 12002 (invalid start byte)\n"
+        assert "codec" not in captured.err
+
+
 class TestUnknownBase:
     def test_is_one_clean_error_line_naming_file_record_and_position(self, tmp_path, capsys):
         path = tmp_path / "genome.fasta"

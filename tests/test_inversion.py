@@ -230,12 +230,12 @@ class TestSolve:
 
     def test_zero_mu_factorizes_only_the_unclamped_block(self, make_weights, make_clamp,
                                                         monkeypatch):
-        # A hand-built W: one factorization of Q_UU, a one-row stack, serves
-        # the solve and the certificate, and neither A's active block nor a
-        # Cholesky factorization is touched. Past the KAPPA_DIRECT margin it
-        # is one LU solve and no eigh; inside it, one eigh and no solve. The
-        # perturbed solve is the same kernel with nothing clamped, on the
-        # whole d x d matrix (gamma + beta) I - W.
+        # A hand-built W: one eigendecomposition of Q_UU, a one-row stack,
+        # serves the solve and the certificate, and neither A's active block
+        # nor an LU or Cholesky factorization is touched, inside the
+        # KAPPA_DIRECT margin or past it: the norm route serves trained cores
+        # only. The perturbed solve is the same kernel with nothing clamped,
+        # on the whole d x d matrix (gamma + beta) I - W.
         rng = np.random.default_rng(81)
         cases = [(make_weights(rng, d), make_clamp(rng, d)) for d in (3, 8, 20)]
         calls = []
@@ -258,18 +258,18 @@ class TestSolve:
         for wm, clamp in cases:
             u = wm.d - clamp.l
             # 1.2 clears |W| = 0.9 with condition bound 7; (1 + 1e-5) |W| does not
-            for gamma, route in [(1.2, "solve"), ((1.0 + 1e-5) * wm.norm, "eigh")]:
+            for gamma in (1.2, (1.0 + 1e-5) * wm.norm):
                 calls.clear()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", HopfieldWarning)  # gamma < 1
                     report = solve(assemble(wm, clamp, gamma=gamma))
-                assert calls == [(route, (1, u, u))]
+                assert calls == [("eigh", (1, u, u))]
                 assert report.minimum_certified
                 assert (report.kept, report.eta, report.rank_tol) == (wm.d + clamp.l, 0.0, 0.0)
                 calls.clear()
                 report = solve_perturbed(wm, rng.choice([-1.0, 0.0, 1.0], size=wm.d),
                                          gamma=gamma - 0.5, beta=0.5)
-                assert calls == [(route, (1, wm.d, wm.d))]
+                assert calls == [("eigh", (1, wm.d, wm.d))]
                 assert report.minimum_certified
 
     @pytest.mark.parametrize("coupling", [0.3, 0.4, 0.7])
@@ -728,6 +728,34 @@ class TestTrainedStore:
         if gamma == 0.05:
             assert singular > 0
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_hand_built_copy_at_d400_recalls_as_the_store(self, seed):
+        # the store and clamps of the d = 400, M = 20 benchmark workload
+        # (clamps of 50 and 300 neurons on its first pattern): its hand-built
+        # copy runs the plain iterative loop and one eigendecomposition of
+        # each Q_UU, and recalls the same +/-1 state with the same verdict
+        # from both engines. The iterative runs take thresholds half a field
+        # step, 1/(2 M d), above zero: at zero the 50-neuron clamp meets
+        # exact ties, which the store resolves to +1 and the row product of
+        # the copy by its rounding (TestMatchesThePlainLoop pins that)
+        ts = ingest(ExperimentConfig(l_grid=(1,), d=400, m=20, seed=seed,
+                                     data_format="synthetic", units="neurons"))
+        wm = train(ts)
+        dense = dense_copy(wm)
+        rng = np.random.default_rng([seed, 400])
+        theta = np.full(400, 0.5 / (20 * 400))
+        for l in (50, 300):
+            clamp = ClampSet.from_pattern(ts.patterns[0],
+                                          rng.choice(400, size=l, replace=False) + 1)
+            got, want = (solve(assemble(store, clamp)) for store in (wm, dense))
+            np.testing.assert_array_equal(got.discretized, want.discretized)
+            assert got.minimum_certified and want.minimum_certified
+            runs = [hopfieldkit.recall(store, clamp.values, theta, rng_seed=[seed, l])
+                    for store in (wm, dense)]
+            np.testing.assert_array_equal(runs[0].final, runs[1].final)
+            assert runs[0].sweeps == runs[1].sweeps
+            assert runs[0].converged and runs[1].converged
+
 
 def mask_stack(rng, d, rows, l, units):
     """rows clamps of l units each, drawn as the harness draws them: bases clamp neuron pairs."""
@@ -834,9 +862,10 @@ class TestNormRoute:
         # gamma below |W|, inside the margin (|W| < gamma < edge) and just past
         # it; the edge is where top = KAPPA_DIRECT (gamma - |W|), with top the
         # bound of the block's largest eigenvalue, gamma + max(|W|, 1/d) for a
-        # trained store's core and gamma + |W| for Q_UU itself. Below the edge
-        # each row not called singular also matches np.linalg.solve of the
-        # dense Q_UU within 1e-13 times the row's condition number
+        # trained store's core and gamma + |W| for Q_UU itself. Only a trained
+        # core takes the norm route past the edge; everywhere else each row
+        # not called singular also matches np.linalg.solve of the dense Q_UU
+        # within 1e-13 times the row's condition number
         rng = np.random.default_rng([111, len(store)])
         routed = 0
         for _ in range(30):
@@ -865,8 +894,9 @@ class TestNormRoute:
                 want, oracle = self.eigen_route(monkeypatch, wm, masks, probes, gamma, theta)
                 np.testing.assert_array_equal(block.singular, oracle.singular)
                 np.testing.assert_array_equal(block.definite, oracle.definite)
-                assert (block.vecs is None) == (band == "past")
-                if band != "past":
+                norm_route = store == "trained" and band == "past"
+                assert (block.vecs is None) == norm_route
+                if not norm_route:
                     np.testing.assert_array_equal(xs, want)
                     self.assert_matches_a_dense_solve(wm, masks, probes, gamma, theta, xs,
                                                       block.singular)
@@ -877,7 +907,7 @@ class TestNormRoute:
                 scale = np.abs(x_dense).max(axis=1)
                 assert np.all(np.abs(xs - x_dense).max(axis=1) <= 1e-10 * scale)
                 np.testing.assert_array_equal(discretize(xs), discretize(x_dense))
-        assert routed >= 25
+        assert routed >= 25 if store == "trained" else routed == 0
 
     def test_copies_of_c_bound_the_core_when_the_norm_is_below_1_over_d(self, monkeypatch):
         # two orthogonal patterns at M = d = 2: W = 0, so the core's top is
@@ -898,17 +928,27 @@ class TestNormRoute:
 
     def test_certify_alone_factorizes_nothing_past_the_margin(self, make_training,
                                                               monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("factorization called to certify")
+        # certify_minimum builds its block as solve does: a trained store's
+        # core past the margin is certified from the norm, with no
+        # factorization; the margin does not bound a hand-built Q_UU, which
+        # takes one eigh and no LU
+        calls = []
+
+        def recorded(name):
+            def record(a, *args, **kwargs):
+                calls.append((name, np.shape(a)))
+                return fn(a, *args, **kwargs)
+            fn = getattr(np.linalg, name)
+            return record
 
         wm = train(make_training(np.random.default_rng(112), 8, 100))
         stores = (wm, dense_copy(wm))  # each norm is found here, before the patch
         for name in ("eigh", "eigvalsh", "solve", "cholesky"):
-            monkeypatch.setattr(np.linalg, name, forbidden)
-        for name in ("_columns", "_unclamped_block"):
-            monkeypatch.setattr(inversion, name, forbidden)  # nor is a block built
-        for store, clamp in zip(stores, [(1, 2, 3), (1,)]):
+            monkeypatch.setattr(np.linalg, name, recorded(name))
+        for store, clamp, want in zip(stores, [(1, 2, 3), (1,)], [[], [("eigh", (1, 99, 99))]]):
+            calls.clear()
             assert certify_minimum(store, ClampSet.from_pattern(np.ones(100), clamp), 1.0)
+            assert calls == want
 
     @pytest.mark.parametrize("store", ["trained", "hand-built"])
     def test_a_stack_that_mixes_singular_rows(self, store):

@@ -1,5 +1,6 @@
 """The simulated end-to-end recall pipeline on the saddle-point system."""
 import itertools
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -252,6 +253,24 @@ class TestGuards:
         assert not report.ok
         assert report.kept_bins == 511
         assert 0.0 < report.success_probability < 1e-14
+
+    @pytest.mark.parametrize("back,message", [
+        ([0.0, 0.0, 0.0, 0.0], "phase register failed to uncompute; no usable solution branch"),
+        ([0.0, 0.0, 0.6, 0.8], "solution has no weight on the x block"),
+    ], ids=["phase-register", "x-block"])
+    def test_an_empty_branch_fails_with_one_warning(self, monkeypatch, back, message):
+        # trotter mode reads the phase-zero branch from qpe_backward; these
+        # stand-ins return it empty, or with weight only past the d_pad = 2
+        # entries of the x block
+        monkeypatch.setattr(solver, "qpe_backward",
+                            lambda s, powers: np.array(back, dtype=complex))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = qhop_solve(TS, CLAMP, t_qubits=8, mode="trotter")
+        assert [(w.category, str(w.message)) for w in caught] == [(HopfieldWarning, message)]
+        assert not report.ok and report.message == message
+        assert report.x_register is None
+        assert report.phase_residual == 1.0
 
 
 class TestRecall:
