@@ -12,11 +12,11 @@ stream's leading uint32 values, in passes of bounded size that each read those
 values once for every cell they cover (Floyd's algorithm over Lemire's
 bounded draws); choice itself still draws a clamp from a pool above
 10 000 units, or one that meets a rejected draw. The inversion engine
-then solves the cell's repetitions together as one stack, in chunks of
-bounded size; only a repetition whose reduced block is singular is
-solved on its own. The quantum engine recalls them one by one. The
-first stored pattern is the recall target throughout. CSV output uses
-fixed formatting and is byte-identical across runs.
+then solves a pass's (cell, repetition) rows together, in chunks of
+bounded size that may span cells; only a row whose reduced block is
+singular is solved on its own. The quantum engine recalls them one by
+one. The first stored pattern is the recall target throughout. CSV
+output uses fixed formatting and is byte-identical across runs.
 """
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ from .quantum.solver import CUTOFF, PHASE_QUBITS, qhop_recall, qhop_solve
 METHODS = ("iterative", "inversion", "quantum")
 FORMATS = ("fasta", "patterns", "synthetic")
 UNITS = ("bases", "neurons")
-_STACK_ELEMENTS = 1 << 22  # float elements of a stacked solve's largest temporary, per chunk
+_STACK_ELEMENTS = 1 << 22  # clamp entries of a pass: _STACK_ELEMENTS // d (cell, repetition) rows
+_SOLVE_ELEMENTS = 1 << 17  # a solved chunk's (rows, M, d) temporary: about 1 MiB of floats
 _FLOYD_POOL = 10_000  # Generator.choice(n, l, replace=False) runs Floyd's algorithm up to this n
 
 
@@ -179,7 +180,7 @@ def _known_mask(ctx: _TrialContext, l: int, rng: np.random.Generator) -> np.ndar
 
 
 def _inversion_recover(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
-    """Constrained solves of a stack of one cell's clamps, x row by row.
+    """Constrained solves of a stack of clamps, x row by row; the rows may clamp different counts.
 
     At mu = 0 the kernel certifies and solves the whole stack at once, by
     the norm route or the eigen route. Only a row whose reduced block the
@@ -202,11 +203,26 @@ def _inversion_recover(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
 
 
 def _quantum_recover(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
-    """qhop_recall of a stack of one cell's clamps, row by row: the +/-1 states."""
+    """qhop_recall of a stack of clamps, row by row: the +/-1 states."""
     cfg = ctx.cfg
     return np.array([qhop_recall(ctx.ts, ClampSet(np.where(mask, ctx.target, 0.0)),
                                  gamma=cfg.gamma, mu=cfg.mu, t_qubits=cfg.t_qubits)[0]
                      for mask in masks])
+
+
+def _distances(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
+    """Hamming distances to the target of the recalls from a stack of clamps.
+
+    The stack is recalled in chunks of _SOLVE_ELEMENTS // (d M) rows, which
+    may span cells: each row is solved as it would be alone.
+    """
+    rows = max(1, _SOLVE_ELEMENTS // (ctx.ts.d * ctx.ts.m))
+    chunks = (masks[i:i + rows] for i in range(0, len(masks), rows))
+    if ctx.cfg.method == "quantum":
+        recalled = (_quantum_recover(ctx, chunk) for chunk in chunks)
+    else:
+        recalled = (discretize(_inversion_recover(ctx, chunk)) for chunk in chunks)
+    return np.concatenate([np.count_nonzero(x != ctx.target, axis=1) for x in recalled])
 
 
 def _stacks(masks, rows: int):
@@ -222,14 +238,17 @@ def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
     its stream's state when the iteration yields it. The iterative engine
     draws each clamp with _known_mask and recalls trial by trial, drawing
     its fill and update order from the generator after the clamp. The
-    inversion and quantum engines draw nothing after the clamp: they take
-    the cell's clamps from _Streams.masks when given the run's streams,
-    and draw each from its generator with _known_mask otherwise, in
-    stacks of at most _STACK_ELEMENTS // (d M) rows. The inversion engine
-    solves each stack from the trained store's factor and discretizes it
-    row by row; the quantum engine recalls its rows one by one. The name
-    is kept for the benchmark's tracer, whose experiments.run_trial span
-    now covers a cell.
+    inversion and quantum engines draw nothing after the clamp. Given the
+    run's streams, they return the cell's share of _Streams.distances,
+    which recalls a pass's (cell, repetition) rows together; otherwise
+    they draw each clamp from its generator with _known_mask, in stacks
+    of at most _STACK_ELEMENTS // d rows, as a pass holds. _distances
+    recalls either in chunks: the inversion engine solves a chunk from
+    the trained store's factor and discretizes it row by row, and the
+    quantum engine recalls its rows one by one. The name is kept for the
+    benchmark's tracer: an experiments.run_trial span covers a cell, and
+    the first cell of a pass also holds the recalls of the pass's later
+    cells.
     """
     cfg = ctx.cfg
     if cfg.method == "iterative":
@@ -237,16 +256,11 @@ def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
                          rng_seed=rng, max_sweeps=cfg.max_sweeps, fill=cfg.fill).final
                   for rng in rngs)
         return np.array([np.count_nonzero(x != ctx.target) for x in finals], dtype=int)
-    rows = max(1, _STACK_ELEMENTS // (ctx.ts.d * ctx.ts.m))
     if isinstance(rngs, _Streams):
-        stacks = rngs.masks(ctx, l, rows)
-    else:
-        stacks = _stacks((_known_mask(ctx, l, rng) for rng in rngs), rows)
-    if cfg.method == "quantum":
-        recalled = (_quantum_recover(ctx, masks) for masks in stacks)
-    else:
-        recalled = (discretize(_inversion_recover(ctx, masks)) for masks in stacks)
-    return np.concatenate([np.count_nonzero(x != ctx.target, axis=1) for x in recalled])
+        return rngs.distances(ctx, l)
+    rows = max(1, _STACK_ELEMENTS // ctx.ts.d)
+    stacks = _stacks((_known_mask(ctx, l, rng) for rng in rngs), rows)
+    return np.concatenate([_distances(ctx, masks) for masks in stacks])
 
 
 def _choice_sets(n: int, counts: np.ndarray, leading: np.ndarray,
@@ -291,14 +305,17 @@ class _Streams:
     rep]), whatever the previous trial consumed, at a state copy's cost.
     counts lists the run's clamp counts in the order its cells run.
 
-    masks gives the inversion and quantum engines each cell's clamps
-    without a choice call per trial. Each pass covers the requested cell
-    and the cells after it, up to _STACK_ELEMENTS // d (cell, repetition)
-    rows: it draws each of its streams' leading uint32 values once, as
-    many as its largest count, and _choice_sets derives every row's clamps from them. A gamma
-    sweep derives its one cell's clamps once for every gamma. _known_mask
-    still draws a clamp from a pool larger than _FLOYD_POOL, where numpy
-    may shuffle instead, and a row whose draws Lemire's rule rejects.
+    The inversion and quantum engines take a cell's clamps, and their
+    distances, from passes without a choice call per trial. A pass covers
+    the requested (cell, repetition) row and the rows after it, across
+    cells, up to _STACK_ELEMENTS // d rows: it draws each of its streams'
+    leading uint32 values once, as many as its largest count, and
+    _choice_sets derives every row's clamps from them. _known_mask still
+    draws a clamp from a pool larger than _FLOYD_POOL, where numpy may
+    shuffle instead, and a row whose draws Lemire's rule rejects. The pass
+    keeps its clamps, and the distances of one context: a gamma sweep
+    derives its one cell's clamps once and solves them again for each
+    gamma.
     """
 
     def __init__(self, seed: int, reps: int, counts=()):
@@ -306,7 +323,8 @@ class _Streams:
                         for rep in range(reps)]
         self._rng = np.random.default_rng([seed, 0])
         self._counts = tuple(dict.fromkeys(counts))
-        self._masks = {}  # (l, first rep, end rep) -> clamp masks of the current pass
+        self._spans = {}  # (l, first rep) -> (start, stop) rows of self._masks, current pass
+        self._masks = self._solved = self._solved_for = None
 
     def __iter__(self):
         for rep in range(len(self._starts)):
@@ -321,46 +339,66 @@ class _Streams:
         return np.array([self._reset(rep).integers(0, 2**32, size=width, dtype=np.uint32)
                          for rep in reps])
 
-    def masks(self, ctx: _TrialContext, l: int, rows: int):
-        """Cell l's clamp masks, the ones _known_mask draws, in chunks of rows repetitions."""
-        d = ctx.ts.d
-        n = d // 2 if ctx.cfg.units == "bases" else d
-        if n > _FLOYD_POOL:
-            yield from _stacks((_known_mask(ctx, l, rng) for rng in self), rows)
-            return
-        reps = len(self._starts)
-        for first in range(0, reps, rows):
-            key = (l, first, min(first + rows, reps))
-            if key not in self._masks:
-                self._pass(ctx, n, key, rows)
-            yield self._masks[key]
+    def _cell_spans(self, ctx: _TrialContext, l: int):
+        """Cell l's rows of the passes, as (start, stop) into self._masks, in repetition order."""
+        first, reps = 0, len(self._starts)
+        while first < reps:
+            if (l, first) not in self._spans:
+                self._pass(ctx, l, first)
+            start, stop = self._spans[l, first]
+            yield start, stop
+            first += stop - start
 
-    def _pass(self, ctx: _TrialContext, n: int, key: tuple, rows: int) -> None:
-        """Derive the clamps of the chunks from key on, as many as _STACK_ELEMENTS // d rows hold."""
+    def masks(self, ctx: _TrialContext, l: int, rows: int):
+        """Cell l's clamp masks, the ones _known_mask draws, in chunks of at most rows reps."""
+        for start, stop in self._cell_spans(ctx, l):
+            for i in range(start, stop, rows):
+                yield self._masks[i:min(i + rows, stop)]
+
+    def distances(self, ctx: _TrialContext, l: int) -> np.ndarray:
+        """Cell l's distances: each pass's rows are recalled together, once per context."""
+        shares = []
+        for start, stop in self._cell_spans(ctx, l):
+            if self._solved_for is not ctx:
+                self._solved, self._solved_for = _distances(ctx, self._masks), ctx
+            shares.append(self._solved[start:stop])
+        return np.concatenate(shares)
+
+    def _pass(self, ctx: _TrialContext, l: int, first: int) -> None:
+        """Derive the clamps of up to _STACK_ELEMENTS // d rows, from (cell l, rep first) on."""
         reps, d = len(self._starts), ctx.ts.d
-        cells = self._counts[self._counts.index(key[0]):] if key[0] in self._counts else key[:1]
-        chunks = [(l, first, min(first + rows, reps))
-                  for l in cells for first in range(0, reps, rows)]
-        chunks = chunks[chunks.index(key):]
-        filled = itertools.accumulate(stop - first for _, first, stop in chunks)
-        chunks = chunks[:max(1, sum(size <= _STACK_ELEMENTS // d for size in filled))]
-        self._masks = {}
-        counts = np.concatenate([np.full(stop - first, l) for l, first, stop in chunks])
-        streams = np.concatenate([np.arange(first, stop) for _, first, stop in chunks])
-        width = max((l for l, _, _ in chunks if l < n), default=0)
-        drawn, rows_of = np.unique(streams, return_inverse=True)
-        sets, rejected = _choice_sets(n, counts, self._draws(drawn, width), rows_of)
-        if ctx.cfg.units == "bases":
-            masks = np.zeros((len(counts), d), dtype=bool)
-            masks[:, 0:2 * n:2] = masks[:, 1:2 * n:2] = sets
+        n = d // 2 if ctx.cfg.units == "bases" else d
+        cells = self._counts[self._counts.index(l):] if l in self._counts else (l,)
+        room = max(1, _STACK_ELEMENTS // d)
+        pieces = []  # (count, first rep, end rep) of each cell the pass covers
+        for count in cells:
+            stop = min(reps, first + room)
+            pieces.append((count, first, stop))
+            room -= stop - first
+            if not room:
+                break
+            first = 0
+        counts = np.concatenate([np.full(b - a, count) for count, a, b in pieces])
+        streams = np.concatenate([np.arange(a, b) for _, a, b in pieces])
+        if n > _FLOYD_POOL:
+            masks = np.array([_known_mask(ctx, count, self._reset(stream))
+                              for count, stream in zip(counts, streams)])
         else:
-            masks = sets
-        for row in rejected:
-            masks[row] = _known_mask(ctx, counts[row], self._reset(streams[row]))
-        offset = 0
-        for chunk in chunks:
-            self._masks[chunk] = masks[offset:offset + chunk[2] - chunk[1]]
-            offset += chunk[2] - chunk[1]
+            width = max((count for count, _, _ in pieces if count < n), default=0)
+            drawn, rows_of = np.unique(streams, return_inverse=True)
+            sets, rejected = _choice_sets(n, counts, self._draws(drawn, width), rows_of)
+            if ctx.cfg.units == "bases":
+                masks = np.zeros((len(counts), d), dtype=bool)
+                masks[:, 0:2 * n:2] = masks[:, 1:2 * n:2] = sets
+            else:
+                masks = sets
+            for row in rejected:
+                masks[row] = _known_mask(ctx, counts[row], self._reset(streams[row]))
+        self._spans, offset = {}, 0
+        for count, a, b in pieces:
+            self._spans[count, a] = (offset, offset + b - a)
+            offset += b - a
+        self._masks, self._solved, self._solved_for = masks, None, None
 
 
 def _cell(ctx: _TrialContext, l: int, streams: _Streams) -> tuple[float, float]:

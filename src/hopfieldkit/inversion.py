@@ -16,10 +16,13 @@ reference mode both eigendecompose. With mu = 0 the
 clamped block is eliminated: x_K = x_inc fixes the known neurons,
 Q_UU x_U = -(theta_U + Q_UK x_K) with Q = gamma I - W gives the unclamped
 set U, and the multipliers follow from the clamped rows. One kernel,
-_reduced_solve, does this for a stack of clamps that fix equally many
-neurons: the library solve and the perturbed solve (nothing clamped,
-gamma + beta for gamma) pass one row, the curve harness all repetitions
-of a cell. Each stack is certified and solved by one of two routes:
+_reduced_solve, does this for a stack of clamps: the library solve and
+the perturbed solve (nothing clamped, gamma + beta for gamma) pass one
+row, the curve harness a chunk of (cell, repetition) rows. A trained
+store's stack may mix clamp counts, and each of its rows is solved bit
+for bit as it would be alone; a hand-built W's stack fixes equally many
+neurons in every row. Each stack is certified and solved by one of two
+routes:
 
 - Each row's Q_UU is taken apart by one symmetric eigendecomposition, run
   over the whole stack at once, and the solve, the singularity rule and
@@ -45,15 +48,16 @@ For the two kinds of store:
   s = 1/(M d). Then Q_UU = c I - s X_U^T X_U with c = gamma + 1/d, whose
   spectrum is that of the M x M core C = c I - s X_U X_U^T up to copies of
   c > 0. The Gram matrix X_U X_U^T = X X^T - X_K X_K^T has integer
-  entries, so it is exact; X X^T is kept on the store, and only the
-  clamp's columns X_K are gathered. The norm route solves with C itself,
-  whose spectrum lies in [gamma - |W|, gamma + max(|W|, 1/d)]: its copies
-  of c exceed gamma + |W| only when |W| < 1/d, which takes M >= d. The
-  eigen route eigendecomposes the Gram matrix, which gives C's spectrum
-  and eigenvectors, and applies the rule to C. Woodbury,
+  entries, so it is exact; X X^T is kept on the store, and X_K X_K^T is
+  X with its columns off K zeroed, times X^T, so no columns are gathered
+  and the clamp counts of a stack need not agree. The norm route solves
+  with C itself, whose spectrum lies in [gamma - |W|, gamma + max(|W|,
+  1/d)]: its copies of c exceed gamma + |W| only when |W| < 1/d, which
+  takes M >= d. The eigen route eigendecomposes the Gram matrix, which
+  gives C's spectrum and eigenvectors, and applies the rule to C. Woodbury,
   (Q_UU)^-1 r = (r + s X_U^T C^-1 X_U r) / c, turns the solve into one
-  with C. A recall costs O(M^2 |K| + M d + M^3), and Q x costs O(M d); no
-  d x d matrix is read.
+  with C. A recall costs O(M^2 d + M^3), and Q x costs O(M d); no d x d
+  matrix is read.
 - A hand-built W has no factor. Q_UU is extracted, O(|U|^2), and always
   eigendecomposed itself, O(|U|^3). The tests use this dense path as an
   oracle of the factored one.
@@ -262,7 +266,11 @@ def _apply_q(wm: WeightMatrix, gamma: float, x) -> np.ndarray:
 
 
 def _columns(mask) -> np.ndarray:
-    """The (R, k) ascending column indices of an (R, d) mask stack with k set in every row."""
+    """The (R, k) ascending column indices of an (R, d) mask stack with k set in every row.
+
+    Only a hand-built W's block gathers columns, so only its stacks must
+    fix equally many neurons.
+    """
     cols = mask.nonzero()[1]
     k = cols.size // len(mask)
     if len(mask) > 1 and np.any(mask.sum(axis=1) != k):
@@ -320,9 +328,12 @@ class _CoreBlock(_SpectralBlock):
         self.f = f
         self.known = known
         self.c = gamma + 1.0 / d
-        xk = f[:, _columns(known)].transpose(1, 0, 2)  # each row's X_K
-        # X_U X_U^T = X X^T - X_K X_K^T has integer entries, so it is exact
-        g = wm.gram - xk @ xk.transpose(0, 2, 1)
+        # X_U X_U^T = X X^T - X_K X_K^T has integer entries, so it is exact;
+        # X_K X_K^T is X with its columns off K zeroed, times X^T, gathering nothing
+        xk = np.empty((len(known), m, d))
+        np.copyto(xk, known[:, None, :])  # each row's mask, once per pattern
+        xk *= f
+        g = wm.gram - xk @ f.T
         shift = gamma * m * d + m  # c M d
         norm = wm.norm
         if gamma > norm and gamma + max(norm, 1.0 / d) <= KAPPA_DIRECT * (gamma - norm):
@@ -341,11 +352,12 @@ class _CoreBlock(_SpectralBlock):
         fallback would invert the same small eigenvalues, so no residual
         guard follows.
         """
-        b = x @ self.f.T  # X_K x_K, for x zero on U
+        b = x @ self.f.T  # X_K x_K, for x zero on U: integer entries, so exact
+        # the other products run row by row, so no row's x depends on its stack
         if theta is not None:
             t = np.where(self.known, 0.0, theta / self.c)
-            b = b - t @ self.f.T
-        sol = self._inverse(b) @ self.f  # X^T of it, read on U
+            b = b - (t[:, None, :] @ self.f.T)[:, 0]
+        sol = (self._inverse(b)[:, None, :] @ self.f)[:, 0]  # X^T of it, read on U
         if theta is not None:
             sol = sol - t
         return np.where(self.known, x, sol)
@@ -381,10 +393,11 @@ def _unclamped_block(wm: WeightMatrix, known, gamma: float):
 def _reduced_solve(wm: WeightMatrix, known, probes, gamma: float, theta=None):
     """The mu = 0 kernel: x with x_K = x_inc_K and Q_UU x_U = -(theta_U + Q_UK x_K).
 
-    known is an (R, d) stack of masks that clamp equally many neurons, and
-    probes the (R, d) stack of their x_inc, zero off the clamp; each row is
-    solved on its own, with Q = gamma I - W and U = ~known. theta=None
-    means zero thresholds. Returns (x, block): x is a new (R, d) array, and
+    known is an (R, d) stack of masks, and probes the (R, d) stack of
+    their x_inc, zero off the clamp; each row is solved on its own, with
+    Q = gamma I - W and U = ~known. A trained store's masks may clamp
+    different counts; a hand-built W's must clamp equally many neurons.
+    theta=None means zero thresholds. Returns (x, block): x is a new (R, d) array, and
     block the stack of Q_UU from _unclamped_block. A row that the spectral
     rule calls singular (block.singular) is not solved; its x is meaningless.
     The norm route of a trained core never calls a row singular.

@@ -286,6 +286,40 @@ class TestSeedingContract:
         assert points == [CurvePoint(l, *replayed_cell(ctx, l), cfg.reps) for l in cfg.l_grid]
         assert points[1] == points[2]
 
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=200, units="neurons", gamma=0.05),
+        ExperimentConfig(l_grid=(1, 5, 5, 9, 12), d=12, m=2, reps=25, units="neurons",
+                         data_format="synthetic", seed=2, mu=0.1),
+    ], ids=["singular-rows", "positive-mu"])
+    def test_solve_chunks_that_span_cells_do_not_show(self, monkeypatch, cfg):
+        # a run solves its pass's (cell, repetition) rows in 7-row chunks here;
+        # neither 200 nor 25 is a multiple of 7, so chunk edges fall inside
+        # cells and chunks hold two cells' rows. At gamma = 0.05 some clamps
+        # of 50 fixture neurons leave the reduced block singular, and at
+        # mu > 0 every row takes the eigen fallback
+        ts = ingest(cfg)
+        ctx = experiments._TrialContext(cfg, ts)
+        monkeypatch.setattr(experiments, "_SOLVE_ELEMENTS", 7 * ts.d * ts.m)
+        recover, fallback = experiments._inversion_recover, truncated_pseudoinverse_apply
+        sizes, fallbacks = [], []
+
+        def recording(ctx, masks):
+            sizes.append(len(masks))
+            return recover(ctx, masks)
+
+        def counting(*args):
+            fallbacks.append(args)
+            return fallback(*args)
+
+        monkeypatch.setattr(experiments, "_inversion_recover", recording)
+        monkeypatch.setattr(experiments, "truncated_pseudoinverse_apply", counting)
+        points = run_recovery_curve(cfg, ts)
+        rows = len(set(cfg.l_grid)) * cfg.reps  # the repeated cell reuses the pass
+        assert sizes == [7] * (rows // 7) + [rows % 7]
+        assert 0 < len(fallbacks) <= rows
+        assert points == [CurvePoint(l, *replayed_cell(ctx, l), cfg.reps) for l in cfg.l_grid]
+        assert points[1] == points[2]
+
     def test_every_gamma_replays_fresh_streams(self):
         cfg = ExperimentConfig(l_grid=(25,), reps=12, seed=3)
         ts = ingest(cfg)
@@ -362,7 +396,7 @@ class TestStackedCell:
             return _reduced_solve(wm, known, *args)
 
         monkeypatch.setattr(experiments, "_reduced_solve", recording)
-        monkeypatch.setattr(experiments, "_STACK_ELEMENTS", 7 * ctx.ts.d * ctx.ts.m)
+        monkeypatch.setattr(experiments, "_SOLVE_ELEMENTS", 7 * ctx.ts.d * ctx.ts.m)
         got = experiments.run_trial(ctx, 50, fresh_streams(cfg.seed, cfg.reps))
         assert sizes == [7] * 28 + [4]  # 200 = 28 * 7 + 4
         np.testing.assert_array_equal(got, want)
@@ -374,7 +408,7 @@ class TestStackedCell:
                                data_format="synthetic")
         ctx = experiments._TrialContext(cfg, ingest(cfg))
         rngs = fresh_streams(cfg.seed, cfg.reps)
-        monkeypatch.setattr(experiments, "_STACK_ELEMENTS", 4 * cfg.d * cfg.m)
+        monkeypatch.setattr(experiments, "_SOLVE_ELEMENTS", 4 * cfg.d * cfg.m)
         tracemalloc.start()
         try:
             distances = experiments.run_trial(ctx, 200, rngs)

@@ -822,8 +822,28 @@ class TestStackedKernel:
         np.testing.assert_array_equal(*verdicts)
         assert 0 < verdicts[0].sum() < len(masks)
 
-    def test_rejects_a_stack_of_unequal_clamps(self, make_training):
-        wm = train(make_training(np.random.default_rng(103), 2, 6))
+    @pytest.mark.parametrize("gamma", [1.0, 0.05], ids=["norm-route", "eigen-route"])
+    def test_a_trained_stack_may_mix_clamp_counts(self, gamma):
+        # the core's Gram is formed without gathering columns, so one stack
+        # may clamp any counts, and each row is solved exactly as alone; at
+        # gamma = 0.05 some clamps of 50 fixture neurons leave Q_UU singular
+        cfg = ExperimentConfig(l_grid=(50,), units="neurons", gamma=gamma)
+        ctx = experiments._TrialContext(cfg, ingest(cfg))
+        counts = [50 if rep % 2 else (1, 37, 100, 99, 12)[rep // 2 % 5] for rep in range(300)]
+        masks = np.array([experiments._known_mask(ctx, l, np.random.default_rng([0, rep]))
+                          for rep, l in enumerate(counts)])
+        probes = np.where(masks, ctx.target, 0.0)
+        xs, block = _reduced_solve(ctx.wm, masks, probes, gamma)
+        assert (block.vecs is None) == (gamma == 1.0)
+        assert block.singular.any() == (gamma == 0.05)
+        for i in range(len(masks)):
+            x, one = _reduced_solve(ctx.wm, masks[i:i + 1], probes[i:i + 1], gamma)
+            np.testing.assert_array_equal(xs[i], x[0])
+            assert block.singular[i] == one.singular[0]
+            assert block.definite[i] == one.definite[0]
+
+    def test_a_hand_built_stack_rejects_unequal_clamps(self, make_training):
+        wm = dense_copy(train(make_training(np.random.default_rng(103), 2, 6)))
         masks = np.zeros((2, 6), dtype=bool)
         masks[0, :2] = masks[1, :3] = True
         with pytest.raises(ValueError, match="equally many neurons"):
