@@ -8,21 +8,21 @@ a sweep. The iterative engine resets one Generator to it before each
 trial, draws the clamp with Generator.choice and then its fill and
 update order. The inversion and quantum engines draw nothing after the
 clamp, so they take the sets choice would draw, derived from each
-stream's leading uint32 values, in passes of bounded size that each read those
-values once for every cell they cover (Floyd's algorithm over Lemire's
-bounded draws); choice itself still draws a clamp from a pool above
-10 000 units, or one that meets a rejected draw. The inversion engine
-then solves a pass's (cell, repetition) rows together, in chunks of
-bounded size that may span cells; only a row whose reduced block is
-singular is solved on its own. The quantum engine recalls them one by
-one. The first stored pattern is the recall target throughout. CSV
-output uses fixed formatting and is byte-identical across runs.
+stream's leading uint32 values (Floyd's algorithm over Lemire's bounded
+draws). A run's (cell, repetition) rows, in grid order, fall into passes,
+fixed slices of bounded size, and a pass reads those values once for
+every cell it covers; choice itself still draws a clamp from a pool
+above 10 000 units, or one that meets a rejected draw. The inversion
+engine then solves a pass's rows together, in chunks of bounded size
+that may span cells; only a row whose reduced block is singular is
+solved on its own. The quantum engine recalls them one by one. The
+first stored pattern is the recall target throughout. CSV output uses
+fixed formatting and is byte-identical across runs.
 """
 from __future__ import annotations
 
 import functools
 import io
-import itertools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -43,6 +43,11 @@ UNITS = ("bases", "neurons")
 _STACK_ELEMENTS = 1 << 22  # clamp entries of a pass: _STACK_ELEMENTS // d (cell, repetition) rows
 _SOLVE_ELEMENTS = 1 << 17  # a solved chunk's (rows, M, d) temporary: about 1 MiB of floats
 _FLOYD_POOL = 10_000  # Generator.choice(n, l, replace=False) runs Floyd's algorithm up to this n
+
+
+def _pool(units: str, d: int) -> int:
+    """The units a clamp draws from: d // 2 bases, each clamping a neuron pair, or d neurons."""
+    return d // 2 if units == "bases" else d
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,7 @@ class ExperimentConfig:
         if self.data_format == "fasta" and self.d % 2:
             raise ValueError("fasta data needs an even d (two neurons per base)")
         grid = tuple(self.l_grid)
-        top = self.d // 2 if self.units == "bases" else self.d
+        top = _pool(self.units, self.d)
         # only integers are range-checked; _count names any other value
         if not grid or any(isinstance(l, (int, np.integer)) and not 1 <= l <= top for l in grid):
             raise ValueError(f"l grid values must lie in 1..{top}")
@@ -139,7 +144,10 @@ def ingest(cfg: ExperimentConfig) -> TrainingSet:
             raise ValueError(f"{path}: found {arr.shape[0]} patterns, need m={cfg.m}")
         if arr.shape[1] != cfg.d:
             raise ValueError(f"{path}: patterns have d={arr.shape[1]}, expected {cfg.d}")
-        return TrainingSet(arr[: cfg.m])
+        try:
+            return TrainingSet(arr[: cfg.m])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     records = load_fasta(path)[: cfg.m]
     if len(records) < cfg.m:
         raise ValueError(f"{path}: found {len(records)} sequences, need m={cfg.m}")
@@ -167,16 +175,21 @@ class _TrialContext:
         self.target = ts.patterns[0]
 
 
+def _neuron_masks(ctx: _TrialContext, sets: np.ndarray) -> np.ndarray:
+    """The (R, d) neuron masks of (R, pool) unit sets: base b clamps neurons 2b and 2b + 1."""
+    if ctx.cfg.units == "neurons":
+        return sets
+    masks = np.zeros((len(sets), ctx.ts.d), dtype=bool)
+    masks[:, 0:2 * sets.shape[1]:2] = masks[:, 1:2 * sets.shape[1]:2] = sets
+    return masks
+
+
 def _known_mask(ctx: _TrialContext, l: int, rng: np.random.Generator) -> np.ndarray:
-    d = ctx.ts.d
-    mask = np.zeros(d, dtype=bool)
-    if ctx.cfg.units == "bases":
-        bases = rng.choice(d // 2, size=l, replace=False)
-        mask[2 * bases] = True
-        mask[2 * bases + 1] = True
-    else:
-        mask[rng.choice(d, size=l, replace=False)] = True
-    return mask
+    """The neuron mask of l units drawn by rng.choice from the pool, without replacement."""
+    n = _pool(ctx.cfg.units, ctx.ts.d)
+    sets = np.zeros((1, n), dtype=bool)
+    sets[0, rng.choice(n, size=l, replace=False)] = True
+    return _neuron_masks(ctx, sets)[0]
 
 
 def _inversion_recover(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
@@ -225,12 +238,6 @@ def _distances(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
     return np.concatenate([np.count_nonzero(x != ctx.target, axis=1) for x in recalled])
 
 
-def _stacks(masks, rows: int):
-    """Stack an iterable of masks into arrays of at most rows rows."""
-    while stack := list(itertools.islice(masks, rows)):
-        yield np.array(stack)
-
-
 def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
     """The trials of one cell: per generator, clamp l units of the target, recall, count errors.
 
@@ -240,9 +247,9 @@ def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
     its fill and update order from the generator after the clamp. The
     inversion and quantum engines draw nothing after the clamp. Given the
     run's streams, they return the cell's share of _Streams.distances,
-    which recalls a pass's (cell, repetition) rows together; otherwise
-    they draw each clamp from its generator with _known_mask, in stacks
-    of at most _STACK_ELEMENTS // d rows, as a pass holds. _distances
+    which recalls a pass's (cell, repetition) rows together. Otherwise, as
+    the oracle of the seeding contract, they draw each of the cell's
+    clamps from its generator with _known_mask into one stack. _distances
     recalls either in chunks: the inversion engine solves a chunk from
     the trained store's factor and discretizes it row by row, and the
     quantum engine recalls its rows one by one. The name is kept for the
@@ -258,9 +265,7 @@ def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
         return np.array([np.count_nonzero(x != ctx.target) for x in finals], dtype=int)
     if isinstance(rngs, _Streams):
         return rngs.distances(ctx, l)
-    rows = max(1, _STACK_ELEMENTS // ctx.ts.d)
-    stacks = _stacks((_known_mask(ctx, l, rng) for rng in rngs), rows)
-    return np.concatenate([_distances(ctx, masks) for masks in stacks])
+    return _distances(ctx, np.array([_known_mask(ctx, l, rng) for rng in rngs]))
 
 
 def _choice_sets(n: int, counts: np.ndarray, leading: np.ndarray,
@@ -306,16 +311,18 @@ class _Streams:
     counts lists the run's clamp counts in the order its cells run.
 
     The inversion and quantum engines take a cell's clamps, and their
-    distances, from passes without a choice call per trial. A pass covers
-    the requested (cell, repetition) row and the rows after it, across
-    cells, up to _STACK_ELEMENTS // d rows: it draws each of its streams'
-    leading uint32 values once, as many as its largest count, and
-    _choice_sets derives every row's clamps from them. _known_mask still
-    draws a clamp from a pool larger than _FLOYD_POOL, where numpy may
-    shuffle instead, and a row whose draws Lemire's rule rejects. The pass
-    keeps its clamps, and the distances of one context: a gamma sweep
-    derives its one cell's clamps once and solves them again for each
-    gamma.
+    distances, from passes without a choice call per trial. The run's rows
+    are its (cell, repetition) pairs in the order its cells run: row =
+    (index of l in counts) * reps + rep, and a cell outside counts is its
+    own one-cell run. Pass k is the fixed slice of rows [k room, (k + 1)
+    room), room = _STACK_ELEMENTS // d, so it may start and end inside a
+    cell. It draws each of its streams' leading uint32 values once, as
+    many as its largest count, and _choice_sets derives every row's clamps
+    from them. _known_mask still draws a clamp from a pool larger than
+    _FLOYD_POOL, where numpy may shuffle instead, and a row whose draws
+    Lemire's rule rejects. The current pass keeps its clamps, and the
+    distances of one context: a gamma sweep derives its one cell's clamps
+    once and solves them again for each gamma.
     """
 
     def __init__(self, seed: int, reps: int, counts=()):
@@ -323,8 +330,7 @@ class _Streams:
                         for rep in range(reps)]
         self._rng = np.random.default_rng([seed, 0])
         self._counts = tuple(dict.fromkeys(counts))
-        self._spans = {}  # (l, first rep) -> (start, stop) rows of self._masks, current pass
-        self._masks = self._solved = self._solved_for = None
+        self._key = self._masks = self._solved = self._solved_for = None
 
     def __iter__(self):
         for rep in range(len(self._starts)):
@@ -340,20 +346,19 @@ class _Streams:
                          for rep in reps])
 
     def _cell_spans(self, ctx: _TrialContext, l: int):
-        """Cell l's rows of the passes, as (start, stop) into self._masks, in repetition order."""
-        first, reps = 0, len(self._starts)
-        while first < reps:
-            if (l, first) not in self._spans:
-                self._pass(ctx, l, first)
-            start, stop = self._spans[l, first]
-            yield start, stop
-            first += stop - start
+        """Cell l's rows of each pass it meets, as (start, stop) into that pass's self._masks."""
+        grid, reps = self._counts if l in self._counts else (l,), len(self._starts)
+        room = max(1, _STACK_ELEMENTS // ctx.ts.d)
+        first = grid.index(l) * reps
+        for k in range(first // room, (first + reps - 1) // room + 1):
+            if self._key != (grid, k, room):
+                self._pass(ctx, grid, np.arange(k * room, min((k + 1) * room, len(grid) * reps)))
+                self._key = (grid, k, room)
+            yield max(first - k * room, 0), min(first + reps - k * room, room)
 
-    def masks(self, ctx: _TrialContext, l: int, rows: int):
-        """Cell l's clamp masks, the ones _known_mask draws, in chunks of at most rows reps."""
-        for start, stop in self._cell_spans(ctx, l):
-            for i in range(start, stop, rows):
-                yield self._masks[i:min(i + rows, stop)]
+    def masks(self, ctx: _TrialContext, l: int) -> np.ndarray:
+        """Cell l's clamp masks, the ones _known_mask draws, in repetition order."""
+        return np.concatenate([self._masks[a:b] for a, b in self._cell_spans(ctx, l)])
 
     def distances(self, ctx: _TrialContext, l: int) -> np.ndarray:
         """Cell l's distances: each pass's rows are recalled together, once per context."""
@@ -364,40 +369,21 @@ class _Streams:
             shares.append(self._solved[start:stop])
         return np.concatenate(shares)
 
-    def _pass(self, ctx: _TrialContext, l: int, first: int) -> None:
-        """Derive the clamps of up to _STACK_ELEMENTS // d rows, from (cell l, rep first) on."""
-        reps, d = len(self._starts), ctx.ts.d
-        n = d // 2 if ctx.cfg.units == "bases" else d
-        cells = self._counts[self._counts.index(l):] if l in self._counts else (l,)
-        room = max(1, _STACK_ELEMENTS // d)
-        pieces = []  # (count, first rep, end rep) of each cell the pass covers
-        for count in cells:
-            stop = min(reps, first + room)
-            pieces.append((count, first, stop))
-            room -= stop - first
-            if not room:
-                break
-            first = 0
-        counts = np.concatenate([np.full(b - a, count) for count, a, b in pieces])
-        streams = np.concatenate([np.arange(a, b) for _, a, b in pieces])
+    def _pass(self, ctx: _TrialContext, grid: tuple, rows: np.ndarray) -> None:
+        """Derive the clamps of the listed rows; row = (index of l in grid) * reps + rep."""
+        cells, streams = np.divmod(rows, len(self._starts))
+        counts = np.array(grid)[cells]
+        n = _pool(ctx.cfg.units, ctx.ts.d)
         if n > _FLOYD_POOL:
             masks = np.array([_known_mask(ctx, count, self._reset(stream))
                               for count, stream in zip(counts, streams)])
         else:
-            width = max((count for count, _, _ in pieces if count < n), default=0)
             drawn, rows_of = np.unique(streams, return_inverse=True)
+            width = counts[counts < n].max(initial=0)
             sets, rejected = _choice_sets(n, counts, self._draws(drawn, width), rows_of)
-            if ctx.cfg.units == "bases":
-                masks = np.zeros((len(counts), d), dtype=bool)
-                masks[:, 0:2 * n:2] = masks[:, 1:2 * n:2] = sets
-            else:
-                masks = sets
+            masks = _neuron_masks(ctx, sets)
             for row in rejected:
                 masks[row] = _known_mask(ctx, counts[row], self._reset(streams[row]))
-        self._spans, offset = {}, 0
-        for count, a, b in pieces:
-            self._spans[count, a] = (offset, offset + b - a)
-            offset += b - a
         self._masks, self._solved, self._solved_for = masks, None, None
 
 

@@ -138,7 +138,8 @@ class ClampSet:
         x = as_pattern(pattern, allow_unknown=False)
         values = np.zeros(x.size)
         for i in indices:
-            if not 1 <= i <= x.size:
+            # only integers are range-checked; _count names any other value
+            if isinstance(i, (int, np.integer)) and not 1 <= i <= x.size:
                 raise ValueError(f"clamp index {i} outside 1..{x.size}")
             i = _count(i, "clamp index")
             if values[i - 1]:

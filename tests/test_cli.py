@@ -752,6 +752,19 @@ class TestUnknownBase:
         assert captured.err == f"error: {path}: sequence 2 ('seg2'): unknown base 'N' at position 4\n"
 
 
+class TestUnspecifiedPatternStore:
+    def test_is_one_clean_error_line_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "store.txt"
+        path.write_text("1 -1 1 -1\n1 0 -1 -1\n")
+        code = main(["experiment", "recovery-curve", "--format", "patterns", "--data", str(path),
+                     "--d", "4", "--m", "2", "--l-grid", "1", "--reps", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: training patterns must be fully specified "
+                                "(+1/-1 only)\n")
+
+
 class TestMemoryErrors:
     @pytest.mark.parametrize("message,line", [
         ("", "error: out of memory\n"),

@@ -270,18 +270,29 @@ class TestSeedingContract:
     cells show that no cell starts where the previous one stopped.
     """
 
-    @pytest.mark.parametrize("cfg", [
-        ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=12, seed=3),
-        ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=6, seed=3, method="iterative",
-                         fill="plus"),
-        ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=6, seed=3, method="iterative",
-                         fill="random"),
-        ExperimentConfig(l_grid=(2, 5, 5, 14), d=16, m=4, reps=4, seed=3, method="quantum",
-                         data_format="synthetic", units="neurons"),
-    ], ids=["inversion", "iterative-plus", "iterative-random", "quantum-d16"])
-    def test_every_cell_replays_fresh_streams(self, cfg):
+    INVERSION = ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=12, seed=3)
+    QUANTUM = ExperimentConfig(l_grid=(2, 5, 5, 14), d=16, m=4, reps=4, seed=3,
+                               method="quantum", data_format="synthetic", units="neurons")
+
+    @pytest.mark.parametrize("cfg, pass_rows", [
+        (INVERSION, None),
+        (ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=6, seed=3, method="iterative",
+                          fill="plus"), None),
+        (ExperimentConfig(l_grid=(1, 5, 5, 20, 50), reps=6, seed=3, method="iterative",
+                          fill="random"), None),
+        (QUANTUM, None),
+        (INVERSION, 7),
+        (QUANTUM, 7),
+    ], ids=["inversion", "iterative-plus", "iterative-random", "quantum-d16",
+            "inversion-7-row-passes", "quantum-d16-7-row-passes"])
+    def test_every_cell_replays_fresh_streams(self, monkeypatch, cfg, pass_rows):
+        # with 7-row passes, neither 12 nor 4 repetitions is a multiple of 7,
+        # so pass edges fall inside cells, and the repeated l = 5 cell derives
+        # its earlier passes again
         ts = ingest(cfg)
         ctx = experiments._TrialContext(cfg, ts)
+        if pass_rows:
+            monkeypatch.setattr(experiments, "_STACK_ELEMENTS", pass_rows * cfg.d)
         points = run_recovery_curve(cfg, ts)
         assert points == [CurvePoint(l, *replayed_cell(ctx, l), cfg.reps) for l in cfg.l_grid]
         assert points[1] == points[2]
@@ -320,17 +331,22 @@ class TestSeedingContract:
         assert points == [CurvePoint(l, *replayed_cell(ctx, l), cfg.reps) for l in cfg.l_grid]
         assert points[1] == points[2]
 
-    def test_every_gamma_replays_fresh_streams(self):
+    def test_every_gamma_replays_fresh_streams(self, monkeypatch):
         cfg = ExperimentConfig(l_grid=(25,), reps=12, seed=3)
         ts = ingest(cfg)
         wm = train(ts)
         grid = [0.05, 0.3, 0.05]
-        points = run_gamma_sweep(cfg, grid, ts)
-        assert points == [
+        want = [
             GammaPoint(g, *replayed_cell(experiments._TrialContext(replace(cfg, gamma=g), ts, wm),
                                          25), cfg.reps)
             for g in grid]
-        assert points[0] == points[2]
+        # then in 7-row passes: the sweep's one cell spans two of them
+        for pass_rows in (None, 7):
+            if pass_rows:
+                monkeypatch.setattr(experiments, "_STACK_ELEMENTS", pass_rows * cfg.d)
+            points = run_gamma_sweep(cfg, grid, ts)
+            assert points == want
+            assert points[0] == points[2]
 
 
 def fresh_streams(seed, reps):
@@ -439,7 +455,7 @@ class TestClampDraws:
         for seed in range(30):
             streams = experiments._Streams(seed, reps, grid)
             for l in grid:
-                got = np.concatenate(list(streams.masks(ctx, l, reps)))
+                got = streams.masks(ctx, l)
                 want = [experiments._known_mask(ctx, l, rng) for rng in fresh_streams(seed, reps)]
                 np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}, l {l}")
 
@@ -461,7 +477,7 @@ class TestClampDraws:
         assert drawn == [5000]
         monkeypatch.undo()
         assert points == [CurvePoint(5000, *replayed_cell(ctx, 5000), cfg.reps)]
-        got = np.concatenate(list(experiments._Streams(cfg.seed, cfg.reps).masks(ctx, 5000, 4)))
+        got = experiments._Streams(cfg.seed, cfg.reps).masks(ctx, 5000)
         want = [experiments._known_mask(ctx, 5000, rng) for rng in fresh_streams(cfg.seed, cfg.reps)]
         np.testing.assert_array_equal(got, want)
 
