@@ -30,18 +30,20 @@ from importlib import resources
 import numpy as np
 
 from .hebbian import WeightMatrix, train
-from .inversion import (_reduced_solve, _ridge_block, assemble, discretize, solve,
+from .inversion import (_positive, _reduced_solve, _ridge_block, assemble, solve,
                         truncated_pseudoinverse_apply)
 from .iterative import FILLS, recall
-from .patterns import (ClampSet, TrainingSet, _count, _real, _UnknownBase, encode_rna,
-                       load_fasta, load_patterns)
+from .patterns import (ClampSet, TrainingSet, _count, _integer, _real, _UnknownBase,
+                       encode_rna, load_fasta, load_patterns)
 from .quantum.solver import CUTOFF, PHASE_QUBITS, qhop_recall, qhop_solve
 
 METHODS = ("iterative", "inversion", "quantum")
 FORMATS = ("fasta", "patterns", "synthetic")
 UNITS = ("bases", "neurons")
 _STACK_ELEMENTS = 1 << 22  # clamp entries of a pass: _STACK_ELEMENTS // d (cell, repetition) rows
-_SOLVE_ELEMENTS = 1 << 17  # a solved chunk's (rows, M, d) temporary: about 1 MiB of floats
+# a solved chunk holds _SOLVE_ELEMENTS // (d M) rows, so each of its (rows, d) float
+# arrays stays within 1/M MiB; the 163 rows this gives the fixture measured fastest
+_SOLVE_ELEMENTS = 1 << 17
 _FLOYD_POOL = 10_000  # Generator.choice(n, l, replace=False) runs Floyd's algorithm up to this n
 
 
@@ -95,7 +97,7 @@ class ExperimentConfig:
         grid = tuple(self.l_grid)
         top = _pool(self.units, self.d)
         # only integers are range-checked; _count names any other value
-        if not grid or any(isinstance(l, (int, np.integer)) and not 1 <= l <= top for l in grid):
+        if not grid or any(_integer(l) and not 1 <= l <= top for l in grid):
             raise ValueError(f"l grid values must lie in 1..{top}")
         grid = tuple(_count(l, "l grid value") for l in grid)
         object.__setattr__(self, "l_grid", grid)
@@ -227,15 +229,18 @@ def _distances(ctx: _TrialContext, masks: np.ndarray) -> np.ndarray:
     """Hamming distances to the target of the recalls from a stack of clamps.
 
     The stack is recalled in chunks of _SOLVE_ELEMENTS // (d M) rows, which
-    may span cells: each row is solved as it would be alone.
+    may span cells: each row is solved as it would be alone. An inversion
+    recall's errors are the neurons where discretize's +1 mask disagrees
+    with the target's, so no +/-1 array is built.
     """
     rows = max(1, _SOLVE_ELEMENTS // (ctx.ts.d * ctx.ts.m))
     chunks = (masks[i:i + rows] for i in range(0, len(masks), rows))
     if ctx.cfg.method == "quantum":
-        recalled = (_quantum_recover(ctx, chunk) for chunk in chunks)
+        wrong = (_quantum_recover(ctx, chunk) != ctx.target for chunk in chunks)
     else:
-        recalled = (discretize(_inversion_recover(ctx, chunk)) for chunk in chunks)
-    return np.concatenate([np.count_nonzero(x != ctx.target, axis=1) for x in recalled])
+        up = ctx.target > 0
+        wrong = (_positive(_inversion_recover(ctx, chunk)) != up for chunk in chunks)
+    return np.concatenate([np.count_nonzero(w, axis=1) for w in wrong])
 
 
 def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
@@ -251,7 +256,7 @@ def run_trial(ctx: _TrialContext, l: int, rngs) -> np.ndarray:
     the oracle of the seeding contract, they draw each of the cell's
     clamps from its generator with _known_mask into one stack. _distances
     recalls either in chunks: the inversion engine solves a chunk from
-    the trained store's factor and discretizes it row by row, and the
+    the trained store's factor and reads its signs row by row, and the
     quantum engine recalls its rows one by one. The name is kept for the
     benchmark's tracer: an experiments.run_trial span covers a cell, and
     the first cell of a pass also holds the recalls of the pass's later

@@ -14,12 +14,22 @@ W is rank M plus a shift, W = s X^T X - I/d with s = 1/(M d) and X the
 its factor: |W| comes from the eigenvalues of the smaller of the Gram
 matrices X X^T and X^T X, with no d x d eigensolve. The mu = 0 inversion
 recall and the perturbed solve work on an M x M core built from X, and
-the iterative recall on the M exact integers X x. One function,
-_pattern_gram, writes X^T X/(M d): the trained store's dense W, rho, and
-the top of the one saddle block that the mu > 0 and singular fallbacks
-and quantum reference mode read. The dense W is derived from X on its
-first read and cached on the store, so a store of d neurons costs M d
-floats until something reads W; of the library, only the matrix CSV does.
+the iterative recall on the M exact integers X x. Besides X, a trained
+store caches three read-only arrays, each derived from X on its first
+read:
+
+- gram, the M x M integer Gram matrix X X^T; train keeps the one its norm
+  came from when M < d;
+- pair_products, the (d, M(M+1)/2) table of the pattern-pair products
+  X_a * X_b for a <= b, from which the mu = 0 core forms a stack's
+  clamped Gram in one GEMM;
+- w, the dense W. One function, _pattern_gram, writes X^T X/(M d): this
+  W, rho, and the top of the one saddle block that the mu > 0 and
+  singular fallbacks and quantum reference mode read.
+
+So a store of d neurons costs M d floats until something reads the table
+or W; of the library, only the matrix CSV reads W.
+
 A hand-built WeightMatrix(w) has no factor; it is checked densely and
 recalled by the dense path.
 """
@@ -86,6 +96,9 @@ class _TrainedWeightMatrix(WeightMatrix):
     this store and read-only; d is read from the factor, so the recall
     paths that need only d and X never derive W. gram is the M x M integer
     Gram matrix X X^T, read-only; train keeps the one its norm came from.
+    pair_products is the read-only (d, M(M+1)/2) table of the products
+    X_a * X_b of pattern pairs a <= b, its columns in np.triu_indices(M)
+    order; a stack of masks times it gives each row's clamped Gram.
     """
 
     @cached_property
@@ -93,6 +106,18 @@ class _TrainedWeightMatrix(WeightMatrix):
         g = self.factor @ self.factor.T
         g.setflags(write=False)
         return g
+
+    @cached_property
+    def pair_products(self) -> np.ndarray:
+        columns = self.factor.T
+        d, m = columns.shape
+        table = np.empty((d, m * (m + 1) // 2))
+        start = 0
+        for a in range(m):  # the pairs (a, a..M-1), written in place
+            np.multiply(columns[:, a:], columns[:, a, None], out=table[:, start:start + m - a])
+            start += m - a
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def w(self) -> np.ndarray:

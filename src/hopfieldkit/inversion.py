@@ -48,9 +48,13 @@ For the two kinds of store:
   s = 1/(M d). Then Q_UU = c I - s X_U^T X_U with c = gamma + 1/d, whose
   spectrum is that of the M x M core C = c I - s X_U X_U^T up to copies of
   c > 0. The Gram matrix X_U X_U^T = X X^T - X_K X_K^T has integer
-  entries, so it is exact; X X^T is kept on the store, and X_K X_K^T is
-  X with its columns off K zeroed, times X^T, so no columns are gathered
-  and the clamp counts of a stack need not agree. The norm route solves
+  entries, so it is exact; X X^T is kept on the store. X_K X_K^T takes
+  one of two formulas, which give the same integers: a stack of R masks
+  times the store's (d, M(M+1)/2) table of pattern-pair products, one
+  GEMM, or, unless that table holds fewer entries than the R M d of the
+  masked patterns (M(M+1)/2 < R M, never for one row), each row's
+  clamped columns X_K times their transpose. Neither needs the clamp
+  counts of a stack to agree. The norm route solves
   with C itself, whose spectrum lies in [gamma - |W|, gamma + max(|W|,
   1/d)]: its copies of c exceed gamma + |W| only when |W| < 1/d, which
   takes M >= d. The eigen route eigendecomposes the Gram matrix, which
@@ -70,6 +74,7 @@ TIE_TOL_FACTOR * max(1, |x|_inf) of zero is a tie and resolves to +1.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -312,14 +317,44 @@ class _SpectralBlock:
         return (self.vecs @ coef[:, :, None])[:, :, 0]
 
 
+def _clamped_gram(wm: WeightMatrix, known) -> np.ndarray:
+    """The (R, M, M) stack X_K X_K^T of a trained store, one per mask row.
+
+    Its entries are integers, so both formulas give them exactly: one GEMM
+    of the float masks against the store's pair-product table, scattered
+    into M x M, or, unless the table is smaller than the masked patterns it
+    stands for, each row's clamped columns times their transpose.
+    """
+    f = wm.factor
+    m = len(f)
+    pairs = m * (m + 1) // 2
+    if pairs >= len(known) * m:
+        gram = np.empty((len(known), m, m))
+        for row, mask in zip(gram, known):
+            columns = f.compress(mask, axis=1)
+            np.matmul(columns, columns.T, out=row)
+        return gram
+    return (known.astype(float) @ wm.pair_products)[:, _pair_slots(m)]
+
+
+@functools.cache
+def _pair_slots(m: int) -> np.ndarray:
+    """The (M, M) column of each pattern pair (a, b) in the pair-product table, either order."""
+    slots = np.empty((m, m), dtype=np.intp)
+    a, b = np.triu_indices(m)
+    slots[a, b] = slots[b, a] = np.arange(a.size)
+    slots.setflags(write=False)
+    return slots
+
+
 class _CoreBlock(_SpectralBlock):
     """Q_UU of a trained W, through its M x M core (see the module notes).
 
     The core is kept scaled by M d, as M d C = (gamma M d + M) I - X_U X_U^T,
-    so its spectrum follows from the Gram matrix by one subtraction. Its
-    spectrum lies in [gamma - |W|, top] with top = gamma + max(|W|, 1/d),
-    and the norm route takes the stack when gamma > |W| and
-    top <= KAPPA_DIRECT (gamma - |W|).
+    so its spectrum follows from the Gram matrix X_U X_U^T, which is X X^T
+    minus _clamped_gram, by one subtraction. Its spectrum lies in
+    [gamma - |W|, top] with top = gamma + max(|W|, 1/d), and the norm route
+    takes the stack when gamma > |W| and top <= KAPPA_DIRECT (gamma - |W|).
     """
 
     def __init__(self, wm: WeightMatrix, known, gamma: float):
@@ -328,12 +363,7 @@ class _CoreBlock(_SpectralBlock):
         self.f = f
         self.known = known
         self.c = gamma + 1.0 / d
-        # X_U X_U^T = X X^T - X_K X_K^T has integer entries, so it is exact;
-        # X_K X_K^T is X with its columns off K zeroed, times X^T, gathering nothing
-        xk = np.empty((len(known), m, d))
-        np.copyto(xk, known[:, None, :])  # each row's mask, once per pattern
-        xk *= f
-        g = wm.gram - xk @ f.T
+        g = wm.gram - _clamped_gram(wm, known)
         shift = gamma * m * d + m  # c M d
         norm = wm.norm
         if gamma > norm and gamma + max(norm, 1.0 / d) <= KAPPA_DIRECT * (gamma - norm):
@@ -414,11 +444,16 @@ def discretize(x) -> np.ndarray:
     depends on the solver, does not decide the neuron. A stack of solutions
     is discretized row by row, each row against its own |x|_inf.
     """
+    return np.where(_positive(x), 1.0, -1.0)
+
+
+def _positive(x) -> np.ndarray:
+    """The mask of components that discretize maps to +1: x at or above minus the tie band."""
     x = np.asarray(x, dtype=float)
     scale = np.maximum.reduce(np.abs(x), axis=-1, keepdims=True, initial=1.0)  # max(1, |x|_inf)
     if not math.isfinite(np.maximum.reduce(scale, axis=None)):
         raise ValueError("cannot discretize non-finite values")
-    return np.where(x >= -TIE_TOL_FACTOR * scale, 1.0, -1.0)
+    return x >= -TIE_TOL_FACTOR * scale
 
 
 def solve_perturbed(wm: WeightMatrix, x_pert, theta=None, gamma: float = 1.0,

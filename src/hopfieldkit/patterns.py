@@ -51,9 +51,14 @@ def as_pattern(values, d: int | None = None, allow_unknown: bool = True) -> np.n
     return x
 
 
+def _integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool or a float (2.0 too) is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _count(value, name: str, low: int = 1) -> int:
-    """value as an int >= low. Python and numpy integers pass; a bool or a float (2.0 too) fails."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    """value as an int >= low; it must pass _integer, so a bool or a float fails."""
+    if not _integer(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -139,7 +144,7 @@ class ClampSet:
         values = np.zeros(x.size)
         for i in indices:
             # only integers are range-checked; _count names any other value
-            if isinstance(i, (int, np.integer)) and not 1 <= i <= x.size:
+            if _integer(i) and not 1 <= i <= x.size:
                 raise ValueError(f"clamp index {i} outside 1..{x.size}")
             i = _count(i, "clamp index")
             if values[i - 1]:

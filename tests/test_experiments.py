@@ -78,6 +78,7 @@ class TestExperimentConfig:
         ("mu", None, "mu must be >= 0"),
         ("gamma", True, "gamma must be positive"),
         ("mu", False, "mu must be >= 0"),
+        ("l_grid", (False,), "l grid value must be an integer >= 1"),
     ])
     def test_field_validation(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -303,14 +304,17 @@ class TestSeedingContract:
                          data_format="synthetic", seed=2, mu=0.1),
     ], ids=["singular-rows", "positive-mu"])
     def test_solve_chunks_that_span_cells_do_not_show(self, monkeypatch, cfg):
-        # a run solves its pass's (cell, repetition) rows in 7-row chunks here;
-        # neither 200 nor 25 is a multiple of 7, so chunk edges fall inside
-        # cells and chunks hold two cells' rows. At gamma = 0.05 some clamps
-        # of 50 fixture neurons leave the reduced block singular, and at
-        # mu > 0 every row takes the eigen fallback
+        # a run solves its pass's (cell, repetition) rows in 3- and 7-row
+        # chunks here, against cells replayed in the default chunks. Neither
+        # 200 nor 25 is a multiple of 3 or 7, so chunk edges fall inside cells
+        # and chunks hold two cells' rows. At the fixture's M = 8, 3-row
+        # chunks gather each row's clamped columns, while 7-row and default
+        # chunks read the pair-product table. At gamma = 0.05 some clamps of
+        # 50 fixture neurons leave the reduced block singular, and at mu > 0
+        # every row takes the eigen fallback
         ts = ingest(cfg)
         ctx = experiments._TrialContext(cfg, ts)
-        monkeypatch.setattr(experiments, "_SOLVE_ELEMENTS", 7 * ts.d * ts.m)
+        want = [CurvePoint(l, *replayed_cell(ctx, l), cfg.reps) for l in cfg.l_grid]
         recover, fallback = experiments._inversion_recover, truncated_pseudoinverse_apply
         sizes, fallbacks = [], []
 
@@ -324,12 +328,16 @@ class TestSeedingContract:
 
         monkeypatch.setattr(experiments, "_inversion_recover", recording)
         monkeypatch.setattr(experiments, "truncated_pseudoinverse_apply", counting)
-        points = run_recovery_curve(cfg, ts)
         rows = len(set(cfg.l_grid)) * cfg.reps  # the repeated cell reuses the pass
-        assert sizes == [7] * (rows // 7) + [rows % 7]
-        assert 0 < len(fallbacks) <= rows
-        assert points == [CurvePoint(l, *replayed_cell(ctx, l), cfg.reps) for l in cfg.l_grid]
-        assert points[1] == points[2]
+        for chunk in (3, 7):
+            monkeypatch.setattr(experiments, "_SOLVE_ELEMENTS", chunk * ts.d * ts.m)
+            sizes.clear()
+            fallbacks.clear()
+            points = run_recovery_curve(cfg, ts)
+            assert sizes == [chunk] * (rows // chunk) + [rows % chunk]
+            assert 0 < len(fallbacks) <= rows
+            assert points == want
+            assert points[1] == points[2]
 
     def test_every_gamma_replays_fresh_streams(self, monkeypatch):
         cfg = ExperimentConfig(l_grid=(25,), reps=12, seed=3)
@@ -402,6 +410,9 @@ class TestStackedCell:
         assert len(calls) == singular > 0
 
     def test_chunk_boundaries_do_not_show(self, monkeypatch):
+        # the default chunks of 163 and 37 rows read the pair-product table;
+        # at the fixture's M = 8, 3-row chunks gather each row's clamped
+        # columns, and 7-row chunks read the table
         cfg = self.SINGULAR
         ctx = experiments._TrialContext(cfg, ingest(cfg))
         want = experiments.run_trial(ctx, 50, fresh_streams(cfg.seed, cfg.reps))
@@ -412,27 +423,37 @@ class TestStackedCell:
             return _reduced_solve(wm, known, *args)
 
         monkeypatch.setattr(experiments, "_reduced_solve", recording)
-        monkeypatch.setattr(experiments, "_SOLVE_ELEMENTS", 7 * ctx.ts.d * ctx.ts.m)
-        got = experiments.run_trial(ctx, 50, fresh_streams(cfg.seed, cfg.reps))
-        assert sizes == [7] * 28 + [4]  # 200 = 28 * 7 + 4
-        np.testing.assert_array_equal(got, want)
+        # 200 = 66 * 3 + 2 = 28 * 7 + 4
+        for chunk, split in ((3, [3] * 66 + [2]), (7, [7] * 28 + [4])):
+            monkeypatch.setattr(experiments, "_SOLVE_ELEMENTS", chunk * ctx.ts.d * ctx.ts.m)
+            sizes.clear()
+            got = experiments.run_trial(ctx, 50, fresh_streams(cfg.seed, cfg.reps))
+            assert sizes == split
+            np.testing.assert_array_equal(got, want)
 
     def test_a_cell_holds_one_chunk_at_a_time(self, monkeypatch):
-        # chunks of 4 rows at d = 2000: the cell's peak stays below one
-        # (reps, d) float stack, which an unchunked solve would hold several times
+        # chunks of 4 and 7 rows at d = 2000, M = 8: the 4-row chunks gather
+        # each row's clamped columns, and the 7-row ones read the 576 kB
+        # pair-product table. Either way the cell's peak stays below one
+        # (reps, d) float stack, which an unchunked solve would hold several
+        # times, and the two give the same distances
         cfg = ExperimentConfig(l_grid=(200,), d=2000, m=8, reps=200, units="neurons",
                                data_format="synthetic")
-        ctx = experiments._TrialContext(cfg, ingest(cfg))
-        rngs = fresh_streams(cfg.seed, cfg.reps)
-        monkeypatch.setattr(experiments, "_SOLVE_ELEMENTS", 4 * cfg.d * cfg.m)
-        tracemalloc.start()
-        try:
-            distances = experiments.run_trial(ctx, 200, rngs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert distances.shape == (cfg.reps,)
-        assert peak < cfg.reps * cfg.d * 8, peak
+        runs = []
+        for chunk in (4, 7):
+            ctx = experiments._TrialContext(cfg, ingest(cfg))
+            rngs = fresh_streams(cfg.seed, cfg.reps)
+            monkeypatch.setattr(experiments, "_SOLVE_ELEMENTS", chunk * cfg.d * cfg.m)
+            tracemalloc.start()
+            try:
+                runs.append(experiments.run_trial(ctx, 200, rngs))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ("pair_products" in vars(ctx.wm)) == (chunk == 7)
+            assert runs[-1].shape == (cfg.reps,)
+            assert peak < cfg.reps * cfg.d * 8, peak
+        np.testing.assert_array_equal(*runs)
 
 
 class TestClampDraws:

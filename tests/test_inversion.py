@@ -824,9 +824,11 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("gamma", [1.0, 0.05], ids=["norm-route", "eigen-route"])
     def test_a_trained_stack_may_mix_clamp_counts(self, gamma):
-        # the core's Gram is formed without gathering columns, so one stack
-        # may clamp any counts, and each row is solved exactly as alone; at
-        # gamma = 0.05 some clamps of 50 fixture neurons leave Q_UU singular
+        # each row's clamped Gram comes from its own mask, so one stack may
+        # clamp any counts, and each row is solved exactly as alone: the
+        # 300-row stack reads the pair-product table, and each one-row call
+        # gathers its clamped columns. At gamma = 0.05 some clamps of 50
+        # fixture neurons leave Q_UU singular
         cfg = ExperimentConfig(l_grid=(50,), units="neurons", gamma=gamma)
         ctx = experiments._TrialContext(cfg, ingest(cfg))
         counts = [50 if rep % 2 else (1, 37, 100, 99, 12)[rep // 2 % 5] for rep in range(300)]
@@ -848,6 +850,55 @@ class TestStackedKernel:
         masks[0, :2] = masks[1, :3] = True
         with pytest.raises(ValueError, match="equally many neurons"):
             _reduced_solve(wm, masks, np.where(masks, 1.0, 0.0), 1.0)
+
+
+class TestClampedGram:
+    """_clamped_gram's two formulas against the gather oracle X X^T - X[:, K] X[:, K]^T.
+
+    A stack of R masks reads the store's pair-product table when
+    M(M+1)/2 < R M, that is when R > (M + 1)/2, and otherwise gathers each
+    row's clamped columns. The entries are integers, so either formula must
+    give the oracle's exactly.
+    """
+
+    @staticmethod
+    def clamped(ts, masks):
+        """_clamped_gram on a fresh store of ts, and whether it built the pair-product table."""
+        wm = train(ts)
+        return inversion._clamped_gram(wm, masks), "pair_products" in vars(wm)
+
+    def test_both_formulas_equal_the_gather_oracle(self, make_training):
+        rng = np.random.default_rng(116)
+        shapes = [(2, 1), (2, 12), (3, 3), (5, 12), (7, 2), (119, 1), (120, 12)]
+        shapes += [(int(rng.integers(2, 121)), int(rng.integers(1, 13))) for _ in range(20)]
+        for d, m in shapes:
+            ts = make_training(rng, m, d)
+            x = ts.patterns.astype(np.int64)
+            first_table = (m + 1) // 2 + 1  # the least R with M(M+1)/2 < R M
+            gamma = float(rng.choice([0.05, 1.0]))
+            for rows in {first_table - 1, first_table, int(rng.integers(1, 3 * first_table + 1))}:
+                # mixed clamp counts; the first two rows clamp nothing and everything
+                counts = rng.integers(0, d + 1, size=rows)
+                counts[:2] = (0, d)[:rows]
+                masks = np.zeros((rows, d), dtype=bool)
+                for mask, l in zip(masks, counts):
+                    mask[rng.choice(d, size=l, replace=False)] = True
+                got, read_table = self.clamped(ts, masks)
+                assert read_table == (rows >= first_table), (d, m, rows)
+                wm = train(ts)
+                oracle = np.array([x @ x.T - x[:, k] @ x[:, k].T for k in masks])
+                np.testing.assert_array_equal(wm.gram - got, oracle)
+                # each stack row is its one-row call, which gathers
+                probes = np.where(masks, ts.patterns[0], 0.0)
+                xs, block = _reduced_solve(wm, masks, probes, gamma)
+                for i in range(rows):
+                    one, read_table = self.clamped(ts, masks[i:i + 1])
+                    assert not read_table
+                    np.testing.assert_array_equal(one[0], got[i])
+                    x1, alone = _reduced_solve(wm, masks[i:i + 1], probes[i:i + 1], gamma)
+                    assert block.singular[i] == alone.singular[0]
+                    if not alone.singular[0]:
+                        np.testing.assert_array_equal(xs[i], x1[0])
 
 
 class TestNormRoute:
@@ -1104,6 +1155,30 @@ def test_recall_at_d2000_reads_no_matrix_larger_than_the_core(monkeypatch):
     assert report.minimum_certified and report.rank_tol == 0.0
     np.testing.assert_allclose(report.x, x_ref, rtol=0.0, atol=1e-10)
     assert largest and 0 < max(largest) <= 40
+
+
+def test_a_store_of_many_short_patterns_builds_no_pair_table():
+    """At M = 300 and d = 40 the pair-product table would be 14 MB, more than
+    the masked patterns of a 4-row chunk or of one row: a curve cell and a
+    solve gather their clamped columns, build no table, and peak below it."""
+    cfg = ExperimentConfig(l_grid=(10,), d=40, m=300, reps=4, units="neurons",
+                           data_format="synthetic")
+    ctx = experiments._TrialContext(cfg, ingest(cfg))
+    pairs = cfg.m * (cfg.m + 1) // 2
+    # the cell is one chunk, whose (4, 300, 300) cores hold 2.9 MB each
+    assert cfg.reps <= experiments._SOLVE_ELEMENTS // (cfg.d * cfg.m)
+    assert cfg.reps * cfg.m < pairs
+    clamp = ClampSet.from_pattern(ctx.target, np.arange(1, 11))
+    tracemalloc.start()
+    try:
+        distances = experiments.run_trial(ctx, 10, experiments._Streams(cfg.seed, cfg.reps))
+        report = solve(quiet_assemble(ctx.wm, clamp))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distances.shape == (cfg.reps,) and report.x.shape == (cfg.d,)
+    assert "pair_products" not in vars(ctx.wm)
+    assert peak < cfg.d * pairs * 8, peak
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="needs RLIMIT_AS")

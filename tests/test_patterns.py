@@ -186,7 +186,7 @@ class TestClampSet:
 
     def test_from_pattern_rejects_non_integer_indices(self):
         pattern = [1.0, -1.0, 1.0]
-        for bad in (1.7, True, np.float64(2.0), np.bool_(True), "2", None):
+        for bad in (1.7, True, False, np.float64(2.0), np.bool_(True), "2", None):
             with pytest.raises(ValueError, match="clamp index must be an integer"):
                 ClampSet.from_pattern(pattern, [3, bad])
         clamp = ClampSet.from_pattern(pattern, [np.int64(3), np.int8(1)])
